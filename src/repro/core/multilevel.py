@@ -36,7 +36,14 @@ class HookChain:
 
 
 class MultilevelHookManager:
-    """Tracks condition chains over branch events."""
+    """Tracks condition chains over branch events.
+
+    Chains are indexed by member function (target side) and by head
+    address (return side), so a branch that neither enters a chain
+    function nor leaves a chain head costs two dictionary lookups, and
+    the third-party test runs only when a chain head is entered or a
+    live chain head returns.
+    """
 
     def __init__(self, symbols: Dict[str, int],
                  is_third_party: Callable[[int], bool],
@@ -46,6 +53,10 @@ class MultilevelHookManager:
                                  for name, address in symbols.items()}
         self._is_third_party = is_third_party
         self._chains: List[HookChain] = []
+        # Member name -> the chains containing it (each chain once).
+        self._chains_by_name: Dict[str, List[HookChain]] = {}
+        # Head address (Thumb bit clear) -> the chains it heads.
+        self._chains_by_head: Dict[int, List[HookChain]] = {}
         # Which chain names may fire their gated hooks right now.
         self._armed: Set[str] = set()
         # When disabled (the ablation of Section V.B), every gated hook
@@ -63,34 +74,58 @@ class MultilevelHookManager:
                 raise KeyError(f"unknown function {name!r} in hook chain")
         chain = HookChain(names)
         self._chains.append(chain)
+        for name in dict.fromkeys(chain.names):
+            self._chains_by_name.setdefault(name, []).append(chain)
+        # A head whose address resolves to an aliasing symbol is never
+        # the source name of a branch, so it cannot unwind.
+        head_address = self._symbols[chain.names[0]] & ~1
+        if self._address_to_name.get(head_address) == chain.names[0]:
+            self._chains_by_head.setdefault(head_address, []).append(chain)
         return chain
+
+    def reset(self) -> None:
+        """Forget all chain state and counters (a warm worker's new job)."""
+        self._armed.clear()
+        for chain in self._chains:
+            chain.reset()
+        self.checks = 0
+        self.fires = 0
 
     # -- the branch listener -------------------------------------------------------
 
     def on_branch(self, i_from: int, i_to: int, emu=None) -> None:
-        target_name = self._address_to_name.get(i_to & ~1)
         self.checks += 1
-        from_third_party = self._is_third_party(i_from)
-        for chain in self._chains:
+        target_name = self._address_to_name.get(i_to & ~1)
+        if target_name is None:
+            # Unwind on a return branch out of a live chain head back
+            # into third-party code (conditions T5/T6).
+            heads = self._chains_by_head.get(i_from & ~1)
+            if heads is None:
+                return
+            live = [chain for chain in heads if chain.depth]
+            if live and self._is_third_party(i_from) is False:
+                for chain in live:
+                    chain.reset()
+            return
+        chains = self._chains_by_name.get(target_name)
+        if chains is None:
+            return
+        from_third_party = None
+        for chain in chains:
+            names = chain.names
             # Condition T1: entry into the chain head from third-party code.
-            if target_name == chain.names[0]:
+            if target_name == names[0]:
+                if from_third_party is None:
+                    from_third_party = self._is_third_party(i_from)
                 chain.depth = 1 if from_third_party else 0
                 if chain.depth:
-                    self._armed.add(chain.names[0])
-                continue
+                    self._armed.add(target_name)
             # Deeper conditions: Tk needs T(k-1) true plus entry into the
             # k-th function.
-            if chain.depth and chain.depth < len(chain.names) and \
-                    target_name == chain.names[chain.depth]:
+            elif chain.depth and chain.depth < len(names) and \
+                    target_name == names[chain.depth]:
                 chain.depth += 1
                 self._armed.add(target_name)
-                continue
-            # Unwind on a return branch out of the chain head back into
-            # third-party code (conditions T5/T6).
-            if chain.depth and target_name is None and from_third_party is False:
-                source_name = self._address_to_name.get(i_from & ~1)
-                if source_name == chain.names[0]:
-                    chain.reset()
 
     # -- queries ----------------------------------------------------------------------
 

@@ -26,38 +26,41 @@ from repro.memory.memory import Memory
 SvcHandler = Callable[[int, CpuState, Memory], None]
 
 
+# The ARM condition tests over the N, Z, C and V flags.
+_CONDITIONS = {
+    Cond.EQ: lambda n, z, c, v: z,
+    Cond.NE: lambda n, z, c, v: not z,
+    Cond.CS: lambda n, z, c, v: c,
+    Cond.CC: lambda n, z, c, v: not c,
+    Cond.MI: lambda n, z, c, v: n,
+    Cond.PL: lambda n, z, c, v: not n,
+    Cond.VS: lambda n, z, c, v: v,
+    Cond.VC: lambda n, z, c, v: not v,
+    Cond.HI: lambda n, z, c, v: c and not z,
+    Cond.LS: lambda n, z, c, v: (not c) or z,
+    Cond.GE: lambda n, z, c, v: n == v,
+    Cond.LT: lambda n, z, c, v: n != v,
+    Cond.GT: lambda n, z, c, v: (not z) and n == v,
+    Cond.LE: lambda n, z, c, v: z or n != v,
+    Cond.AL: lambda n, z, c, v: True,
+}
+
+# CONDITION_TABLE[cond][nzcv], N in bit 3 and V in bit 0: one tuple index
+# replaces a comparison chain on every block terminator and conditional
+# micro-op.
+CONDITION_TABLE: Tuple[Tuple[bool, ...], ...] = tuple(
+    tuple(_CONDITIONS[cond](*(bool(nzcv & bit) for bit in (8, 4, 2, 1)))
+          for nzcv in range(16))
+    for cond in Cond)
+_AL = Cond.AL
+
+
 def condition_passed(cpu: CpuState, cond: Cond) -> bool:
     """Evaluate an ARM condition code against the current NZCV flags."""
-    n, z, c, v = cpu.flag_n, cpu.flag_z, cpu.flag_c, cpu.flag_v
-    if cond == Cond.EQ:
-        return z
-    if cond == Cond.NE:
-        return not z
-    if cond == Cond.CS:
-        return c
-    if cond == Cond.CC:
-        return not c
-    if cond == Cond.MI:
-        return n
-    if cond == Cond.PL:
-        return not n
-    if cond == Cond.VS:
-        return v
-    if cond == Cond.VC:
-        return not v
-    if cond == Cond.HI:
-        return c and not z
-    if cond == Cond.LS:
-        return (not c) or z
-    if cond == Cond.GE:
-        return n == v
-    if cond == Cond.LT:
-        return n != v
-    if cond == Cond.GT:
-        return (not z) and n == v
-    if cond == Cond.LE:
-        return z or n != v
-    return True  # AL
+    if cond is _AL:
+        return True
+    return CONDITION_TABLE[cond][cpu.flag_n << 3 | cpu.flag_z << 2 |
+                                 cpu.flag_c << 1 | cpu.flag_v]
 
 
 def _apply_shift(value: int, shift_type: ShiftType, amount: int,

@@ -23,6 +23,7 @@ Object memory layout::
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import DalvikError
@@ -207,9 +208,10 @@ class DvmHeap:
 
     def sync_array_to_memory(self, record: ObjectRecord) -> None:
         """Mirror array element values into guest memory words."""
-        for index, slot in enumerate(record.elements):
-            self.memory.write_u32(record.data_address() + 4 * index,
-                                  slot.value & 0xFFFF_FFFF)
+        elements = record.elements
+        self.memory.write_bytes(record.data_address(), struct.pack(
+            f"<{len(elements)}I",
+            *[slot.value & 0xFFFF_FFFF for slot in elements]))
 
     @property
     def live_objects(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from repro.cpu import isa
-from repro.cpu.executor import Executor, condition_passed
+from repro.cpu.executor import CONDITION_TABLE, Executor
 from repro.cpu.isa import Cond, Op, ShiftType
 from repro.cpu.state import PC, CpuState
 from repro.memory.memory import Memory
@@ -112,8 +112,11 @@ def _fallback(ir: isa.Instruction, pc: int, cpu: CpuState,
 
 
 def _conditional(inner: MicroOp, cond: Cond, cpu: CpuState) -> MicroOp:
+    passes = CONDITION_TABLE[cond]
+
     def op() -> None:
-        if condition_passed(cpu, cond):
+        if passes[cpu.flag_n << 3 | cpu.flag_z << 2 |
+                  cpu.flag_c << 1 | cpu.flag_v]:
             inner()
     return op
 

@@ -479,11 +479,7 @@ class AndroidPlatform:
             tracer = ndroid.instruction_tracer
             tracer.traced_instructions = 0
             tracer.cache_hits = 0
-            ndroid.multilevel.checks = 0
-            ndroid.multilevel.fires = 0
-            ndroid.multilevel._armed.clear()
-            for chain in ndroid.multilevel._chains:
-                chain.reset()
+            ndroid.multilevel.reset()
             ndroid.view_reconstructor.invalidate()
             ndroid.view_reconstructor.reconstruct()
             ndroid.view_reconstructor.reconstructions = 0
