@@ -9,7 +9,6 @@ instrumented function-by-function.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DalvikError, JNIError
@@ -104,9 +103,6 @@ class JniLayer:
         # None/absent unless a farm job attaches them.
         self.span_tracer = None
         self.crossing_histogram = None
-        # Optional cross-job persistence (emulator/persist.py, injected by
-        # the platform): call plans keyed by signature-shape digest.
-        self.persistence = None
 
         self._register_internals()
         self._register_env_table()
@@ -223,28 +219,8 @@ class JniLayer:
     def _compile_trampoline(self, method: Method) -> _Trampoline:
         """Build and cache the per-method call plan (first crossing only)."""
         self.trampoline_misses += 1
-        persistence = self.persistence
-        plan = digest = None
-        if persistence is not None:
-            digest = persistence.trampoline_digest(method)
-            plan = persistence.load_trampoline(digest)
-        if plan is not None:
-            # Rebind the closure from the persisted plan: the plan is a
-            # pure function of (shorty, is_static) — exactly what the
-            # digest covers — so a hit can never mis-shape the call.
-            started = time.perf_counter()
-            arg_refs = tuple(bool(flag) for flag in plan["arg_refs"])
-            returns_ref = bool(plan["returns_ref"])
-            persistence.hit("jni")
-            persistence.rebound("jni", started)
-        else:
-            arg_refs = tuple(ch == "L" for ch in method.param_types())
-            returns_ref = method.return_type == "L"
-            if persistence is not None:
-                persistence.miss("jni")
-                persistence.record_trampoline(
-                    digest, {"arg_refs": [bool(flag) for flag in arg_refs],
-                             "returns_ref": returns_ref})
+        arg_refs = tuple(ch == "L" for ch in method.param_types())
+        returns_ref = method.return_type == "L"
         if method.is_static:
             prefix = (self.env_pointer(),
                       self.class_handle(method.class_name))

@@ -66,17 +66,18 @@ def test_bench_skips_drill_when_manifest_too_small():
                                       # target and keep a survivor
 
 
-def test_schema_version_is_four():
+def test_schema_version_is_five():
     # v3: the streamed-corpus scaling curve rides along in "scaling".
     # v4: the warm-vs-cold drill rides along in "warm".
-    assert BENCH_SCHEMA_VERSION == 4
+    # v5: the warm drill runs cold and warm only.
+    assert BENCH_SCHEMA_VERSION == 5
 
 
 def test_warm_drill_gates_and_parity():
     from repro.bench.farm_bench import WARM_SPEEDUP_GATE, WarmBench
 
     drill = WarmBench(repeats=1).run()
-    for mode in ("cold", "warm", "rehydrated"):
+    for mode in ("cold", "warm"):
         assert drill[mode]["jobs"] == len(drill["parity"]["scenarios"])
         assert drill[mode]["per_job_seconds"] > 0
     assert drill["parity"]["identical"]
@@ -84,8 +85,8 @@ def test_warm_drill_gates_and_parity():
     # Warm must beat cold on boot+translate per job (the 2x gate).
     assert drill["gate"]["passed"]
     assert drill["speedup_warm_vs_cold"] >= WARM_SPEEDUP_GATE
-    # Rehydration proves itself with real cross-process cache hits.
-    assert sum(drill["persist_hits"].values()) > 0
+    assert set(drill) == {"repeats", "config", "cold", "warm",
+                          "speedup_warm_vs_cold", "gate", "parity"}
 
 
 def test_scaling_bench_curve_and_marginals():

@@ -1,7 +1,10 @@
 """The digest-keyed result store (crash-consistent writes, verified reads)."""
 
+import hashlib
 import json
 import os
+import signal
+import time
 
 from repro.farm.store import (
     ResultStore,
@@ -59,6 +62,43 @@ def test_put_fsyncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
     # and one more (the directory) after it.
     assert replaced == [1]
     assert len(synced) == 2
+
+
+def test_sigkill_mid_write_leaves_every_committed_file_whole(tmp_path):
+    # A real kill, not a mock: a child commits payloads in a tight loop
+    # until SIGKILLed somewhere inside atomic_write_json.
+    root = str(tmp_path / "cache")
+    os.makedirs(root)
+    body = list(range(512))
+
+    pid = os.fork()
+    if pid == 0:
+        try:
+            index = 0
+            while True:
+                digest = hashlib.sha256(str(index).encode()).hexdigest()
+                atomic_write_json(os.path.join(root, f"{digest}.json"),
+                                  {"digest": digest, "index": index,
+                                   "body": body})
+                index += 1
+        finally:
+            os._exit(1)    # only reached if the loop somehow breaks
+
+    time.sleep(0.25)
+    os.kill(pid, signal.SIGKILL)
+    __, raw = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(raw) and os.WTERMSIG(raw) == signal.SIGKILL
+
+    committed = [name for name in os.listdir(root) if ".tmp." not in name]
+    assert committed, "child was killed before any write committed"
+    for name in committed:
+        assert name.endswith(".json")
+        digest = name[:-len(".json")]
+        payload = read_verified_json(os.path.join(root, name),
+                                     digest=digest)
+        assert payload is not None, f"torn commit: {name}"
+        assert payload["digest"] == digest
+        assert payload["body"] == body
 
 
 def test_truncated_entry_reads_as_cache_miss_after_commit(tmp_path):

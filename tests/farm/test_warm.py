@@ -1,4 +1,4 @@
-"""Warm workers: template reset, fork isolation, crash-safe persistence.
+"""Warm workers: template reset, worker reuse, fork isolation.
 
 Pins the warm-fork contract end to end:
 
@@ -8,22 +8,16 @@ Pins the warm-fork contract end to end:
 * the worker module reuses one booted template per config across jobs;
 * after a fork, self-modifying code invalidates the *child's* warm
   translation state without touching the template in the parent (the
-  write-watcher re-registration in ``reset_for_job()``);
-* SIGKILLing a process mid-``flush()`` leaves the persistent cache
-  loadable — every committed file is whole (fsync+rename discipline).
+  write-watcher re-registration in ``reset_for_job()``).
 """
 
 import os
-import signal
-import time
 
 import pytest
 
 from repro.apps import ALL_SCENARIOS
 from repro.apps.base import run_scenario
 from repro.bench.harness import make_platform
-from repro.cpu import isa
-from repro.emulator.persist import TranslationPersistence, content_digest
 from repro.farm import worker as worker_module
 from repro.farm.manifest import JobSpec
 
@@ -31,9 +25,9 @@ from repro.farm.manifest import JobSpec
 @pytest.fixture(autouse=True)
 def cold_worker_defaults():
     """Every test starts — and leaves the process — in cold mode."""
-    worker_module.configure_warm(False, None)
+    worker_module.configure_warm(False)
     yield
-    worker_module.configure_warm(False, None)
+    worker_module.configure_warm(False)
 
 
 def leak_rows(platform):
@@ -79,6 +73,35 @@ class TestResetForJob:
         assert len(platform.emu._decode_cache) >= warm_entries
         assert platform._resident_libraries
 
+    def test_changed_library_source_never_aliases_resident_code(self):
+        from repro.framework import Apk
+
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        emu = platform.emu
+
+        def job(package, value):
+            platform.reset_for_job()
+            platform.install(Apk(package=package, native_libraries={
+                "libalias.so": f"f:\n    mov r0, #{value}\n    bx lr\n"}))
+            program = platform.load_library("libalias.so")
+            return program.base, emu.call(program.entry("f"))
+
+        first_base, first = job("com.alias.one", 1)
+        assert first == 1
+        # Same name, different source: the resident is evicted — its
+        # translations dropped and its mapping removed — and the new
+        # code maps at a base never handed out before.
+        second_base, second = job("com.alias.two", 2)
+        assert second == 2
+        assert second_base != first_base
+        assert emu.memory_map.find(first_base) is None
+        assert not any(first_base <= address < second_base
+                       for address, __ in emu._decode_cache)
+        third_base, third = job("com.alias.one", 1)
+        assert third == 1
+        assert third_base not in (first_base, second_base)
+
     def test_reset_clears_job_state(self):
         platform = make_platform("ndroid")
         platform.prepare_template()
@@ -99,7 +122,7 @@ class TestWarmWorker:
                        target=target).to_dict()
 
     def test_template_reused_across_jobs(self, tmp_path):
-        worker_module.configure_warm(True, None)
+        worker_module.configure_warm(True)
         cold = worker_module.execute_job(self.spec("case2"))
         assert cold["status"] in ("ok", "degraded")
 
@@ -112,25 +135,11 @@ class TestWarmWorker:
         targets = ("case1", "case2", "benign")
         cold = {t: worker_module.execute_job(self.spec(t))
                 for t in targets}
-        worker_module.configure_warm(True, None)
+        worker_module.configure_warm(True)
         for target in targets:
             warm = worker_module.execute_job(self.spec(target))
             assert warm["leaks"] == cold[target]["leaks"]
             assert warm["detected"] == cold[target]["detected"]
-
-    def test_persistence_round_trip_through_worker(self, tmp_path):
-        cache = str(tmp_path / "tbcache")
-        worker_module.configure_warm(False, cache)
-        first = worker_module.execute_job(self.spec("case2"))
-        assert first["status"] in ("ok", "degraded")
-        # "New process": reset the module state, same cache directory.
-        worker_module.configure_warm(False, cache)
-        second = worker_module.execute_job(self.spec("case2"))
-        assert second["leaks"] == first["leaks"]
-        persistence = worker_module.WARM["persistence"]
-        assert persistence is not None
-        hits = sum(c["hits"] for c in persistence.counters.values())
-        assert hits > 0
 
 
 class TestForkIsolation:
@@ -176,7 +185,7 @@ class TestForkIsolation:
             bytes(program.code[:4])
 
     def test_forked_child_reruns_job_with_parity(self):
-        worker_module.configure_warm(True, None)
+        worker_module.configure_warm(True)
         worker_module.warm_boot_templates(["ndroid"])
         expected = worker_module.execute_job(
             {"id": "scenario:case2", "kind": "scenario",
@@ -195,45 +204,3 @@ class TestForkIsolation:
             finally:
                 os._exit(code)
         assert wait_exit(pid) == 0
-
-
-class TestCrashSafePersistence:
-    def test_sigkill_during_flush_leaves_cache_loadable(self, tmp_path):
-        root = str(tmp_path / "cache")
-        nop = isa.Nop(cond=isa.Cond.AL, width=4)
-
-        pid = os.fork()
-        if pid == 0:
-            try:
-                persistence = TranslationPersistence(root)
-                index = 0
-                while True:    # flush forever until SIGKILLed mid-write
-                    digest = content_digest(f"region-{index}".encode())
-                    persistence.update_region(
-                        digest, [(offset * 4, False, nop)
-                                 for offset in range(64)])
-                    persistence.flush()
-                    index += 1
-            finally:
-                os._exit(1)    # only reached if the loop somehow breaks
-
-        time.sleep(0.25)
-        os.kill(pid, signal.SIGKILL)
-        __, raw = os.waitpid(pid, 0)
-        assert os.WIFSIGNALED(raw) and os.WTERMSIG(raw) == signal.SIGKILL
-
-        committed = []
-        for dirpath, __, names in os.walk(root):
-            for name in names:
-                if ".tmp." in name:
-                    continue    # an uncommitted temp is expected debris
-                assert name.endswith(".json")
-                committed.append(name[:-len(".json")])
-        assert committed, "child was killed before any flush completed"
-
-        # Every committed entry is whole: a fresh process loads each one.
-        fresh = TranslationPersistence(root)
-        for digest in committed:
-            entries = fresh.load_region(digest)
-            assert entries is not None
-            assert len(entries) == 64
