@@ -50,6 +50,17 @@ class DecodeError(EmulationError):
     """An instruction word could not be decoded as ARM or Thumb."""
 
 
+class AnalysisTimeout(ReproError):
+    """The supervisor's instruction-budget watchdog fired (runaway native
+    code): the instruction at ``pc`` would have been number ``budget``."""
+
+    def __init__(self, budget: int, pc: int):
+        super().__init__(f"instruction budget of {budget} exhausted "
+                         f"@ pc=0x{pc:08x}")
+        self.budget = budget
+        self.pc = pc
+
+
 class MemoryError_(ReproError):
     """Access to an unmapped or protected memory address.
 

@@ -56,29 +56,49 @@ TracerFaultHandler = Callable[[ReproError, isa.Instruction, Emulator], None]
 
 
 class InstructionRingBuffer:
-    """A tracer keeping the last-N executed instructions for crash reports.
+    """The last-N executed instructions, for crash reports.
 
     Unlike :class:`InstructionTracer` it records *every* instruction, not
     just third-party ones: after a crash the report must show the true
-    tail of execution wherever it happened.
+    tail of execution wherever it happened.  It is not installed as a
+    tracer (that would demote translated blocks to single-step): the
+    emulator records into it directly (``Emulator.set_supervision``).
+    Each entry is ``(pc, thumb, instructions, first_index)``: one per
+    single-stepped instruction (through :meth:`__call__`) and one per
+    dispatched translation block, whose decoded instructions are expanded
+    into per-instruction rows only when a report is captured.
     """
 
     def __init__(self, capacity: int = 32) -> None:
         self.capacity = capacity
-        self._ring: Deque[Dict] = deque(maxlen=capacity)
+        # Every entry holds at least one instruction, so the last
+        # ``capacity`` entries always cover the last ``capacity`` rows.
+        self.entries: Deque[Tuple] = deque(maxlen=capacity)
 
     def __call__(self, ir: isa.Instruction, emu: Emulator) -> None:
-        self._ring.append({
-            "index": emu.instruction_count,
-            "pc": emu.cpu.pc,
-            "mode": "thumb" if emu.cpu.thumb else "arm",
-            "mnemonic": ir.mnemonic,
-            "kind": type(ir).__name__,
-        })
+        cpu = emu.cpu
+        self.entries.append((cpu.pc, cpu.thumb, (ir,),
+                             emu.instruction_count))
+
+    def truncate_last(self, count: int) -> None:
+        """Keep only the first ``count`` instructions of the newest entry
+        (a block that faulted part-way through)."""
+        pc, thumb, instructions, first = self.entries.pop()
+        if count:
+            self.entries.append((pc, thumb, instructions[:count], first))
 
     def snapshot(self) -> List[Dict]:
-        """Oldest-to-newest copies of the recorded instructions."""
-        return [dict(entry) for entry in self._ring]
+        """Oldest-to-newest rows for the last ``capacity`` instructions."""
+        rows: List[Dict] = []
+        for pc, thumb, instructions, index in self.entries:
+            mode = "thumb" if thumb else "arm"
+            for ir in instructions:
+                rows.append({"index": index, "pc": pc, "mode": mode,
+                             "mnemonic": ir.mnemonic,
+                             "kind": type(ir).__name__})
+                index += 1
+                pc = (pc + ir.width) & 0xFFFF_FFFF
+        return rows[-self.capacity:]
 
     def format(self) -> str:
         lines = [f"  #{e['index']:<8} {e['pc']:08x} [{e['mode']:>5}] "

@@ -193,16 +193,23 @@ class DalvikTraceCompiler:
         self.invalidations = 0
         self.escalations = 0
 
-    def flush(self) -> None:
+    def flush(self, keep=None) -> None:
         """Drop every compiled block (class/method redefinition).
 
         The per-method dicts are cleared in place, not replaced: the
         interpreter's hot loop holds a direct reference to the dict, so
-        an in-place clear invalidates blocks even mid-run.
+        an in-place clear invalidates blocks even mid-run.  With ``keep``
+        (a warm worker's job boundary) the entries of methods outside it
+        are dropped too: their classes died with the job, and their keys
+        would otherwise accumulate job after job.
         """
         for blocks in self._method_blocks.values():
             self.invalidations += len(blocks)
             blocks.clear()
+        if keep is not None:
+            for method in [method for method in self._method_blocks
+                           if method not in keep]:
+                del self._method_blocks[method]
         self.flushes += 1
 
     def invalidate_method(self, method: Method) -> None:

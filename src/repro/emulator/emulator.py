@@ -23,6 +23,16 @@ once, a fault injector — reverts execution to the single-step
 interpreter whose semantics the blocks replicate (that path also serves
 as the differential oracle for the compiled one).
 
+Supervision (the resilience subsystem's watchdog and crash ring) is not
+a tracer either, so supervised runs stay on blocks too.  The instruction
+budget is a block-boundary limit: blocks run only while more than a
+block's worth of instructions remains under it, and the last stretch
+single-steps, so the watchdog
+fires at exactly the instruction and pc it would on the single-step
+engine.  The crash ring records one entry per dispatched block; a fault
+inside a block rewinds the instruction count, pc and ring to the
+faulting instruction, exactly where single-step leaves them.
+
 Invalidation is page-granular and shared between the decode cache and
 the block cache: a write into a page holding translated code (observed
 through the memory write-watch), a host-function registration, or a new
@@ -36,7 +46,12 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import DecodeError, EmulationError
+from repro.common.errors import (
+    AnalysisTimeout,
+    DecodeError,
+    EmulationError,
+    MemoryError_,
+)
 from repro.common.events import EventLog
 from repro.cpu.arm_decoder import decode_arm
 from repro.cpu.executor import Executor
@@ -155,6 +170,14 @@ class Emulator:
         # tracers, attaching one does NOT force the single-step engine:
         # sampling is a block-boundary presence check, never per-step.
         self._profiler = None
+        # Supervision (set_supervision): the watchdog's absolute
+        # instruction limit and the crash ring.  Neither is a tracer.
+        self._instruction_limit: Optional[int] = None
+        self._crash_ring = None
+        # Called with each dispatched block while a profiler or a crash
+        # ring is attached; the dispatch loop's one per-block check.
+        self._block_monitor: Optional[Callable[[TranslationBlock], None]] \
+            = None
         # Optional span tracer (observability/spans.py).  Emits only at
         # translation time — a cache-miss path — never per block run, so
         # execution order and instruction counts are identical either way.
@@ -291,6 +314,37 @@ class Emulator:
         # Deliberately no _refresh_instrumentation(): the profiler samples
         # at block boundaries and must not demote the TB fast path.
         self._profiler = profiler
+        self._refresh_block_monitor()
+
+    def set_supervision(self, limit: Optional[int], ring=None) -> None:
+        """Arm (or, with ``None``s, disarm) the supervisor's watchdog and
+        crash ring.
+
+        The instruction at which ``instruction_count`` reaches ``limit``
+        raises :class:`AnalysisTimeout` instead of executing, after it
+        was recorded in ``ring`` (an ``InstructionRingBuffer``).  Neither
+        demotes translated blocks, so the translation cache survives
+        arming and disarming.
+        """
+        self._instruction_limit = limit
+        self._crash_ring = ring
+        self._refresh_block_monitor()
+
+    def _refresh_block_monitor(self) -> None:
+        profiler, ring = self._profiler, self._crash_ring
+        if profiler is None and ring is None:
+            self._block_monitor = None
+            return
+        entries = ring.entries if ring is not None else None
+        emu = self
+
+        def monitor(tb: TranslationBlock) -> None:
+            count = emu.instruction_count
+            if entries is not None:
+                entries.append((tb.pc, tb.thumb, tb.irs, count))
+            if profiler is not None and count >= profiler.next_sample:
+                profiler.take_sample(tb.pc, count)
+        self._block_monitor = monitor
 
     # -- host functions -------------------------------------------------------
 
@@ -460,6 +514,11 @@ class Emulator:
         ir = self._decode(pc, self.cpu.thumb)
         for tracer in self._tracers:
             tracer(ir, self)
+        if self._crash_ring is not None:
+            self._crash_ring(ir, self)
+        limit = self._instruction_limit
+        if limit is not None and self.instruction_count >= limit:
+            raise AnalysisTimeout(limit, pc)
         wrote_pc = self.executor.execute(ir)
         self.instruction_count += 1
         if wrote_pc:
@@ -481,11 +540,17 @@ class Emulator:
         lookup is hoisted here — once per page the block covers, instead
         of once per executed instruction — and each in-scope instruction
         gets a pre-bound taint micro-op for the block's tainted variant.
+
+        Decoding runs ahead of execution, so a word past the block's first
+        instruction that fails to fetch or decode ends the block before
+        it: the error is raised when control reaches that word, with the
+        preceding instructions executed, exactly as single-step raises it.
         """
         tracer = self.span_tracer
         span_start = tracer.now() if tracer is not None else 0.0
         translate_start = time.perf_counter()
         ops = []
+        irs: List[Instruction] = []
         specialised = 0
         term_ir: Optional[Instruction] = None
         term_pc = pc
@@ -500,7 +565,14 @@ class Emulator:
         while True:
             if current in hosts or (current | 1) in hosts:
                 break  # host boundary: fall through into host dispatch
-            ir = self._decode(current, thumb)
+            if irs:
+                try:
+                    ir = self._decode(current, thumb)
+                except (DecodeError, MemoryError_):
+                    break  # raised again when control gets here
+            else:
+                ir = self._decode(current, thumb)
+            irs.append(ir)
             if compiler is not None:
                 page = current >> 12
                 if page != scope_page:
@@ -540,8 +612,8 @@ class Emulator:
             pc=pc, thumb=thumb, ops=body_ops, term_ir=term_ir,
             term_pc=term_pc, fall_pc=fall_pc, taken_pc=taken_pc,
             length=len(ops) + (1 if term_ir is not None else 0),
-            pages=pages, specialised=specialised, taint_ops=taint_ops,
-            term_taint_op=term_taint_op, traced=traced)
+            pages=pages, specialised=specialised, irs=tuple(irs),
+            taint_ops=taint_ops, term_taint_op=term_taint_op, traced=traced)
         self._tb_cache.put(tb)
         for page in pages:
             self.memory.watch_page(page)
@@ -569,6 +641,8 @@ class Emulator:
         and raises).  The inner loop performs no per-instruction checks:
         boundary work (branch listeners, entry/exit hooks, host
         dispatch, stop/budget checks) happens between blocks only.
+        A guest fault inside a block is unwound by :meth:`_abort_block`
+        on the (zero-cost until taken) exception path.
         """
         cpu = self.cpu
         regs = cpu.regs
@@ -576,8 +650,10 @@ class Emulator:
         hosts = self._host_functions
         executor_execute = self.executor.execute
         # Hoisted like the other per-block state: one `is not None` check
-        # per block when attached, nothing extra on the code path when not.
+        # per block, shared by the profiler and the crash ring.
+        monitor = self._block_monitor
         profiler = self._profiler
+        limit = self._instruction_limit
         compiler = self._taint_compiler
         # The sticky flag is re-read at every block dispatch: taint only
         # enters through hooks, host functions and syscalls, all of which
@@ -595,15 +671,20 @@ class Emulator:
                     self._per_step_instrumentation or \
                     self._taint_compiler is not compiler:
                 break  # (a hook may re-wire instrumentation mid-run)
-            if profiler is not None and \
-                    self.instruction_count >= profiler.next_sample:
-                profiler.take_sample(pc, self.instruction_count)
             if tb is None or not tb.valid:
                 if (pc & ~1) in hosts:
+                    if profiler is not None and \
+                            self.instruction_count >= profiler.next_sample:
+                        profiler.take_sample(pc, self.instruction_count)
                     self._dispatch_host(pc & ~1, simulate_return=True)
                     executed += 1
                     tb = None
                     link = None
+                    if limit is not None:
+                        # Nested emulation inside the host function
+                        # counted toward the watchdog: re-fit the budget.
+                        budget = min(budget, executed + limit -
+                                     self.instruction_count - MAX_BLOCK_OPS)
                     continue
                 tb = cache.get((pc, cpu.thumb))
                 if tb is None:
@@ -617,12 +698,20 @@ class Emulator:
                             predecessor.succ_fall = tb
                     link = None
 
+            if monitor is not None:
+                monitor(tb)
+
             # ---- the tight loop: zero per-instruction checks ----
             # Variant choice: tainted (taint ops interleaved) once any
             # label is live, clean (plain body) otherwise.
             tainted = engine is not None and engine.maybe_tainted
-            for op in (tb.taint_ops if tainted else tb.ops):
-                op()
+            try:
+                for op in (tb.taint_ops if tainted else tb.ops):
+                    op()
+            except Exception:
+                self._abort_block(tb, *self._fault_position(
+                    tb, tb.taint_ops if tainted else tb.ops, op))
+                raise
             if compiler is not None and tb.traced:
                 compiler.traced_instructions += tb.traced
 
@@ -640,8 +729,16 @@ class Emulator:
 
             regs[PC] = tb.term_pc
             if tainted and tb.term_taint_op is not None:
-                tb.term_taint_op()
-            wrote_pc = executor_execute(term_ir)
+                try:
+                    tb.term_taint_op()
+                except Exception:
+                    self._abort_block(tb, len(tb.ops), False)
+                    raise
+            try:
+                wrote_pc = executor_execute(term_ir)
+            except Exception:
+                self._abort_block(tb, len(tb.ops), True)
+                raise
             self.instruction_count += tb.length
             if not wrote_pc:
                 regs[PC] = tb.fall_pc
@@ -670,6 +767,42 @@ class Emulator:
                 tb = None  # dynamic target (BX, LDR pc, ...): re-resolve
         return executed
 
+    @staticmethod
+    def _fault_position(tb: TranslationBlock, body: Tuple,
+                        faulting: Callable[[], None]) -> Tuple[int, bool]:
+        """Locate the micro-op ``faulting`` of ``body`` (either variant of
+        ``tb``): the index of its instruction, and whether it was that
+        instruction's execution op (True) or its taint op (False).
+
+        Identity is checked in order because body ops need not be unique
+        objects (every NOP shares one closure); the first match is the
+        faulting one, since a shared op is stateless and cannot raise
+        where an earlier copy did not.
+        """
+        ops = tb.ops
+        index = 0
+        for candidate in body:
+            execution = index < len(ops) and candidate is ops[index]
+            if candidate is faulting:
+                return index, execution
+            index += execution
+        raise AssertionError("faulting micro-op is not in its block")
+
+    def _abort_block(self, tb: TranslationBlock, index: int,
+                     recorded: bool) -> None:
+        """Leave the machine where the single-step engine leaves it when
+        instruction ``index`` of ``tb`` faults: the instructions before it
+        counted, the pc on it, and the crash ring ending with it when it
+        got as far as being traced (``recorded``: its execution faulted,
+        not its taint propagation)."""
+        self.instruction_count += index
+        pc = tb.pc
+        for ir in tb.irs[:index]:
+            pc += ir.width
+        self.cpu.regs[PC] = pc & 0xFFFF_FFFF
+        if self._crash_ring is not None:
+            self._crash_ring.truncate_last(index + recorded)
+
     # -- run loop ---------------------------------------------------------------------
 
     def run(self, max_steps: int = 5_000_000,
@@ -680,6 +813,11 @@ class Emulator:
         a broken scenario fails fast instead of hanging the test suite
         (translated blocks execute whole, so up to one block length may
         run beyond ``max_steps`` before the overrun is detected).
+
+        The supervisor's instruction limit is exact, not overrun: blocks
+        (at most ``MAX_BLOCK_OPS`` instructions each) run only while more
+        than ``MAX_BLOCK_OPS`` instructions remain under it, and the rest
+        single-steps.
         """
         self._stop_requested = False
         steps = 0
@@ -691,11 +829,17 @@ class Emulator:
                 raise EmulationError(f"exceeded {max_steps} steps",
                                      pc=cpu.pc,
                                      mode="thumb" if cpu.thumb else "arm")
-            if self._per_step_instrumentation or not self.use_tb:
-                self.step()
-                steps += 1
-            else:
-                steps += self._run_translated(stop_at, max_steps - steps)
+            if self.use_tb and not self._per_step_instrumentation:
+                budget = max_steps - steps
+                limit = self._instruction_limit
+                if limit is not None:
+                    budget = min(budget, limit - self.instruction_count -
+                                 MAX_BLOCK_OPS)
+                if budget > 0:
+                    steps += self._run_translated(stop_at, budget)
+                    continue
+            self.step()
+            steps += 1
         return steps
 
     def stop(self) -> None:

@@ -26,8 +26,11 @@ class TranslationBlock:
 
     ``ops`` are the body micro-ops (never write PC).  ``term_ir`` is the
     decoded terminator executed through the interpretive executor, or
-    None when the block was cut short (max length / host-code boundary),
-    in which case control falls through to ``fall_pc``.
+    None when the block was cut short (max length / host-code boundary /
+    undecodable word ahead), in which case control falls through to
+    ``fall_pc``.  ``irs`` are the decoded instructions in order,
+    terminator included: the crash ring expands a block into them, and a
+    mid-block fault derives its pc from their widths.
 
     Blocks from third-party regions carry a second executable variant:
     ``taint_ops`` interleaves a pre-bound Table V taint micro-op before
@@ -42,7 +45,7 @@ class TranslationBlock:
     ``term_taint_op is None`` and ``traced == 0``.
     """
 
-    __slots__ = ("pc", "thumb", "ops", "taint_ops", "term_taint_op",
+    __slots__ = ("pc", "thumb", "ops", "irs", "taint_ops", "term_taint_op",
                  "traced", "term_ir", "term_pc", "fall_pc",
                  "taken_pc", "length", "pages", "valid", "specialised",
                  "succ_taken", "succ_fall")
@@ -50,11 +53,13 @@ class TranslationBlock:
     def __init__(self, pc: int, thumb: bool, ops: Tuple, term_ir,
                  term_pc: int, fall_pc: int, taken_pc: Optional[int],
                  length: int, pages: Tuple[int, ...],
-                 specialised: int, taint_ops: Optional[Tuple] = None,
+                 specialised: int, irs: Tuple = (),
+                 taint_ops: Optional[Tuple] = None,
                  term_taint_op=None, traced: int = 0) -> None:
         self.pc = pc
         self.thumb = thumb
         self.ops = ops
+        self.irs = irs
         self.taint_ops = ops if taint_ops is None else taint_ops
         self.term_taint_op = term_taint_op
         self.traced = traced

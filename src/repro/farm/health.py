@@ -159,13 +159,14 @@ class WorkerHandle:
     spawned_monotonic: float
     spawned_wall: float
 
-    def heartbeat_age(self, now_wall: float) -> float:
-        """Seconds since the last proof of life (spawn counts as one)."""
+    def heartbeat_age(self, now_wall: float, since: float = 0.0) -> float:
+        """Seconds since the last proof of life (spawn counts as one),
+        counting no earlier than ``since``."""
         try:
             last = os.stat(self.hb_path).st_mtime
         except OSError:
             last = self.spawned_wall
-        return max(0.0, now_wall - last)
+        return max(0.0, now_wall - max(last, since))
 
     def runtime(self, now_monotonic: float) -> float:
         return now_monotonic - self.spawned_monotonic
@@ -184,6 +185,10 @@ class WorkerPool:
         self.interval = interval
         self.miss_threshold = miss_threshold
         self.live: Dict[int, WorkerHandle] = {}
+        # Hung detection's own clock: the last hung() poll, and the start
+        # of the current run of on-time polls (see hung()).
+        self._last_poll: Optional[float] = None
+        self._observed_since = 0.0
         os.makedirs(hb_dir, exist_ok=True)
 
     # -- spawn ----------------------------------------------------------------
@@ -242,10 +247,23 @@ class WorkerPool:
         return finished
 
     def hung(self, now_wall: Optional[float] = None) -> List[WorkerHandle]:
+        """Workers silent for longer than the limit *while observed*.
+
+        A poll arriving more than the limit after the previous one means
+        the caller itself was stalled (an overloaded host, a stopped
+        scheduler), and the workers most likely were too: their silence
+        over that gap proves nothing.  Silence is then counted from this
+        poll, so a host stall never strikes a worker, while a worker that
+        stays silent through a full limit of on-time polls still does.
+        """
         now_wall = time.time() if now_wall is None else now_wall
         limit = self.interval * self.miss_threshold
+        if self._last_poll is not None and now_wall - self._last_poll > limit:
+            self._observed_since = now_wall
+        self._last_poll = now_wall
         return [handle for handle in self.live.values()
-                if handle.heartbeat_age(now_wall) > limit]
+                if handle.heartbeat_age(now_wall, self._observed_since)
+                > limit]
 
     def overdue(self, deadline: Optional[float],
                 now_monotonic: Optional[float] = None) -> List[WorkerHandle]:

@@ -33,6 +33,7 @@ from repro.framework.leaks import LeakRegistry
 from repro.jni.layer import JNI_CHARS_BASE, JNI_CHARS_SIZE, JniLayer
 from repro.kernel.filesystem import RegularFile
 from repro.kernel.kernel import Kernel
+from repro.kernel.process import TASK_LIST_HEAD
 from repro.libc.libc import CLibrary, LIBC_HEAP_BASE, LIBC_HEAP_SIZE
 from repro.libc.libm import MathLibrary
 from repro.memory.allocator import FreeListAllocator
@@ -249,12 +250,20 @@ class AndroidPlatform:
         memory = self.memory
         vm = self.vm
         kernel = self.kernel
+        # Serialise the task list once more so the snapshot pages hold
+        # exactly the current process table; reset_for_job() restores
+        # those bytes with the boot pages while the table is unchanged.
+        tasks_base = kernel._kernel_allocator._next
+        kernel.sync_tasks_to_guest()
         self._template = {
             "pages": {index: bytes(page)
                       for index, page in memory._pages.items()},
             "tracers": list(self.emu._tracers),
             "branch_listeners": list(self.emu._branch_listeners),
             "classes": dict(vm.classes),
+            "methods": frozenset(
+                method for class_def in vm.classes.values()
+                for method in class_def.methods.values()),
             "statics": {
                 name: ({field: list(value)
                         for field, value in class_def.static_values.items()},
@@ -276,9 +285,53 @@ class AndroidPlatform:
                 for pid, process in kernel.processes.items()},
             "current_pid": kernel.current.pid,
             "next_pid": kernel._next_pid,
-            "alloc_next": kernel._kernel_allocator._next,
+            # The task list serialises from tasks_base; "task_list" is
+            # what the snapshot pages hold (_restore_task_list).
+            "tasks_base": tasks_base,
+            "task_list": (kernel.task_signature(),
+                          kernel._kernel_allocator._next, self._os_view()),
             "events_enabled": self.event_log.enabled,
         }
+
+    def _os_view(self):
+        """NDroid's freshly reconstructed OS view (None without NDroid)."""
+        if self.ndroid is None:
+            return None
+        reconstructor = self.ndroid.view_reconstructor
+        reconstructor.invalidate()
+        return reconstructor.reconstruct()
+
+    def _restore_task_list(self) -> None:
+        """Bring the guest task list and NDroid's view back in line with
+        the restored process table, re-serialising only on a change.
+
+        While the table's signature (processes and memory maps) equals
+        the one the template pages hold, the boot-page rewrite already
+        put the right bytes back: only the allocator cursor and the saved
+        view are restored.  A change (a library that stayed resident, a
+        different process table) re-serialises from the template's base
+        and refreshes the template's copy of the task-list pages, so the
+        next unchanged reset skips again.
+        """
+        template = self._template
+        kernel = self.kernel
+        allocator = kernel._kernel_allocator
+        signature = kernel.task_signature()
+        saved_signature, cursor, view = template["task_list"]
+        if signature != saved_signature:
+            allocator._next = template["tasks_base"]
+            kernel.sync_tasks_to_guest()
+            cursor = allocator._next
+            pages = self.memory._pages
+            for index in range(TASK_LIST_HEAD >> 12,
+                               ((cursor - 1) >> 12) + 1):
+                if index in pages:
+                    template["pages"][index] = bytes(pages[index])
+            view = self._os_view()
+            template["task_list"] = (signature, cursor, view)
+        allocator._next = cursor
+        if self.ndroid is not None:
+            self.ndroid.view_reconstructor._cached = view
 
     def reset_for_job(self) -> None:
         """Return a used (possibly forked) platform to its booted state.
@@ -297,7 +350,10 @@ class AndroidPlatform:
         vm = self.vm
         kernel = self.kernel
 
-        # 1. Shed per-job instrumentation (supervisor tracers, injectors).
+        # 1. Shed per-job instrumentation (supervision, tracers,
+        # injectors).  Supervision is not a tracer, so shedding it keeps
+        # the translation cache.
+        emu.set_supervision(None)
         for tracer in list(emu._tracers):
             if tracer not in template["tracers"]:
                 emu.remove_tracer(tracer)
@@ -353,7 +409,7 @@ class AndroidPlatform:
             table.clear()
         vm.irt._serial = 0
         if vm.tbc is not None:
-            vm.tbc.flush()
+            vm.tbc.flush(keep=template["methods"])
             vm.tbc.reset_counters()
 
         # 4. Emulator: counters and control state.  The decode cache and
@@ -425,8 +481,7 @@ class AndroidPlatform:
         kernel.set_current(kernel.processes[template["current_pid"]])
         kernel.syscall_count = 0
         kernel.syscalls_by_name.clear()
-        kernel._kernel_allocator._next = template["alloc_next"]
-        kernel.sync_tasks_to_guest()
+        self._restore_task_list()
 
         # 8. Platform-level job state.
         self.event_log.clear()
@@ -456,8 +511,6 @@ class AndroidPlatform:
             tracer.traced_instructions = 0
             tracer.cache_hits = 0
             ndroid.multilevel.reset()
-            ndroid.view_reconstructor.invalidate()
-            ndroid.view_reconstructor.reconstruct()
             ndroid.view_reconstructor.reconstructions = 0
             ndroid.syslib_hooks.modelled_calls = 0
             ndroid.syslib_hooks.sink_checks = 0

@@ -139,6 +139,16 @@ class Kernel:
             raise KernelError(f"unknown process pid={process.pid}")
         self.current = process
 
+    def task_signature(self) -> Tuple:
+        """Everything :meth:`sync_tasks_to_guest` serialises, by pid: the
+        name and the memory map of every process."""
+        return tuple(
+            (process.pid, process.name,
+             tuple((region.start, region.end, region.name,
+                    region.third_party) for region in process.memory_map))
+            for process in sorted(self.processes.values(),
+                                  key=lambda p: p.pid))
+
     def sync_tasks_to_guest(self) -> None:
         """Re-serialise the task list into guest memory (see process.py)."""
         ordered = sorted(self.processes.values(), key=lambda p: p.pid)

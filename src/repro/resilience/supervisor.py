@@ -4,8 +4,11 @@ The supervisor gives an analysis the property the paper's market study
 depends on: one hostile app yields a classified outcome and a crash
 report, never a dead study.  It provides:
 
-* an **instruction-budget watchdog** — a tracer that aborts runaway
-  native code with :class:`AnalysisTimeout`;
+* an **instruction-budget watchdog** that aborts runaway native code
+  with :class:`AnalysisTimeout`, and a crash-report ring buffer.  Both
+  are armed in the emulator itself (``Emulator.set_supervision``), not
+  as tracers, so supervised code keeps running on translation blocks
+  and the watchdog still fires at the exact instruction;
 * a **retry-with-backoff policy** for transient faults
   (:class:`TransientSyscallFault`): the analysis attempt is re-run from a
   fresh platform after an exponentially growing delay, against the *same*
@@ -37,7 +40,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
-from repro.common.errors import ReproError, TransientSyscallFault
+from repro.common.errors import (  # noqa: F401 - AnalysisTimeout re-exported
+    AnalysisTimeout,
+    ReproError,
+    TransientSyscallFault,
+)
 from repro.core.instruction_tracer import InstructionRingBuffer
 from repro.resilience.backoff import backoff_delay, jitter_rng
 from repro.resilience.faults import ActiveFaultPlan, FaultPlan
@@ -47,16 +54,6 @@ OUTCOME_OK = "ok"
 OUTCOME_DEGRADED = "degraded"
 OUTCOME_CRASHED = "crashed"
 OUTCOME_TIMEOUT = "timeout"
-
-
-class AnalysisTimeout(ReproError):
-    """The instruction-budget watchdog fired (runaway native code)."""
-
-    def __init__(self, budget: int, pc: int):
-        super().__init__(f"instruction budget of {budget} exhausted "
-                         f"@ pc=0x{pc:08x}")
-        self.budget = budget
-        self.pc = pc
 
 
 class RunContext:
@@ -73,18 +70,10 @@ class RunContext:
     def attach(self, platform) -> None:
         """Instrument a freshly built platform for this attempt."""
         self.platform = platform
-        platform.emu.add_tracer(self.ring_buffer)
+        platform.emu.set_supervision(self.budget, self.ring_buffer)
         if self.active_plan is not None:
             platform.emu.fault_injector = self.active_plan
             platform.kernel.syscall_fault_hook = self.active_plan.syscall_fault
-        if self.budget is not None:
-            budget = self.budget
-
-            def watchdog(ir, emu) -> None:
-                if emu.instruction_count >= budget:
-                    raise AnalysisTimeout(budget, emu.cpu.pc)
-
-            platform.emu.add_tracer(watchdog)
 
     @property
     def ndroid(self):

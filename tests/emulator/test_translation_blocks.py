@@ -9,16 +9,17 @@ differential equivalence between the two engines.
 
 import pytest
 
-from repro.common.errors import EmulationError
+from repro.common.errors import DecodeError, EmulationError, MemoryError_
 from repro.cpu.assembler import assemble
 from repro.emulator import Emulator
+from repro.memory.memory import Memory
 
 CODE_BASE = 0x4000_0000
 
 
 def make_emu(source: str, use_tb: bool = True, base: int = CODE_BASE,
-             externs=None):
-    emu = Emulator(use_tb=use_tb)
+             externs=None, strict: bool = False):
+    emu = Emulator(memory=Memory(strict=strict), use_tb=use_tb)
     program = assemble(source, base=base, externs=externs or {})
     emu.load(base, program.code)
     emu.cpu.sp = 0x0800_0000
@@ -379,3 +380,48 @@ def test_engines_bitwise_agree_on_mixed_program():
             emu.memory.read_bytes(program.entry("data") & ~1, 64),
         )
     assert results[True] == results[False]
+
+
+# ---------------------------------------------------------------------------
+# faults inside a block: raised where, and with the state, single-step has
+
+def _fault_state(source, use_tb, error_type, strict=False):
+    emu, program = make_emu(source, use_tb=use_tb, strict=strict)
+    with pytest.raises(error_type) as caught:
+        emu.call(program.entry("main"))
+    return (str(caught.value), emu.instruction_count, emu.cpu.pc,
+            list(emu.cpu.regs[:4]))
+
+
+@pytest.mark.parametrize("use_tb", [True, False])
+def test_undecodable_word_past_block_start_raises_on_arrival(use_tb):
+    # Translation decodes ahead; the bad word must end the block instead
+    # of failing it before the two moves ran.
+    source = """
+    main:
+        mov r0, #1
+        mov r1, #2
+        .word 0xf7f0f0f0
+    """
+    message, count, pc, regs = _fault_state(source, use_tb, DecodeError)
+    assert (count, pc, regs[:2]) == (2, CODE_BASE + 8, [1, 2])
+    assert (message, count, pc, regs) == \
+        _fault_state(source, False, DecodeError)
+
+
+@pytest.mark.parametrize("use_tb", [True, False])
+def test_mid_block_memory_fault_stops_on_the_faulting_instruction(use_tb):
+    source = """
+    main:
+        mov r2, #0x30000000   ; never written: unmapped in strict memory
+        mov r1, #2
+        ldr r3, [r2]
+        mov r0, #9
+        bx lr
+    """
+    message, count, pc, regs = _fault_state(source, use_tb, MemoryError_,
+                                            strict=True)
+    assert (count, pc) == (2, CODE_BASE + 8)
+    assert regs[0] == 0
+    assert (message, count, pc, regs) == \
+        _fault_state(source, False, MemoryError_, strict=True)

@@ -7,6 +7,7 @@ import time
 from repro.farm import worker as worker_module
 from repro.farm.health import (
     HealthStats,
+    WorkerHandle,
     WorkerPool,
     stamp_heartbeat,
 )
@@ -111,6 +112,25 @@ class TestHeartbeats:
             assert pool.reap() == []
         finally:
             pool.kill(handle)
+
+    def test_scheduler_stall_strikes_no_worker(self, tmp_path):
+        # A stalled poll loop (host overload) sees every heartbeat as old;
+        # silence only counts from the first on-time poll after it.
+        pool = make_pool(tmp_path, interval=0.05)
+        limit = pool.interval * pool.miss_threshold
+        handle = WorkerHandle(pid=-1, index=0, digest=DIGEST, job_id="x",
+                              attempt=1, hb_path=str(tmp_path / "hb" / "x"),
+                              spawned_monotonic=0.0, spawned_wall=0.0)
+        stamp_heartbeat(handle.hb_path)
+        stamped = os.stat(handle.hb_path).st_mtime
+        pool.live[handle.pid] = handle
+        assert pool.hung(stamped) == []
+        resumed = stamped + 10 * limit          # one poll, very late
+        assert pool.hung(resumed) == []
+        assert pool.hung(resumed + limit / 2) == []
+        # Still silent after a full limit of on-time polls: hung.
+        assert pool.hung(resumed + limit * 0.9) == []
+        assert pool.hung(resumed + limit * 1.1) == [handle]
 
     def test_kill_fells_a_stopped_worker(self, tmp_path, monkeypatch):
         # SIGKILL is the one signal a SIGSTOP'd process cannot ignore;

@@ -20,6 +20,7 @@ from repro.apps.base import run_scenario
 from repro.bench.harness import make_platform
 from repro.farm import worker as worker_module
 from repro.farm.manifest import JobSpec
+from repro.kernel.process import TASK_LIST_HEAD
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +115,86 @@ class TestResetForJob:
         assert platform.vm.interpreter.instructions_executed == 0
         assert platform.kernel.syscall_count == 0
         assert len(platform.event_log) == 0
+
+
+class TestTaskListSkip:
+    """reset_for_job() re-serialises the guest task list only when the
+    process table or a memory map changed; otherwise the boot-page
+    rewrite restores it.  Either way the guest bytes and NDroid's view
+    must be what a fresh serialisation + reconstruction gives."""
+
+    @staticmethod
+    def task_list_state(platform):
+        kernel = platform.kernel
+        cursor = kernel._kernel_allocator._next
+        memory = platform.memory
+        return (memory.read_bytes(TASK_LIST_HEAD, cursor - TASK_LIST_HEAD),
+                cursor, platform.ndroid.view_reconstructor.view().format())
+
+    def fresh_task_list(self, platform):
+        platform.kernel._kernel_allocator._next = \
+            platform._template["tasks_base"]
+        platform.kernel.sync_tasks_to_guest()
+        reconstructor = platform.ndroid.view_reconstructor
+        reconstructor.invalidate()
+        reconstructor.reconstruct()
+        return self.task_list_state(platform)
+
+    def test_reset_task_list_equals_fresh_serialisation(self, monkeypatch):
+        from repro.framework import Apk
+
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        kernel = platform.kernel
+        syncs = []
+        sync = kernel.sync_tasks_to_guest
+
+        def counting_sync():
+            syncs.append(1)
+            sync()
+        monkeypatch.setattr(kernel, "sync_tasks_to_guest", counting_sync)
+
+        def scribble():
+            platform.memory.write_bytes(TASK_LIST_HEAD, b"\xa5" * 0x200)
+
+        def map_library():
+            platform.install(Apk(package="com.tasks.lib", native_libraries={
+                "libtasks.so": "f:\n    mov r0, #3\n    bx lr\n"}))
+            platform.load_library("libtasks.so")
+
+        def add_process():
+            kernel.spawn_process("com.tasks.extra")
+            kernel.sync_tasks_to_guest()
+
+        # Whether each job's reset must re-serialise: only the library
+        # stays behind (resident) and changes what the reset restores.
+        for job, reserialises in ((scribble, False), (map_library, True),
+                                  (add_process, False), (scribble, False)):
+            job()
+            del syncs[:]
+            platform.reset_for_job()
+            assert len(syncs) == int(reserialises), job.__name__
+            after_reset = self.task_list_state(platform)
+            assert after_reset == self.fresh_task_list(platform), \
+                job.__name__
+        view = platform.ndroid.view_reconstructor.view()
+        assert any(vma.name == "libtasks.so" and vma.third_party
+                   for process in view.processes for vma in process.vmas)
+
+    def test_dalvik_block_map_stays_bounded_across_jobs(self):
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        template_methods = platform._template["methods"]
+        sizes = []
+        for name in ("case2", "qqphonebook", "ephone") * 3:
+            platform.reset_for_job()
+            run_scenario(ALL_SCENARIOS[name](), platform)
+            sizes.append(len(platform.vm.tbc._method_blocks))
+            platform.reset_for_job()
+            assert set(platform.vm.tbc._method_blocks) <= template_methods
+        # Job-local methods are dropped at every reset, so repeating the
+        # same three jobs never grows the map.
+        assert sizes[3:6] == sizes[:3] == sizes[6:]
 
 
 class TestWarmWorker:
