@@ -33,7 +33,7 @@ from repro.core.taint_engine import TaintEngine
 from repro.cpu.state import CpuState
 from repro.observability.ledger import Loc
 from repro.dalvik.stack import DvmStack
-from repro.jni.layer import JniLayer
+from repro.jni.layer import CrossingPlan, JniLayer
 from repro.jni.slots import JNI_SLOTS
 
 _CALL_METHOD_NAMES = [name for name in JNI_SLOTS
@@ -95,13 +95,20 @@ class DvmHookEngine:
         symbols = self.jni.symbols
         emu = self.emu
         guard = self._guard
-        emu.add_entry_hook(symbols["dvmCallJNIMethod"],
-                           guard("dvmCallJNIMethod.entry",
-                                 self._on_call_jni_entry,
-                                 self._jni_entry_fallback))
-        emu.add_exit_hook(symbols["dvmCallJNIMethod"],
-                          guard("dvmCallJNIMethod.exit",
-                                self._on_call_jni_exit))
+        bridge = symbols["dvmCallJNIMethod"]
+        exit_hook = guard("dvmCallJNIMethod.exit", self._on_call_jni_exit)
+        hooks = (emu.add_entry_hook(bridge, guard(
+                     "dvmCallJNIMethod.entry", self._on_call_jni_entry,
+                     self._jni_entry_fallback)),
+                 emu.add_exit_hook(bridge, exit_hook))
+        # The same two halves, handed their inputs directly, so a crossing
+        # nothing else observes skips the guest round trip (§V.B's entry
+        # mechanism is host-side data either way).
+        self.jni.crossing_plan = CrossingPlan(
+            hooks=hooks,
+            entry=guard("dvmCallJNIMethod.entry", self._jni_entry,
+                        self._jni_entry_fallback),
+            exit=exit_hook)
 
         # JNI exit: gate dvmCallMethod*/dvmInterpret on native provenance
         # (Fig. 5); register the multilevel chains per Table II.
@@ -193,15 +200,24 @@ class DvmHookEngine:
     # ================================================================ JNI entry
 
     def _on_call_jni_entry(self, emu) -> None:
-        """Step 1: create and populate a SourcePolicy (Section V.B)."""
+        """Parse the outs block ``dvmCallJNIMethod`` received (r0, r2)."""
         args_ptr = emu.cpu.regs[0]
         handle = emu.cpu.regs[2]
         method = self.jni.method_from_handle(handle)
-        count = method.ins_size
         taints: List[TaintLabel] = []
-        for index in range(count):
+        for index in range(method.ins_size):
             __, taint = DvmStack.read_native_arg(emu.memory, args_ptr, index)
             taints.append(taint)
+        self._jni_entry(emu, method, taints, args_ptr)
+
+    def _jni_entry(self, emu, method, taints: List[TaintLabel],
+                   args_ptr: int, cell: Optional[List] = None) -> None:
+        """Step 1: create and populate a SourcePolicy (Section V.B).
+
+        ``cell`` is a crossing plan's return-taint slot; without one the
+        exit hook writes the outs block's slot at ``args_ptr``.
+        """
+        count = len(taints)
         self.stats["jni_entries"] += 1
 
         # Map parameter taints onto JNI argument positions:
@@ -227,7 +243,7 @@ class DvmHookEngine:
         self.source_policies.put(policy)
         self._jni_entry_stack.append({
             "method": method, "args_ptr": args_ptr, "count": count,
-            "taints": taints,
+            "taints": taints, "cell": cell,
         })
         address = method.native_address & ~1
         if address not in self._hooked_native_methods:
@@ -251,15 +267,23 @@ class DvmHookEngine:
                 insn_addr=address, taints=list(taints),
                 class_name=method.class_name)
 
-    def _jni_entry_fallback(self, emu) -> TaintLabel:
+    def _jni_entry_fallback(self, emu, method=None,
+                            taints: Optional[List[TaintLabel]] = None,
+                            args_ptr: Optional[int] = None,
+                            cell: Optional[List] = None) -> TaintLabel:
         """Quarantine stand-in for the JNI-entry hook.
 
         Reads whatever parameter taints TaintDroid left in the outs area
         without interpreting the method (the part that faulted) and
         returns their union, so degradation still carries every label
-        that crossed the JNI boundary.
+        that crossed the JNI boundary.  A crossing plan hands the same
+        first four labels over directly.
         """
         label = TAINT_CLEAR
+        if taints is not None:
+            for taint in taints[:4]:
+                label |= taint
+            return label
         args_ptr = emu.cpu.regs[0]
         for index in range(4):
             try:
@@ -328,9 +352,11 @@ class DvmHookEngine:
                       and self.taint.get_iref(return_value) else Loc.reg(0))
             self._trace(label, "jni:dvmCallJNIMethod.return", source,
                         Loc.java(label), location=method.full_name)
-        slot_address = DvmStack.native_return_taint_address(
-            entry["args_ptr"], entry["count"])
-        emu.memory.write_u32(slot_address, label)
+        if entry["cell"] is not None:
+            entry["cell"][0] = label
+        else:
+            emu.memory.write_u32(DvmStack.native_return_taint_address(
+                entry["args_ptr"], entry["count"]), label)
         # Reset shadow registers: the native frame is gone.
         self.taint.clear_all_registers()
         if label:

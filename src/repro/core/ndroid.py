@@ -124,43 +124,44 @@ class NDroid:
         invocation — sink hooks use this to keep reporting
         conservatively, so degradation never *misses* a leak.  The
         fallback may return an extra :class:`TaintLabel` to join into
-        the degradation label.
+        the degradation label.  Arguments after ``emu`` (a JNI crossing
+        plan's inputs) pass through to the hook and the fallback.
         """
-        def guarded(emu) -> None:
+        def guarded(emu, *args) -> None:
             self.hook_invocations[name] += 1
             if name in self.quarantined_hooks:
                 if fallback is not None:
-                    self._run_fallback(name, fallback, emu)
+                    self._run_fallback(fallback, emu, args)
                 return
             try:
                 injector = getattr(emu, "fault_injector", None)
                 on_hook = getattr(injector, "on_hook", None)
                 if on_hook is not None:
                     on_hook(name, emu.instruction_count)
-                hook(emu)
+                hook(emu, *args)
             except DalvikThrow:
                 raise
             except ReproError as error:
-                self._degrade_hook(name, error, emu, fallback)
+                self._degrade_hook(name, error, emu, fallback, args)
 
         return guarded
 
-    def _run_fallback(self, name: str, fallback: Callable,
-                      emu) -> TaintLabel:
+    def _run_fallback(self, fallback: Callable, emu,
+                      args: tuple = ()) -> TaintLabel:
         """Run a quarantined hook's conservative stand-in, crash-proof."""
         try:
-            label = fallback(emu)
+            label = fallback(emu, *args)
         except ReproError:
             return TAINT_CLEAR
         return label if label is not None else TAINT_CLEAR
 
     def _degrade_hook(self, name: str, error: ReproError, emu,
-                      fallback: Optional[Callable]) -> None:
+                      fallback: Optional[Callable], args: tuple = ()) -> None:
         self.degraded_events += 1
         self.quarantined_hooks.add(name)
         label = self.taint_engine.live_label()
         if fallback is not None:
-            label |= self._run_fallback(name, fallback, emu)
+            label |= self._run_fallback(fallback, emu, args)
         self.taint_engine.degrade(label)
         self.platform.event_log.emit(
             "ndroid", "hook.degraded",

@@ -176,14 +176,17 @@ class DvmStack:
         ``dvmCallJNIMethod`` receives as its first argument.
         """
         count = len(values)
-        block = SLOT_SIZE * count + 4
-        args_ptr = self._stack_pointer - block
+        args_ptr = self.native_args_pointer(count)
         for index, (value, taint) in enumerate(zip(values, taints)):
             self.memory.write_u32(args_ptr + SLOT_SIZE * index,
                                   value & 0xFFFF_FFFF)
             self.memory.write_u32(args_ptr + SLOT_SIZE * index + 4, taint)
         self.memory.write_u32(args_ptr + SLOT_SIZE * count, return_taint)
         return args_ptr
+
+    def native_args_pointer(self, count: int) -> int:
+        """Where :meth:`write_native_args` puts a ``count``-argument block."""
+        return self._stack_pointer - (SLOT_SIZE * count + 4)
 
     @staticmethod
     def read_native_arg(memory: Memory, args_ptr: int, index: int):

@@ -249,14 +249,31 @@ class Emulator:
         """True when no hook/listener/injector could observe a call.
 
         The JNI trampoline fast path bypasses the guest-memory marshalling
-        protocol, which is exactly what entry/exit hooks (NDroid) and the
+        protocol, which is exactly what entry/exit hooks and the
         per-instruction engines inspect — so it may only be taken when
-        nothing is attached.
+        nothing is attached.  A detector that hooks the bridge itself
+        can still skip the protocol with a plan (:meth:`hooked_only_by`).
         """
         return (not self._entry_hooks and not self._exit_hooks
                 and not self._branch_listeners
                 and self._fault_injector is None
                 and not self._per_step_instrumentation)
+
+    def hooked_only_by(self, address: int, entry_hook: Hook,
+                       exit_hook: Hook) -> bool:
+        """True when the two hooks are all that could observe a call of
+        the host function at ``address``.
+
+        The TB engine must be on, with no fault injector and no per-step
+        engine, and the address's only hooks must be ``entry_hook`` and
+        ``exit_hook``.  A caller that holds those hooks' semantics
+        host-side (the JNI layer's crossing plan) may then run them
+        itself instead of calling into the guest.
+        """
+        return (self.use_tb and self._fault_injector is None
+                and not self._per_step_instrumentation
+                and self._entry_hooks.get(address) == [entry_hook]
+                and self._exit_hooks.get(address) == [exit_hook])
 
     def _refresh_instrumentation(self) -> None:
         compilers = [tracer for tracer in self._tracers
@@ -384,13 +401,21 @@ class Emulator:
 
     # -- hooks -----------------------------------------------------------------
 
-    def add_entry_hook(self, address: int, hook: Hook) -> None:
-        self._entry_hooks.setdefault(address & ~1, []).append(hook)
-        self.invalidate_page((address & ~1) >> 12)
+    # Hooks fire on branch targets at block boundaries, looked up when the
+    # branch is taken; no translated block embeds them, so adding one
+    # keeps the caches (a native method's SourcePolicy hook, installed on
+    # its first crossing, must not drop its library's warm blocks).
 
-    def add_exit_hook(self, address: int, hook: Hook) -> None:
+    def add_entry_hook(self, address: int, hook: Hook) -> Hook:
+        """Fire ``hook`` on entry to ``address``; returns the registered
+        hook (the identity :meth:`hooked_only_by` compares)."""
+        self._entry_hooks.setdefault(address & ~1, []).append(hook)
+        return hook
+
+    def add_exit_hook(self, address: int, hook: Hook) -> Hook:
+        """Fire ``hook`` on return from ``address``; returns it too."""
         self._exit_hooks.setdefault(address & ~1, []).append(hook)
-        self.invalidate_page((address & ~1) >> 12)
+        return hook
 
     def add_branch_listener(self, listener: BranchListener) -> None:
         self._branch_listeners.append(listener)

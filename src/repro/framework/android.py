@@ -364,7 +364,9 @@ class AndroidPlatform:
         # 2. Memory: drop pages the job created (resident library code
         # excepted), rewrite boot pages the job changed.  Writing through
         # write_bytes lets the write-watch invalidate stale translations
-        # exactly as self-modifying code would.
+        # exactly as self-modifying code would.  A resident library gets
+        # back only the spans the job changed: a store into its data area
+        # must not look like a rewrite of its decoded code.
         boot_pages = template["pages"]
         resident_pages = self._resident_pages()
         for index in list(memory_pages := self.memory._pages):
@@ -375,10 +377,8 @@ class AndroidPlatform:
             live = memory_pages.get(index)
             if live is None or bytes(live) != data:
                 self.memory.write_bytes(index << 12, data)
-        for name, (program, base, _) in self._resident_libraries.items():
-            code = bytes(program.code)
-            if self.memory.read_bytes(base, len(code)) != code:
-                self.memory.write_bytes(base, code)   # undo job SMC
+        for program, base, _ in self._resident_libraries.values():
+            self.memory.restore_bytes(base, program.code)
 
         # 3. Dalvik VM.
         vm.classes.clear()

@@ -9,7 +9,7 @@ instrumented function-by-function.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import DalvikError, JNIError
 from repro.common.taint import TAINT_CLEAR, TaintLabel
@@ -26,6 +26,9 @@ LIBDVM_BASE = 0x4000_0000
 LIBDVM_SIZE = 0x0002_0000
 ENV_POINTER_ADDRESS = LIBDVM_BASE + 0x1_F000
 ENV_TABLE_ADDRESS = LIBDVM_BASE + 0x1_F100
+# The thread's JValue return word (Dalvik's ``Thread.retval``): the
+# ``pResult`` every guest-protocol crossing hands ``dvmCallJNIMethod``.
+THREAD_RETVAL_ADDRESS = LIBDVM_BASE + 0x1_F008
 JNI_CHARS_BASE = 0x2A00_0000
 JNI_CHARS_SIZE = 0x0010_0000
 
@@ -47,6 +50,21 @@ _PRIM_TYPE_CHAR = {
 }
 
 
+class CrossingPlan(NamedTuple):
+    """A detector's ``dvmCallJNIMethod`` semantics, runnable host-side.
+
+    ``hooks`` is the (entry, exit) pair the detector installed on the
+    bridge.  ``entry(emu, method, taints, args_ptr, cell)`` and
+    ``exit(emu)`` are the same two halves handed their inputs directly
+    instead of parsing the outs block; ``cell[0]`` stands in for the
+    block's return-taint slot.
+    """
+
+    hooks: Tuple[Callable, Callable]
+    entry: Callable
+    exit: Callable
+
+
 class _Trampoline:
     """Per-method compiled JNI call plan (the managed→native twin of a TB).
 
@@ -55,7 +73,7 @@ class _Trampoline:
     method handle, the return-kind — is resolved once at first call and
     cached keyed by the :class:`Method`.  ``fast`` is the full
     marshalling closure used when nothing can observe the guest-memory
-    protocol; the slow path reuses ``prefix``/``arg_refs``/``handle`` so
+    protocol; the other paths reuse ``prefix``/``arg_refs``/``handle`` so
     even instrumented crossings skip the per-call recomputation.
     """
 
@@ -97,12 +115,17 @@ class JniLayer:
         self.trampoline_hits = 0
         self.trampoline_misses = 0
         self.trampoline_invalidations = 0
+        # Host-side crossings (the fast closure or a detector's plan)
+        # versus guest-protocol ones.
         self.crossings_fast = 0
         self.crossings_slow = 0
         # Optional span tracer and µs-per-crossing histogram; both stay
         # None/absent unless a farm job attaches them.
         self.span_tracer = None
         self.crossing_histogram = None
+        # Set by a detector that hooks dvmCallJNIMethod (NDroid's
+        # DvmHookEngine.install); see _call_bridge.
+        self.crossing_plan: Optional[CrossingPlan] = None
 
         self._register_internals()
         self._register_env_table()
@@ -256,10 +279,6 @@ class JniLayer:
                     remove(iref)
                 except JNIError:
                     pass  # native code may have deleted it already
-            if self.pending_exception is not None:
-                address, exc_taint, class_name = self.pending_exception
-                self.pending_exception = None
-                raise PendingException(address, exc_taint, class_name)
             return Slot(return_value & 0xFFFF_FFFF, taint, returns_ref)
 
         trampoline = _Trampoline(self.method_handle(method), prefix,
@@ -273,11 +292,22 @@ class JniLayer:
 
         TaintDroid's interpreter stores parameters *and their taints* in the
         outs area, plus an appended return-taint slot, then transfers to the
-        JNI call bridge (``dvmCallJNIMethod``).  When nothing can observe
-        that protocol — no hooks, no per-step engines, event log off — the
-        trampoline's fast closure performs the same marshalling host-side
-        and skips the guest-memory round trip entirely; the native code
-        itself still executes instruction-for-instruction identically.
+        JNI call bridge (``dvmCallJNIMethod``).  What may observe that
+        protocol picks one of three paths:
+
+        * nothing (no hooks, no per-step engine, event log off, TB engine
+          on): the trampoline's fast closure performs the marshalling
+          host-side and skips the guest-memory round trip entirely;
+        * only the detector whose hooks on the bridge are
+          ``crossing_plan.hooks`` (NDroid): the plan runs those hooks'
+          two halves host-side around the same marshalling, with the
+          same event-log entries, and skips the round trip too;
+        * anything else (a foreign hook on the bridge, the single-step
+          engine, a fault injector): the byte-faithful guest protocol,
+          the oracle for the other two.
+
+        The native code itself executes instruction-for-instruction
+        identically on every path.
         """
         if method.native_address == 0:
             raise DalvikError(
@@ -289,41 +319,66 @@ class JniLayer:
         else:
             self.trampoline_hits += 1
         emu = self.emu
+        plan = self.crossing_plan
         tracer = self.span_tracer
+        start = tracer.now() if tracer is not None else 0.0
         if emu.use_tb and not vm.event_log.enabled \
                 and emu.instrumentation_free():
+            path = "fast"
             self.crossings_fast += 1
-            if tracer is None:
-                return trampoline.fast(args)
-            start = tracer.now()
             result = trampoline.fast(args)
-            tracer.complete("jni_crossing", start, cat="engine",
-                            method=method.full_name, path="fast")
-            if self.crossing_histogram is not None:
-                self.crossing_histogram.record(tracer.now() - start)
-            return result
-        self.crossings_slow += 1
-        start = tracer.now() if tracer is not None else 0.0
-        values = [slot.value for slot in args]
-        taints = [slot.taint for slot in args]
-        args_ptr = vm.stack.write_native_args(values, taints)
-        result_ptr = self.chars_heap.alloc(8)
-        emu.call(self.symbols["dvmCallJNIMethod"],
-                 args=(args_ptr, result_ptr, trampoline.handle, 0))
-        value = emu.memory.read_u32(result_ptr)
-        taint = emu.memory.read_u32(
-            DvmStack.native_return_taint_address(args_ptr, len(values)))
-        self.chars_heap.free(result_ptr)
+        elif plan is not None and emu.hooked_only_by(
+                self.symbols["dvmCallJNIMethod"], *plan.hooks):
+            path = "plan"
+            self.crossings_fast += 1
+            result = self._plan_crossing(plan, method, trampoline, args)
+        else:
+            path = "slow"
+            self.crossings_slow += 1
+            result = self._guest_crossing(trampoline, args)
         if tracer is not None:
             tracer.complete("jni_crossing", start, cat="engine",
-                            method=method.full_name, path="slow")
+                            method=method.full_name, path=path)
             if self.crossing_histogram is not None:
                 self.crossing_histogram.record(tracer.now() - start)
         if self.pending_exception is not None:
             address, exc_taint, class_name = self.pending_exception
             self.pending_exception = None
             raise PendingException(address, exc_taint, class_name)
+        return result
+
+    def _guest_crossing(self, trampoline: _Trampoline,
+                        args: List[Slot]) -> Slot:
+        """The guest protocol: outs block, ``dvmCallJNIMethod``, pResult."""
+        emu = self.emu
+        values = [slot.value for slot in args]
+        taints = [slot.taint for slot in args]
+        args_ptr = self.vm.stack.write_native_args(values, taints)
+        emu.call(self.symbols["dvmCallJNIMethod"],
+                 args=(args_ptr, THREAD_RETVAL_ADDRESS, trampoline.handle, 0))
+        value = emu.memory.read_u32(THREAD_RETVAL_ADDRESS)
+        taint = emu.memory.read_u32(
+            DvmStack.native_return_taint_address(args_ptr, len(values)))
         return Slot(value, taint, is_ref=trampoline.returns_ref)
+
+    def _plan_crossing(self, plan: CrossingPlan, method: Method,
+                       trampoline: _Trampoline, args: List[Slot]) -> Slot:
+        """The guest protocol's effects with the guest round trip skipped.
+
+        The plan's halves run where the bridge's entry and exit hooks
+        would fire, and ``args_ptr`` is where the outs block would have
+        been written, so hooks and event log see what the protocol
+        shows them.
+        """
+        taints = [slot.taint for slot in args]
+        args_ptr = self.vm.stack.native_args_pointer(len(args))
+        cell = [TAINT_CLEAR]
+        plan.entry(self.emu, method, taints, args_ptr, cell)
+        value, cell[0] = self._invoke_native(
+            method, trampoline, args_ptr,
+            [slot.value for slot in args], taints)
+        plan.exit(self.emu)
+        return Slot(value, cell[0], is_ref=trampoline.returns_ref)
 
     def _impl_dvmCallJNIMethod(self, ctx: HostContext):
         """const u4* args, JValue* pResult, const Method* method, Thread*."""
@@ -332,8 +387,6 @@ class JniLayer:
         trampoline = self._trampolines.get(method)
         if trampoline is None:
             trampoline = self._compile_trampoline(method)
-        else:
-            self.trampoline_hits += 1
         memory = self.emu.memory
         count = method.ins_size
         values, taints = [], []
@@ -341,7 +394,25 @@ class JniLayer:
             value, taint = DvmStack.read_native_arg(memory, args_ptr, index)
             values.append(value)
             taints.append(taint)
+        value, policy_taint = self._invoke_native(method, trampoline,
+                                                  args_ptr, values, taints)
+        memory.write_u32(result_ptr, value)
+        # NDroid's exit hook may overwrite this slot with the precise
+        # native-side taint.
+        memory.write_u32(
+            DvmStack.native_return_taint_address(args_ptr, count),
+            policy_taint)
+        return None
 
+    def _invoke_native(self, method: Method, trampoline: _Trampoline,
+                       args_ptr: int, values: List[int],
+                       taints: List[TaintLabel]) -> Tuple[int, TaintLabel]:
+        """``dvmCallJNIMethod``'s body: marshal, run the native method.
+
+        Returns the return word (an object return decoded to a direct
+        pointer) and TaintDroid's return-taint policy: "the return value
+        will be tainted if any parameter is tainted."
+        """
         # Marshal to the JNI calling convention following the trampoline's
         # precompiled iref plan (no per-call param_types() recomputation).
         local_refs: List[int] = []
@@ -357,7 +428,7 @@ class JniLayer:
                 jni_args.append(value)
 
         self.current_native_call = {
-            "method": method, "args_ptr": args_ptr, "count": count,
+            "method": method, "args_ptr": args_ptr, "count": len(values),
             "taints": list(taints), "jni_args": list(jni_args),
         }
         log = self.vm.event_log
@@ -374,23 +445,16 @@ class JniLayer:
         # Convert an object return (iref) back to a direct pointer.
         if trampoline.returns_ref:
             return_value = self.vm.irt.decode(return_value)
-        memory.write_u32(result_ptr, return_value & 0xFFFF_FFFF)
-        # TaintDroid's JNI policy: "the return value will be tainted if any
-        # parameter is tainted."  NDroid's exit hook may overwrite this slot
-        # with the precise native-side taint.
         policy_taint = TAINT_CLEAR
         for taint in taints:
             policy_taint |= taint
-        memory.write_u32(
-            DvmStack.native_return_taint_address(args_ptr, count),
-            policy_taint)
         for iref in local_refs:
             try:
                 self.vm.irt.remove(iref)
             except JNIError:
                 pass  # native code may have deleted it already
         self.current_native_call = None
-        return None
+        return return_value & 0xFFFF_FFFF, policy_taint
 
     # -------------------------------------------------- native -> Java (exit)
 

@@ -29,6 +29,8 @@ PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFF_FFFF
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+# restore_bytes compares a differing page slice in chunks of this size.
+_RESTORE_CHUNK = 64
 
 
 class Memory:
@@ -256,6 +258,34 @@ class Memory:
             position += chunk
             remaining -= chunk
 
+    def restore_bytes(self, address: int, data: bytes) -> int:
+        """Write back only the spans of ``data`` that differ from memory.
+
+        Compares whole page slices first, then 64-byte slices of a page
+        that differs.  A run of differing chunks is trimmed to its
+        first and last differing byte and written with
+        :meth:`write_bytes`, so the write watcher sees the bytes that
+        changed, not the whole image.  Memory ends byte-identical to
+        ``data``; returns the number of bytes written.
+        """
+        address &= ADDRESS_MASK
+        written = 0
+        position = 0
+        while position < len(data):
+            offset = (address + position) & PAGE_MASK
+            size = min(len(data) - position, PAGE_SIZE - offset)
+            want = data[position:position + size]
+            page = self._pages.get((address + position) >> PAGE_SHIFT)
+            live = _ZERO_PAGE[:size] if page is None else \
+                page[offset:offset + size]
+            if live != want:
+                for low, high in _differing_spans(live, want):
+                    self.write_bytes(address + position + low,
+                                     want[low:high])
+                    written += high - low
+            position += size
+        return written
+
     def read_cstring(self, address: int, limit: int = 1 << 16) -> bytes:
         """Read a NUL-terminated C string (without the terminator).
 
@@ -368,3 +398,34 @@ class Memory:
     def snapshot_range(self, address: int, length: int) -> Tuple[int, bytes]:
         """Capture (address, bytes) for later comparison in tests."""
         return address, self.read_bytes(address, length)
+
+
+def _differing_spans(live, want) -> List[Tuple[int, int]]:
+    """``[low, high)`` spans where two equal-length buffers differ.
+
+    Runs of adjacent differing chunks merge into one span, trimmed
+    byte-wise at both ends only.
+    """
+    spans: List[Tuple[int, int]] = []
+    length = len(want)
+    low = None
+    for start in range(0, length, _RESTORE_CHUNK):
+        end = min(start + _RESTORE_CHUNK, length)
+        if live[start:end] != want[start:end]:
+            if low is None:
+                low = next(index for index in range(start, end)
+                           if live[index] != want[index])
+            last = start
+        elif low is not None:
+            spans.append((low, _last_difference(live, want, last)))
+            low = None
+    if low is not None:
+        spans.append((low, _last_difference(live, want, last)))
+    return spans
+
+
+def _last_difference(live, want, start: int) -> int:
+    """One past the last differing byte of the chunk at ``start``."""
+    end = min(start + _RESTORE_CHUNK, len(want))
+    return next(index for index in range(end - 1, start - 1, -1)
+                if live[index] != want[index]) + 1

@@ -117,6 +117,64 @@ class TestResetForJob:
         assert len(platform.event_log) == 0
 
 
+class TestResidentRestore:
+    """A reset writes back only what a job changed in a resident library."""
+
+    def _warm_after_one_job(self, name):
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        platform.reset_for_job()
+        run_scenario(ALL_SCENARIOS[name](), platform)
+        return platform
+
+    def test_data_writes_keep_translations(self):
+        platform = self._warm_after_one_job("case1_prime")
+        program, base, __ = platform._resident_libraries["libcase1p.so"]
+        end = base + len(program.code)
+        # The job stashed the IMEI in the library's own data area.
+        assert platform.memory.read_bytes(base, len(program.code)) != \
+            program.code
+        platform.reset_for_job()
+        assert platform.memory.read_bytes(base, len(program.code)) == \
+            program.code
+        emu = platform.emu
+        translated = []
+        translate = emu._translate
+
+        def counting(pc, thumb):
+            translated.append(pc)
+            return translate(pc, thumb)
+
+        emu._translate = counting
+        run_scenario(ALL_SCENARIOS["case1_prime"](), platform)
+        assert [pc for pc in translated if base <= pc < end] == []
+        assert emu._tb_cache.hits > 0
+        assert platform.leaks.records
+
+    def test_code_rewrite_is_invalidated_and_restored(self):
+        cold = make_platform("ndroid")
+        run_scenario(ALL_SCENARIOS["case1_prime"](), cold)
+        expected = (leak_rows(cold), cold.work_counters())
+
+        platform = self._warm_after_one_job("case1_prime")
+        program, base, __ = platform._resident_libraries["libcase1p.so"]
+        fetch = program.entry("Java_com_cases_OnePrime_fetch")
+        emu = platform.emu
+        # A job that rewrites fetch() to "mov r0, #42; bx lr" and runs
+        # it, so translated blocks of the rewritten code exist.
+        platform.reset_for_job()
+        emu.memory.write_bytes(fetch, bytes.fromhex("2a00a0e31eff2fe1"))
+        assert emu.call(fetch) == 42
+        assert (fetch, False) in emu._tb_cache._blocks
+        platform.reset_for_job()
+        # The restore rewrote decoded code: its blocks are gone.
+        assert (fetch, False) not in emu._tb_cache._blocks
+        assert platform.memory.read_bytes(base, len(program.code)) == \
+            program.code
+        run_scenario(ALL_SCENARIOS["case1_prime"](), platform)
+        assert (leak_rows(platform), platform.work_counters()) == expected
+
+
 class TestTaskListSkip:
     """reset_for_job() re-serialises the guest task list only when the
     process table or a memory map changed; otherwise the boot-page

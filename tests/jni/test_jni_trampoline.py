@@ -5,7 +5,10 @@
 guest-memory protocol (no hooks, event log off, TB engine on) the
 trampoline's ``fast`` closure performs the marshalling host-side; these
 tests pin down that the two paths are indistinguishable from Java and
-that the cache is invalidated when bindings change.
+that the cache is invalidated when bindings change.  A hook on the
+bridge that is not NDroid's own plan pair always gets the guest
+protocol; NDroid's plan path has its own differential test
+(``test_crossing_plan_differential.py``).
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Unit tests for the sparse memory store."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import MemoryError_
@@ -224,3 +224,41 @@ def test_unwatch_page_silences_watcher():
     mem.unwatch_page(1)
     mem.write_u8(0x1000, 2)
     assert events == [1]
+
+
+# -- restore_bytes (a warm reset restoring a resident library) ---------------
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.binary(min_size=1, max_size=9000), st.integers(0, 0xFFF),
+       st.lists(st.tuples(st.integers(0, 8999),
+                          st.binary(min_size=1, max_size=80)), max_size=6))
+@example(b"\x00" * 8192, 0xFF0, [(0x0F, b"\x01"), (0x10, b"\x02")])
+@example(b"\xaa" * 300, 0, [(5, b"\x00"), (200, b"\x00")])
+def test_restore_bytes_writes_only_changed_spans(image, offset, scribbles):
+    mem = Memory()
+    base = 0x10000 + offset
+    mem.write_bytes(base, image)
+    for position, data in scribbles:
+        position %= len(image)
+        mem.write_bytes(base + position, data[:len(image) - position])
+    live = mem.read_bytes(base, len(image))
+    changed = {index for index in range(len(image))
+               if live[index] != image[index]}
+    events = []
+    mem.set_write_watcher(lambda page, lo, hi: events.append((page, lo, hi)))
+    for page in range(base >> 12, ((base + len(image)) >> 12) + 1):
+        mem.watch_page(page)
+
+    written = mem.restore_bytes(base, image)
+
+    assert mem.read_bytes(base, len(image)) == image
+    notified = {(page << 12) + index - base
+                for page, lo, hi in events for index in range(lo, hi)}
+    assert written == len(notified)
+    assert changed <= notified
+    if changed:
+        # Trimmed to the changed bytes at both ends.
+        assert min(notified) == min(changed)
+        assert max(notified) == max(changed)
+    else:
+        assert events == []
