@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scaling", action="store_true",
                        help="with --farm: also run the paper-scale "
                             "streamed-corpus scaling curve "
-                            "(1/2/4/8 workers over the streaming farm)")
+                            "(1/2/4/8 workers over a sharded manifest)")
     bench.add_argument("--scaling-jobs", type=int, default=10_000,
                        help="corpus chunk jobs in the scaling curve "
                             "(default 10000 = 100k records)")
@@ -143,9 +143,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            "watchdog fires (default 2,000,000)")
     farm.add_argument("--deadline", type=float, default=0.0,
                       metavar="SECONDS",
-                      help="per-job wall-clock deadline; a worker past "
-                           "it is SIGKILLed and the job retried "
-                           "(default 0 = no deadline)")
+                      help="wall-clock deadline per dispatch (one job, "
+                           "or one shard of a sharded manifest); a "
+                           "worker past it is SIGKILLed and its batch "
+                           "split or retried (default 0 = no deadline)")
     farm.add_argument("--max-retries", type=int, default=2,
                       help="requeue a job whose worker died/hung up to "
                            "N times with backoff+jitter (default 2)")
@@ -328,7 +329,8 @@ def _command_bench_farm(workers: int, json_path, scaling: bool = False,
         row = warm[mode]
         print(f"  {mode:<5} boot={row['boot_seconds']:.2f}s "
               f"translate={row['translate_seconds']:.2f}s "
-              f"per-job={row['per_job_seconds'] * 1000:.2f}ms")
+              f"per-job total={row['per_job_seconds'] * 1000:.2f}ms")
+    print(f"  boot vs reset only: {warm['boot_speedup']:.2f}x")
     print(f"  warm vs cold: {warm['speedup_warm_vs_cold']:.2f}x "
           f"(gate >= {warm['gate']['threshold']:.1f}x: "
           f"{'passed' if warm['gate']['passed'] else 'FAILED'})")
@@ -438,36 +440,12 @@ def _command_shard(args) -> int:
     return 0
 
 
-def _command_farm_stream(args, manifest) -> int:
-    """A sharded manifest routes to the streaming farm."""
-    import os
-    from repro.farm import (FarmInterrupted, render_farm_report,
-                            write_farm_artifacts)
-    from repro.farm.scheduler import StreamFarm
-
-    farm = StreamFarm(manifest, workers=args.workers,
-                      run_dir=os.path.join(args.out, "runstate"),
-                      resume=args.resume, budget=args.budget,
-                      warm=args.warm)
-    try:
-        report = farm.run()
-    except FarmInterrupted as drained:
-        print(f"interrupted: {drained} — journaled, workers reaped; "
-              f"re-run with --resume to finish", file=sys.stderr)
-        return 130
-    write_farm_artifacts(report, args.out)
-    print(render_farm_report(report), end="")
-    print(f"wrote {args.out}/{{farm.json, report.txt, merged/}}")
-    return 1 if report.outcomes.get("lost", 0) else 0
-
-
 def _command_farm(args) -> int:
     import os
     from repro.farm import (ChaosMonkey, FarmConsole, FarmInterrupted,
                             FarmScheduler, Manifest, ResultStore,
-                            merge_results, render_farm_report,
-                            write_farm_artifacts, write_trace_artifacts)
-    from repro.farm.manifest import ShardedManifest
+                            render_farm_report, write_farm_artifacts,
+                            write_trace_artifacts)
     try:
         manifest = Manifest.load(args.manifest, trace=args.trace) \
             if args.manifest == "builtin" else Manifest.load(args.manifest)
@@ -477,27 +455,25 @@ def _command_farm(args) -> int:
     if not len(manifest):
         print("manifest holds no jobs", file=sys.stderr)
         return 2
-    if isinstance(manifest, ShardedManifest):
-        return _command_farm_stream(args, manifest)
     if args.chaos is not None:
         return _command_farm_chaos(args, manifest)
-    store = ResultStore(os.path.join(args.out, "cache"))
     chaos = None
     if args.chaos_inject is not None:
         chaos = ChaosMonkey.for_manifest(manifest, args.chaos_inject)
     run_dir = os.path.join(args.out, "runstate")
     scheduler = FarmScheduler(
-        manifest, workers=args.workers, store=store, resume=args.resume,
-        budget=args.budget, deadline=args.deadline or None,
-        max_retries=args.max_retries, chaos=chaos,
-        run_dir=run_dir, trace_dir=args.trace_dir,
+        manifest, workers=args.workers,
+        store=ResultStore(os.path.join(args.out, "cache")),
+        resume=args.resume, budget=args.budget,
+        deadline=args.deadline or None, max_retries=args.max_retries,
+        chaos=chaos, run_dir=run_dir, trace_dir=args.trace_dir,
         warm=args.warm)
     console = None
     if args.watch:
         console = FarmConsole(run_dir, trace_dir=args.trace_dir)
         console.start()
     try:
-        results = scheduler.run()
+        report = scheduler.run()
     except FarmInterrupted as drained:
         print(f"interrupted: {drained} — journaled, workers reaped; "
               f"re-run with --resume to finish", file=sys.stderr)
@@ -505,10 +481,6 @@ def _command_farm(args) -> int:
     finally:
         if console is not None:
             console.stop()
-    report = merge_results(results, workers=args.workers,
-                           wall_seconds=scheduler.wall_seconds,
-                           cached_jobs=scheduler.cached_jobs,
-                           health=scheduler.health.summary())
     write_farm_artifacts(report, args.out)
     if args.trace_dir is not None:
         artifacts = write_trace_artifacts(args.trace_dir)
@@ -516,8 +488,7 @@ def _command_farm(args) -> int:
               f"and {artifacts['timeline']}")
     print(render_farm_report(report), end="")
     print(f"wrote {args.out}/{{farm.json, report.txt, jobs/, merged/}}")
-    lost = report.outcomes.get("lost", 0)
-    return 1 if lost else 0
+    return 1 if report.outcomes.get("lost", 0) else 0
 
 
 def _command_farm_chaos(args, manifest) -> int:

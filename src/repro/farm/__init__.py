@@ -2,39 +2,41 @@
 
 The paper's Section III study covers hundreds of thousands of apps; one
 in-process loop does not scale past a demo.  The farm splits a corpus
-manifest into content-digest-keyed jobs, dispatches them to a pool of
-directly-forked workers (each job supervised, so a hostile app is a
-recorded outcome, not a dead farm), caches results by digest so an
-unchanged corpus re-runs near-free, and merges the per-worker artifacts
-— metrics snapshots, provenance traces, crash tombstones — into one
-farm-level report.
+manifest into content-digest-keyed jobs, groups them into batches — one
+job each for a list manifest, one shard each for a sharded one — and
+dispatches every batch to a directly-forked worker (each job supervised,
+so a hostile app is a recorded outcome, not a dead farm).  Results are
+cached by digest so an unchanged corpus re-runs near-free, and the
+per-worker artifacts — metrics snapshots, provenance traces, crash
+tombstones — merge into one farm-level report.
 
 At fleet scale the failures are the workload, so the farm is built to be
-killed: workers heartbeat (hung != dead != busy), struck jobs retry with
-jittered backoff, a job that keeps killing workers is quarantined as
-``poison`` exactly once, every state transition is fsync'd to a
-write-ahead journal before it takes effect, and results commit with
-power-loss-safe writes — SIGKILL the scheduler itself and ``--resume``
-completes the run with no lost jobs, no duplicates, no corrupt store.
+killed: workers heartbeat (hung != dead != busy), a struck batch of
+several jobs is bisected and a struck job retries with jittered
+backoff, a job that keeps killing workers is quarantined as ``poison``
+exactly once, every state transition is fsync'd to a write-ahead
+journal before it takes effect, and results commit with power-loss-safe
+writes — SIGKILL the scheduler itself and ``--resume`` completes the
+run with no lost jobs, no duplicates, no corrupt store.
 ``repro farm --chaos SEED`` proves all of that on demand.
 
 Paper-scale corpus runs stream instead of materializing: a
 :class:`ShardedManifest` spools chunk-classification jobs into
-digest-stable JSONL shards, :class:`StreamFarm` serves whole shards
-from long-lived forked workers with atomic shard commits and
-shard-level resume, and :class:`~repro.farm.merge.MergeFold` folds the
-results in bounded memory (see DESIGN.md "Paper-scale pipeline").
+digest-stable JSONL shards, the same :class:`FarmScheduler` runs each
+shard as one batch with one committed file, and
+:class:`~repro.farm.merge.MergeFold` folds the results in bounded memory
+(see DESIGN.md "Paper-scale pipeline").
 
 Layers::
 
     Manifest (manifest.py)   what to run, digest-keyed JobSpecs
     ShardedManifest (manifest.py) streamed JSONL shards + index
-    FarmScheduler (scheduler.py)  dispatch -> retry/quarantine -> collect
-    StreamFarm (scheduler.py)  shard workers, bounded-memory corpus runs
-    execute_job (worker.py)  one supervised job, JSON-able result
+    FarmScheduler (scheduler.py)  batch -> dispatch -> split/retry/
+                             quarantine -> commit -> merge
+    execute_batch (worker.py)  a batch of supervised jobs, one file
     WorkerPool (health.py)   fork, heartbeat, hung-vs-dead, reclaim
-    RunJournal (journal.py)  crash-consistent WAL of job transitions
-    ResultStore (store.py)   digest-addressed fsync'd result cache
+    RunJournal (journal.py)  crash-consistent WAL of batch transitions
+    ResultStore (store.py)   digest-addressed fsync'd batch files
     ChaosMonkey (chaos.py)   deterministic fault injection + harness
     merge_results (merge.py) type-aware metric merge, tombstones, report
     FarmConsole (console.py) live TTY view over heartbeats + span spools
@@ -64,7 +66,6 @@ from repro.farm.merge import (
 from repro.farm.scheduler import (
     FarmInterrupted,
     FarmScheduler,
-    StreamFarm,
     run_farm,
 )
 from repro.farm.store import ResultStore
@@ -85,7 +86,6 @@ __all__ = [
     "ResultStore",
     "RunJournal",
     "ShardedManifest",
-    "StreamFarm",
     "WorkerPool",
     "execute_job",
     "iter_corpus_jobs",

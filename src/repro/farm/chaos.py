@@ -7,18 +7,20 @@ meets (SIGKILL mid-run), then checks that recovery holds the invariants
 the rest of the system depends on.
 
 Determinism: every injection decision is a pure function of
-``(seed, kind, job digest, attempt)`` — a SHA-256 keyed coin, no RNG
+``(seed, kind, batch key, attempt)`` — a SHA-256 keyed coin, no RNG
 state, no wall clock — so the same seed over the same manifest injects
 the same faults in every process, on every host, including across the
 scheduler-kill/resume boundary.  One job per manifest is elected the
-**poison target**: its worker is killed on *every* attempt, which is
-exactly the behaviour that must end in quarantine, never in a retry
-loop and never in more than one classified outcome.
+**poison target**: every worker whose batch holds it is killed on
+*every* attempt, which is exactly the behaviour that must end in
+bisection down to the poison job alone and then quarantine, never in a
+retry loop and never in more than one classified outcome.
 
 :func:`run_chaos_harness` is the end-to-end proof (`repro farm --chaos
 SEED`):
 
-1. run the manifest serially, clean — the parity baseline;
+1. run the manifest serially, clean — the parity baseline (a list
+   manifest or a sharded one: both go through the same scheduler);
 2. run it under chaos in a **subprocess** scheduler and SIGKILL that
    scheduler mid-run (then reap the worker orphans the SIGKILL leaked,
    using the pids the journal recorded);
@@ -40,12 +42,12 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.farm.journal import iter_events, replay, verify_journal
-from repro.farm.manifest import Manifest
-from repro.farm.merge import FarmReport, merge_results, sink_counts
-from repro.farm.store import ResultStore
+from repro.farm.manifest import ShardedManifest
+from repro.farm.merge import FarmReport, sink_counts
+from repro.farm.store import ResultStore, scan_rows
 
 DEFAULT_KILL_PCT = 25
 DEFAULT_STOP_PCT = 12
@@ -58,7 +60,7 @@ def _coin(seed: int, kind: str, digest: str, attempt: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") % 100
 
 
-def pick_poison_digest(manifest: Manifest, seed: int) -> str:
+def pick_poison_digest(manifest, seed: int) -> str:
     """Elect one job as the poison target, deterministically per seed."""
     digests = [spec.digest() for spec in manifest]
     if not digests:
@@ -74,10 +76,12 @@ class ChaosMonkey:
     (the monkey may SIGKILL or SIGSTOP it) and :meth:`on_commit` right
     before reading a finished worker's committed result (the monkey may
     truncate the file, simulating a torn write the fsync discipline
-    could not have prevented — e.g. media damage).  Non-poison jobs are
-    only molested on their first attempt, so every injected fault is
-    recoverable by exactly one retry; the poison target is killed on
-    every attempt and can only end quarantined.
+    could not have prevented — e.g. media damage).  Batches without the
+    poison job are only molested on their first attempt: a retried job
+    is left alone, and a split batch's halves draw fresh coins, each
+    half the size.  A batch holding the poison job is killed on every
+    attempt and can only end bisected, with the poison job quarantined
+    alone.
     """
 
     def __init__(self, seed: int, poison_digest: Optional[str] = None,
@@ -94,44 +98,54 @@ class ChaosMonkey:
         self.truncations = 0
 
     @classmethod
-    def for_manifest(cls, manifest: Manifest, seed: int,
+    def for_manifest(cls, manifest, seed: int,
                      **options) -> "ChaosMonkey":
         return cls(seed, poison_digest=pick_poison_digest(manifest, seed),
                    **options)
 
     # -- decisions (pure) -----------------------------------------------------
 
-    def wants_kill(self, digest: str, attempt: int) -> bool:
-        if digest == self.poison_digest:
+    # ``digest`` is the batch key; ``jobs`` its member job digests
+    # (a one-job batch's key is its job's digest).
+
+    def _poisoned(self, digest: str, jobs: Tuple[str, ...]) -> bool:
+        return self.poison_digest in (jobs or (digest,))
+
+    def wants_kill(self, digest: str, attempt: int,
+                   jobs: Tuple[str, ...] = ()) -> bool:
+        if self._poisoned(digest, jobs):
             return True
         return attempt == 1 and \
             _coin(self.seed, "kill", digest, attempt) < self.kill_pct
 
-    def wants_stop(self, digest: str, attempt: int) -> bool:
-        if self.wants_kill(digest, attempt):
+    def wants_stop(self, digest: str, attempt: int,
+                   jobs: Tuple[str, ...] = ()) -> bool:
+        if self.wants_kill(digest, attempt, jobs):
             return False
         return attempt == 1 and \
             _coin(self.seed, "stop", digest, attempt) < self.stop_pct
 
-    def wants_truncate(self, digest: str, attempt: int) -> bool:
-        return attempt == 1 and digest != self.poison_digest and \
+    def wants_truncate(self, digest: str, attempt: int,
+                       jobs: Tuple[str, ...] = ()) -> bool:
+        return attempt == 1 and not self._poisoned(digest, jobs) and \
             _coin(self.seed, "truncate", digest, attempt) < self.truncate_pct
 
     # -- injections (called by the scheduler) ---------------------------------
 
     def on_spawn(self, handle) -> Optional[str]:
-        if self.wants_kill(handle.digest, handle.attempt):
+        if self.wants_kill(handle.digest, handle.attempt, handle.jobs):
             self._signal(handle.pid, signal.SIGKILL)
             self.kills += 1
             return "killed"
-        if self.wants_stop(handle.digest, handle.attempt):
+        if self.wants_stop(handle.digest, handle.attempt, handle.jobs):
             self._signal(handle.pid, signal.SIGSTOP)
             self.stops += 1
             return "stopped"
         return None
 
     def on_commit(self, handle, path: str) -> bool:
-        if not self.wants_truncate(handle.digest, handle.attempt):
+        if not self.wants_truncate(handle.digest, handle.attempt,
+                                   handle.jobs):
             return False
         try:
             size = os.path.getsize(path)
@@ -240,12 +254,16 @@ def _kill_leaked_workers(journal_path: str) -> int:
     return killed
 
 
-def run_chaos_harness(manifest: Manifest, seed: int, out_dir: str,
+def run_chaos_harness(manifest, seed: int, out_dir: str,
                       workers: int = 2, budget: Optional[int] = None,
                       deadline: float = 10.0, max_retries: int = 3,
                       kill_after_done: int = 1,
                       subprocess_timeout: float = 120.0) -> ChaosReport:
-    """Run the full kill/tear/resume drill; returns the proof."""
+    """Run the full kill/tear/resume drill; returns the proof.
+
+    ``manifest`` is a list :class:`Manifest` or a
+    :class:`ShardedManifest`; the invariants are the same for both.
+    """
     from repro.farm.scheduler import (
         DEFAULT_POISON_THRESHOLD, FarmScheduler, STATUS_POISON)
     from repro.farm.worker import DEFAULT_BUDGET
@@ -256,12 +274,18 @@ def run_chaos_harness(manifest: Manifest, seed: int, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
 
     # 1. Clean serial baseline (no store, no chaos): the ground truth.
-    baseline_scheduler = FarmScheduler(manifest, workers=1, budget=budget)
+    baseline_scheduler = FarmScheduler(
+        manifest, workers=1, budget=budget,
+        run_dir=os.path.join(out_dir, "baseline"))
+    baseline_scheduler.run()
     baseline = {row["digest"]: parity_fields(row)
-                for row in baseline_scheduler.run()}
+                for row in baseline_scheduler.iter_results()}
 
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    manifest.save(manifest_path)
+    if isinstance(manifest, ShardedManifest):
+        manifest_path = manifest.directory
+    else:
+        manifest_path = os.path.join(out_dir, "manifest.json")
+        manifest.save(manifest_path)
     run_dir = os.path.join(out_dir, "runstate")
     journal_path = os.path.join(run_dir, "journal.jsonl")
     store = ResultStore(os.path.join(out_dir, "cache"))
@@ -295,7 +319,7 @@ def run_chaos_harness(manifest: Manifest, seed: int, out_dir: str,
     torn_digest = None
     for digest in store.digests():
         if digest != poison:
-            path = os.path.join(store.directory, f"{digest}.json")
+            path = store.path(digest)
             size = os.path.getsize(path)
             with open(path, "r+b") as fh:
                 fh.truncate(max(1, size // 2))
@@ -308,15 +332,13 @@ def run_chaos_harness(manifest: Manifest, seed: int, out_dir: str,
         manifest, workers=workers, store=store, resume=True, budget=budget,
         deadline=deadline, max_retries=max_retries, run_dir=run_dir,
         chaos=chaos)
-    results = resume_scheduler.run()
-    final = merge_results(results, workers=workers,
-                          wall_seconds=resume_scheduler.wall_seconds,
-                          cached_jobs=resume_scheduler.cached_jobs,
-                          health=resume_scheduler.health.summary())
+    final = resume_scheduler.run()
     report.final_report = final
+    results = list(resume_scheduler.iter_results())
 
     # 5. The invariants.
     digests = [row["digest"] for row in results]
+    rows_by_digest = {row["digest"]: row for row in results}
     report.check("all_jobs_classified",
                  len(results) == len(manifest) and
                  all(row is not None for row in results),
@@ -339,11 +361,14 @@ def run_chaos_harness(manifest: Manifest, seed: int, out_dir: str,
                  "; ".join(journal_violations[:4]))
     good, bad = store.verify()
     report.check("store_verifies", not bad, f"bad entries: {bad[:4]}")
-    report.check("store_complete", len(good) == len(manifest),
-                 f"{len(good)}/{len(manifest)} cached")
+    stored = sum(sum(scan_rows(store.path(key), key).values())
+                 for key in good)
+    report.check("store_complete", stored == len(manifest),
+                 f"{stored}/{len(manifest)} jobs cached")
     mismatches = [digest for digest, fields in baseline.items()
                   if digest != poison and
-                  parity_fields(results[digests.index(digest)]) != fields]
+                  (digest not in rows_by_digest or
+                   parity_fields(rows_by_digest[digest]) != fields)]
     report.check("parity_with_serial_baseline", not mismatches,
                  f"{len(mismatches)} rows differ from clean serial run")
     report.check("scheduler_was_killed", scheduler_killed,
@@ -385,6 +410,7 @@ def render_chaos_report(report: ChaosReport) -> str:
             f"+1 scheduler SIGKILL +1 torn store file")
         lines.append(
             f"  recovered: retries={health.get('retries', 0)} "
+            f"splits={health.get('splits', 0)} "
             f"reclaimed={health.get('workers_reclaimed', 0)} "
             f"quarantined={health.get('poison_quarantined', 0)} "
             f"mttr={health.get('mean_time_to_reclaim_seconds', 0):.3f}s")

@@ -6,16 +6,16 @@ hung one never surfaced at all.  At market-study scale (the paper's
 Section III covers 227,911 APKs) both are the steady state, so the farm
 now owns its workers directly:
 
-* each job runs in a **forked child** that commits its result with the
-  store's crash-consistent write and then ``_exit``\\ s — no interpreter
-  teardown, no shared descriptors flushed twice;
-* a **heartbeat thread** in the child stamps a per-job heartbeat file
+* each batch of jobs runs in a **forked child** that commits its rows
+  with the store's crash-consistent write and then ``_exit``\\ s — no
+  interpreter teardown, no shared descriptors flushed twice;
+* a **heartbeat thread** in the child stamps a per-batch heartbeat file
   every ``interval`` seconds.  A SIGSTOP'd or livelocked worker stops
   stamping, so the scheduler can tell *hung* (alive but silent — reap
   it) from merely *busy* (stamping away — leave it alone), which no
   exit-status channel can express;
 * the pool reaps with ``waitpid(WNOHANG)``, SIGKILLs workers that miss
-  ``miss_threshold`` consecutive heartbeats or outlive the per-job
+  ``miss_threshold`` consecutive heartbeats or outlive the per-dispatch
   wall-clock deadline, and reports every reclaim with the time elapsed
   since the worker's last proof of life.
 
@@ -106,18 +106,15 @@ class _HeartbeatThread(threading.Thread):
                 return
 
 
-def run_worker(spec_dict: Dict, budget: Optional[int], hb_path: str,
-               interval: float, commit: Callable[[Dict], None],
+def run_worker(work: Callable, hb_path: str, interval: float,
                spool_path: Optional[str] = None, trace_id: str = "",
                digest: str = "") -> None:
-    """Body of a forked farm worker; commits a result, then the caller
-    must ``_exit``.
+    """Body of a forked farm worker: heartbeat, then ``work(tracer)``;
+    the caller must ``_exit`` afterwards.
 
-    ``execute_job`` is resolved through the module at call time (not
-    imported at module load) so tests can monkeypatch it in the parent
-    and have the fork inherit the patch.  With ``spool_path`` set, the
+    ``work`` commits its own results.  With ``spool_path`` set, the
     worker opens its own post-fork :class:`SpanTracer` spool (no shared
-    descriptors) and traces the job + store commit.
+    descriptors) and hands it to ``work``; otherwise ``tracer`` is None.
     """
     from repro.farm import worker as worker_module
 
@@ -131,18 +128,12 @@ def run_worker(spec_dict: Dict, budget: Optional[int], hb_path: str,
     beat = _HeartbeatThread(hb_path, interval, vitals=vitals)
     beat.start()
     if spool_path is None:
-        # No tracer kwarg on this path: tests monkeypatch execute_job
-        # with narrower signatures, and the fork inherits the patch.
-        result = worker_module.execute_job(spec_dict, budget=budget)
-        commit(result)
+        work(None)
         return
     from repro.observability.flight import FlightSpool
     from repro.observability.spans import SpanTracer
     tracer = SpanTracer(spool=FlightSpool(spool_path), trace_id=trace_id)
-    result = worker_module.execute_job(spec_dict, budget=budget,
-                                       tracer=tracer)
-    with tracer.span("store_commit", cat="worker"):
-        commit(result)
+    work(tracer)
     tracer.close()
 
 
@@ -151,13 +142,14 @@ class WorkerHandle:
     """One live forked worker, as the scheduler sees it."""
 
     pid: int
-    index: int                  # manifest index of the job it serves
-    digest: str
+    index: int                  # manifest position of its batch's first job
+    digest: str                 # the batch's store key
     job_id: str
     attempt: int
     hb_path: str
     spawned_monotonic: float
     spawned_wall: float
+    jobs: Tuple[str, ...] = ()  # member job digests, in order
 
     def heartbeat_age(self, now_wall: float, since: float = 0.0) -> float:
         """Seconds since the last proof of life (spawn counts as one),
@@ -193,11 +185,11 @@ class WorkerPool:
 
     # -- spawn ----------------------------------------------------------------
 
-    def spawn(self, spec_dict: Dict, budget: Optional[int], index: int,
-              digest: str, job_id: str, attempt: int,
-              commit: Callable[[Dict], None],
-              spool_path: Optional[str] = None,
-              trace_id: str = "") -> WorkerHandle:
+    def spawn(self, work: Callable, index: int, digest: str, job_id: str,
+              attempt: int, spool_path: Optional[str] = None,
+              trace_id: str = "", jobs: Tuple[str, ...] = ()
+              ) -> WorkerHandle:
+        """Fork a worker that runs ``work(tracer)`` under a heartbeat."""
         hb_path = os.path.join(self.hb_dir, digest)
         # A stale heartbeat from a previous attempt must not vouch for
         # the new worker.
@@ -206,7 +198,7 @@ class WorkerPool:
         if pid == 0:
             code = 1
             try:
-                run_worker(spec_dict, budget, hb_path, self.interval, commit,
+                run_worker(work, hb_path, self.interval,
                            spool_path=spool_path, trace_id=trace_id,
                            digest=digest)
                 code = 0
@@ -220,7 +212,7 @@ class WorkerPool:
                               job_id=job_id, attempt=attempt,
                               hb_path=hb_path,
                               spawned_monotonic=time.monotonic(),
-                              spawned_wall=time.time())
+                              spawned_wall=time.time(), jobs=tuple(jobs))
         self.live[pid] = handle
         return handle
 
@@ -304,9 +296,10 @@ class HealthStats:
 
     worker_deaths: int = 0      # exited nonzero / died to a signal
     hung_workers: int = 0       # missed heartbeats -> SIGKILLed
-    deadline_kills: int = 0     # outlived the per-job wall-clock deadline
+    deadline_kills: int = 0     # outlived the per-dispatch deadline
     torn_results: int = 0       # committed result failed verification
     retries: int = 0            # strikes requeued with backoff
+    splits: int = 0             # struck multi-job batches bisected
     poison_quarantined: int = 0
     lost_jobs: int = 0
     interrupted_jobs: int = 0
@@ -332,6 +325,7 @@ class HealthStats:
             "deadline_kills": self.deadline_kills,
             "torn_results": self.torn_results,
             "retries": self.retries,
+            "splits": self.splits,
             "poison_quarantined": self.poison_quarantined,
             "lost_jobs": self.lost_jobs,
             "interrupted_jobs": self.interrupted_jobs,

@@ -1,24 +1,29 @@
-"""The crash-consistent run journal: a write-ahead log of job state.
+"""The crash-consistent run journal: a write-ahead log of batch state.
 
-Every farm run appends its job state transitions to one JSONL file::
+The scheduler's unit of work is a batch of jobs (one job of a list
+manifest, or one shard of a sharded one, or half of a struck batch);
+every record names its batch by ``digest`` — the batch's store key,
+which for a one-job batch is the job's own digest.  Every farm run
+appends its state transitions to one JSONL file::
 
     run_start   -> a scheduler (re)started over this manifest
-    cached      -> a job replayed from the result store (terminal)
-    dispatched  -> a job handed to a worker (records attempt + pid)
-    strike      -> the worker serving a job was reclaimed (died / hung /
+    cached      -> a batch replayed from the result store (terminal)
+    dispatched  -> a batch handed to a worker (records attempt + pid)
+    strike      -> the worker serving a batch was reclaimed (died / hung /
                    over deadline / committed a torn result)
-    retry       -> a struck job requeued with a backoff delay
-    done        -> a worker result accepted (terminal)
+    split       -> a struck multi-job batch bisected into two halves
+    retry       -> a struck one-job batch requeued with a backoff delay
+    done        -> a worker's committed rows accepted (terminal)
     poison      -> a job quarantined after striking out (terminal)
     lost        -> retries exhausted below the poison threshold (terminal)
-    interrupted -> an in-flight job abandoned by a clean drain
+    interrupted -> an in-flight batch abandoned by a clean drain
     run_end     -> the scheduler finished normally
 
 Each line is flushed **and fsync'd** before the transition it describes
 takes effect, which is what makes the scheduler itself a restartable
 unit: SIGKILL it mid-run and the journal still tells the resume run
-which jobs were in flight, how many attempts each had consumed, and —
-crucially — how many workers each job has killed, so a poison job's
+which batches were in flight, which were bisected, and — crucially —
+how many workers each job has killed, so a poison job's
 strike count survives scheduler death and the job is quarantined after
 K strikes *total*, not K strikes per scheduler lifetime.
 
@@ -39,23 +44,11 @@ TERMINAL_EVENTS = ("cached", "done", "poison", "lost")
 
 
 class RunJournal:
-    """Append-only JSONL journal for one run directory.
+    """Append-only JSONL journal for one run directory; every record is
+    flushed and fsync'd before :meth:`record` returns."""
 
-    ``checkpoint_interval=1`` (the default) fsyncs every record — the
-    write-ahead discipline the per-job scheduler depends on.  Streaming
-    corpus runs, where a "job" is thousands of cheap chunk records and
-    durability is carried by shard-level atomic commits, pass a larger
-    interval: every record is still flushed to the OS immediately, but
-    the fsync barrier lands once per ``checkpoint_interval`` records
-    (and always on :meth:`checkpoint` and :meth:`close`).  The worst a
-    power loss can cost is the records since the last checkpoint, all of
-    which describe work the shard commit protocol re-derives.
-    """
-
-    def __init__(self, path: str, checkpoint_interval: int = 1) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.checkpoint_interval = max(1, checkpoint_interval)
-        self._pending = 0
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -65,22 +58,10 @@ class RunJournal:
         line = json.dumps({"event": event, **fields}, sort_keys=True)
         self._handle.write(line + "\n")
         self._handle.flush()
-        self._pending += 1
-        if self._pending >= self.checkpoint_interval:
-            self.checkpoint()
-
-    def checkpoint(self) -> None:
-        """Force the fsync barrier for everything recorded so far."""
-        if self._handle.closed:
-            return
         os.fsync(self._handle.fileno())
-        self._pending = 0
 
     def close(self) -> None:
-        if not self._handle.closed:
-            if self._pending:
-                self.checkpoint()
-            self._handle.close()
+        self._handle.close()
 
     def __enter__(self) -> "RunJournal":
         return self

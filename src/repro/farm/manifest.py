@@ -28,11 +28,13 @@ should never materialize in one process.  Two pieces handle the scale:
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 # Bump when the worker's result payload or the job semantics change:
 # every cached result keyed under the old version becomes unreachable.
@@ -73,7 +75,9 @@ class JobSpec:
                              f"(expected one of {JOB_KINDS})")
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        # Every field is a flat value, so a plain read equals asdict()
+        # without its deep copy (this runs several times per job).
+        return {name: getattr(self, name) for name in _SPEC_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "JobSpec":
@@ -87,6 +91,9 @@ class JobSpec:
             {"schema": FARM_SCHEMA_VERSION, **self.to_dict()},
             sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+_SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(JobSpec))
 
 
 def iter_corpus_jobs(scale: float, seed: int = 2014,
@@ -119,17 +126,12 @@ class Manifest:
     def __iter__(self) -> Iterator[JobSpec]:
         return iter(self.jobs)
 
-    def shard(self, workers: int) -> List[List[JobSpec]]:
-        """Round-robin job assignment across ``workers`` shards.
+    def batches(self) -> Iterator[Tuple[int, int]]:
+        """The scheduler's units of work: one ``[start, stop)`` per job."""
+        return ((index, index + 1) for index in range(len(self.jobs)))
 
-        Used for accounting/display; the pool itself steals work
-        dynamically, so a slow job never serialises its whole shard.
-        """
-        workers = max(1, workers)
-        shards: List[List[JobSpec]] = [[] for _ in range(workers)]
-        for index, job in enumerate(self.jobs):
-            shards[index % workers].append(job)
-        return shards
+    def specs(self, start: int, stop: int) -> List[JobSpec]:
+        return self.jobs[start:stop]
 
     def to_dict(self) -> Dict:
         return {"schema": FARM_SCHEMA_VERSION,
@@ -201,13 +203,28 @@ class ShardedManifest:
         self.directory = directory
         self.shards = shards
         self.shard_size = shard_size
+        # Manifest position of each shard's first job.
+        self._starts = [0]
+        for shard in shards:
+            self._starts.append(self._starts[-1] + shard.jobs)
 
     def __len__(self) -> int:
-        return sum(shard.jobs for shard in self.shards)
+        return self._starts[-1]
 
     def __iter__(self) -> Iterator[JobSpec]:
         for index in range(len(self.shards)):
             yield from self.iter_shard(index)
+
+    def batches(self) -> Iterator[Tuple[int, int]]:
+        """The scheduler's units of work: one ``[start, stop)`` per shard."""
+        return zip(self._starts, self._starts[1:])
+
+    def specs(self, start: int, stop: int) -> List[JobSpec]:
+        """The specs at positions ``[start, stop)`` of one shard."""
+        index = bisect.bisect_right(self._starts, start) - 1
+        offset = start - self._starts[index]
+        return list(itertools.islice(self.iter_shard(index), offset,
+                                     offset + stop - start))
 
     @property
     def shard_count(self) -> int:

@@ -330,6 +330,7 @@ def render_farm_report(report: FarmReport) -> str:
             f"hung={report.health.get('hung_workers', 0)} "
             f"deadline={report.health.get('deadline_kills', 0)}) "
             f"retries={report.health.get('retries', 0)} "
+            f"splits={report.health.get('splits', 0)} "
             f"poison={report.health.get('poison_quarantined', 0)} "
             f"mttr={report.health.get('mean_time_to_reclaim_seconds', 0):.3f}s")
     lines += ["",

@@ -1,30 +1,51 @@
-"""The farm scheduler: shard, dispatch, supervise, journal — never lose a job.
+"""The farm scheduler: batch, dispatch, supervise, journal — never lose a job.
+
+The unit of work is a **batch**: a run of consecutive manifest jobs that
+is dispatched, committed and journaled as one.  A list
+:class:`~repro.farm.manifest.Manifest` is batches of one job; a
+:class:`~repro.farm.manifest.ShardedManifest` is one batch per shard, so
+a paper-scale corpus pays per-shard, not per-job, scheduling costs.
+Every batch goes through the same machinery.
 
 ``workers=1`` executes inline in this process — that *is* the serial
 baseline the parity tests and the bench compare against, not a special
-case bolted on.  ``workers>1`` dispatches to a pool of directly-forked
-workers (:mod:`repro.farm.health`) under full fleet discipline:
+case bolted on.  ``workers>1`` forks one worker per batch
+(:mod:`repro.farm.health`) under full fleet discipline:
 
-* **heartbeats** — each worker stamps a per-job heartbeat file; the
-  scheduler distinguishes *hung* (alive, silent — SIGKILL + reclaim)
-  from *dead* (reaped) from *busy* (stamping — leave it alone), and
-  enforces an optional per-job wall-clock ``deadline`` on top of the
+* **heartbeats** — each worker stamps a heartbeat file; the scheduler
+  distinguishes *hung* (alive, silent — SIGKILL + reclaim) from *dead*
+  (reaped) from *busy* (stamping — leave it alone), and enforces an
+  optional wall-clock ``deadline`` per dispatch on top of the
   Supervisor's in-worker instruction budget;
-* **bounded retry with backoff + jitter** — a job whose worker died,
-  hung, or tore its result is requeued up to ``max_retries`` times with
-  exponentially growing, deterministically jittered delays (shared
-  policy: :func:`repro.resilience.backoff.backoff_delay`);
+* **bisection** — a struck batch of more than one job splits in half and
+  both halves re-queue, so a record that keeps killing its worker ends up
+  in a batch of its own while the rest of its shard commits;
+* **bounded retry with backoff + jitter** — a struck batch of one job
+  (its worker died, hung, or tore its result) is requeued up to
+  ``max_retries`` times with exponentially growing, deterministically
+  jittered delays (shared policy:
+  :func:`repro.resilience.backoff.backoff_delay`);
 * **poison quarantine** — a job that kills ``poison_threshold`` workers
   (counted across scheduler restarts, via the journal) is classified
   ``poison`` with a tombstone, cached, and never dispatched again: one
-  hostile app costs one classified outcome fleet-wide;
-* **write-ahead journal** — every transition is fsync'd to
-  ``run_dir/journal.jsonl`` *before* it takes effect, and workers commit
-  results with crash-consistent store writes, so SIGKILLing the
-  scheduler itself mid-run and re-running with ``resume=True`` completes
-  exactly: no lost jobs, no duplicate records, no corrupt store;
+  hostile app costs one classified outcome fleet-wide.
+
+In both modes:
+
+* **write-ahead journal** — every batch transition is fsync'd to
+  ``run_dir/journal.jsonl`` *before* it takes effect, keyed by the
+  batch's store key;
+* **digest-verified commits** — a batch's rows commit as one file in the
+  result store, named by the batch key and crash-consistent, so
+  SIGKILLing the scheduler itself mid-run and re-running with
+  ``resume=True`` completes exactly: any committed batch (a whole shard,
+  or a half left by a split) replays from cache, only the rest re-runs,
+  no job is lost or duplicated;
+* **one merge** — rows fold through :class:`~repro.farm.merge.MergeFold`
+  in manifest order: a list manifest's report keeps every result dict, a
+  sharded manifest's spools compact rows to disk and keeps none;
 * **clean drain** — SIGTERM/``KeyboardInterrupt`` journals in-flight
-  jobs as ``interrupted``, SIGKILLs the pool (no leaked forks), and
+  batches as ``interrupted``, SIGKILLs the pool (no leaked forks), and
   raises :class:`FarmInterrupted` for the CLI to exit nonzero.
 
 Every job ends in exactly one of ``cached`` / a worker-classified result
@@ -34,8 +55,8 @@ Every job ends in exactly one of ``cached`` / a worker-classified result
 
 from __future__ import annotations
 
+import gc
 import heapq
-import json
 import os
 import shutil
 import signal
@@ -43,7 +64,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.farm import worker as worker_module
 from repro.farm.health import (
@@ -51,11 +72,11 @@ from repro.farm.health import (
     HealthStats,
     WorkerHandle,
     WorkerPool,
-    stamp_heartbeat,
 )
 from repro.farm.journal import RunJournal, replay
-from repro.farm.manifest import JobSpec, Manifest, ShardedManifest
-from repro.farm.store import ResultStore, atomic_write_json, read_verified_json
+from repro.farm.manifest import JobSpec, ShardedManifest
+from repro.farm.merge import FarmReport, MergeFold, merge_results
+from repro.farm.store import ResultStore, batch_digest, iter_rows, scan_rows
 from repro.farm.worker import DEFAULT_BUDGET
 from repro.resilience.backoff import backoff_delay, jitter_rng
 
@@ -126,17 +147,46 @@ def _poison_result(spec: JobSpec, strikes: int, reasons: List[str],
                      tombstone=tombstone)
 
 
-def _interrupted_result(spec: JobSpec, elapsed: float,
-                        attempts: int) -> Dict:
-    return _base_row(spec, STATUS_INTERRUPTED,
-                     "run interrupted while job was in flight",
-                     elapsed, attempts, tombstone=None)
+def _status(outcomes: Dict[str, int]) -> str:
+    """A batch's journal status: its rows' one status, else ``mixed``."""
+    return next(iter(outcomes)) if len(outcomes) == 1 else "mixed"
+
+
+class _Batch:
+    """Manifest jobs ``[start, stop)``, dispatched and committed as one.
+
+    ``digests`` (the member job digests, which name the batch's store
+    key) and ``label`` are filled in by :meth:`FarmScheduler._load`.
+    """
+
+    __slots__ = ("start", "stop", "attempt", "digests", "label")
+
+    def __init__(self, start: int, stop: int,
+                 digests: Optional[List[str]] = None) -> None:
+        self.start = start
+        self.stop = stop
+        self.attempt = 0
+        self.digests = digests
+        self.label = ""
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
+    @property
+    def key(self) -> str:
+        return batch_digest(self.digests)
+
+    def halves(self) -> Tuple["_Batch", "_Batch"]:
+        cut = self.size // 2
+        return (_Batch(self.start, self.start + cut, self.digests[:cut]),
+                _Batch(self.start + cut, self.stop, self.digests[cut:]))
 
 
 class FarmScheduler:
-    """Runs a manifest to one result row per job, in manifest order."""
+    """Runs a manifest, batch by batch, to one merged :class:`FarmReport`."""
 
-    def __init__(self, manifest: Manifest, workers: int = 1,
+    def __init__(self, manifest, workers: int = 1,
                  store: Optional[ResultStore] = None, resume: bool = False,
                  budget: Optional[int] = DEFAULT_BUDGET,
                  deadline: Optional[float] = None,
@@ -150,7 +200,7 @@ class FarmScheduler:
         self.workers = max(1, workers)
         self.warm = warm
         self.store = store
-        self.resume = resume and store is not None
+        self.resume = resume
         self.budget = budget
         self.deadline = deadline
         self.max_retries = max(0, max_retries)
@@ -167,75 +217,143 @@ class FarmScheduler:
         self._strikes: Dict[str, int] = {}
         self._strike_reasons: Dict[str, List[str]] = {}
         # The scheduler's own span tracer (None when trace_dir is unset)
-        # and the open job spans it correlates, keyed (digest, attempt).
+        # and the open batch spans it correlates, keyed (key, attempt).
         self._tracer = None
         self._job_spans: Dict[Tuple[str, int], int] = {}
+        # Per-run state: the result store in use, the journal, the
+        # dispatch queue, the retry heap of (eligible, start, batch), the
+        # batches in flight by worker pid, and the settled segments —
+        # start -> (stop, committed file or in-memory rows, cached).
+        self._store: Optional[ResultStore] = None
+        self._journal: Optional[RunJournal] = None
+        self._queue: deque = deque()
+        self._retries: List = []
+        self._flight: Dict[int, _Batch] = {}
+        self._segments: Dict[int, Tuple[int, object, bool]] = {}
 
-    # -- dispatch -------------------------------------------------------------
+    # -- run ------------------------------------------------------------------
 
-    def run(self) -> List[Dict]:
+    def run(self) -> FarmReport:
         start = time.perf_counter()
         # Warm policy is process-wide: inline workers read it directly,
         # forked workers inherit it (and the booted templates) via COW.
         worker_module.configure_warm(self.warm)
-        results: List[Optional[Dict]] = [None] * len(self.manifest)
-        pending: List[int] = []
         self.cached_jobs = 0
+        self._queue, self._retries = deque(), []
+        self._flight, self._segments = {}, {}
 
         run_dir = self.run_dir or tempfile.mkdtemp(prefix="repro-farm-run-")
         os.makedirs(run_dir, exist_ok=True)
+        try:
+            self._store = self.store if self.store is not None \
+                else ResultStore(os.path.join(run_dir, "results"))
+            self._dispatch(run_dir)
+            report = self._merge(run_dir, start)
+        finally:
+            if self.run_dir is None:
+                shutil.rmtree(run_dir, ignore_errors=True)
+        if self.run_dir is None:
+            report.rows_path = None
+        return report
+
+    def _dispatch(self, run_dir: str) -> None:
         if self.trace_dir is not None:
             from repro.observability.flight import FlightSpool
             from repro.observability.spans import SpanTracer
             os.makedirs(self.trace_dir, exist_ok=True)
             self._tracer = SpanTracer(spool=FlightSpool(os.path.join(
                 self.trace_dir, f"scheduler-{os.getpid()}.jsonl")))
-        journal = RunJournal(os.path.join(run_dir, "journal.jsonl"))
+        journal = self._journal = RunJournal(
+            os.path.join(run_dir, "journal.jsonl"))
         if self.resume:
             # Strike counts survive scheduler death: a poison job that
             # killed two workers before the scheduler was SIGKILLed is
-            # one strike from quarantine, not three.
+            # one strike from quarantine, not three — and a batch struck
+            # before the restart resumes as its two halves.
             state = replay(journal.path)
             self._strikes = {digest: ledger.strikes
-                            for digest, ledger in state.jobs.items()
-                            if ledger.strikes}
+                             for digest, ledger in state.jobs.items()
+                             if ledger.strikes}
         journal.record("run_start", resume=self.resume,
                        workers=self.workers, jobs=len(self.manifest),
                        pid=os.getpid())
-
-        for index, spec in enumerate(self.manifest):
-            cached = self._from_cache(spec)
-            if cached is not None:
-                cached["cached"] = True
-                results[index] = cached
-                self.cached_jobs += 1
-                journal.record("cached", digest=spec.digest(), id=spec.id,
-                               status=cached.get("status"))
-                self._trace_event("cached", spec.digest(), id=spec.id)
-            else:
-                pending.append(index)
-                self._trace_event("queued", spec.digest(), id=spec.id)
+        for start, stop in self.manifest.batches():
+            self._plan(_Batch(start, stop))
 
         previous_sigterm = self._install_sigterm()
         try:
-            if pending:
+            if self._queue:
                 if self.workers == 1:
-                    self._run_inline(pending, results, journal)
+                    self._run_inline()
                 else:
-                    self._run_pool(pending, results, journal, run_dir)
+                    self._run_pool(run_dir)
             journal.record("run_end", jobs=len(self.manifest))
         finally:
             self._restore_sigterm(previous_sigterm)
             journal.close()
             if self._tracer is not None:
                 self._tracer.close()
-            if self.run_dir is None:
-                shutil.rmtree(run_dir, ignore_errors=True)
 
-        for result in results:
-            result.setdefault("cached", False)
+    def _load(self, batch: _Batch) -> List[JobSpec]:
+        """The batch's specs; fills in its member digests and label."""
+        specs = self.manifest.specs(batch.start, batch.stop)
+        if batch.digests is None:
+            batch.digests = [spec.digest() for spec in specs]
+        batch.label = specs[0].id if len(specs) == 1 \
+            else f"{specs[0].id}..{specs[-1].id}"
+        return specs
+
+    def _plan(self, batch: _Batch) -> None:
+        """Queue ``batch``, or replay what an earlier run committed of it."""
+        if self.resume or self._tracer is not None:
+            self._load(batch)
+        if self.resume:
+            outcomes = self._store.scan(batch.key)
+            if outcomes is not None and all(status in CACHEABLE
+                                            for status in outcomes):
+                self._segments[batch.start] = (
+                    batch.stop, self._store.path(batch.key), True)
+                self.cached_jobs += batch.size
+                self._journal.record("cached", digest=batch.key,
+                                     id=batch.label, jobs=batch.size,
+                                     status=_status(outcomes))
+                self._trace_event("cached", batch.key, id=batch.label)
+                return
+            if batch.size > 1 and self._strikes.get(batch.key):
+                # Bisected before the restart: its halves are the units.
+                for half in batch.halves():
+                    self._plan(half)
+                return
+        self._queue.append(batch)
+        if self._tracer is not None:
+            self._trace_event("queued", batch.key, id=batch.label)
+
+    def iter_results(self) -> Iterator[Dict]:
+        """Every job's result row in manifest order, read back from the
+        committed files (valid after :meth:`run`, while they exist)."""
+        for start in sorted(self._segments):
+            __, source, cached = self._segments[start]
+            rows = source if isinstance(source, list) else iter_rows(source)
+            for row in rows:
+                row["cached"] = cached
+                yield row
+
+    def _merge(self, run_dir: str, start: float) -> FarmReport:
+        health = self.health.summary()
+        if isinstance(self.manifest, ShardedManifest):
+            # Paper scale: never materialize the rows.
+            fold = MergeFold(rows_path=os.path.join(run_dir, "rows.jsonl"))
+            for row in self.iter_results():
+                fold.add(row)
+            self.wall_seconds = time.perf_counter() - start
+            return fold.finish(workers=self.workers,
+                               wall_seconds=self.wall_seconds,
+                               cached_jobs=self.cached_jobs, health=health)
+        results = list(self.iter_results())
         self.wall_seconds = time.perf_counter() - start
-        return results  # type: ignore[return-value]
+        return merge_results(results, workers=self.workers,
+                             wall_seconds=self.wall_seconds,
+                             cached_jobs=self.cached_jobs, health=health)
 
     # -- signals --------------------------------------------------------------
 
@@ -262,9 +380,10 @@ class FarmScheduler:
     # -- tracing --------------------------------------------------------------
     #
     # The scheduler's spans mirror the journal: every lifecycle edge
-    # (queued/cached/spawned/retry/quarantined/lost/committed) becomes an
-    # instant event, and each dispatch attempt gets a detached "job" span
-    # correlated with the worker's own spool by trace id = digest prefix.
+    # (queued/cached/spawned/split/retry/quarantined/lost/committed)
+    # becomes an instant event, and each dispatch attempt gets a detached
+    # "job" span correlated with the worker's own spool by trace id =
+    # batch key prefix (the job digest prefix for a one-job batch).
 
     def _trace_event(self, name: str, digest: str, **args) -> None:
         if self._tracer is not None:
@@ -290,209 +409,152 @@ class FarmScheduler:
         return os.path.join(self.trace_dir,
                             f"worker-{digest[:12]}-a{attempt}.jsonl")
 
-    # -- cache ----------------------------------------------------------------
+    # -- commit ---------------------------------------------------------------
 
-    def _from_cache(self, spec: JobSpec) -> Optional[Dict]:
-        if not self.resume:
-            return None
-        result = self.store.get(spec.digest())
-        if result is None or result.get("status") not in CACHEABLE:
-            return None
-        return result
-
-    def _record(self, spec: JobSpec, result: Dict) -> Dict:
-        if self.store is not None and result.get("status") in CACHEABLE:
-            self.store.put(spec.digest(), result)
-        return result
+    def _accept(self, batch: _Batch, outcomes: Dict[str, int]) -> None:
+        """A worker's committed rows become the batch's settled result."""
+        key = batch.key
+        status = _status(outcomes)
+        self._segments[batch.start] = (batch.stop, self._store.path(key),
+                                       False)
+        self._journal.record("done", digest=key, id=batch.label,
+                             attempt=batch.attempt, jobs=batch.size,
+                             status=status)
+        self._trace_event("committed", key, id=batch.label, status=status)
+        self._trace_end(key, batch.attempt, status=status)
 
     # -- inline (serial baseline) ---------------------------------------------
 
-    def _run_inline(self, pending: List[int],
-                    results: List[Optional[Dict]], journal: RunJournal) -> None:
-        jobs = self.manifest.jobs
+    def _run_inline(self) -> None:
         tracer = self._tracer
-        for index in pending:
-            spec = jobs[index]
-            digest = spec.digest()
-            journal.record("dispatched", digest=digest, id=spec.id,
-                           attempt=1, pid=os.getpid())
-            self._trace_begin(digest, 1, spec.id)
+        while self._queue:
+            batch = self._queue.popleft()
+            specs = self._load(batch)
+            batch.attempt = 1
+            key = batch.key
+            self._journal.record("dispatched", digest=key, id=batch.label,
+                                 attempt=1, jobs=batch.size,
+                                 pid=os.getpid())
+            self._trace_begin(key, 1, batch.label)
             if tracer is not None:
                 # Inline mode shares one process (and one tracer) across
                 # scheduler and worker roles; re-point the trace id so
-                # engine spans still correlate per job.
-                tracer.trace_id = digest[:12]
-            job_start = time.perf_counter()
+                # engine spans still correlate per batch.
+                tracer.trace_id = key[:12]
             try:
-                # tracer kwarg only when tracing: tests monkeypatch
-                # execute_job with narrower signatures.
-                if tracer is None:
-                    result = worker_module.execute_job(spec.to_dict(),
-                                                       budget=self.budget)
-                else:
-                    result = worker_module.execute_job(spec.to_dict(),
-                                                       budget=self.budget,
-                                                       tracer=tracer)
+                outcomes = worker_module.execute_batch(
+                    (spec.to_dict() for spec in specs),
+                    self._store.path(key), budget=self.budget,
+                    tracer=tracer)
             except KeyboardInterrupt:
-                journal.record("interrupted", digest=digest, id=spec.id,
-                               attempt=1)
-                self.health.interrupted_jobs += 1
-                results[index] = _interrupted_result(
-                    spec, time.perf_counter() - job_start, attempts=1)
-                self._trace_end(digest, 1, status=STATUS_INTERRUPTED)
-                raise FarmInterrupted([spec.id]) from None
+                self._journal.record("interrupted", digest=key,
+                                     id=batch.label, attempt=1)
+                self.health.interrupted_jobs += batch.size
+                self._trace_end(key, 1, status=STATUS_INTERRUPTED)
+                raise FarmInterrupted([batch.label]) from None
             finally:
                 if tracer is not None:
                     tracer.trace_id = ""
-            results[index] = self._record(spec, result)
-            journal.record("done", digest=digest, id=spec.id, attempt=1,
-                           status=result.get("status"))
-            self._trace_event("committed", digest, id=spec.id,
-                              status=result.get("status"))
-            self._trace_end(digest, 1, status=result.get("status"))
+            self._accept(batch, outcomes)
 
     # -- pool (fleet mode) ----------------------------------------------------
 
-    def _result_sink(self, run_dir: str, digest: str
-                     ) -> Tuple[str, Callable[[Dict], None]]:
-        """Where a worker commits its result and how the parent reads it.
-
-        With a store, the worker commits straight into it (the atomic
-        fsync'd write *is* the transaction — scheduler death after the
-        commit costs nothing).  Without one, results spool into the run
-        directory with the same crash-consistent write.
-        """
-        if self.store is not None:
-            path = os.path.join(self.store.directory, f"{digest}.json")
-            return path, (lambda result: self.store.put(digest, result))
-        spool = os.path.join(run_dir, "spool")
-        os.makedirs(spool, exist_ok=True)
-        path = os.path.join(spool, f"{digest}.json")
-        return path, (lambda result: atomic_write_json(path, result))
-
-    def _read_result(self, path: str, digest: str) -> Optional[Dict]:
-        if self.store is not None:
-            return self.store.get(digest)   # drops torn entries itself
-        result = read_verified_json(path, digest=digest)
-        if result is not None:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        return result
-
-    def _run_pool(self, pending: List[int], results: List[Optional[Dict]],
-                  journal: RunJournal, run_dir: str) -> None:
-        jobs = self.manifest.jobs
+    def _run_pool(self, run_dir: str) -> None:
         if self.warm:
             # Boot one template per config in the parent *before* any
-            # fork: every per-job child then inherits the booted
-            # platform — warm TB/block/trampoline caches included —
-            # copy-on-write, and pays only reset_for_job().
+            # fork: every child then inherits the booted platform — warm
+            # TB/block/trampoline caches included — copy-on-write, and
+            # pays only reset_for_job().  Corpus jobs boot no platform.
             worker_module.warm_boot_templates(
-                jobs[index].config for index in pending)
+                spec.config for batch in self._queue
+                for spec in self._load(batch) if spec.kind != "corpus")
         pool = WorkerPool(hb_dir=os.path.join(run_dir, "hb"),
                           interval=self.heartbeat_interval)
-        queue = deque(pending)
-        retries: List = []              # heap of (eligible_monotonic, index)
-        attempts: Dict[int, int] = {}
-        result_paths: Dict[str, str] = {}
+        # A child's cycle collector would otherwise walk (and so copy on
+        # write) every object this process holds, once per forked batch.
+        gc.freeze()
         try:
-            while queue or retries or pool.live:
+            while self._queue or self._retries or pool.live:
                 now = time.monotonic()
-                while retries and retries[0][0] <= now:
-                    __, index = heapq.heappop(retries)
-                    queue.append(index)
-                progressed = self._spawn_ready(queue, pool, attempts,
-                                               journal, run_dir,
-                                               result_paths)
-                progressed |= self._collect(pool, results, journal,
-                                            retries, attempts, result_paths)
-                progressed |= self._reclaim_unhealthy(
-                    pool, results, journal, retries, attempts)
+                while self._retries and self._retries[0][0] <= now:
+                    self._queue.append(heapq.heappop(self._retries)[2])
+                progressed = self._spawn_ready(pool)
+                progressed |= self._collect(pool)
+                progressed |= self._reclaim_unhealthy(pool)
                 if not progressed:
                     time.sleep(min(self.heartbeat_interval / 4, 0.01))
         except KeyboardInterrupt:
-            in_flight = sorted(handle.job_id
-                               for handle in pool.live.values())
-            for handle in sorted(pool.live.values(),
-                                 key=lambda h: h.index):
-                journal.record("interrupted", digest=handle.digest,
-                               id=handle.job_id, attempt=handle.attempt)
-                self.health.interrupted_jobs += 1
-                results[handle.index] = _interrupted_result(
-                    jobs[handle.index], handle.runtime(time.monotonic()),
-                    attempts=handle.attempt)
+            handles = sorted(pool.live.values(), key=lambda h: h.index)
+            for handle in handles:
+                self._journal.record("interrupted", digest=handle.digest,
+                                     id=handle.job_id,
+                                     attempt=handle.attempt)
+                self.health.interrupted_jobs += \
+                    self._flight[handle.pid].size
                 self._trace_end(handle.digest, handle.attempt,
                                 status=STATUS_INTERRUPTED)
-            raise FarmInterrupted(in_flight) from None
+            raise FarmInterrupted(sorted(h.job_id for h in handles)) \
+                from None
         finally:
             pool.kill_all()
+            gc.unfreeze()
 
-    def _spawn_ready(self, queue, pool: WorkerPool, attempts: Dict[int, int],
-                     journal: RunJournal, run_dir: str,
-                     result_paths: Dict[str, str]) -> bool:
-        jobs = self.manifest.jobs
+    def _spawn_ready(self, pool: WorkerPool) -> bool:
         progressed = False
-        while queue and len(pool.live) < self.workers:
-            index = queue.popleft()
-            spec = jobs[index]
-            digest = spec.digest()
-            attempts[index] = attempts.get(index, 0) + 1
-            path, commit = self._result_sink(run_dir, digest)
-            result_paths[digest] = path
-            handle = pool.spawn(spec.to_dict(), self.budget, index, digest,
-                                spec.id, attempts[index], commit,
+        budget = self.budget
+        while self._queue and len(pool.live) < self.workers:
+            batch = self._queue.popleft()
+            spec_dicts = [spec.to_dict() for spec in self._load(batch)]
+            batch.attempt += 1
+            key = batch.key
+            path = self._store.path(key)
+
+            def work(tracer, spec_dicts=spec_dicts, path=path) -> None:
+                worker_module.execute_batch(spec_dicts, path, budget=budget,
+                                            tracer=tracer)
+
+            handle = pool.spawn(work, batch.start, key, batch.label,
+                                batch.attempt,
                                 spool_path=self._worker_spool(
-                                    digest, attempts[index]),
-                                trace_id=digest[:12])
-            journal.record("dispatched", digest=digest, id=spec.id,
-                           attempt=attempts[index], pid=handle.pid)
-            self._trace_begin(digest, attempts[index], spec.id)
-            self._trace_event("spawned", digest, id=spec.id,
-                              attempt=attempts[index], pid=handle.pid)
+                                    key, batch.attempt),
+                                trace_id=key[:12], jobs=batch.digests)
+            self._flight[handle.pid] = batch
+            self._journal.record("dispatched", digest=key, id=batch.label,
+                                 attempt=batch.attempt, jobs=batch.size,
+                                 pid=handle.pid)
+            self._trace_begin(key, batch.attempt, batch.label)
+            self._trace_event("spawned", key, id=batch.label,
+                              attempt=batch.attempt, pid=handle.pid)
             if self.chaos is not None:
                 self.chaos.on_spawn(handle)
             progressed = True
         return progressed
 
-    def _collect(self, pool: WorkerPool, results, journal: RunJournal,
-                 retries, attempts, result_paths) -> bool:
+    def _collect(self, pool: WorkerPool) -> bool:
         progressed = False
         for handle, status in pool.reap():
             progressed = True
+            batch = self._flight.pop(handle.pid)
             if status == 0:
-                path = result_paths.get(handle.digest, "")
+                path = self._store.path(batch.key)
                 if self.chaos is not None:
                     self.chaos.on_commit(handle, path)
-                result = self._read_result(path, handle.digest)
-                if result is None:
+                outcomes = scan_rows(path, batch.key)
+                if outcomes is None:
                     self.health.torn_results += 1
-                    self._strike(handle, "torn-result", results, journal,
-                                 retries, attempts)
-                    continue
-                results[handle.index] = result
-                journal.record("done", digest=handle.digest,
-                               id=handle.job_id, attempt=handle.attempt,
-                               status=result.get("status"))
-                self._trace_event("committed", handle.digest,
-                                  id=handle.job_id,
-                                  status=result.get("status"))
-                self._trace_end(handle.digest, handle.attempt,
-                                status=result.get("status"))
+                    self._strike(batch, handle, "torn-result")
+                else:
+                    self._accept(batch, outcomes)
             else:
                 self.health.worker_deaths += 1
                 self.health.record_reclaim(
                     handle.heartbeat_age(time.time()))
                 cause = (f"worker died (signal {-status})" if status < 0
                          else f"worker died (exit {status})")
-                self._strike(handle, cause, results, journal, retries,
-                             attempts)
+                self._strike(batch, handle, cause)
         return progressed
 
-    def _reclaim_unhealthy(self, pool: WorkerPool, results,
-                           journal: RunJournal, retries,
-                           attempts) -> bool:
+    def _reclaim_unhealthy(self, pool: WorkerPool) -> bool:
         progressed = False
         now_wall = time.time()
         for handle in pool.overdue(self.deadline):
@@ -500,337 +562,98 @@ class FarmScheduler:
             self.health.deadline_kills += 1
             self.health.record_reclaim(handle.heartbeat_age(now_wall))
             pool.kill(handle)
-            self._strike(handle, f"deadline ({self.deadline:.1f}s) exceeded",
-                         results, journal, retries, attempts)
+            self._strike(self._flight.pop(handle.pid), handle,
+                         f"deadline ({self.deadline:.1f}s) exceeded")
         for handle in pool.hung(now_wall):
             progressed = True
             self.health.hung_workers += 1
             self.health.record_reclaim(handle.heartbeat_age(now_wall))
             pool.kill(handle)
-            self._strike(handle, "hung (heartbeats missed)", results,
-                         journal, retries, attempts)
+            self._strike(self._flight.pop(handle.pid), handle,
+                         "hung (heartbeats missed)")
         return progressed
 
     # -- failure policy -------------------------------------------------------
 
-    def _strike(self, handle: WorkerHandle, reason: str, results,
-                journal: RunJournal, retries, attempts) -> None:
-        spec = self.manifest.jobs[handle.index]
-        digest = handle.digest
-        strikes = self._strikes.get(digest, 0) + 1
-        self._strikes[digest] = strikes
-        reasons = self._strike_reasons.setdefault(digest, [])
+    def _strike(self, batch: _Batch, handle: WorkerHandle,
+                reason: str) -> None:
+        key = batch.key
+        journal = self._journal
+        strikes = self._strikes.get(key, 0) + 1
+        self._strikes[key] = strikes
+        reasons = self._strike_reasons.setdefault(key, [])
         reasons.append(reason)
         # The worker's last self-reported vitals: how far it got before
         # it died/hung, straight from the heartbeat body.
         vitals = handle.read_vitals()
         last_instructions = vitals["instructions"] if vitals else 0
-        journal.record("strike", digest=digest, id=handle.job_id,
-                       attempt=handle.attempt, reason=reason,
+        # Whatever the struck worker committed is void: its jobs re-run.
+        self._store.drop(key)
+        journal.record("strike", digest=key, id=batch.label,
+                       attempt=batch.attempt, reason=reason,
                        strikes=strikes, instructions=last_instructions)
+        if batch.size > 1:
+            halves = batch.halves()
+            journal.record("split", digest=key, id=batch.label,
+                           into=[half.key for half in halves])
+            self.health.splits += 1
+            self._queue.extend(halves)
+            self._trace_event("split", key, id=batch.label, reason=reason)
+            self._trace_end(key, batch.attempt, status="split")
+            return
+        spec = self.manifest.specs(batch.start, batch.stop)[0]
         elapsed = handle.runtime(time.monotonic())
         if strikes >= self.poison_threshold:
             row = _poison_result(spec, strikes, reasons, elapsed,
-                                 attempts=handle.attempt)
+                                 attempts=batch.attempt)
             row["tombstone"]["last_instructions"] = last_instructions
-            journal.record("poison", digest=digest, id=handle.job_id,
+            journal.record("poison", digest=key, id=batch.label,
                            strikes=strikes)
             self.health.poison_quarantined += 1
-            results[handle.index] = self._record(spec, row)
-            self._trace_event("quarantined", digest, id=handle.job_id,
+            self._store.put(key, row)
+            self._segments[batch.start] = (batch.stop,
+                                           self._store.path(key), False)
+            self._trace_event("quarantined", key, id=batch.label,
                               strikes=strikes,
                               instructions=last_instructions)
-            self._trace_end(digest, handle.attempt, status=STATUS_POISON)
-        elif handle.attempt >= 1 + self.max_retries:
+            self._trace_end(key, batch.attempt, status=STATUS_POISON)
+        elif batch.attempt >= 1 + self.max_retries:
             row = _lost_result(spec, reason, elapsed,
-                               attempts=handle.attempt)
-            journal.record("lost", digest=digest, id=handle.job_id,
-                           attempt=handle.attempt, reason=reason)
+                               attempts=batch.attempt)
+            journal.record("lost", digest=key, id=batch.label,
+                           attempt=batch.attempt, reason=reason)
             self.health.lost_jobs += 1
-            results[handle.index] = row       # lost is never cached
-            self._trace_event("lost", digest, id=handle.job_id,
-                              reason=reason)
-            self._trace_end(digest, handle.attempt, status=STATUS_LOST)
+            # Lost is never cached: the row lives only in this run.
+            self._segments[batch.start] = (batch.stop, [row], False)
+            self._trace_event("lost", key, id=batch.label, reason=reason)
+            self._trace_end(key, batch.attempt, status=STATUS_LOST)
         else:
-            delay = backoff_delay(handle.attempt, base=RETRY_BACKOFF_BASE,
+            delay = backoff_delay(batch.attempt, base=RETRY_BACKOFF_BASE,
                                   jitter=RETRY_BACKOFF_JITTER,
-                                  rng=jitter_rng(digest, handle.attempt))
-            journal.record("retry", digest=digest, id=handle.job_id,
-                           next_attempt=handle.attempt + 1, delay=delay)
+                                  rng=jitter_rng(key, batch.attempt))
+            journal.record("retry", digest=key, id=batch.label,
+                           next_attempt=batch.attempt + 1, delay=delay)
             self.health.retries += 1
-            heapq.heappush(retries, (time.monotonic() + delay,
-                                     handle.index))
-            self._trace_event("retry", digest, id=handle.job_id,
-                              next_attempt=handle.attempt + 1,
+            heapq.heappush(self._retries, (time.monotonic() + delay,
+                                           batch.start, batch))
+            self._trace_event("retry", key, id=batch.label,
+                              next_attempt=batch.attempt + 1,
                               reason=reason,
                               instructions=last_instructions)
-            self._trace_end(digest, handle.attempt, status="struck")
+            self._trace_end(key, batch.attempt, status="struck")
 
 
-# Streaming (sharded) farm: how often the batched journal fsyncs, and
-# how often a shard worker stamps its heartbeat (in jobs).
-STREAM_JOURNAL_CHECKPOINT = 64
-STREAM_HEARTBEAT_JOBS = 200
-
-
-class StreamFarm:
-    """Runs a :class:`ShardedManifest` with long-lived shard workers.
-
-    The per-job scheduler forks one worker per job — right for minutes-
-    long emulation jobs, hopeless for a 100k-job corpus where each job
-    is sub-millisecond static analysis.  The streaming farm flips the
-    unit of work to the **shard**:
-
-    * workers are forked once and pull whole shards from the manifest's
-      shard iterators (static stride assignment: worker ``w`` of ``W``
-      serves pending shards ``w, w+W, ...``), streaming specs from disk
-      one at a time;
-    * each shard's results spool to a JSONL file committed by atomic
-      rename — crash anywhere and the shard either exists completely
-      (digest-addressed: the file name carries the shard's content
-      digest) or re-runs on ``resume``;
-    * the journal batches its fsync barrier
-      (``checkpoint_interval`` records) instead of paying one per job:
-      all ``shard_dispatched`` records are checkpointed *before* any
-      worker forks, so the write-ahead property holds at shard
-      granularity;
-    * a worker that dies takes only its unfinished shards with it — the
-      parent re-runs exactly the shards whose result files are missing,
-      inline, after the pool drains;
-    * the merge never materializes the result set: rows stream straight
-      from the shard files through a :class:`~repro.farm.merge.MergeFold`.
-    """
-
-    def __init__(self, manifest: ShardedManifest, workers: int = 1,
-                 run_dir: Optional[str] = None, resume: bool = False,
-                 budget: Optional[int] = DEFAULT_BUDGET,
-                 checkpoint_interval: int = STREAM_JOURNAL_CHECKPOINT,
-                 warm: bool = False) -> None:
-        self.manifest = manifest
-        self.workers = max(1, workers)
-        self.run_dir = run_dir
-        self.resume = resume
-        self.budget = budget
-        self.warm = warm
-        self.checkpoint_interval = max(1, checkpoint_interval)
-        self.health = HealthStats()
-        self.cached_jobs = 0
-        self.wall_seconds = 0.0
-
-    # -- layout ---------------------------------------------------------------
-
-    def _result_name(self, index: int) -> str:
-        shard = self.manifest.shards[index]
-        return f"{shard.name}.{shard.digest[:12]}.results.jsonl"
-
-    def _result_path(self, results_dir: str, index: int) -> str:
-        return os.path.join(results_dir, self._result_name(index))
-
-    # -- run ------------------------------------------------------------------
-
-    def run(self):
-        from repro.farm.merge import MergeFold
-
-        start = time.perf_counter()
-        # Configured before the pool forks: each long-lived shard worker
-        # boots its template lazily, once, and keeps it warm across
-        # every job it streams.
-        worker_module.configure_warm(self.warm)
-        run_dir = self.run_dir or tempfile.mkdtemp(prefix="repro-stream-")
-        results_dir = os.path.join(run_dir, "results")
-        hb_dir = os.path.join(run_dir, "hb")
-        os.makedirs(results_dir, exist_ok=True)
-        os.makedirs(hb_dir, exist_ok=True)
-        for stale in os.listdir(results_dir):
-            if ".tmp." in stale:        # torn spool from a dead worker
-                try:
-                    os.unlink(os.path.join(results_dir, stale))
-                except OSError:
-                    pass
-
-        journal = RunJournal(os.path.join(run_dir, "journal.jsonl"),
-                             checkpoint_interval=self.checkpoint_interval)
-        shard_count = self.manifest.shard_count
-        journal.record("run_start", mode="stream", resume=self.resume,
-                       workers=self.workers, shards=shard_count,
-                       jobs=len(self.manifest), pid=os.getpid())
-
-        pending: List[int] = []
-        self.cached_jobs = 0
-        for index in range(shard_count):
-            if self.resume and \
-                    os.path.exists(self._result_path(results_dir, index)):
-                self.cached_jobs += self.manifest.shards[index].jobs
-                journal.record("shard_cached",
-                               shard=self.manifest.shards[index].name)
-            else:
-                pending.append(index)
-                journal.record("shard_dispatched",
-                               shard=self.manifest.shards[index].name,
-                               jobs=self.manifest.shards[index].jobs)
-        # Write-ahead at shard granularity: every dispatch record is
-        # durable before any worker starts.
-        journal.checkpoint()
-
-        try:
-            if pending:
-                if self.workers == 1:
-                    self._run_inline(pending, results_dir, journal)
-                else:
-                    self._run_pool(pending, results_dir, hb_dir, journal)
-            journal.record("run_end", shards=shard_count)
-        finally:
-            journal.close()
-
-        fold = MergeFold(rows_path=os.path.join(run_dir, "rows.jsonl"))
-        for index in range(shard_count):
-            for result in _iter_jsonl(self._result_path(results_dir, index)):
-                result.setdefault("cached", False)
-                fold.add(result)
-        self.wall_seconds = time.perf_counter() - start
-        report = fold.finish(workers=self.workers,
-                             wall_seconds=self.wall_seconds,
-                             cached_jobs=self.cached_jobs,
-                             health=self.health.summary())
-        if self.run_dir is None:
-            shutil.rmtree(run_dir, ignore_errors=True)
-            report.rows_path = None
-        return report
-
-    # -- serial ---------------------------------------------------------------
-
-    def _run_inline(self, pending: List[int], results_dir: str,
-                    journal: RunJournal) -> None:
-        for index in pending:
-            summary = worker_module.execute_shard(
-                (spec.to_dict() for spec in self.manifest.iter_shard(index)),
-                self._result_path(results_dir, index), budget=self.budget)
-            journal.record("shard_done",
-                           shard=self.manifest.shards[index].name,
-                           jobs=summary["jobs"])
-
-    # -- pool -----------------------------------------------------------------
-
-    def _shard_worker(self, worker_index: int, pending: List[int],
-                      results_dir: str, hb_dir: str) -> None:
-        """Body of one long-lived forked shard worker."""
-        hb_path = os.path.join(hb_dir, f"stream-worker-{worker_index}")
-        for position, index in enumerate(pending):
-            if position % self.workers != worker_index:
-                continue
-            shard = self.manifest.shards[index]
-            stamp_heartbeat(hb_path, shard.name)
-
-            def progress(jobs_done: int, name=shard.name) -> None:
-                if jobs_done % STREAM_HEARTBEAT_JOBS == 0:
-                    stamp_heartbeat(hb_path, name, jobs_done)
-
-            worker_module.execute_shard(
-                (spec.to_dict() for spec in self.manifest.iter_shard(index)),
-                self._result_path(results_dir, index),
-                budget=self.budget, progress=progress)
-
-    def _run_pool(self, pending: List[int], results_dir: str,
-                  hb_dir: str, journal: RunJournal) -> None:
-        pids: List[int] = []
-        try:
-            for worker_index in range(self.workers):
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        self._shard_worker(worker_index, pending,
-                                           results_dir, hb_dir)
-                        code = 0
-                    except BaseException:
-                        code = 1
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            for pid in pids:
-                try:
-                    __, raw = os.waitpid(pid, 0)
-                except ChildProcessError:  # pragma: no cover
-                    raw = 1 << 8
-                if raw != 0:
-                    self.health.worker_deaths += 1
-        except KeyboardInterrupt:
-            for pid in pids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                except (ProcessLookupError, ChildProcessError):
-                    pass
-            missing = [self.manifest.shards[i].name for i in pending
-                       if not os.path.exists(
-                           self._result_path(results_dir, i))]
-            for name in missing:
-                journal.record("interrupted", shard=name)
-            raise FarmInterrupted(missing) from None
-        # Reclaim: any shard whose result never committed (its worker
-        # died mid-shard) re-runs inline — the atomic rename guarantees
-        # nothing partial survived.
-        for index in pending:
-            path = self._result_path(results_dir, index)
-            if os.path.exists(path):
-                journal.record("shard_done",
-                               shard=self.manifest.shards[index].name,
-                               jobs=self.manifest.shards[index].jobs)
-                continue
-            self.health.retries += 1
-            summary = worker_module.execute_shard(
-                (spec.to_dict() for spec in self.manifest.iter_shard(index)),
-                path, budget=self.budget)
-            journal.record("shard_reclaimed",
-                           shard=self.manifest.shards[index].name,
-                           jobs=summary["jobs"])
-
-
-def _iter_jsonl(path: str):
-    """Yield result dicts from one shard spool, tolerating a torn line."""
-    try:
-        handle = open(path)
-    except FileNotFoundError:
-        return
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:  # pragma: no cover - files commit whole
-                continue
-            if isinstance(row, dict):
-                yield row
+# The one scheduler serves sharded manifests too.  The name survives
+# because the repository benchmark's span wrappers resolve
+# ``repro.farm.scheduler.StreamFarm.run``.
+StreamFarm = FarmScheduler
 
 
 def run_farm(manifest, workers: int = 1,
              store: Optional[ResultStore] = None, resume: bool = False,
-             budget: Optional[int] = DEFAULT_BUDGET, **scheduler_options):
-    """Convenience wrapper: schedule, run, merge; returns a FarmReport.
-
-    A :class:`ShardedManifest` routes to the streaming farm (the store
-    is unused there — shard result files are the cache); a list-shaped
-    :class:`Manifest` takes the per-job fault-tolerant path.
-    """
-    from repro.farm.merge import merge_results
-
-    if isinstance(manifest, ShardedManifest):
-        run_dir = scheduler_options.pop("run_dir", None)
-        checkpoint = scheduler_options.pop("checkpoint_interval",
-                                           STREAM_JOURNAL_CHECKPOINT)
-        warm = scheduler_options.pop("warm", False)
-        farm = StreamFarm(manifest, workers=workers, run_dir=run_dir,
-                          resume=resume, budget=budget,
-                          checkpoint_interval=checkpoint, warm=warm)
-        return farm.run()
-
-    scheduler = FarmScheduler(manifest, workers=workers, store=store,
-                              resume=resume, budget=budget,
-                              **scheduler_options)
-    results = scheduler.run()
-    return merge_results(results, workers=workers,
-                         wall_seconds=scheduler.wall_seconds,
-                         cached_jobs=scheduler.cached_jobs,
-                         health=scheduler.health.summary())
+             budget: Optional[int] = DEFAULT_BUDGET, **scheduler_options
+             ) -> FarmReport:
+    """Convenience wrapper: schedule, run, merge; returns a FarmReport."""
+    return FarmScheduler(manifest, workers=workers, store=store,
+                         resume=resume, budget=budget,
+                         **scheduler_options).run()

@@ -1,8 +1,8 @@
-"""The farm worker: run one job to a classified, JSON-able result.
+"""The farm worker: run jobs to classified, JSON-able results.
 
-:func:`execute_job` is the only function that crosses the process-pool
-boundary, so it takes and returns plain dicts (picklable, JSON-able) and
-lives at module top level.  Every job runs inside the resilience
+:func:`execute_job` runs one job; it takes and returns plain dicts
+(JSON-able) and lives at module top level.  :func:`execute_batch` runs a
+scheduler batch through it and commits the rows as one file.  Every job runs inside the resilience
 :class:`Supervisor`, so a crashing or runaway app becomes a recorded
 ``crashed``/``timeout`` outcome with a tombstone (the serialized
 :class:`CrashReport`) instead of killing the worker — and anything that
@@ -250,41 +250,43 @@ def _emit_cache_counters(tracer) -> None:
         tracer.counter("tbc.misses", tbc.misses, cat="engine")
 
 
-def execute_shard(spec_dicts, out_path: str,
+def execute_batch(spec_dicts, out_path: str,
                   budget: Optional[int] = DEFAULT_BUDGET,
-                  progress=None) -> Dict:
-    """Run a shard's jobs, spooling one result line per job to disk.
+                  tracer=None) -> Dict[str, int]:
+    """Run a batch of jobs and commit their rows as one file.
 
-    The shard is the streaming farm's unit of commitment: results append
-    to a temp JSONL file as they finish (one dict in memory at a time)
-    and the whole file is fsync'd and renamed into place at the end —
-    either the shard's results exist completely or the shard re-runs.
-    Returns a small summary (never the results themselves).
-
-    ``progress``, if given, is called with the running job count after
-    every job — the heartbeat hook for long shards.
+    The batch is the scheduler's unit of commitment: rows spool to a
+    temp file as each job finishes (one row in memory at a time) and the
+    file is fsync'd and renamed into place at the end — either every
+    row of the batch exists or the batch re-runs.  Returns the outcome
+    counts (never the rows themselves).  Anything that escapes a job
+    (the scheduler draining, the worker told to die) discards the
+    spool and propagates.
     """
-    import json as json_module
+    from repro.farm.store import RowSpool
 
-    from repro.farm.store import fsync_directory
-
-    temp = f"{out_path}.tmp.{os.getpid()}"
+    spool = RowSpool(out_path)
     outcomes: Dict[str, int] = {}
-    jobs = 0
-    with open(temp, "w") as handle:
+    try:
         for spec_dict in spec_dicts:
-            result = execute_job(spec_dict, budget=budget)
-            handle.write(json_module.dumps(result) + "\n")
-            status = result.get("status", "lost")
+            # tracer kwarg only when tracing: tests monkeypatch
+            # execute_job with narrower signatures.
+            if tracer is None:
+                row = execute_job(spec_dict, budget=budget)
+            else:
+                row = execute_job(spec_dict, budget=budget, tracer=tracer)
+            spool.add(row)
+            status = row.get("status", "lost")
             outcomes[status] = outcomes.get(status, 0) + 1
-            jobs += 1
-            if progress is not None:
-                progress(jobs)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, out_path)
-    fsync_directory(os.path.dirname(out_path) or ".")
-    return {"jobs": jobs, "outcomes": outcomes}
+    except BaseException:
+        spool.discard()
+        raise
+    if tracer is None:
+        spool.commit()
+    else:
+        with tracer.span("store_commit", cat="worker"):
+            spool.commit()
+    return outcomes
 
 
 def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,

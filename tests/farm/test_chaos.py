@@ -95,7 +95,7 @@ class TestRecoveryDrill:
         # Re-run the clean serial baseline and compare every
         # deterministic field of every non-poison row.
         from repro.farm.scheduler import FarmScheduler
-        serial = FarmScheduler(CORPUS, workers=1).run()
+        serial = FarmScheduler(CORPUS, workers=1).run().results
         baseline = {row["digest"]: parity_fields(row) for row in serial}
         recovered = {row["digest"]: parity_fields(row)
                      for row in final.results}

@@ -28,7 +28,7 @@ SMALL_CORPUS = Manifest(jobs=[
 def _run(manifest, workers=1, store=None, resume=False):
     scheduler = FarmScheduler(manifest, workers=workers, store=store,
                               resume=resume)
-    results = scheduler.run()
+    results = scheduler.run().results
     return scheduler, results
 
 

@@ -120,7 +120,7 @@ class TestCrashConsistency:
         scheduler = FarmScheduler(TWO_JOBS, workers=2, chaos=monkey,
                                   run_dir=str(tmp_path / "run"),
                                   trace_dir=trace_dir)
-        results = scheduler.run()
+        results = scheduler.run().results
         by_id = {r["job"]["id"]: r for r in results}
         assert by_id["scenario:ephone"]["status"] == "poison"
         assert by_id["scenario:benign"]["status"] == "ok"
@@ -143,7 +143,7 @@ class TestFarmTraceEndToEnd:
         scheduler = FarmScheduler(TWO_JOBS, workers=2,
                                   run_dir=str(tmp_path / "run"),
                                   trace_dir=trace_dir)
-        results = scheduler.run()
+        results = scheduler.run().results
         assert all(r["status"] == "ok" for r in results)
 
         timeline = merge_spans(trace_dir)

@@ -21,7 +21,9 @@ def make_pool(tmp_path, **options):
 
 
 def spawn(pool, commit=lambda result: None, attempt=1):
-    return pool.spawn(SPEC, None, 0, DIGEST, SPEC["id"], attempt, commit)
+    def work(tracer):
+        commit(worker_module.execute_job(SPEC, budget=None))
+    return pool.spawn(work, 0, DIGEST, SPEC["id"], attempt)
 
 
 def wait_reap(pool, timeout=5.0):

@@ -67,16 +67,6 @@ def test_builtin_covers_scenarios_and_market_apps():
     assert len(set(job.digest() for job in manifest)) == len(manifest)
 
 
-def test_shard_round_robin():
-    manifest = Manifest(jobs=[
-        JobSpec(id=f"scenario:{i}", kind="scenario", target="ephone")
-        for i in range(5)])
-    shards = manifest.shard(2)
-    assert [len(s) for s in shards] == [3, 2]
-    assert [job.id for job in shards[0]] == \
-        ["scenario:0", "scenario:2", "scenario:4"]
-
-
 # -- sharded streamed manifests ----------------------------------------------
 
 def _specs(count):

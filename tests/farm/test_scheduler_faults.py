@@ -68,7 +68,7 @@ class TestRetry:
         injector = Injector(kill=[(target, 1)])
         scheduler = FarmScheduler(TWO_JOBS, workers=2, chaos=injector,
                                   run_dir=str(tmp_path / "run"))
-        results = scheduler.run()
+        results = scheduler.run().results
         by_id = {r["job"]["id"]: r for r in results}
         assert by_id["scenario:ephone"]["status"] == "ok"
         assert by_id["scenario:case2"]["status"] == "ok"
@@ -88,7 +88,7 @@ class TestRetry:
         scheduler = FarmScheduler(TWO_JOBS, workers=2, store=store,
                                   chaos=injector,
                                   run_dir=str(tmp_path / "run"))
-        results = scheduler.run()
+        results = scheduler.run().results
         assert all(r["status"] == "ok" for r in results)
         assert scheduler.health.torn_results == 1
         assert scheduler.health.retries == 1
@@ -102,7 +102,7 @@ class TestRetry:
         scheduler = FarmScheduler(TWO_JOBS, workers=2, chaos=injector,
                                   heartbeat_interval=0.02,
                                   run_dir=str(tmp_path / "run"))
-        results = scheduler.run()
+        results = scheduler.run().results
         assert all(r["status"] == "ok" for r in results)
         assert scheduler.health.hung_workers == 1
         assert scheduler.health.workers_reclaimed == 1
@@ -117,7 +117,7 @@ class TestExhaustion:
                                   chaos=injector, max_retries=1,
                                   poison_threshold=5,
                                   run_dir=str(tmp_path / "run"))
-        results = scheduler.run()
+        results = scheduler.run().results
         by_id = {r["job"]["id"]: r for r in results}
         lost = by_id["scenario:ephone"]
         assert lost["status"] == STATUS_LOST
@@ -134,7 +134,7 @@ class TestExhaustion:
                                   chaos=injector, max_retries=5,
                                   poison_threshold=3,
                                   run_dir=str(tmp_path / "run"))
-        results = scheduler.run()
+        results = scheduler.run().results
         by_id = {r["job"]["id"]: r for r in results}
         poison = by_id["scenario:ephone"]
         assert poison["status"] == STATUS_POISON
@@ -151,7 +151,7 @@ class TestExhaustion:
         resumed = FarmScheduler(TWO_JOBS, workers=2, store=store,
                                 resume=True, chaos=injector,
                                 run_dir=str(tmp_path / "run2"))
-        second = resumed.run()
+        second = resumed.run().results
         assert resumed.cached_jobs == 2
         assert {r["job"]["id"]: r["status"] for r in second} == \
             {"scenario:ephone": STATUS_POISON, "scenario:case2": "ok"}
@@ -174,7 +174,7 @@ class TestExhaustion:
                                chaos=Injector(kill=[(target, None)]),
                                max_retries=5, poison_threshold=3,
                                run_dir=run_dir)
-        results = second.run()
+        results = second.run().results
         by_id = {r["job"]["id"]: r for r in results}
         # One more strike crossed the inherited threshold: 2 + 1 = 3.
         assert by_id["scenario:ephone"]["status"] == STATUS_POISON
@@ -193,7 +193,7 @@ class TestDeadline:
         scheduler = FarmScheduler(manifest, workers=2, deadline=0.2,
                                   max_retries=0, heartbeat_interval=0.02,
                                   run_dir=str(tmp_path / "run"))
-        results = scheduler.run()
+        results = scheduler.run().results
         assert results[0]["status"] == STATUS_LOST
         assert "deadline" in results[0]["error"]
         assert scheduler.health.deadline_kills == 1
