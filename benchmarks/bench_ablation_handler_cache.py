@@ -1,12 +1,12 @@
-"""Ablation — the instruction tracer's hot-handler cache (Section V.C).
+"""Ablation — hot-handler reuse in the instruction tracer (Section V.C).
 
 "To speed up the identification of the instruction type and the search of
 the handler, NDroid caches hot instructions and the corresponding
-handlers."  The ablated tracer re-selects the handler for every traced
-instruction.
+handlers."  NDroid does this on the TB engine: each translation block
+selects its instructions' handlers once, at translation time.  The
+ablated run pins the single-step engine, whose tracer re-selects the
+handler for every traced instruction.
 """
-
-import time
 
 import pytest
 
@@ -15,35 +15,43 @@ from repro.core import NDroid
 from repro.framework import AndroidPlatform
 
 
-def make_platform(use_handler_cache):
-    platform = AndroidPlatform()
-    NDroid.attach(platform, use_handler_cache=use_handler_cache)
+def make_platform(use_tb):
+    platform = AndroidPlatform(use_tb=use_tb)
+    NDroid.attach(platform)
     return platform
 
 
-@pytest.mark.parametrize("cache", [True, False],
-                         ids=["hot-cache", "no-cache"])
-def test_benchmark_handler_cache(benchmark, cache):
-    platform = make_platform(cache)
+@pytest.mark.parametrize("use_tb", [True, False],
+                         ids=["translated", "single-step"])
+def test_benchmark_handler_cache(benchmark, count_calls, use_tb):
+    platform = make_platform(use_tb)
+    tracer = platform.ndroid.instruction_tracer
+    translated = count_calls(tracer, "compile_taint_op")
+    stepped = count_calls(tracer, "_select_handler")
     bench = CFBench(platform, iterations=400)
 
     def run():
         bench.run_workload("native_mips")
 
     benchmark.pedantic(run, rounds=3, iterations=1)
-    tracer = platform.ndroid.instruction_tracer
-    assert tracer.traced_instructions > 0
-    if cache:
-        assert tracer.cache_hits > 0
+    traced = tracer.traced_instructions
+    assert traced > 0
+    if use_tb:
+        assert not stepped
+        assert 0 < len(translated) < traced
     else:
-        assert tracer.cache_hits == 0
+        assert not translated
+        assert len(stepped) == traced
 
 
-def test_cache_hit_rate_on_hot_loop():
+def test_cache_hit_rate_on_hot_loop(count_calls):
     platform = make_platform(True)
+    tracer = platform.ndroid.instruction_tracer
+    translated = count_calls(tracer, "compile_taint_op")
     bench = CFBench(platform, iterations=500)
     bench.run_workload("native_mips")
-    tracer = platform.ndroid.instruction_tracer
-    hit_rate = tracer.cache_hits / max(tracer.traced_instructions, 1)
-    print(f"\nhot-loop handler cache hit rate: {hit_rate:.1%}")
-    assert hit_rate > 0.95
+    traced = tracer.traced_instructions
+    reuse = (traced - len(translated)) / max(traced, 1)
+    print(f"\nhot-loop handler reuse: {reuse:.1%} of {traced} traced "
+          f"instructions ran without a handler selection")
+    assert reuse > 0.95

@@ -1,9 +1,10 @@
 """Table V — ARM/Thumb taint-propagation throughput.
 
 Benchmarks the instruction tracer over a representative third-party loop
-(data processing, loads/stores, load/store-multiple), with and without the
-hot-handler cache the paper describes ("NDroid caches hot instructions and
-the corresponding handlers").
+(data processing, loads/stores, load/store-multiple) on both engines.  The
+TB engine is where "NDroid caches hot instructions and the corresponding
+handlers": each block selects its handlers once, at translation time.  The
+single-step engine re-selects the handler for every traced instruction.
 """
 
 import pytest
@@ -39,33 +40,41 @@ buffer:
 """
 
 
-def build(handler_cache):
-    emu = Emulator()
+def build(use_tb):
+    emu = Emulator(use_tb=use_tb)
     program = assemble(LOOP, base=CODE_BASE)
     emu.load(CODE_BASE, program.code)
     emu.memory_map.map(CODE_BASE, 0x1000, "libapp.so", third_party=True)
     emu.cpu.sp = 0x0800_0000
     engine = TaintEngine()
     tracer = InstructionTracer(engine,
-                               is_third_party=emu.memory_map.is_third_party,
-                               handler_cache=handler_cache)
+                               is_third_party=emu.memory_map.is_third_party)
     emu.add_tracer(tracer)
     return emu, program, tracer
 
 
-@pytest.mark.parametrize("cache", [True, False],
-                         ids=["hot-cache", "no-cache"])
-def test_benchmark_tracer(benchmark, cache):
-    emu, program, tracer = build(cache)
+@pytest.mark.parametrize("use_tb", [True, False],
+                         ids=["translated", "single-step"])
+def test_benchmark_tracer(benchmark, count_calls, use_tb):
+    emu, program, tracer = build(use_tb)
+    translated = count_calls(tracer, "compile_taint_op")
+    stepped = count_calls(tracer, "_select_handler")
     entry = program.entry("main")
 
     def run():
         emu.call(entry)
 
     benchmark.pedantic(run, rounds=5, iterations=1)
-    assert tracer.traced_instructions > 0
-    if cache:
-        assert tracer.cache_hits > tracer.traced_instructions * 0.9
+    traced = tracer.traced_instructions
+    assert traced > 0
+    if use_tb:
+        # Over 90% of traced instructions ran on a handler their block
+        # selected earlier.
+        assert not stepped
+        assert traced - len(translated) > traced * 0.9
+    else:
+        assert not translated
+        assert len(stepped) == traced
 
 
 def test_benchmark_untraced_baseline(benchmark):

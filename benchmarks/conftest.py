@@ -24,3 +24,19 @@ def run_scenario_under():
         run_scenario(scenario, platform)
         return scenario, platform
     return runner
+
+
+@pytest.fixture
+def count_calls():
+    """Returns a callable that counts calls of one method of an object
+    (the instruction tracer's handler selections), in a list it returns."""
+    def install(instance, name):
+        calls = []
+        method = getattr(instance, name)
+
+        def counted(*args):
+            calls.append(1)
+            return method(*args)
+        setattr(instance, name, counted)
+        return calls
+    return install

@@ -174,8 +174,7 @@ class EmulatorBench:
         platform.install(apk)
         platform.run_app(apk)
         # Both engines run with logging off: the workload measures the
-        # execution engines, not per-crossing log formatting (and the
-        # trampoline fast path requires an idle log to stay faithful).
+        # execution engines, not per-crossing log formatting.
         platform.event_log.enabled = False
         crossings = self.jni_crossings
 

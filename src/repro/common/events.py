@@ -10,7 +10,6 @@ pretty-print them, which regenerates the paper's log figures.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -41,17 +40,10 @@ class Event:
 
 
 class EventLog:
-    """Append-only event stream with simple query helpers.
+    """Append-only event stream with simple query helpers."""
 
-    ``maxlen`` turns the log into a ring: long traced runs keep the most
-    recent events and count the drops instead of growing without bound.
-    Sequence numbers stay monotonic either way.
-    """
-
-    def __init__(self, maxlen: Optional[int] = None) -> None:
-        self._events = (deque(maxlen=maxlen) if maxlen is not None
-                        else [])
-        self.maxlen = maxlen
+    def __init__(self) -> None:
+        self._events: List[Event] = []
         self._seq = 0
         self._subscribers: List[Callable[[Event], None]] = []
         # Hot-path callers (the per-crossing JNI emits) guard on this flag
@@ -82,11 +74,6 @@ class EventLog:
         except ValueError:
             pass
 
-    @property
-    def dropped(self) -> int:
-        """Events evicted by the ring bound (0 when unbounded)."""
-        return self._seq - len(self._events)
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -94,8 +81,6 @@ class EventLog:
         return iter(self._events)
 
     def __getitem__(self, index: int) -> Event:
-        if isinstance(self._events, deque):
-            return list(self._events)[index]
         return self._events[index]
 
     def clear(self) -> None:

@@ -8,14 +8,15 @@ traced; system libraries are covered by the modelled handlers instead
 
 To "speed up the identification of the instruction type and the search of
 the handler, NDroid caches hot instructions and the corresponding
-handlers": the handler chosen for a (pc, thumb-bit) pair is memoised, so a
-loop body resolves its handlers once.
+handlers": a translation block carries its instructions' handlers, so a
+loop body resolves them once, when the block is translated.
 
 The tracer exposes the same propagation rules two ways:
 
 * the **single-step callback** (:meth:`__call__`): the emulator invokes it
-  before every instruction — the differential oracle, and the only path
-  compatible with the fault injector;
+  before every instruction and it selects the handler afresh each time —
+  the differential oracle, and the only path compatible with the fault
+  injector;
 * the **translation-time factory** (:meth:`compile_taint_op`): NDroid's
   real design point — "NDroid inserts its analysis at translation time"
   inside QEMU's TCG loop.  At block-translation time the emulator asks
@@ -115,15 +116,11 @@ class InstructionTracer:
     compiles_to_tb = True
 
     def __init__(self, taint_engine: TaintEngine,
-                 is_third_party: Callable[[int], bool],
-                 handler_cache: bool = True) -> None:
+                 is_third_party: Callable[[int], bool]) -> None:
         self.taint = taint_engine
         self._is_third_party = is_third_party
         self._region_cache: Dict[int, bool] = {}
-        self._handler_cache: Dict[Tuple[int, bool], Handler] = {}
-        self._use_handler_cache = handler_cache
         self.traced_instructions = 0
-        self.cache_hits = 0
         # NDroid installs this so a faulting propagation handler degrades
         # the run (conservative over-taint) instead of killing it.
         self.fault_handler: Optional[TracerFaultHandler] = None
@@ -179,20 +176,11 @@ class InstructionTracer:
         if not self.in_scope(emu.cpu.pc):
             return
         self.traced_instructions += 1
-        if self._use_handler_cache:
-            key = (emu.cpu.pc, emu.cpu.thumb)
-            handler = self._handler_cache.get(key)
-            if handler is None:
-                handler = self._select_handler(ir)
-                self._handler_cache[key] = handler
-            else:
-                self.cache_hits += 1
-        else:
-            handler = self._select_handler(ir)
+        handler = self._select_handler(ir)
         if not self.taint.maybe_tainted:
             # No label anywhere in the engine yet: every Table-V rule
             # degenerates to clear := clear, so skip the handler (the
-            # resolution/cache accounting above still reflects coverage).
+            # accounting above still reflects coverage).
             return
         if self.fault_handler is None:
             handler(ir, emu)

@@ -245,35 +245,21 @@ class Emulator:
 
     # -- instrumentation bookkeeping ------------------------------------------
 
-    def instrumentation_free(self) -> bool:
-        """True when no hook/listener/injector could observe a call.
-
-        The JNI trampoline fast path bypasses the guest-memory marshalling
-        protocol, which is exactly what entry/exit hooks and the
-        per-instruction engines inspect — so it may only be taken when
-        nothing is attached.  A detector that hooks the bridge itself
-        can still skip the protocol with a plan (:meth:`hooked_only_by`).
-        """
-        return (not self._entry_hooks and not self._exit_hooks
-                and not self._branch_listeners
-                and self._fault_injector is None
-                and not self._per_step_instrumentation)
-
-    def hooked_only_by(self, address: int, entry_hook: Hook,
-                       exit_hook: Hook) -> bool:
-        """True when the two hooks are all that could observe a call of
-        the host function at ``address``.
+    def hooked_only_by(self, address: int, *hooks: Hook) -> bool:
+        """True when ``hooks`` — an (entry, exit) pair, or none — are all
+        that could observe a call of the host function at ``address``.
 
         The TB engine must be on, with no fault injector and no per-step
-        engine, and the address's only hooks must be ``entry_hook`` and
-        ``exit_hook``.  A caller that holds those hooks' semantics
-        host-side (the JNI layer's crossing plan) may then run them
-        itself instead of calling into the guest.
+        engine, and the address's hooks must be exactly ``hooks``.  A
+        caller that holds those hooks' semantics host-side (the JNI
+        layer's crossing plan) may then run them itself instead of
+        calling into the guest.
         """
+        expected = [[hook] for hook in hooks] if hooks else [[], []]
         return (self.use_tb and self._fault_injector is None
                 and not self._per_step_instrumentation
-                and self._entry_hooks.get(address) == [entry_hook]
-                and self._exit_hooks.get(address) == [exit_hook])
+                and [self._entry_hooks.get(address, []),
+                     self._exit_hooks.get(address, [])] == expected)
 
     def _refresh_instrumentation(self) -> None:
         compilers = [tracer for tracer in self._tracers

@@ -142,20 +142,12 @@ class FarmReport:
         return payload
 
 
-# Histogram-summary suffixes and how each merges across workers.
-_HIST_MIN = ".min"
-_HIST_MAX = ".max"
-_MEAN_SUFFIXES = (".mean", ".p50", ".p95", ".p99")
-
-
 class _MetricsFold:
     """Incremental type-aware metric merge (one result at a time)."""
 
     def __init__(self) -> None:
         self.gauge_names: set = set()
         self.merged: Dict = {}
-        self._weighted: Dict[str, float] = {}   # sum(value * count)
-        self._weights: Dict[str, float] = {}
 
     def declare_gauges(self, names: Iterable[str]) -> None:
         self.gauge_names.update(names)
@@ -173,23 +165,8 @@ class _MetricsFold:
                 continue
             if name in self.gauge_names:
                 merged[name] = max(merged.get(name, value), value)
-            elif name.endswith(_HIST_MIN):
-                merged[name] = min(merged.get(name, value), value)
-            elif name.endswith(_HIST_MAX):
-                merged[name] = max(merged.get(name, value), value)
-            elif name.endswith(_MEAN_SUFFIXES):
-                stem = name.rsplit(".", 1)[0]
-                count = metrics.get(f"{stem}.count", 1) or 1
-                self._weighted[name] = \
-                    self._weighted.get(name, 0.0) + value * count
-                self._weights[name] = self._weights.get(name, 0.0) + count
             else:
                 merged[name] = merged.get(name, 0) + value
-
-    def finish(self) -> Dict:
-        for name, total in self._weighted.items():
-            self.merged[name] = round(total / self._weights[name], 6)
-        return self.merged
 
 
 class MergeFold:
@@ -242,7 +219,7 @@ class MergeFold:
             results=[], workers=workers, wall_seconds=wall_seconds,
             cached_jobs=(self.cached_jobs_seen if cached_jobs is None
                          else cached_jobs),
-            merged_metrics=self._metrics.finish(),
+            merged_metrics=self._metrics.merged,
             outcomes=self.outcomes, tombstones=self.tombstones,
             health=dict(health or {}), job_count=self.jobs,
             completed_count=self.completed, rows_path=self.rows_path)
@@ -258,11 +235,7 @@ def merge_metrics(results: List[Dict]) -> Dict:
     * **gauges** take the max — summing "cached blocks right now"
       across eight workers invents a cache none of them has.  Each
       worker ships its registry's ``gauge_keys()`` in
-      ``metrics_gauges``, so the merge needs no name heuristics;
-    * **histogram summaries** merge component-wise: ``.count``/``.sum``
-      add, ``.min``/``.max`` take min/max, and ``.mean``/percentiles
-      are count-weighted averages (exact for the mean, the standard
-      mergeable approximation for percentiles).
+      ``metrics_gauges``, so the merge needs no name heuristics.
 
     With the whole list in hand, gauge declarations are collected in a
     pre-pass so a gauge name is never mistaken for a counter whatever
@@ -274,7 +247,7 @@ def merge_metrics(results: List[Dict]) -> Dict:
         fold.declare_gauges(result.get("metrics_gauges", ()))
     for result in results:
         fold.add(result)
-    return fold.finish()
+    return fold.merged
 
 
 def merge_spans(trace_dir: str) -> Dict:

@@ -91,8 +91,6 @@ def _boot_platform(spec: JobSpec, ctx):
         observability = platform.observability
         if observability is not None:
             observability.attach_spans(tracer)
-            platform.jni.crossing_histogram = \
-                observability.metrics.histogram("jni.crossing_us")
         else:
             from repro.observability.spans import attach_spans
             attach_spans(platform, tracer)

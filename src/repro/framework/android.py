@@ -440,8 +440,6 @@ class AndroidPlatform:
         jni.trampoline_invalidations = 0
         jni.crossings_fast = 0
         jni.crossings_slow = 0
-        if jni.crossing_histogram is not None:
-            jni.crossing_histogram.clear()
         jni.chars_heap = FreeListAllocator(JNI_CHARS_BASE, JNI_CHARS_SIZE)
         methods_len, classes_len, fields_len = template["jni_tables"]
         del jni._methods[methods_len:]
@@ -509,7 +507,6 @@ class AndroidPlatform:
             ndroid.hook_invocations.clear()
             tracer = ndroid.instruction_tracer
             tracer.traced_instructions = 0
-            tracer.cache_hits = 0
             ndroid.multilevel.reset()
             ndroid.view_reconstructor.reconstructions = 0
             ndroid.syslib_hooks.modelled_calls = 0
@@ -520,7 +517,6 @@ class AndroidPlatform:
             droidscope.taint_engine.reset()
             droidscope.taint_engine.rearm_fast_path()
             droidscope.tracer.traced_instructions = 0
-            droidscope.tracer.cache_hits = 0
             droidscope.dalvik_reconstructions = 0
             droidscope.library_walk_bytes = 0
             droidscope.context_lookups = 0

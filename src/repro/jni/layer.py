@@ -71,22 +71,18 @@ class _Trampoline:
     Everything ``dvmCallJNIMethod`` re-derives on every crossing — the
     shorty-driven iref conversion plan, the static receiver handle, the
     method handle, the return-kind — is resolved once at first call and
-    cached keyed by the :class:`Method`.  ``fast`` is the full
-    marshalling closure used when nothing can observe the guest-memory
-    protocol; the other paths reuse ``prefix``/``arg_refs``/``handle`` so
-    even instrumented crossings skip the per-call recomputation.
+    cached keyed by the :class:`Method`, so both crossing paths skip the
+    per-call recomputation.
     """
 
-    __slots__ = ("handle", "prefix", "arg_refs", "returns_ref", "fast")
+    __slots__ = ("handle", "prefix", "arg_refs", "returns_ref")
 
     def __init__(self, handle: int, prefix: Tuple[int, ...],
-                 arg_refs: Tuple[bool, ...], returns_ref: bool,
-                 fast) -> None:
+                 arg_refs: Tuple[bool, ...], returns_ref: bool) -> None:
         self.handle = handle
         self.prefix = prefix
         self.arg_refs = arg_refs
         self.returns_ref = returns_ref
-        self.fast = fast
 
 
 class JniLayer:
@@ -108,21 +104,18 @@ class JniLayer:
         # The args pointer of the JNI invocation in flight (dvmCallJNIMethod).
         self.current_native_call: Optional[Dict] = None
         # Per-method compiled call plans; invalidated on RegisterNatives /
-        # UnregisterNatives rebinding (the closures also re-read
+        # UnregisterNatives rebinding (a crossing also re-reads
         # ``native_address`` per call, so a stale entry is never wrong).
         self._trampolines: Dict[Method, _Trampoline] = {}
         # Cache introspection + crossing-path counters (observability).
         self.trampoline_hits = 0
         self.trampoline_misses = 0
         self.trampoline_invalidations = 0
-        # Host-side crossings (the fast closure or a detector's plan)
-        # versus guest-protocol ones.
+        # Host-side crossings versus guest-protocol ones.
         self.crossings_fast = 0
         self.crossings_slow = 0
-        # Optional span tracer and µs-per-crossing histogram; both stay
-        # None/absent unless a farm job attaches them.
+        # Optional span tracer; stays None unless a traced run attaches it.
         self.span_tracer = None
-        self.crossing_histogram = None
         # Set by a detector that hooks dvmCallJNIMethod (NDroid's
         # DvmHookEngine.install); see _call_bridge.
         self.crossing_plan: Optional[CrossingPlan] = None
@@ -249,40 +242,8 @@ class JniLayer:
                       self.class_handle(method.class_name))
         else:
             prefix = (self.env_pointer(),)
-        irt = self.vm.irt
-        add_local = irt.add_local
-        remove = irt.remove
-        decode = irt.decode
-        emu_call = self.emu.call
-
-        def fast(args: List[Slot]) -> Slot:
-            # TaintDroid's JNI policy, computed host-side: the return value
-            # is tainted if any parameter is tainted.
-            taint = TAINT_CLEAR
-            local_refs: List[int] = []
-            jni_args = list(prefix)
-            append = jni_args.append
-            for slot, is_ref in zip(args, arg_refs):
-                taint |= slot.taint
-                if is_ref:
-                    iref = add_local(slot.value)
-                    if iref:
-                        local_refs.append(iref)
-                    append(iref)
-                else:
-                    append(slot.value)
-            return_value = emu_call(method.native_address, tuple(jni_args))
-            if returns_ref:
-                return_value = decode(return_value)
-            for iref in local_refs:
-                try:
-                    remove(iref)
-                except JNIError:
-                    pass  # native code may have deleted it already
-            return Slot(return_value & 0xFFFF_FFFF, taint, returns_ref)
-
         trampoline = _Trampoline(self.method_handle(method), prefix,
-                                 arg_refs, returns_ref, fast)
+                                 arg_refs, returns_ref)
         self._trampolines[method] = trampoline
         return trampoline
 
@@ -293,21 +254,20 @@ class JniLayer:
         TaintDroid's interpreter stores parameters *and their taints* in the
         outs area, plus an appended return-taint slot, then transfers to the
         JNI call bridge (``dvmCallJNIMethod``).  What may observe that
-        protocol picks one of three paths:
+        protocol picks one of two paths:
 
-        * nothing (no hooks, no per-step engine, event log off, TB engine
-          on): the trampoline's fast closure performs the marshalling
-          host-side and skips the guest-memory round trip entirely;
-        * only the detector whose hooks on the bridge are
-          ``crossing_plan.hooks`` (NDroid): the plan runs those hooks'
-          two halves host-side around the same marshalling, with the
-          same event-log entries, and skips the round trip too;
+        * on the TB engine, with no fault injector and no hook on the
+          bridge but a detector's ``crossing_plan.hooks`` (NDroid's) or
+          none at all: the host-side crossing, which runs the bridge's
+          body directly — wrapped in the plan's entry and exit halves
+          when a plan is installed — with the same event-log entries,
+          and skips the guest-memory round trip;
         * anything else (a foreign hook on the bridge, the single-step
           engine, a fault injector): the byte-faithful guest protocol,
-          the oracle for the other two.
+          the oracle for the host-side path.
 
         The native code itself executes instruction-for-instruction
-        identically on every path.
+        identically on both paths.
         """
         if method.native_address == 0:
             raise DalvikError(
@@ -318,20 +278,14 @@ class JniLayer:
             trampoline = self._compile_trampoline(method)
         else:
             self.trampoline_hits += 1
-        emu = self.emu
         plan = self.crossing_plan
         tracer = self.span_tracer
         start = tracer.now() if tracer is not None else 0.0
-        if emu.use_tb and not vm.event_log.enabled \
-                and emu.instrumentation_free():
+        if self.emu.hooked_only_by(self.symbols["dvmCallJNIMethod"],
+                                   *(plan.hooks if plan else ())):
             path = "fast"
             self.crossings_fast += 1
-            result = trampoline.fast(args)
-        elif plan is not None and emu.hooked_only_by(
-                self.symbols["dvmCallJNIMethod"], *plan.hooks):
-            path = "plan"
-            self.crossings_fast += 1
-            result = self._plan_crossing(plan, method, trampoline, args)
+            result = self._host_crossing(plan, method, trampoline, args)
         else:
             path = "slow"
             self.crossings_slow += 1
@@ -339,8 +293,6 @@ class JniLayer:
         if tracer is not None:
             tracer.complete("jni_crossing", start, cat="engine",
                             method=method.full_name, path=path)
-            if self.crossing_histogram is not None:
-                self.crossing_histogram.record(tracer.now() - start)
         if self.pending_exception is not None:
             address, exc_taint, class_name = self.pending_exception
             self.pending_exception = None
@@ -361,11 +313,11 @@ class JniLayer:
             DvmStack.native_return_taint_address(args_ptr, len(values)))
         return Slot(value, taint, is_ref=trampoline.returns_ref)
 
-    def _plan_crossing(self, plan: CrossingPlan, method: Method,
+    def _host_crossing(self, plan: Optional[CrossingPlan], method: Method,
                        trampoline: _Trampoline, args: List[Slot]) -> Slot:
         """The guest protocol's effects with the guest round trip skipped.
 
-        The plan's halves run where the bridge's entry and exit hooks
+        A plan's halves run where the bridge's entry and exit hooks
         would fire, and ``args_ptr`` is where the outs block would have
         been written, so hooks and event log see what the protocol
         shows them.
@@ -373,11 +325,13 @@ class JniLayer:
         taints = [slot.taint for slot in args]
         args_ptr = self.vm.stack.native_args_pointer(len(args))
         cell = [TAINT_CLEAR]
-        plan.entry(self.emu, method, taints, args_ptr, cell)
+        if plan is not None:
+            plan.entry(self.emu, method, taints, args_ptr, cell)
         value, cell[0] = self._invoke_native(
             method, trampoline, args_ptr,
             [slot.value for slot in args], taints)
-        plan.exit(self.emu)
+        if plan is not None:
+            plan.exit(self.emu)
         return Slot(value, cell[0], is_ref=trampoline.returns_ref)
 
     def _impl_dvmCallJNIMethod(self, ctx: HostContext):
@@ -429,7 +383,7 @@ class JniLayer:
 
         self.current_native_call = {
             "method": method, "args_ptr": args_ptr, "count": len(values),
-            "taints": list(taints), "jni_args": list(jni_args),
+            "taints": taints, "jni_args": jni_args,
         }
         log = self.vm.event_log
         if log.enabled:

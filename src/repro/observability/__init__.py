@@ -1,7 +1,7 @@
 """Unified observability layer: ledger, metrics, profiler.
 
-One facade object per platform gathers the three observability
-facilities the paper's evaluation needs:
+One facade object per platform gathers the observability facilities
+the paper's evaluation needs:
 
 * a :class:`ProvenanceLedger` recording every taint-propagation step so a
   leak's complete source->sink path can be reconstructed (case studies,
@@ -10,7 +10,11 @@ facilities the paper's evaluation needs:
   the emulator/kernel/DVM/core statistics already kept by the engines
   (Tables IV/V overhead breakdowns);
 * a TB-boundary :class:`SamplingProfiler` attributing instruction counts
-  to guest functions.
+  to guest functions;
+* an optional :class:`SpanTracer` timing engine work as spans — each JNI
+  crossing is one ``jni_crossing`` span carrying its duration and its
+  path (host-side ``fast`` or guest-protocol ``slow``), the only
+  per-crossing timer.
 
 Everything is zero-cost when disabled: the engines hold a ``ledger``
 attribute that stays ``None`` (one attribute read behind an existing
@@ -31,7 +35,6 @@ from repro.observability.ledger import (  # noqa: F401
 from repro.observability.metrics import (  # noqa: F401
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     diff_snapshots,
     load_snapshot,

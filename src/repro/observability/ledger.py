@@ -20,7 +20,7 @@ Locations are structural, not textual, so edges chain by *overlap*:
 
 The ledger is bounded (a ring): tracing a long run keeps the most recent
 ``maxlen`` edges and counts the drops, so observability can never grow
-without bound (the same discipline as :class:`EventLog`'s ``maxlen``).
+without bound.
 """
 
 from __future__ import annotations

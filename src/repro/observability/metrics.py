@@ -1,4 +1,4 @@
-"""The metrics registry: counters/gauges/histograms + pull sources.
+"""The metrics registry: counters/gauges + pull sources.
 
 Two registration styles, chosen for cost:
 
@@ -7,9 +7,9 @@ Two registration styles, chosen for cost:
   that already keep counters (the emulator's ``instruction_count``, the
   kernel's syscall tally, NDroid's ``statistics()``) are observable at
   literally zero runtime cost;
-* **push instruments** — :class:`Counter`/:class:`Gauge`/
-  :class:`Histogram` for event-driven values with no existing home
-  (supervisor retries, watchdog firings, bench results).
+* **push instruments** — :class:`Counter`/:class:`Gauge` for
+  event-driven values with no existing home (supervisor retries,
+  watchdog firings, bench results).
 
 ``snapshot()`` flattens everything into ``prefix.name -> number``, the
 form the ``repro report`` overhead tables consume; ``diff_snapshots``
@@ -19,7 +19,6 @@ produces the Table IV/V-style two-run comparison rows.
 from __future__ import annotations
 
 import json
-import math
 from typing import Callable, Dict, IO, List, Optional, Tuple, Union
 
 Number = Union[int, float]
@@ -52,68 +51,12 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Summary statistics plus percentiles over recorded observations.
-
-    Percentiles come from a bounded reservoir of retained samples
-    (``SAMPLE_CAP``): the first ``SAMPLE_CAP`` observations are kept
-    verbatim, after which each new one deterministically overwrites a
-    slot keyed by the running count (Knuth multiplicative hash) — no
-    RNG, so two identical runs summarise identically.
-    """
-
-    SAMPLE_CAP = 512
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum", "_samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total: Number = 0
-        self.minimum: Optional[Number] = None
-        self.maximum: Optional[Number] = None
-        self._samples: List[Number] = []
-
-    def record(self, value: Number) -> None:
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        if len(self._samples) < self.SAMPLE_CAP:
-            self._samples.append(value)
-        else:
-            self._samples[(self.count * 2654435761) % self.SAMPLE_CAP] = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> Number:
-        """Nearest-rank percentile over the retained samples."""
-        if not self._samples:
-            return 0
-        ordered = sorted(self._samples)
-        rank = math.ceil(q / 100.0 * len(ordered)) - 1
-        return ordered[max(0, min(len(ordered) - 1, rank))]
-
-    def summary(self) -> Dict[str, Number]:
-        return {"count": self.count, "sum": self.total,
-                "min": self.minimum or 0, "max": self.maximum or 0,
-                "mean": round(self.mean, 6),
-                "p50": self.percentile(50),
-                "p95": self.percentile(95),
-                "p99": self.percentile(99)}
-
-
 class MetricsRegistry:
     """Named instruments plus pull sources, flattened by ``snapshot()``."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._sources: List[Tuple[str, Source]] = []
         self._source_gauges: Dict[str, Tuple[str, ...]] = {}
 
@@ -129,12 +72,6 @@ class MetricsRegistry:
         instrument = self._gauges.get(name)
         if instrument is None:
             instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(name)
         return instrument
 
     # -- pull sources ------------------------------------------------------
@@ -180,9 +117,6 @@ class MetricsRegistry:
             data[name] = counter.value
         for name, gauge in self._gauges.items():
             data[name] = gauge.value
-        for name, histogram in self._histograms.items():
-            for stat, value in histogram.summary().items():
-                data[f"{name}.{stat}"] = value
         return data
 
     def write_json(self, target: Union[str, IO[str]]) -> Dict[str, Number]:

@@ -63,18 +63,6 @@ def test_clear():
     assert len(log) == 0
 
 
-def test_maxlen_ring_buffer_drops_oldest():
-    log = EventLog(maxlen=3)
-    for i in range(5):
-        log.emit("a", "tick", str(i))
-    assert len(log) == 3
-    assert log.dropped == 2
-    assert [event.detail for event in log] == ["2", "3", "4"]
-    # Sequence numbers keep counting across drops.
-    assert log[0].seq == 2
-    assert log[-1].seq == 4
-
-
 def test_unsubscribe_stops_delivery():
     log = EventLog()
     seen = []
@@ -87,11 +75,10 @@ def test_unsubscribe_stops_delivery():
     log.unsubscribe(seen.append)
 
 
-def test_clear_resets_sequence_and_drop_count():
-    log = EventLog(maxlen=2)
+def test_clear_resets_sequence():
+    log = EventLog()
     for __ in range(4):
         log.emit("a", "tick")
     log.clear()
     assert len(log) == 0
-    assert log.dropped == 0
     assert log.emit("a", "tick").seq == 0

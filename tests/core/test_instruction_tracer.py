@@ -19,8 +19,19 @@ DATA = 0x0003_0000
 STACK_TOP = 0x0800_0000
 
 
-def run_traced(source, seed=None, third_party=True, handler_cache=True,
-               use_tb=True):
+def log_selections(tracer, selections):
+    """Append to ``selections`` on every handler selection: each
+    translation-time ``compile_taint_op`` and each single-step
+    ``_select_handler``."""
+    for name in ("compile_taint_op", "_select_handler"):
+        def logged(*args, select=getattr(tracer, name)):
+            selections.append(args[0])
+            return select(*args)
+        setattr(tracer, name, logged)
+
+
+def run_traced(source, seed=None, third_party=True, use_tb=True,
+               selections=None):
     emu = Emulator(use_tb=use_tb)
     program = assemble("main:\n" + source + "\n bx lr", base=CODE_BASE)
     emu.load(CODE_BASE, program.code)
@@ -28,8 +39,9 @@ def run_traced(source, seed=None, third_party=True, handler_cache=True,
                        third_party=third_party)
     emu.cpu.sp = STACK_TOP
     engine = TaintEngine()
-    tracer = InstructionTracer(engine, emu.memory_map.is_third_party,
-                               handler_cache=handler_cache)
+    tracer = InstructionTracer(engine, emu.memory_map.is_third_party)
+    if selections is not None:
+        log_selections(tracer, selections)
     emu.add_tracer(tracer)
     if seed:
         seed(emu, engine)
@@ -186,28 +198,33 @@ class TestScopingAndCache:
         assert engine.get_register(0) == 0
 
     def test_handler_cache_hits_on_loops(self):
-        # The per-(pc, thumb) handler cache belongs to the single-step
-        # path; the TB engine pre-selects handlers at translation time.
+        # Section V.C's hot-handler cache is the translation block: it
+        # carries its handlers, so loop iterations after the first select
+        # none.
         source = """
             mov r1, #20
         loop:
             subs r1, r1, #1
             bne loop
         """
-        __, tracer, __ = run_traced(source, use_tb=False)
-        assert tracer.cache_hits > 30
+        selections = []
+        __, tracer, __ = run_traced(source, selections=selections)
+        assert tracer.traced_instructions - len(selections) > 30
 
     def test_cache_disabled_never_hits(self):
+        # The single-step engine re-selects every traced instruction's
+        # handler.
         source = """
             mov r1, #5
         loop:
             subs r1, r1, #1
             bne loop
         """
-        __, tracer, __ = run_traced(source, handler_cache=False,
-                                    use_tb=False)
-        assert tracer.cache_hits == 0
+        selections = []
+        __, tracer, __ = run_traced(source, use_tb=False,
+                                    selections=selections)
         assert tracer.traced_instructions > 0
+        assert len(selections) == tracer.traced_instructions
 
     def test_region_cache_invalidation(self):
         engine = TaintEngine()
@@ -252,6 +269,7 @@ class TestCleanFastPath:
         assert engine.propagation_count > 0
 
     def test_handler_cache_still_counts_hits_when_clean(self):
+        selections = []
         engine, tracer, emu = run_traced("""
     mov r0, #0
     mov r1, #0
@@ -263,9 +281,10 @@ loop:
     b loop
 out:
     mov r2, r0
-        """, use_tb=False)
+        """, selections=selections)
         assert engine.propagation_count == 0
-        assert tracer.cache_hits > tracer.traced_instructions * 0.5
+        traced = tracer.traced_instructions
+        assert traced - len(selections) > traced * 0.5
 
     def test_tainted_then_clean_run_regains_fast_path(self):
         # Farm workers reuse one engine across jobs: a tainted first run

@@ -1,38 +1,42 @@
-"""Differential tests: NDroid's host-side crossing plan vs the guest protocol.
+"""Differential tests: the host-side JNI crossing vs the guest protocol.
 
-Under NDroid alone, ``JniLayer._call_bridge`` runs the
-``dvmCallJNIMethod`` entry and exit hooks' two halves host-side around
-the native call (the plan path) instead of writing the outs block and
-calling the bridge in the guest.  The oracle is the byte-faithful guest
-protocol, reached here the way any other observer reaches it: a no-op
-hook on the bridge.  Hypothesis drives both with the same crossings:
+With nothing but a detector's crossing plan (or nothing at all) on the
+bridge, ``JniLayer._call_bridge`` crosses host-side: it runs the
+native call directly — under NDroid wrapped in the ``dvmCallJNIMethod``
+entry and exit hooks' two halves (the plan) — instead of writing the
+outs block and calling the bridge in the guest.  The oracle is the
+byte-faithful guest protocol, reached here the way any other observer
+reaches it: a no-op hook on the bridge.  Hypothesis drives both with
+the same crossings, under NDroid and under the vanilla and TaintDroid
+platforms, which install no plan:
 
 * shorties of arity 0-8 over ``I``/``L`` (stack arguments from the fifth
   JNI argument on), static and instance methods, random taints;
 * native bodies that sum a chosen subset of the arguments, or return a
   chosen object argument (so the return carries an iref taint);
 * adversarial cases: ``RegisterNatives`` rebinding the method after the
-  plan compiled, a body that ``ThrowNew``s, and a quarantined or
-  faulting ``dvmCallJNIMethod.entry``.
+  trampoline compiled, a body that ``ThrowNew``s, and (NDroid) a
+  quarantined or faulting ``dvmCallJNIMethod.entry``.
 
 Compared after every run: each crossing's return ``Slot`` (or pending
 exception), the taint map, the iref shadow, shadow registers, the
 conservative label, ledger edges, ``tainted_deliveries``, the hook
 engine's stats, ``hook_invocations``, quarantined hooks, NDroid's
-statistics, the event log, the JNI chars heap, r0, r4-r12 and sp,
-instruction counts and guest memory.
+statistics (the NDroid-only items are absent on the other platforms),
+the event log, the JNI chars heap, r0, r4-r12 and sp, instruction
+counts and guest memory.
 
 Excluded, because only the protocol produces them:
 
 * the dead outs block below the DVM stack pointer, and the thread's
-  ``pResult`` word, which the plan never writes;
+  ``pResult`` word, which the host-side crossing never writes;
 * ``core.multilevel_checks``: the protocol's bridge call and return are
   two more branch events;
 * the path counters (``crossings_fast``/``crossings_slow``, the
   emulator's host-call count);
 * lr, pc and the dead native stack below sp: the native method runs one
-  call level shallower on the plan path, so it sees a different return
-  sentinel;
+  call level shallower on the host-side path, so it sees a different
+  return sentinel;
 * r1-r3 past the method's JNI arguments, which still hold the
   protocol's ``dvmCallJNIMethod`` arguments.
 """
@@ -139,10 +143,8 @@ def rebind(platform, program):
     assert status == 0
 
 
-def run_case(case, oracle):
-    platform = make_platform("ndroid", trace=True)
-    ndroid = platform.ndroid
-    dvm = ndroid.dvm_hooks
+def run_case(case, oracle, config="ndroid"):
+    platform = make_platform(config, trace=True)
     emu, vm, jni = platform.emu, platform.vm, platform.jni
     if oracle:
         emu.add_entry_hook(jni.symbols["dvmCallJNIMethod"],
@@ -152,8 +154,9 @@ def run_case(case, oracle):
     program = platform.load_library(LIBRARY)
     method = vm.resolve_method(f"{CLASS}->m")
     if case["entry"] == "quarantined":
-        ndroid.quarantined_hooks.add("dvmCallJNIMethod.entry")
+        platform.ndroid.quarantined_hooks.add("dvmCallJNIMethod.entry")
     elif case["entry"] == "faulting":
+        dvm = platform.ndroid.dvm_hooks
         put = dvm.source_policies.put
         calls = []
 
@@ -214,26 +217,12 @@ def masked_memory(platform):
 
 
 def observe(platform, outcomes):
-    ndroid = platform.ndroid
-    engine = ndroid.taint_engine
-    dvm = ndroid.dvm_hooks
-    statistics = ndroid.statistics()
-    del statistics["multilevel_checks"]
     heap = platform.jni.chars_heap
-    return {
+    observed = {
         "outcomes": outcomes,
-        "memory_taints": engine.memory_snapshot(),
-        "iref_taints": dict(engine._iref_taints),
-        "shadow_registers": list(engine.shadow_registers),
-        "conservative_label": engine.conservative_label,
         "ledger": [(edge.tag, edge.mechanism, edge.src.describe(),
                     edge.dst.describe(), edge.location)
                    for edge in platform.observability.ledger],
-        "tainted_deliveries": list(dvm.tainted_deliveries),
-        "dvm_stats": dict(dvm.stats),
-        "hook_invocations": dict(ndroid.hook_invocations),
-        "quarantined_hooks": sorted(ndroid.quarantined_hooks),
-        "statistics": statistics,
         "events": [(event.source, event.kind, event.detail, event.data)
                    for event in platform.event_log],
         "chars_heap": ([(block.start, block.size) for block in heap._free],
@@ -243,10 +232,29 @@ def observe(platform, outcomes):
         "instructions": platform.emu.instruction_count,
         "memory": masked_memory(platform),
     }
+    ndroid = platform.ndroid
+    if ndroid is None:
+        return observed
+    engine = ndroid.taint_engine
+    dvm = ndroid.dvm_hooks
+    statistics = ndroid.statistics()
+    del statistics["multilevel_checks"]
+    observed.update({
+        "memory_taints": engine.memory_snapshot(),
+        "iref_taints": dict(engine._iref_taints),
+        "shadow_registers": list(engine.shadow_registers),
+        "conservative_label": engine.conservative_label,
+        "tainted_deliveries": list(dvm.tainted_deliveries),
+        "dvm_stats": dict(dvm.stats),
+        "hook_invocations": dict(ndroid.hook_invocations),
+        "quarantined_hooks": sorted(ndroid.quarantined_hooks),
+        "statistics": statistics,
+    })
+    return observed
 
 
 @st.composite
-def cases(draw):
+def cases(draw, entries=("hooked", "quarantined", "faulting")):
     static = draw(st.booleans())
     params = draw(st.lists(st.sampled_from("IL"), max_size=8))
     positions = jni_positions(static, params)
@@ -274,8 +282,7 @@ def cases(draw):
         "calls": calls,
         "rebind_after": draw(st.sampled_from(
             [None] + list(range(len(calls) - 1)))),
-        "entry": draw(st.sampled_from(["hooked", "quarantined",
-                                       "faulting"])),
+        "entry": draw(st.sampled_from(entries)),
     }
 
 
@@ -322,6 +329,41 @@ def test_plan_matches_guest_protocol(case):
     assert run_case(case, oracle=False) == run_case(case, oracle=True)
 
 
+# The platforms that install no crossing plan: their host-side crossing
+# is the bridge's body alone.
+@pytest.mark.parametrize("config", ["vanilla", "taintdroid"])
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(case=cases(entries=("hooked",)))
+@example(case=EIGHT)
+@example(case={  # an object return, rebound after the first crossing
+    "static": False, "params": list("IIIL"), "ret": "L",
+    "body": ("ref", 5), "rebody": ("ref", 1), "throw": False,
+    "calls": [call(TAINT_SMS, [1, 2, 3, 4], [0, 0, 0, TAINT_IMEI]),
+              call(0, [5, 6, 7, 8], [TAINT_CONTACTS, 0, 0, 0])],
+    "rebind_after": 0, "entry": "hooked",
+})
+@example(case={  # a tainted crossing that ThrowNews
+    "static": False, "params": list("L"), "ret": "L",
+    "body": ("ref", 2), "rebody": ("ref", 1), "throw": True,
+    "calls": [call(TAINT_IMEI, [3], [TAINT_SMS])] * 2,
+    "rebind_after": None, "entry": "hooked",
+})
+def test_host_side_matches_guest_protocol_without_plan(config, case):
+    host = run_case(case, oracle=False, config=config)
+    assert host == run_case(case, oracle=True, config=config)
+    # The host-side crossing emits the bridge's event too, and returns
+    # TaintDroid's policy label: the union of the parameters' taints.
+    assert [kind for __, kind, *_ in host["events"]].count(
+        "dvmCallJNIMethod") == len(case["calls"])
+    arity = len(case["params"])
+    for outcome, taints in zip(host["outcomes"], case["calls"]):
+        if outcome[0] == "ok":
+            label = TAINT_CLEAR if case["static"] else taints[0]
+            for taint in taints[1 + arity:]:
+                label |= taint
+            assert outcome[2] == label
+
+
 def test_plan_is_ndroids_default_path():
     """NDroid alone crosses host-side; a foreign hook gets the protocol."""
     case = dict(EIGHT)
@@ -348,9 +390,9 @@ def test_degraded_entry_still_conservative(entry):
         assert observed["conservative_label"] == TAINT_IMEI
 
 
-def analyze_app(kind, target, seed, oracle):
-    """Ledger edges, leak rows and deliveries of one app under NDroid."""
-    platform = make_platform("ndroid", trace=True)
+def analyze_app(kind, target, seed, oracle, config="ndroid"):
+    """Ledger edges, leak rows and deliveries of one app."""
+    platform = make_platform(config, trace=True)
     if oracle:
         platform.emu.add_entry_hook(
             platform.jni.symbols["dvmCallJNIMethod"], lambda emu: None)
@@ -371,7 +413,10 @@ def analyze_app(kind, target, seed, oracle):
                    record.destination, record.payload.hex(),
                    record.context) for record in platform.leaks.records],
         "tainted_deliveries": list(
-            platform.ndroid.dvm_hooks.tainted_deliveries),
+            platform.ndroid.dvm_hooks.tainted_deliveries)
+        if platform.ndroid else None,
+        "events": [(event.source, event.kind, event.detail, event.data)
+                   for event in platform.event_log],
         "crossings": crossings,
     }
 
@@ -385,3 +430,15 @@ def test_apps_match_guest_protocol(kind, target, seed):
     """The 11 scenarios and the market apps: same edges and leak rows."""
     assert analyze_app(kind, target, seed, oracle=False) == \
         analyze_app(kind, target, seed, oracle=True)
+
+
+@pytest.mark.parametrize("config", ["vanilla", "taintdroid"])
+@pytest.mark.parametrize("kind,target", [
+    *[("scenario", name) for name in ALL_SCENARIOS],
+    *[("market", package) for package in MARKET_APPS],
+])
+def test_apps_match_guest_protocol_without_plan(config, kind, target):
+    """The same apps with no plan installed: the same leak rows and the
+    same event log, bridge events included."""
+    assert analyze_app(kind, target, 0, oracle=False, config=config) == \
+        analyze_app(kind, target, 0, oracle=True, config=config)

@@ -1,14 +1,13 @@
-"""Per-method JNI trampolines: fast-path parity and cache invalidation.
+"""Per-method JNI trampolines: host-side parity and cache invalidation.
 
 ``dvmCallJNIMethod``'s argument marshalling is compiled once per
-:class:`Method` into a ``_Trampoline``.  When nothing can observe the
-guest-memory protocol (no hooks, event log off, TB engine on) the
-trampoline's ``fast`` closure performs the marshalling host-side; these
-tests pin down that the two paths are indistinguishable from Java and
-that the cache is invalidated when bindings change.  A hook on the
-bridge that is not NDroid's own plan pair always gets the guest
-protocol; NDroid's plan path has its own differential test
-(``test_crossing_plan_differential.py``).
+:class:`Method` into a ``_Trampoline``.  When nothing hooks the bridge
+(TB engine on, no fault injector) the crossing runs host-side; these
+tests pin down that, seen from Java, it is indistinguishable from the
+guest protocol — reached with a no-op foreign hook on the bridge — and
+that the cache is invalidated when bindings change.  The event log does not
+pick the path.  NDroid's plan and the platforms' generated crossings
+have their own differential test (``test_crossing_plan_differential.py``).
 """
 
 import pytest
@@ -72,54 +71,69 @@ def platform():
     return p
 
 
+def force_guest_protocol(platform, hits=None):
+    """A foreign no-op hook on the bridge: every crossing after this takes
+    the guest ``dvmCallJNIMethod`` protocol (the oracle)."""
+    platform.emu.add_entry_hook(
+        platform.jni.symbols["dvmCallJNIMethod"],
+        lambda emu: hits.append(1) if hits is not None else None)
+
+
+def cross(platform, args):
+    """One crossing's Java-visible result, instruction count and events."""
+    vm, emu = platform.vm, platform.emu
+    before, logged = emu.instruction_count, len(vm.event_log)
+    result = vm.call_main("LTest;->addArgs", list(args))
+    events = [(event.kind, event.data)
+              for event in list(vm.event_log)[logged:]]
+    return (result.value, result.taint, result.is_ref,
+            emu.instruction_count - before, events)
+
+
 class TestFastSlowParity:
     def test_results_and_taints_agree(self, platform):
-        """Same value, taint and instruction stream on both paths."""
-        vm, emu = platform.vm, platform.emu
+        """Same value, taint, instruction stream and bridge event on the
+        host-side path and the guest protocol."""
+        jni = platform.jni
         cases = [
             [Slot(3), Slot(4)],
             [Slot(3, TAINT_IMEI), Slot(4)],
             [Slot(3, TAINT_IMEI), Slot(4, TAINT_SMS)],
         ]
-        slow, fast = [], []
-        vm.event_log.enabled = True      # slow path
-        for args in cases:
-            before = emu.instruction_count
-            result = vm.call_main("LTest;->addArgs", list(args))
-            slow.append((result.value, result.taint, result.is_ref,
-                         emu.instruction_count - before))
-        vm.event_log.enabled = False     # fast path eligible
-        for args in cases:
-            before = emu.instruction_count
-            result = vm.call_main("LTest;->addArgs", list(args))
-            fast.append((result.value, result.taint, result.is_ref,
-                         emu.instruction_count - before))
+        fast = [cross(platform, args) for args in cases]
+        assert (jni.crossings_fast, jni.crossings_slow) == (3, 0)
+        force_guest_protocol(platform)
+        slow = [cross(platform, args) for args in cases]
+        assert (jni.crossings_fast, jni.crossings_slow) == (3, 3)
         assert slow == fast
         assert slow[0][:2] == (7, TAINT_CLEAR)
         assert slow[1][1] == TAINT_IMEI
         assert slow[2][1] == TAINT_IMEI | TAINT_SMS
+        assert [kind for kind, __ in slow[0][4]] == ["dvmCallJNIMethod"]
 
     def test_hooks_force_slow_path(self, platform):
-        """Any instrumentation routes through dvmCallJNIMethod in guest."""
-        vm, emu, jni = platform.vm, platform.emu, platform.jni
-        vm.event_log.enabled = False
+        """A foreign hook on the bridge routes through dvmCallJNIMethod
+        in the guest, with the event log on or off."""
+        vm, jni = platform.vm, platform.jni
         bridge_hits = []
-        # Hooking anything makes instrumentation_free() False; hook the
-        # bridge itself so the slow path is directly observable.
-        emu.add_entry_hook(jni.symbols["dvmCallJNIMethod"],
-                           lambda *a, **k: bridge_hits.append(1))
-        assert not emu.instrumentation_free()
-        result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
-        assert result.value == 42
-        assert bridge_hits, "hooked run must take the guest bridge"
+        force_guest_protocol(platform, bridge_hits)
+        for enabled in (True, False):
+            vm.event_log.enabled = enabled
+            result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
+            assert result.value == 42
+        assert bridge_hits == [1, 1], "hooked run must take the guest bridge"
+        assert (jni.crossings_fast, jni.crossings_slow) == (0, 2)
 
     def test_fast_path_skips_guest_bridge(self, platform):
-        """Without instrumentation the guest bridge never runs."""
+        """Without a hook on the bridge the guest bridge never runs, with
+        the event log on or off."""
         vm, jni = platform.vm, platform.jni
-        vm.event_log.enabled = False
-        result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
-        assert result.value == 42
-        # The fast closure is cached and keyed by the method.
+        for enabled in (True, False):
+            vm.event_log.enabled = enabled
+            result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
+            assert result.value == 42
+        assert (jni.crossings_fast, jni.crossings_slow) == (2, 0)
+        # The call plan is cached and keyed by the method.
         assert platform.method in jni._trampolines
 
 
