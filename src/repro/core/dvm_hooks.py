@@ -64,7 +64,11 @@ class DvmHookEngine:
         self.source_policies = SourcePolicyMap()
         # Provenance ledger (observability); None when not tracing.
         self.ledger = None
+        self._init_job_state()
 
+    # -- warm-worker reset ---------------------------------------------------------
+
+    def _init_job_state(self) -> None:
         # Per-call state stacks (JNI calls nest).
         self._jni_entry_stack: List[Dict] = []
         self._java_call_taints: List[List[TaintLabel]] = []
@@ -75,14 +79,23 @@ class DvmHookEngine:
         self._pending_string_chars: List[Dict] = []
         self._pending_field_get: List[Dict] = []
         self._pending_throw_taint: Optional[TaintLabel] = None
-        self._hooked_native_methods: set = set()
-
+        # Native method address -> its SourcePolicy.apply entry hook.
+        self._native_entry_hooks: Dict[int, Callable] = {}
         self.stats = {"jni_entries": 0, "jni_exits": 0, "creations": 0,
                       "field_accesses": 0, "exceptions": 0}
         # Every native invocation that received tainted parameters — the
         # "delivered sensitive data to native code" observation of the
         # paper's Section VI app study.
         self.tainted_deliveries: List[Dict] = []
+
+    def reset_for_job(self) -> None:
+        """Forget the job's policies, call state and counts, and remove
+        its native-method entry hooks (translations stay): a resident
+        method reached natively must not meet the last job's policy."""
+        for address, hook in self._native_entry_hooks.items():
+            self.emu.remove_entry_hook(address, hook)
+        self.source_policies.reset_for_job()
+        self._init_job_state()
 
     def _trace(self, tag: TaintLabel, mechanism: str, src: Loc, dst: Loc,
                location: str = "") -> None:
@@ -246,11 +259,10 @@ class DvmHookEngine:
             "taints": taints, "cell": cell,
         })
         address = method.native_address & ~1
-        if address not in self._hooked_native_methods:
-            self._hooked_native_methods.add(address)
-            emu.add_entry_hook(address,
-                               self._guard("SourcePolicy.apply",
-                                           self._on_native_method_entry))
+        if address not in self._native_entry_hooks:
+            self._native_entry_hooks[address] = emu.add_entry_hook(
+                address, self._guard("SourcePolicy.apply",
+                                     self._on_native_method_entry))
         if policy.has_taint():
             union = TAINT_CLEAR
             for taint in taints:
@@ -320,9 +332,8 @@ class DvmHookEngine:
                             Loc.java(label), Loc.mem(cpu.sp + 4 * index, 4),
                             location=policy.method_name)
         # Key object parameters' shadow taints by indirect reference.
-        call = self.jni.current_native_call
-        if call is not None:
-            jni_args = call["jni_args"]
+        jni_args = self.jni.native_call_args
+        if jni_args is not None:
             labels = policy.register_taints() + policy.stack_args_taints
             for value, label in zip(jni_args, labels):
                 if label and self.jni.vm.irt.is_indirect(value):

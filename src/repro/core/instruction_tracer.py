@@ -120,7 +120,6 @@ class InstructionTracer:
         self.taint = taint_engine
         self._is_third_party = is_third_party
         self._region_cache: Dict[int, bool] = {}
-        self.traced_instructions = 0
         # NDroid installs this so a faulting propagation handler degrades
         # the run (conservative over-taint) instead of killing it.
         self.fault_handler: Optional[TracerFaultHandler] = None
@@ -131,6 +130,11 @@ class InstructionTracer:
         # region decision, so a region-table change must also flush the
         # translation cache, not just this tracer's page cache.
         self._region_invalidate: Optional[Callable[[], None]] = None
+        self.reset_for_job()
+
+    def reset_for_job(self) -> None:
+        """Zero the count; the region cache stays (regions outlive jobs)."""
+        self.traced_instructions = 0
 
     def _record(self, emu: Emulator, mnemonic: str, sources, dst) -> None:
         """Append one native-propagation edge per tainted source."""

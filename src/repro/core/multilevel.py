@@ -63,8 +63,7 @@ class MultilevelHookManager:
         # fires on every entry — "the overhead will be high if we hook
         # these two functions whenever they are called".
         self.enabled = enabled
-        self.checks = 0
-        self.fires = 0
+        self.reset_for_job()
 
     # -- configuration ----------------------------------------------------------
 
@@ -83,7 +82,7 @@ class MultilevelHookManager:
             self._chains_by_head.setdefault(head_address, []).append(chain)
         return chain
 
-    def reset(self) -> None:
+    def reset_for_job(self) -> None:
         """Forget all chain state and counters (a warm worker's new job)."""
         self._armed.clear()
         for chain in self._chains:

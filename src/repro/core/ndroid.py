@@ -42,12 +42,7 @@ class NDroid:
         self._use_multilevel = use_multilevel
         self.instruction_tracer = InstructionTracer(
             self.taint_engine, self._is_third_party)
-        # Graceful degradation: a faulting hook is quarantined and the
-        # engine over-taints instead of unwinding the whole analysis.
-        self.degraded_events = 0
-        self.quarantined_hooks: Set[str] = set()
-        # Per-hook invocation counts, surfaced as core.hook.<name> metrics.
-        self.hook_invocations: Dict[str, int] = defaultdict(int)
+        self._init_job_state()
         self.instruction_tracer.fault_handler = self._on_tracer_fault
         self.dvm_hooks = DvmHookEngine(platform, self.taint_engine,
                                        self.multilevel,
@@ -57,6 +52,33 @@ class NDroid:
         # Third-party extents at the last refresh_view(); an unchanged set
         # (a warm worker re-hitting a resident library) skips the flush.
         self._third_party_extents: frozenset = frozenset()
+
+    # -- warm workers: checkpoint and reset ------------------------------------
+
+    def _init_job_state(self) -> None:
+        # Graceful degradation: a faulting hook is quarantined and the
+        # engine over-taints instead of unwinding the whole analysis.
+        self.degraded_events = 0
+        self.quarantined_hooks: Set[str] = set()
+        # Per-hook invocation counts, surfaced as core.hook.<name> metrics.
+        self.hook_invocations: Dict[str, int] = defaultdict(int)
+
+    def checkpoint(self) -> None:
+        """Keep the reconstructed view of the booted task list."""
+        self.view_reconstructor.checkpoint(
+            self.platform.kernel.task_signature())
+
+    def reset_for_job(self) -> None:
+        """Reset every engine; the view comes back from the checkpoint
+        unless the (already reset) task list changed."""
+        self.taint_engine.reset_for_job()
+        self.instruction_tracer.reset_for_job()
+        self.multilevel.reset_for_job()
+        self.dvm_hooks.reset_for_job()
+        self.syslib_hooks.reset_for_job()
+        self.view_reconstructor.reset_for_job(
+            self.platform.kernel.task_signature())
+        self._init_job_state()
 
     # -- attachment ------------------------------------------------------------
 
@@ -206,9 +228,6 @@ class NDroid:
         self.instruction_tracer.invalidate_region_cache()
 
     # -- reporting ----------------------------------------------------------------------
-
-    def leaks(self):
-        return self.platform.leaks.by_detector("ndroid")
 
     def tainted_native_deliveries(self):
         """Native invocations that received tainted parameters.

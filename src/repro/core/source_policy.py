@@ -50,6 +50,10 @@ class SourcePolicyMap:
     """``hash map of <addr, SourcePolicy>`` keyed by method address."""
 
     def __init__(self) -> None:
+        self.reset_for_job()
+
+    def reset_for_job(self) -> None:
+        """Forget every policy: each belongs to one job's crossing."""
         self._policies: Dict[int, SourcePolicy] = {}
         self.hits = 0
 
@@ -61,9 +65,6 @@ class SourcePolicyMap:
         if policy is not None:
             self.hits += 1
         return policy
-
-    def pop(self, address: int) -> Optional[SourcePolicy]:
-        return self._policies.pop(address & ~1, None)
 
     def __len__(self) -> int:
         return len(self._policies)

@@ -51,11 +51,14 @@ class SysLibHookEngine:
         # the engine is used standalone in tests.
         self._guard = guard if guard is not None else \
             (lambda name, hook, fallback=None: hook)
+        # Provenance ledger (observability); None when not tracing.
+        self.ledger = None
+        self.reset_for_job()
+
+    def reset_for_job(self) -> None:
         self.modelled_calls = 0
         self.sink_checks = 0
         self._pending_exits: List[Dict] = []
-        # Provenance ledger (observability); None when not tracing.
-        self.ledger = None
 
     def _trace_copy(self, name: str, dest: int, src: int,
                     length: int) -> None:

@@ -68,12 +68,29 @@ class TaintEngine(NativeTaintInterface):
         self.shadow_registers: List[TaintLabel] = [TAINT_CLEAR] * 16
         # Page-chunked taint map: page index -> dense per-byte label list.
         self._memory_chunks: Dict[int, List[TaintLabel]] = {}
+        self._iref_taints: Dict[int, TaintLabel] = {}
+        self.reset_for_job()
+
+    # -- lifecycle (farm worker reuse) ----------------------------------------
+
+    def reset_for_job(self) -> None:
+        """Return the engine to its pristine state between analysis jobs.
+
+        Drops every label — shadow registers, the taint map, the iref
+        store, *and* the conservative degradation label (a new job means
+        a new app: the previous app's quarantine pessimism does not carry
+        over) — zeroes the propagation count and re-arms the clean-run
+        fast path.  The stores are cleared in place: translation-time-
+        compiled taint ops may hold a reference to them.
+        """
+        self.shadow_registers[:] = [TAINT_CLEAR] * 16
+        self._memory_chunks.clear()
+        self._iref_taints.clear()
         # Monotone union of every label ever stored in the map: once an
         # accumulating range query reaches it, no further byte can add a
         # bit, so the scan stops early (stale-high is safe — it only makes
         # the early exit rarer, never wrong).
         self._memory_union: TaintLabel = TAINT_CLEAR
-        self._iref_taints: Dict[int, TaintLabel] = {}
         self.propagation_count = 0
         # Graceful degradation (resilience): when an analysis hook faults
         # and is quarantined, the taints it would have propagated become
@@ -87,33 +104,14 @@ class TaintEngine(NativeTaintInterface):
         # propagation entirely — the single-step tracer skips its handler,
         # and the TB dispatch loop runs each block's *clean* variant with
         # the taint micro-ops elided.  It never flips back on its own;
-        # :meth:`reset` and :meth:`rearm_fast_path` re-arm it between jobs
+        # this method and :meth:`rearm_fast_path` re-arm it between jobs
         # (farm workers reuse engines across analyses).
-        self.maybe_tainted = False
-
-    # -- lifecycle (farm worker reuse) ----------------------------------------
-
-    def reset(self) -> None:
-        """Return the engine to its pristine state between analysis jobs.
-
-        Drops every label — shadow registers, the taint map, the iref
-        store, *and* the conservative degradation label (a new job means
-        a new app: the previous app's quarantine pessimism does not carry
-        over) — and re-arms the clean-run fast path.  The shadow-register
-        list is cleared in place: translation-time-compiled taint ops may
-        hold a reference to it.
-        """
-        self.shadow_registers[:] = [TAINT_CLEAR] * 16
-        self._memory_chunks.clear()
-        self._memory_union = TAINT_CLEAR
-        self._iref_taints.clear()
-        self.conservative_label = TAINT_CLEAR
         self.maybe_tainted = False
 
     def rearm_fast_path(self) -> bool:
         """Re-arm the clean-run fast path if no label is live anywhere.
 
-        Unlike :meth:`reset` this never discards state: it only flips
+        Unlike :meth:`reset_for_job` this never discards state: it only flips
         ``maybe_tainted`` back to ``False`` when every store is verifiably
         clear (including the conservative label — a degraded engine stays
         pessimistic).  Returns ``True`` when the fast path is armed.

@@ -55,12 +55,6 @@ class OSView:
     """The reconstructed whole-system view: every process and its maps."""
     processes: List[ProcessView] = field(default_factory=list)
 
-    def process_by_name(self, comm: str) -> Optional[ProcessView]:
-        for process in self.processes:
-            if process.comm == comm:
-                return process
-        return None
-
     def format(self) -> str:
         lines = []
         for process in self.processes:
@@ -85,6 +79,20 @@ class ViewReconstructor:
 
     def invalidate(self) -> None:
         self._cached = None
+
+    def checkpoint(self, key) -> None:
+        """Reconstruct now and keep the view, for the guest task list
+        that ``key`` identifies."""
+        self.invalidate()
+        self._checkpoint = (key, self.reconstruct())
+
+    def reset_for_job(self, key) -> None:
+        """Zero the count and restore the checkpointed view while ``key``
+        is the checkpoint's; another key reconstructs and checkpoints."""
+        if key != self._checkpoint[0]:
+            self.checkpoint(key)
+        self._cached = self._checkpoint[1]
+        self.reconstructions = 0
 
     def reconstruct(self) -> OSView:
         """Walk the raw task-struct chain out of guest memory."""
@@ -141,10 +149,3 @@ class ViewReconstructor:
                 if vma.contains(address):
                     return vma.third_party
         return False
-
-    def find_vma(self, address: int) -> Optional[VmaView]:
-        for process in self.view().processes:
-            for vma in process.vmas:
-                if vma.contains(address):
-                    return vma
-        return None

@@ -34,6 +34,14 @@ class CpuState:
         self.flag_v = False
         self.thumb = False
 
+    def load(self, other: "CpuState") -> None:
+        """Take ``other``'s registers and flags, in place (compiled code
+        and host contexts hold this object and its register list)."""
+        self.regs[:] = other.regs
+        self.flag_n, self.flag_z = other.flag_n, other.flag_z
+        self.flag_c, self.flag_v = other.flag_c, other.flag_v
+        self.thumb = other.thumb
+
     # -- register access ---------------------------------------------------
 
     def read_reg(self, index: int) -> int:

@@ -104,15 +104,19 @@ class DvmHeap:
     def __init__(self, memory: Memory) -> None:
         self.memory = memory
         self._spaces = (HEAP_SPACE_A, HEAP_SPACE_B)
-        self._active = 0
-        self._bump = HEAP_SPACE_A
-        self._objects: Dict[int, ObjectRecord] = {}
-        self._class_ids: Dict[str, int] = {}
-        self.gc_count = 0
         # Roots are provided by the VM at collection time.
         self._root_scanner: Optional[Callable[[], List[Slot]]] = None
         self._move_listeners: List[Callable[[int, int], None]] = []
         self._post_gc_hooks: List[Callable[[], None]] = []
+        self.reset_for_job()
+
+    def reset_for_job(self) -> None:
+        """Forget every object: an empty heap in the first semispace."""
+        self._active = 0
+        self._bump = self._spaces[0]
+        self._objects: Dict[int, ObjectRecord] = {}
+        self._class_ids: Dict[str, int] = {}
+        self.gc_count = 0
 
     # -- configuration ---------------------------------------------------------
 
@@ -216,10 +220,6 @@ class DvmHeap:
     @property
     def live_objects(self) -> int:
         return len(self._objects)
-
-    @property
-    def bytes_allocated(self) -> int:
-        return self._bump - self._spaces[self._active]
 
     # -- the moving collector ------------------------------------------------------------
 

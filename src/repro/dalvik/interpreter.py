@@ -52,10 +52,13 @@ class Interpreter:
 
     def __init__(self, vm) -> None:
         self.vm = vm
-        self.instructions_executed = 0
         # Optional per-instruction observer (the DroidScope comparator
         # uses this to model instruction-level DVM-state reconstruction).
         self.listener = None
+        self.reset_for_job()
+
+    def reset_for_job(self) -> None:
+        self.instructions_executed = 0
 
     # -- entry point -----------------------------------------------------------
 

@@ -33,6 +33,10 @@ class IndirectRefTable:
     """Local + global reference tables with GC move support."""
 
     def __init__(self) -> None:
+        self.reset_for_job()
+
+    def reset_for_job(self) -> None:
+        """Empty both tables and restart the serial."""
         self._tables: Dict[int, List[Optional[int]]] = {
             KIND_LOCAL: [], KIND_GLOBAL: []}
         self._serial = 0

@@ -82,9 +82,6 @@ class Frame:
     def get(self, register: int) -> int:
         return self.memory.read_u32(self.slot_address(register))
 
-    def get_signed(self, register: int) -> int:
-        return self.memory.read_i32(self.slot_address(register))
-
     def get_taint(self, register: int) -> TaintLabel:
         return self.memory.read_u32(self.taint_address(register))
 
@@ -125,8 +122,13 @@ class DvmStack:
         self.memory = memory
         self.base = base
         self.size = size
-        self._stack_pointer = base          # grows downward
         self.frames: List[Frame] = []
+        self.reset_for_job()
+
+    def reset_for_job(self) -> None:
+        """An empty stack: no frames, the pointer back at the base."""
+        self.frames.clear()
+        self._stack_pointer = self.base     # grows downward
 
     @property
     def depth(self) -> int:

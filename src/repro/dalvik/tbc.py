@@ -162,6 +162,11 @@ class DalvikTraceCompiler:
     def __init__(self, vm) -> None:
         self.vm = vm
         self._method_blocks: Dict[Method, Dict[int, DalvikBlock]] = {}
+        # Optional span tracer; emits only on the compile (miss) path.
+        self.span_tracer = None
+        self._init_job_state()
+
+    def _init_job_state(self) -> None:
         self.blocks_compiled = 0
         self.flushes = 0
         # Cache introspection counters (observability).  ``hits`` is
@@ -171,8 +176,12 @@ class DalvikTraceCompiler:
         self.misses = 0
         self.invalidations = 0
         self.escalations = 0
-        # Optional span tracer; emits only on the compile (miss) path.
-        self.span_tracer = None
+
+    def reset_for_job(self, keep) -> None:
+        """A warm worker's job boundary: drop every block, forget the
+        methods outside ``keep`` (the booted ones), zero the counters."""
+        self.flush(keep=keep)
+        self._init_job_state()
 
     # -- cache ------------------------------------------------------------
 
@@ -183,15 +192,6 @@ class DalvikTraceCompiler:
             blocks = {}
             self._method_blocks[method] = blocks
         return blocks
-
-    def reset_counters(self) -> None:
-        """Zero the per-job counters (warm-worker job boundary)."""
-        self.blocks_compiled = 0
-        self.flushes = 0
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.escalations = 0
 
     def flush(self, keep=None) -> None:
         """Drop every compiled block (class/method redefinition).
@@ -211,12 +211,6 @@ class DalvikTraceCompiler:
                            if method not in keep]:
                 del self._method_blocks[method]
         self.flushes += 1
-
-    def invalidate_method(self, method: Method) -> None:
-        blocks = self._method_blocks.get(method)
-        if blocks is not None:
-            self.invalidations += len(blocks)
-            blocks.clear()
 
     @property
     def cached_blocks(self) -> int:

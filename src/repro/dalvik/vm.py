@@ -40,11 +40,6 @@ class DalvikVM:
         self.interpreter = Interpreter(self)
         self.classes: Dict[str, ClassDef] = {}
         self.intrinsics: Dict[str, Intrinsic] = {}
-        self._interned: Dict[str, int] = {}
-        # InterpSaveState: the last invoke's return value and taint
-        # (TaintDroid copies the return taint here, Section II.B).
-        self.interp_save_state = Slot()
-        self.caught_exception: Optional[PendingException] = None
         self.taint_tracking = True
         self.call_bridge: Optional[CallBridge] = None
         # Provenance ledger (observability); None when not tracing.  The
@@ -60,7 +55,46 @@ class DalvikVM:
         self.heap.add_move_listener(self.irt.on_object_moved)
         self.heap.add_post_gc_hook(self._write_back_frames)
         self.heap.add_post_gc_hook(self._rebuild_intern_table)
+        self._init_job_state()
+
+    # -- warm workers: checkpoint and reset ---------------------------------------
+
+    def _init_job_state(self) -> None:
+        self._interned: Dict[str, int] = {}
+        # InterpSaveState: the last invoke's return value and taint
+        # (TaintDroid copies the return taint here, Section II.B).
+        self.interp_save_state = Slot()
+        self.caught_exception: Optional[PendingException] = None
         self._root_frame_slots: List[Tuple[object, int, Slot]] = []
+
+    def checkpoint(self) -> None:
+        """Record the booted classes, their static fields and methods."""
+        self._checkpoint = {
+            name: (class_def,
+                   {field: list(value)
+                    for field, value in class_def.static_values.items()},
+                   dict(class_def.static_ref_flags))
+            for name, class_def in self.classes.items()}
+        self._checkpoint_methods = frozenset(
+            method for class_def in self.classes.values()
+            for method in class_def.methods.values())
+
+    def reset_for_job(self) -> None:
+        """Back to the checkpointed classes and statics, with an empty
+        heap, stack and reference table, and no compiled blocks."""
+        self.classes.clear()
+        for name, (class_def, values, flags) in self._checkpoint.items():
+            self.classes[name] = class_def
+            class_def.static_values = {field: list(value)
+                                       for field, value in values.items()}
+            class_def.static_ref_flags = dict(flags)
+        self.heap.reset_for_job()
+        self.stack.reset_for_job()
+        self.irt.reset_for_job()
+        self.interpreter.reset_for_job()
+        if self.tbc is not None:
+            self.tbc.reset_for_job(keep=self._checkpoint_methods)
+        self._init_job_state()
 
     # -- observability ------------------------------------------------------------
 
@@ -80,10 +114,6 @@ class DalvikVM:
         if self.tbc is None:
             from repro.dalvik.tbc import DalvikTraceCompiler
             self.tbc = DalvikTraceCompiler(self)
-
-    def disable_trace_compiler(self) -> None:
-        """Back to the single-step oracle (differential test harnesses)."""
-        self.tbc = None
 
     # -- classes ------------------------------------------------------------------
 

@@ -19,9 +19,17 @@ class DroidScopeSim:
         # re-derives each instruction's handler per step.
         self.tracer = InstructionTracer(self.taint_engine,
                                         is_third_party=lambda address: True)
+        self._init_job_state()
+
+    def _init_job_state(self) -> None:
         self.dalvik_reconstructions = 0
         self.library_walk_bytes = 0
         self.context_lookups = 0
+
+    def reset_for_job(self) -> None:
+        self.taint_engine.reset_for_job()
+        self.tracer.reset_for_job()
+        self._init_job_state()
 
     def _trace(self, ir, emu) -> None:
         """Per-instruction pipeline: context tracking, then taint.

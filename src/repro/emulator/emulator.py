@@ -159,7 +159,6 @@ class Emulator:
         self._host_functions: Dict[int, _RegisteredHost] = {}
         self._entry_hooks: Dict[int, List[Hook]] = {}
         self._exit_hooks: Dict[int, List[Hook]] = {}
-        self._pending_exits: List[Tuple[int, int, Hook]] = []
         self._branch_listeners: List[BranchListener] = []
         self._tracers: List[Tracer] = []
         self.syscall_handler: Optional[SyscallHandler] = None
@@ -191,18 +190,45 @@ class Emulator:
         # Compiled blocks bake in per-page third-party decisions; a
         # region-table change must drop those caches.
         self.memory_map.subscribe(self._on_region_change)
+        self._init_job_state()
 
+    # -- warm workers: checkpoint and reset -----------------------------------
+
+    def _init_job_state(self) -> None:
         self.instruction_count = 0
         self.host_call_count = 0
         self.decode_count = 0
         # Wall-clock seconds spent inside _translate (warm-vs-cold bench).
         self.translate_seconds = 0.0
-        self._running = False
+        self._pending_exits: List[Tuple[int, int, Hook]] = []
         self._stop_requested = False
         # Nested call() invocations each get their own return sentinel so
         # an inner function's return never triggers an outer caller's
         # pending exit hooks (both would otherwise target EXIT_ADDRESS).
         self._call_depth = 0
+
+    def checkpoint(self) -> None:
+        """Record the booted CPU state, tracers and branch listeners."""
+        cpu = CpuState()
+        cpu.load(self.cpu)
+        self._checkpoint = (cpu, list(self._tracers),
+                            list(self._branch_listeners))
+
+    def reset_for_job(self) -> None:
+        """Shed the job's instrumentation (supervision, fault injector,
+        tracers and listeners added since the checkpoint), zero counters
+        and CPU; caches stay warm.  The write watcher is registered
+        again, so a forked child invalidates its own caches."""
+        cpu, tracers, branch_listeners = self._checkpoint
+        self.set_supervision(None)
+        for tracer in [t for t in self._tracers if t not in tracers]:
+            self.remove_tracer(tracer)
+        self.fault_injector = None
+        self._branch_listeners[:] = branch_listeners
+        self.memory.set_write_watcher(self._on_code_page_write)
+        self._tb_cache.reset_counters()
+        self.cpu.load(cpu)
+        self._init_job_state()
 
     # -- code/data loading ----------------------------------------------------
 
@@ -363,10 +389,6 @@ class Emulator:
         self.invalidate_page((address & ~1) >> 12)
         return address
 
-    def host_function_at(self, address: int) -> Optional[str]:
-        registered = self._host_functions.get(address)
-        return registered.name if registered else None
-
     def is_host_address(self, address: int) -> bool:
         return (address & ~1) in self._host_functions
 
@@ -402,6 +424,13 @@ class Emulator:
         """Fire ``hook`` on return from ``address``; returns it too."""
         self._exit_hooks.setdefault(address & ~1, []).append(hook)
         return hook
+
+    def remove_entry_hook(self, address: int, hook: Hook) -> None:
+        """Undo :meth:`add_entry_hook` (translations stay valid)."""
+        hooks = self._entry_hooks[address & ~1]
+        hooks.remove(hook)
+        if not hooks:
+            del self._entry_hooks[address & ~1]
 
     def add_branch_listener(self, listener: BranchListener) -> None:
         self._branch_listeners.append(listener)

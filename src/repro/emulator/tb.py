@@ -90,13 +90,7 @@ class TranslationCache:
     def __init__(self) -> None:
         self._blocks: Dict[Tuple[int, bool], TranslationBlock] = {}
         self._by_page: Dict[int, List[TranslationBlock]] = {}
-        self.translations = 0
-        self.invalidations = 0
-        # Lookup counters: the dispatch loop only consults the cache after
-        # a chain miss, so these tally un-chained dispatches, not every
-        # block executed.
-        self.hits = 0
-        self.misses = 0
+        self.reset_counters()
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -157,5 +151,8 @@ class TranslationCache:
         """Zero the per-job counters (warm-worker job boundary)."""
         self.translations = 0
         self.invalidations = 0
+        # Lookup counters: the dispatch loop only consults the cache after
+        # a chain miss, so these tally un-chained dispatches, not every
+        # block executed.
         self.hits = 0
         self.misses = 0

@@ -92,28 +92,11 @@ class JniLayer:
         self.emu = emu
         self.vm = vm
         self.symbols: Dict[str, int] = {}
-        self.chars_heap = FreeListAllocator(JNI_CHARS_BASE, JNI_CHARS_SIZE)
+        # Handle tables: a handle encodes its entry's index.
         self._methods: List[Method] = []
         self._classes: List[str] = []
         self._fields: List[Tuple[str, str]] = []
-        # Exception state, visible to ExceptionOccurred and the bridge.
-        self.pending_exception: Optional[Tuple[int, TaintLabel, str]] = None
-        # Interpret-chain plumbing (set by dvmCallMethod*, used by
-        # dvmInterpret and readable by NDroid's hooks).
-        self.pending_interpret: Optional[Dict] = None
-        # The args pointer of the JNI invocation in flight (dvmCallJNIMethod).
-        self.current_native_call: Optional[Dict] = None
-        # Per-method compiled call plans; invalidated on RegisterNatives /
-        # UnregisterNatives rebinding (a crossing also re-reads
-        # ``native_address`` per call, so a stale entry is never wrong).
-        self._trampolines: Dict[Method, _Trampoline] = {}
-        # Cache introspection + crossing-path counters (observability).
-        self.trampoline_hits = 0
-        self.trampoline_misses = 0
-        self.trampoline_invalidations = 0
-        # Host-side crossings versus guest-protocol ones.
-        self.crossings_fast = 0
-        self.crossings_slow = 0
+        self._init_job_state()
         # Optional span tracer; stays None unless a traced run attaches it.
         self.span_tracer = None
         # Set by a detector that hooks dvmCallJNIMethod (NDroid's
@@ -126,6 +109,44 @@ class JniLayer:
         emu.memory_map.map(JNI_CHARS_BASE, JNI_CHARS_SIZE, "[jni chars]",
                            perms="rw-")
         vm.call_bridge = self._call_bridge
+
+    # ------------------------------------------------- warm-worker reset
+
+    def _init_job_state(self) -> None:
+        self.chars_heap = FreeListAllocator(JNI_CHARS_BASE, JNI_CHARS_SIZE)
+        # Exception state, visible to ExceptionOccurred and the bridge.
+        self.pending_exception: Optional[Tuple[int, TaintLabel, str]] = None
+        # Interpret-chain plumbing (set by dvmCallMethod*, used by
+        # dvmInterpret and readable by NDroid's hooks).
+        self.pending_interpret: Optional[Dict] = None
+        # The JNI arguments of the native invocation in flight
+        # (dvmCallJNIMethod): env, this|jclass, then irefs or values.
+        self.native_call_args: Optional[List[int]] = None
+        # Per-method compiled call plans; invalidated on RegisterNatives /
+        # UnregisterNatives rebinding (a crossing also re-reads
+        # ``native_address`` per call, so a stale entry is never wrong).
+        # Keyed by Method objects, which die with a job's classes.
+        self._trampolines: Dict[Method, _Trampoline] = {}
+        # Cache introspection + crossing-path counters (observability).
+        self.trampoline_hits = 0
+        self.trampoline_misses = 0
+        self.trampoline_invalidations = 0
+        # Host-side crossings versus guest-protocol ones.
+        self.crossings_fast = 0
+        self.crossings_slow = 0
+
+    def checkpoint(self) -> None:
+        """Record the booted handle tables' lengths."""
+        self._checkpoint = (len(self._methods), len(self._classes),
+                            len(self._fields))
+
+    def reset_for_job(self) -> None:
+        """Drop the handles a job created and all per-job state."""
+        methods, classes, fields = self._checkpoint
+        del self._methods[methods:]
+        del self._classes[classes:]
+        del self._fields[fields:]
+        self._init_job_state()
 
     # ------------------------------------------------------------------ setup
 
@@ -381,10 +402,7 @@ class JniLayer:
             else:
                 jni_args.append(value)
 
-        self.current_native_call = {
-            "method": method, "args_ptr": args_ptr, "count": len(values),
-            "taints": taints, "jni_args": jni_args,
-        }
+        self.native_call_args = jni_args
         log = self.vm.event_log
         if log.enabled:
             log.emit(
@@ -407,7 +425,7 @@ class JniLayer:
                 self.vm.irt.remove(iref)
             except JNIError:
                 pass  # native code may have deleted it already
-        self.current_native_call = None
+        self.native_call_args = None
         return return_value & 0xFFFF_FFFF, policy_taint
 
     # -------------------------------------------------- native -> Java (exit)

@@ -58,6 +58,21 @@ class FileSystem:
                      "/system/lib"):
             self._directories.add(path)
 
+    def checkpoint(self) -> None:
+        """Record every file's bytes and taints, and the directories."""
+        self._checkpoint = (
+            {path: (bytes(file.data), list(file.taints))
+             for path, file in self._files.items()},
+            set(self._directories))
+
+    def reset_for_job(self) -> None:
+        """Back to the checkpointed files (fresh objects) and directories."""
+        files, directories = self._checkpoint
+        self._files = {
+            path: RegularFile(data=bytearray(data), taints=list(taints))
+            for path, (data, taints) in files.items()}
+        self._directories = set(directories)
+
     # -- path helpers --------------------------------------------------------
 
     @staticmethod

@@ -68,15 +68,61 @@ class Kernel:
                                                KERNEL_DATA_SIZE)
         # NDroid's taint engine installs this so raw SVC writes see taints.
         self.taint_provider: Optional[TaintProvider] = None
+        # Provenance ledger for the final taint hop into a sink; installed
+        # by the observability layer when tracing is enabled, else None.
+        self.ledger = None
+        self._init_job_state()
+
+    # -- warm workers: checkpoint and reset ------------------------------------
+
+    def _init_job_state(self) -> None:
         # The resilience fault plan installs this to inject EINTR/EAGAIN
         # and short counts on write-like syscalls.
         self.syscall_fault_hook: Optional[SyscallFaultHook] = None
         self.syscall_count = 0
         # Per-name tally, exported as the kernel.syscall.<name> metrics.
         self.syscalls_by_name: Dict[str, int] = {}
-        # Provenance ledger for the final taint hop into a sink; installed
-        # by the observability layer when tracing is enabled, else None.
-        self.ledger = None
+
+    def checkpoint(self) -> None:
+        """Record processes, files and network; serialise the task list
+        once more, for a memory checkpoint taken next to keep."""
+        self.filesystem.checkpoint()
+        self.network.checkpoint()
+        for process in self.processes.values():
+            process.checkpoint()
+        self._checkpoint = (dict(self.processes), self.current,
+                            self._next_pid)
+        tasks_base = self._kernel_allocator.cursor
+        self.sync_tasks_to_guest()
+        # Where the serialisation starts, what it holds, where it ends.
+        self._tasks_checkpoint = (tasks_base, self.task_signature(),
+                                  self._kernel_allocator.cursor)
+
+    def reset_for_job(self) -> None:
+        """Back to the checkpointed processes, files and network.
+
+        Memory's reset restored the checkpointed task list; only a
+        changed table (a library left resident) is serialised again,
+        and becomes the checkpoint, in memory's too.
+        """
+        processes, self.current, self._next_pid = self._checkpoint
+        self.filesystem.reset_for_job()
+        self.network.reset_for_job()
+        self.processes.clear()
+        self.processes.update(processes)
+        for process in processes.values():
+            process.reset_for_job(self.filesystem.all_files())
+        self._init_job_state()
+        tasks_base, signature, cursor = self._tasks_checkpoint
+        if self.task_signature() != signature:
+            self._kernel_allocator.cursor = tasks_base
+            self.sync_tasks_to_guest()
+            cursor = self._kernel_allocator.cursor
+            self.memory.checkpoint(range(TASK_LIST_HEAD >> 12,
+                                         ((cursor - 1) >> 12) + 1))
+            self._tasks_checkpoint = (tasks_base, self.task_signature(),
+                                      cursor)
+        self._kernel_allocator.cursor = cursor
 
     def _count(self, name: str) -> None:
         self.syscalls_by_name[name] = self.syscalls_by_name.get(name, 0) + 1

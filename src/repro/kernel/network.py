@@ -56,6 +56,18 @@ class NetworkStack:
         # Canned responses keyed by destination, for recv() in scenarios.
         self._responses: Dict[str, List[bytes]] = {}
 
+    def checkpoint(self) -> None:
+        """Record the queued canned responses."""
+        self._checkpoint = {destination: list(queue) for destination, queue
+                            in self._responses.items()}
+
+    def reset_for_job(self) -> None:
+        """No sockets, no transmissions, the checkpointed responses."""
+        self._sockets.clear()
+        self.transmissions.clear()
+        self._responses = {destination: list(queue) for destination, queue
+                           in self._checkpoint.items()}
+
     def create_socket(self, fd: int, domain: int, type_: int) -> Socket:
         socket = Socket(fd=fd, domain=domain, type=type_)
         self._sockets[fd] = socket
@@ -66,10 +78,6 @@ class NetworkStack:
         if socket is None or socket.closed:
             raise KernelError(f"bad socket fd {fd}")
         return socket
-
-    def is_socket(self, fd: int) -> bool:
-        socket = self._sockets.get(fd)
-        return socket is not None and not socket.closed
 
     def connect(self, fd: int, destination: str) -> None:
         self.socket_for(fd).connected_to = destination
@@ -120,6 +128,3 @@ class NetworkStack:
 
     def transmissions_to(self, destination: str) -> List[Transmission]:
         return [t for t in self.transmissions if destination in t.destination]
-
-    def total_bytes_sent(self) -> int:
-        return sum(len(t.payload) for t in self.transmissions)

@@ -26,7 +26,7 @@ VMA struct layout::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.kernel.filesystem import RegularFile
@@ -81,6 +81,21 @@ class Process:
         self.fds: Dict[int, FileDescriptor] = {}
         self._next_fd = 3  # 0-2 reserved for std streams
         self.task_struct_address = 0
+
+    def checkpoint(self) -> None:
+        """Record the descriptor table."""
+        self._checkpoint = (
+            {fd: replace(descriptor)
+             for fd, descriptor in self.fds.items()}, self._next_fd)
+
+    def reset_for_job(self, files: Dict[str, RegularFile]) -> None:
+        """Back to the checkpointed descriptors; a file descriptor points
+        at ``files[path]``, the reset filesystem's object."""
+        fds, self._next_fd = self._checkpoint
+        self.fds = {fd: replace(descriptor, file=files.get(descriptor.path)
+                                if descriptor.path is not None
+                                else descriptor.file)
+                    for fd, descriptor in fds.items()}
 
     def allocate_fd(self) -> int:
         fd = self._next_fd

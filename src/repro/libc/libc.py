@@ -49,14 +49,10 @@ class CLibrary:
         self.kernel = kernel
         self.base = base
         self.symbols: Dict[str, int] = {}
-        self.heap = FreeListAllocator(LIBC_HEAP_BASE, LIBC_HEAP_SIZE)
         self.taint_interface: NativeTaintInterface = NullTaintInterface()
         # Provenance ledger (observability); None when not tracing.
         self.ledger = None
-        # FILE* -> fd mapping; the FILE struct itself lives in guest memory
-        # so the paper's "Return FILE@0x4006fd44" style logs are real
-        # addresses.
-        self._file_objects: Dict[int, int] = {}
+        self.reset_for_job()
         # Installed by the framework's dynamic linker.
         self.dlopen_handler: Optional[Callable[[str], int]] = None
         self.dlsym_handler: Optional[Callable[[int, str], int]] = None
@@ -65,6 +61,14 @@ class CLibrary:
         emu.memory_map.map(base, LIBC_SIZE, "libc.so", perms="r-x")
         emu.memory_map.map(LIBC_HEAP_BASE, LIBC_HEAP_SIZE, "[native heap]",
                            perms="rw-")
+
+    def reset_for_job(self) -> None:
+        """A fresh native heap and no open FILE objects."""
+        self.heap = FreeListAllocator(LIBC_HEAP_BASE, LIBC_HEAP_SIZE)
+        # FILE* -> fd mapping; the FILE struct itself lives in guest memory
+        # so the paper's "Return FILE@0x4006fd44" style logs are real
+        # addresses.
+        self._file_objects: Dict[int, int] = {}
 
     # -- registration ------------------------------------------------------------
 

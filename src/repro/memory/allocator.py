@@ -30,18 +30,19 @@ class BumpAllocator:
     def __init__(self, base: int, size: int) -> None:
         self.base = base
         self.size = size
-        self._next = base
+        # The next free address; moving it back frees everything past it.
+        self.cursor = base
 
     def alloc(self, length: int, alignment: int = _ALIGN) -> int:
-        address = _align_up(self._next, alignment)
+        address = _align_up(self.cursor, alignment)
         if address + length > self.base + self.size:
             raise MemoryError_(address, "bump allocator exhausted")
-        self._next = address + length
+        self.cursor = address + length
         return address
 
     @property
     def used(self) -> int:
-        return self._next - self.base
+        return self.cursor - self.base
 
 
 @dataclass

@@ -48,21 +48,35 @@ class Memory:
         self._watched_pages: Set[int] = set()
         self._write_watcher: Optional[Callable[[int], None]] = None
 
+    # -- warm workers: checkpoint and reset -----------------------------------
+
+    def checkpoint(self, pages: Optional[Iterable[int]] = None) -> None:
+        """Snapshot every page for :meth:`reset_for_job`, or refresh the
+        snapshot of just the page indices in ``pages``."""
+        if pages is None:
+            self._checkpoint = {index: bytes(page)
+                                for index, page in self._pages.items()}
+            return
+        for index in pages:
+            page = self._pages.get(index)
+            if page is not None:
+                self._checkpoint[index] = bytes(page)
+
+    def reset_for_job(self, keep: Set[int]) -> None:
+        """Drop pages created since the checkpoint (but ``keep``) and
+        rewrite changed ones; the write watcher sees both, as it would
+        see self-modifying code."""
+        checkpoint = self._checkpoint
+        for index in [index for index in self._pages
+                      if index not in checkpoint and index not in keep]:
+            del self._pages[index]
+            if index in self._watched_pages:
+                self._notify_write(index, 0, PAGE_SIZE)
+        for index, data in checkpoint.items():
+            if self._pages.get(index) != data:
+                self.write_bytes(index << PAGE_SHIFT, data)
+
     # -- page plumbing ----------------------------------------------------
-
-    def _page_for_read(self, address: int) -> Optional[bytearray]:
-        page = self._pages.get(address >> PAGE_SHIFT)
-        if page is None and self.strict:
-            raise MemoryError_(address, "read of unmapped page")
-        return page
-
-    def _page_for_write(self, address: int) -> bytearray:
-        index = address >> PAGE_SHIFT
-        page = self._pages.get(index)
-        if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[index] = page
-        return page
 
     def touched_pages(self) -> int:
         """Number of pages ever written (used by memory-pressure tests)."""
@@ -394,11 +408,6 @@ class Memory:
             return
         for i, word in enumerate(values):
             self.write_u32(address + 4 * i, word)
-
-    def snapshot_range(self, address: int, length: int) -> Tuple[int, bytes]:
-        """Capture (address, bytes) for later comparison in tests."""
-        return address, self.read_bytes(address, length)
-
 
 def _differing_spans(live, want) -> List[Tuple[int, int]]:
     """``[low, high)`` spans where two equal-length buffers differ.

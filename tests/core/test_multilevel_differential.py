@@ -262,7 +262,7 @@ def test_reset_clears_chains_armed_set_and_counters():
         manager.on_branch(first, second)
     assert manager.gate("CallVoidMethodA")
     assert manager.native_provenance_active()
-    manager.reset()
+    manager.reset_for_job()
     assert observe(manager) == ([0] * len(CHAINS), [], 0, 0)
     assert not manager.gate("dvmCallMethodA")
     # The index survives a reset: the chain arms again.

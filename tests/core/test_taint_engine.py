@@ -147,7 +147,7 @@ def test_reset_restores_pristine_state_and_rearms():
     engine.set_iref(3, TAINT_IMEI)
     engine.degrade(TAINT_IMEI)
     assert engine.maybe_tainted
-    engine.reset()
+    engine.reset_for_job()
     assert not engine.maybe_tainted
     assert engine.live_label() == TAINT_CLEAR
     assert engine.get_register(1) == TAINT_CLEAR
@@ -176,7 +176,7 @@ def test_rearm_fast_path_refuses_while_degraded():
     engine.degrade(TAINT_IMEI)
     assert not engine.rearm_fast_path()
     assert engine.maybe_tainted
-    engine.reset()  # a new job drops the quarantine pessimism too
+    engine.reset_for_job()  # a new job drops the quarantine pessimism too
     assert engine.rearm_fast_path()
 
 
@@ -262,6 +262,6 @@ def test_shadow_register_list_identity_survives_reset():
     engine.clear_all_registers()
     assert engine.shadow_registers is shadow
     engine.set_register(3, TAINT_SMS)
-    engine.reset()
+    engine.reset_for_job()
     assert engine.shadow_registers is shadow
     assert shadow == [TAINT_CLEAR] * 16

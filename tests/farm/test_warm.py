@@ -2,13 +2,21 @@
 
 Pins the warm-fork contract end to end:
 
-* ``Platform.reset_for_job()`` returns a used template to a state that
-  re-runs any job with engine-identical results while keeping the
+* ``Platform.reset_for_job()`` — a list of the state owners' own
+  ``reset_for_job()`` calls, each restoring what its ``checkpoint()``
+  kept at ``prepare_template()`` — returns a used template to a state
+  that re-runs any job with engine-identical results while keeping the
   translation caches warm;
+* a resident library gets back only what a job changed, and the guest
+  task list is re-serialised only when the process table changed (the
+  kernel's checkpoint);
 * the worker module reuses one booted template per config across jobs;
 * after a fork, self-modifying code invalidates the *child's* warm
   translation state without touching the template in the parent (the
-  write-watcher re-registration in ``reset_for_job()``).
+  emulator re-registers its write watcher in its own reset).
+
+``tests/farm/test_reset_for_job.py`` checks the same contract against
+cold boots over generated job sequences.
 """
 
 import os
@@ -184,14 +192,14 @@ class TestTaskListSkip:
     @staticmethod
     def task_list_state(platform):
         kernel = platform.kernel
-        cursor = kernel._kernel_allocator._next
+        cursor = kernel._kernel_allocator.cursor
         memory = platform.memory
         return (memory.read_bytes(TASK_LIST_HEAD, cursor - TASK_LIST_HEAD),
                 cursor, platform.ndroid.view_reconstructor.view().format())
 
     def fresh_task_list(self, platform):
-        platform.kernel._kernel_allocator._next = \
-            platform._template["tasks_base"]
+        tasks_base = platform.kernel._tasks_checkpoint[0]
+        platform.kernel._kernel_allocator.cursor = tasks_base
         platform.kernel.sync_tasks_to_guest()
         reconstructor = platform.ndroid.view_reconstructor
         reconstructor.invalidate()
@@ -242,7 +250,7 @@ class TestTaskListSkip:
     def test_dalvik_block_map_stays_bounded_across_jobs(self):
         platform = make_platform("ndroid")
         platform.prepare_template()
-        template_methods = platform._template["methods"]
+        template_methods = platform.vm._checkpoint_methods
         sizes = []
         for name in ("case2", "qqphonebook", "ephone") * 3:
             platform.reset_for_job()
