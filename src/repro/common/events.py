@@ -11,7 +11,7 @@ pretty-print them, which regenerates the paper's log figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class EventLog:
     def __init__(self) -> None:
         self._events: List[Event] = []
         self._seq = 0
-        self._subscribers: List[Callable[[Event], None]] = []
         # Hot-path callers (the per-crossing JNI emits) guard on this flag
         # before building the f-string detail and data dict; ``emit`` itself
         # still honours it so un-guarded callers behave consistently.
@@ -53,26 +52,13 @@ class EventLog:
 
     def emit(self, source: str, kind: str, detail: str = "", **data: Any) -> Event:
         if not self.enabled:
-            # Detached record: not appended, not delivered to subscribers.
+            # Detached record: not appended.
             return Event(source=source, kind=kind, detail=detail, data=data)
         event = Event(source=source, kind=kind, detail=detail, data=data,
                       seq=self._seq)
         self._seq += 1
         self._events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
         return event
-
-    def subscribe(self, callback: Callable[[Event], None]) -> None:
-        """Invoke ``callback`` for every subsequently emitted event."""
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[Event], None]) -> None:
-        """Detach a previously subscribed callback (no-op if absent)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
 
     def __len__(self) -> int:
         return len(self._events)

@@ -46,6 +46,7 @@ from repro.cpu.executor import multiple_addresses, transfer_address
 from repro.cpu.state import LR, PC
 from repro.emulator.emulator import Emulator
 from repro.core.taint_engine import TaintEngine
+from repro.memory.regions import Region
 from repro.observability.ledger import Loc
 
 Handler = Callable[[isa.Instruction, Emulator], None]
@@ -126,10 +127,6 @@ class InstructionTracer:
         # Provenance ledger (observability); None when not tracing.  The
         # handlers consult it only after they already found taint to move.
         self.ledger = None
-        # Installed by the emulator: compiled taint ops bake in the
-        # region decision, so a region-table change must also flush the
-        # translation cache, not just this tracer's page cache.
-        self._region_invalidate: Optional[Callable[[], None]] = None
         self.reset_for_job()
 
     def reset_for_job(self) -> None:
@@ -165,14 +162,12 @@ class InstructionTracer:
             self._region_cache[page] = cached
         return cached
 
-    def invalidate_region_cache(self) -> None:
-        self._region_cache.clear()
-        if self._region_invalidate is not None:
-            self._region_invalidate()
-
-    def set_region_invalidate_callback(
-            self, callback: Optional[Callable[[], None]]) -> None:
-        self._region_invalidate = callback
+    def invalidate_region_cache(self, region: Region) -> None:
+        """Forget the decisions cached for ``region``'s pages (the
+        emulator calls this when the region is mapped or unmapped)."""
+        pages = region.pages
+        for page in [page for page in self._region_cache if page in pages]:
+            del self._region_cache[page]
 
     # -- the emulator tracer callback -----------------------------------------
 

@@ -49,9 +49,6 @@ class NDroid:
                                        guard=self.guard_hook)
         self.syslib_hooks = SysLibHookEngine(platform, self.taint_engine,
                                              guard=self.guard_hook)
-        # Third-party extents at the last refresh_view(); an unchanged set
-        # (a warm worker re-hitting a resident library) skips the flush.
-        self._third_party_extents: frozenset = frozenset()
 
     # -- warm workers: checkpoint and reset ------------------------------------
 
@@ -103,14 +100,11 @@ class NDroid:
         system.dvm_hooks.install()
         system.syslib_hooks.install()
 
-        # Re-introspect whenever the loader maps a new library, so freshly
-        # loaded third-party code is traced from its first instruction.
-        def on_event(event):
-            if event.kind == "loadLibrary":
-                system.refresh_view()
-
-        platform.event_log.subscribe(on_event)
-        system._on_event = on_event
+        # Re-introspect after every map change, so freshly loaded
+        # third-party code is traced from its first instruction.  (The
+        # emulator drops the tracer's decisions for the region's pages.)
+        platform.emu.memory_map.subscribe(
+            lambda region: system.refresh_view())
 
         observability = getattr(platform, "observability", None)
         if observability is not None:
@@ -119,12 +113,6 @@ class NDroid:
         platform.event_log.emit("ndroid", "attach",
                                 "NDroid instrumentation enabled")
         return system
-
-    def detach(self) -> None:
-        """Unsubscribe from the platform's event log (test teardown)."""
-        if getattr(self, "_on_event", None) is not None:
-            self.platform.event_log.unsubscribe(self._on_event)
-            self._on_event = None
 
     # -- graceful degradation ------------------------------------------------------
 
@@ -208,24 +196,15 @@ class NDroid:
         return self.view_reconstructor.is_third_party(address)
 
     def refresh_view(self) -> None:
-        """Re-introspect after the memory map changed (library load).
+        """The memory map changed: mark the reconstructed view stale.
 
-        Only an actual change to the third-party region set invalidates:
-        a warm worker re-hitting a still-resident library emits the same
-        ``loadLibrary`` event a cold load would, but its region was never
-        unmapped, so the reconstructed view — and with it the tracer's
-        region cache and the warm translation blocks it guards — stays.
+        The next query re-reads the guest task list, which the loader
+        syncs before any guest instruction runs.  A warm worker
+        re-hitting a still-resident library maps nothing, so its view —
+        and the tracer decisions and translation blocks it guards —
+        stays.
         """
-        extents = frozenset(
-            (region.start, region.end)
-            for region in self.platform.emu.memory_map
-            if region.third_party)
-        if extents == self._third_party_extents:
-            return
-        self._third_party_extents = extents
         self.view_reconstructor.invalidate()
-        self.view_reconstructor.reconstruct()
-        self.instruction_tracer.invalidate_region_cache()
 
     # -- reporting ----------------------------------------------------------------------
 

@@ -34,11 +34,15 @@ inside a block rewinds the instruction count, pc and ring to the
 faulting instruction, exactly where single-step leaves them.
 
 Invalidation is page-granular and shared between the decode cache and
-the block cache: a write into a page holding translated code (observed
-through the memory write-watch), a host-function registration, or a new
-entry/exit hook on that page drops the page's blocks and severs chain
-links, so self-modifying code is re-translated at the next block
-boundary.
+the block cache.  A page's decoded instructions and blocks die by one
+of two paths: a write over its decoded bytes (observed through the
+memory write-watch — self-modifying code, a library load, a warm
+reset's restore), or a map/unmap of a region covering it (observed
+through the memory map; the tracers' cached third-party decisions for
+the region's pages die with them).  A host-function registration drops
+its page too.  Dropping a page severs chain links, so its code is
+re-translated at the next block boundary.  Only a change of the
+compiling tracer empties the whole block cache.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from repro.emulator.translator import (
     static_branch_target,
 )
 from repro.memory.memory import Memory
-from repro.memory.regions import MemoryMap
+from repro.memory.regions import MemoryMap, Region
 
 # Returning to this address stops the run loop; the call bridge sets LR to
 # it before jumping into a native method (QEMU's equivalent is returning to
@@ -188,7 +192,7 @@ class Emulator:
         # tracer, several tracers, or a fault injector is attached).
         self._taint_compiler = None
         # Compiled blocks bake in per-page third-party decisions; a
-        # region-table change must drop those caches.
+        # region-table change must drop the caches of its pages.
         self.memory_map.subscribe(self._on_region_change)
         self._init_job_state()
 
@@ -233,30 +237,19 @@ class Emulator:
     # -- code/data loading ----------------------------------------------------
 
     def load(self, address: int, data: bytes) -> None:
+        """Write code (or data) into guest memory; the write watcher
+        drops whatever was decoded from the bytes it overwrites."""
         self.memory.write_bytes(address, data)
-        self.invalidate_cache()
-
-    def invalidate_cache(self) -> None:
-        """Drop every translated block and decoded instruction."""
-        for page in list(self._decode_pages):
-            self.memory.unwatch_page(page)
-        for page in self._tb_cache.pages():
-            self.memory.unwatch_page(page)
-        self._decode_cache.clear()
-        self._decode_pages.clear()
-        self._code_extents.clear()
-        self._tb_cache.flush()
 
     def invalidate_page(self, page: int) -> None:
-        """Page-granular invalidation (self-modifying code, new hooks)."""
+        """Drop a page's decoded instructions and translated blocks."""
         keys = self._decode_pages.pop(page, None)
         if keys:
             for key in keys:
                 self._decode_cache.pop(key, None)
         self._code_extents.pop(page, None)
         self._tb_cache.invalidate_page(page)
-        if page not in self._decode_pages and page not in self._tb_cache.pages():
-            self.memory.unwatch_page(page)
+        self.memory.unwatch_page(page)
 
     def _on_code_page_write(self, page: int, start: int, end: int) -> None:
         extent = self._code_extents.get(page)
@@ -304,26 +297,26 @@ class Emulator:
             self._per_step_instrumentation = bool(self._tracers) or \
                 self._fault_injector is not None
         if new_compiler is not self._taint_compiler:
-            # Existing blocks lack (or embed) the old instrumentation.
+            # Existing blocks lack (or embed) the old instrumentation: the
+            # one change that drops every block (decodes stay).
             self._taint_compiler = new_compiler
-            self._flush_translations()
+            for page in self._tb_cache.pages():
+                if page not in self._decode_pages:
+                    self.memory.unwatch_page(page)
+            self._tb_cache.flush()
 
-    def _flush_translations(self) -> None:
-        """Drop every translated block but keep the decode cache."""
-        for page in self._tb_cache.pages():
-            if page not in self._decode_pages:
-                self.memory.unwatch_page(page)
-        self._tb_cache.flush()
-
-    def _on_region_change(self) -> None:
-        """The region table changed: per-page third-party decisions may be
-        stale, both in tracer region caches and in compiled blocks."""
+    def _on_region_change(self, region: Region) -> None:
+        """``region`` was mapped or unmapped: the third-party decisions
+        cached for its pages, in tracers and in compiled blocks, may be
+        stale.  Walks the pages holding cached code, not the region's."""
+        pages = region.pages
+        for page in [page for page in self._tb_cache.pages() |
+                     self._decode_pages.keys() if page in pages]:
+            self.invalidate_page(page)
         for tracer in self._tracers:
             invalidate = getattr(tracer, "invalidate_region_cache", None)
             if invalidate is not None:
-                # A compiling tracer's invalidation also flushes the
-                # translation cache through its registered callback.
-                invalidate()
+                invalidate(region)
 
     @property
     def fault_injector(self) -> Optional[FaultInjector]:
@@ -437,16 +430,10 @@ class Emulator:
 
     def add_tracer(self, tracer: Tracer) -> None:
         self._tracers.append(tracer)
-        wire = getattr(tracer, "set_region_invalidate_callback", None)
-        if wire is not None:
-            wire(self._flush_translations)
         self._refresh_instrumentation()
 
     def remove_tracer(self, tracer: Tracer) -> None:
         self._tracers.remove(tracer)
-        unwire = getattr(tracer, "set_region_invalidate_callback", None)
-        if unwire is not None:
-            unwire(None)
         self._refresh_instrumentation()
 
     def _notify_branch(self, i_from: int, i_to: int) -> None:

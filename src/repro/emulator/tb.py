@@ -7,16 +7,16 @@ every executed instruction, and blocks chain directly to their static
 successors so a hot loop dispatches without touching the block cache.
 
 Blocks are keyed by ``(pc, thumb)`` and indexed by the 4 KiB pages their
-bytes occupy.  Invalidation is page-granular: a write into a page
-holding translated code (self-modifying code), or a hook registration
-covering it, drops every block on that page and severs all chain links
-into the dropped blocks (chains are severed globally — registration and
-self-modification are rare, dispatch is not).
+bytes occupy.  Invalidation is page-granular: a write over translated
+code, a map or unmap of a region covering it, or a host-function
+registration on its page drops every block on that page and severs all
+chain links into the dropped blocks (chains are severed globally — such
+changes are rare, dispatch is not).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, KeysView, List, Optional, Tuple
 
 PAGE_SHIFT = 12
 
@@ -109,9 +109,9 @@ class TranslationCache:
             self._by_page.setdefault(page, []).append(tb)
         self.translations += 1
 
-    def pages(self) -> Set[int]:
-        """Every page currently holding translated code."""
-        return set(self._by_page)
+    def pages(self) -> KeysView[int]:
+        """Every page currently holding translated code (a live view)."""
+        return self._by_page.keys()
 
     def _sever_chains(self) -> None:
         for tb in self._blocks.values():
@@ -135,6 +135,8 @@ class TranslationCache:
                     siblings = self._by_page.get(other_page)
                     if siblings is not None:
                         siblings[:] = [b for b in siblings if b is not tb]
+                        if not siblings:
+                            del self._by_page[other_page]
         # Any block anywhere may chain into a dropped block.
         self._sever_chains()
         self.invalidations += dropped

@@ -140,13 +140,15 @@ class AndroidPlatform:
         """System.loadLibrary: assemble, map (third-party) and bind.
 
         In a warm worker a library loaded by a previous job stays
-        *resident*: mapped, decoded, translated.  When the same name
-        resolves to the same source, the load skips assembly, mapping and
-        cache invalidation entirely and only re-binds methods and replays
-        the observable events.  A different source evicts the stale
-        resident first, dropping its translations, and the replacement
-        maps at a fresh base (bases are never reissued), so two apps'
-        code can never alias at the same pc.
+        *resident*: mapped, decoded, translated, its pristine image in
+        memory's checkpoint.  When the same name resolves to the same
+        source, the load skips assembly and mapping entirely and only
+        re-binds methods and replays the observable events.  A different
+        source evicts the stale resident first, and the replacement maps
+        at a fresh base (bases are never reissued), so two apps' code can
+        never alias at the same pc.  The task list is synced right after
+        each map change, before any guest instruction runs, so NDroid's
+        view sees the new region.
         """
         if name in self._loaded_libraries:
             return self._loaded_libraries[name]
@@ -168,9 +170,11 @@ class AndroidPlatform:
         externs = dict(self.libc.symbols)
         externs.update(self.libm.symbols)
         program = assemble(source, base=base, externs=externs)
+        pages = _library_pages(program, base)
         self.emu.load(base, program.code)
-        self.emu.memory_map.map(base, len(_library_pages(program, base)) << 12,
-                                name, perms="r-x", third_party=True)
+        self.memory.checkpoint(pages)
+        self.emu.memory_map.map(base, len(pages) << 12, name, perms="r-x",
+                                third_party=True)
         self.kernel.sync_tasks_to_guest()
         self._resident_libraries[name] = (program, base, source)
         return self._finish_load(name, program, base)
@@ -195,10 +199,10 @@ class AndroidPlatform:
         return program
 
     def _evict_resident(self, name: str) -> None:
-        """Unmap a resident library whose source no longer matches."""
+        """Unmap a resident library whose source no longer matches (which
+        drops its translations); the next reset deletes its pages."""
         program, base, _ = self._resident_libraries.pop(name)
-        for page in _library_pages(program, base):
-            self.emu.invalidate_page(page)
+        self.memory.forget(_library_pages(program, base))
         self.emu.memory_map.unmap(base)
         self.kernel.sync_tasks_to_guest()
 
@@ -255,21 +259,14 @@ class AndroidPlatform:
         """Return a used (possibly forked) platform to its booted state.
 
         Each owner resets its own job state, in place: memory first (the
-        kernel's task list bytes too), the kernel after it, detectors
-        last.  The decode, translation-block and Dalvik-block caches,
-        resident libraries and the tracers' region caches stay warm.
+        kernel's task list bytes and resident library images too), the
+        kernel after it, detectors last.  The decode, translation-block
+        and Dalvik-block caches, resident libraries and the tracers'
+        region caches stay warm.
         """
         if self._events_enabled is None:
             raise DalvikError("prepare_template() was never called")
-        # Resident libraries stay mapped; each gets back only the spans
-        # the job changed, so a store into its data area does not look
-        # like a rewrite of its decoded code.
-        resident = self._resident_libraries.values()
-        self.memory.reset_for_job(keep={
-            page for program, base, _ in resident
-            for page in _library_pages(program, base)})
-        for program, base, _ in resident:
-            self.memory.restore_bytes(base, program.code)
+        self.memory.reset_for_job()
         self.emu.reset_for_job()
         self.vm.reset_for_job()
         self.jni.reset_for_job()

@@ -13,8 +13,9 @@ scans all collapse to a handful of slice operations.
 
 Code pages can be *watched* (:meth:`watch_page`): a write that touches a
 watched page invokes the registered callback with the page index, which
-is how the emulator invalidates translated code when a self-modifying
-write lands on it.
+is how the emulator invalidates translated code when a write — guest
+self-modifying code, a library load or a warm reset's restore — lands
+on it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFF_FFFF
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
-# restore_bytes compares a differing page slice in chunks of this size.
+# reset_for_job compares a changed page in chunks of this size.
 _RESTORE_CHUNK = 64
 
 
@@ -47,12 +48,14 @@ class Memory:
         # Write-watch surface for translated code (see module docstring).
         self._watched_pages: Set[int] = set()
         self._write_watcher: Optional[Callable[[int], None]] = None
+        # Page index -> bytes that reset_for_job restores.
+        self._checkpoint: Dict[int, bytes] = {}
 
     # -- warm workers: checkpoint and reset -----------------------------------
 
     def checkpoint(self, pages: Optional[Iterable[int]] = None) -> None:
-        """Snapshot every page for :meth:`reset_for_job`, or refresh the
-        snapshot of just the page indices in ``pages``."""
+        """Snapshot every page for :meth:`reset_for_job`, or add (or
+        refresh) the snapshot of just the page indices in ``pages``."""
         if pages is None:
             self._checkpoint = {index: bytes(page)
                                 for index, page in self._pages.items()}
@@ -62,19 +65,36 @@ class Memory:
             if page is not None:
                 self._checkpoint[index] = bytes(page)
 
-    def reset_for_job(self, keep: Set[int]) -> None:
-        """Drop pages created since the checkpoint (but ``keep``) and
-        rewrite changed ones; the write watcher sees both, as it would
-        see self-modifying code."""
+    def forget(self, pages: Iterable[int]) -> None:
+        """Drop ``pages`` from the checkpoint: the next reset deletes
+        them."""
+        for index in pages:
+            self._checkpoint.pop(index, None)
+
+    def reset_for_job(self) -> None:
+        """Drop pages created since the checkpoint and rewrite the spans
+        of checkpointed pages that changed.
+
+        A changed page is compared in 64-byte chunks; a run of differing
+        chunks is trimmed to its first and last differing byte and
+        written with :meth:`write_bytes`.  The write watcher sees the
+        dropped pages and the changed bytes, as it would see
+        self-modifying code — not the whole page, so a store into data
+        sharing a page with decoded code leaves the code's translations
+        alone.
+        """
         checkpoint = self._checkpoint
         for index in [index for index in self._pages
-                      if index not in checkpoint and index not in keep]:
+                      if index not in checkpoint]:
             del self._pages[index]
             if index in self._watched_pages:
                 self._notify_write(index, 0, PAGE_SIZE)
         for index, data in checkpoint.items():
-            if self._pages.get(index) != data:
-                self.write_bytes(index << PAGE_SHIFT, data)
+            page = self._pages.get(index, _ZERO_PAGE)
+            if page != data:
+                base = index << PAGE_SHIFT
+                for low, high in _differing_spans(page, data):
+                    self.write_bytes(base + low, data[low:high])
 
     # -- page plumbing ----------------------------------------------------
 
@@ -271,34 +291,6 @@ class Memory:
             address = (address + chunk) & ADDRESS_MASK
             position += chunk
             remaining -= chunk
-
-    def restore_bytes(self, address: int, data: bytes) -> int:
-        """Write back only the spans of ``data`` that differ from memory.
-
-        Compares whole page slices first, then 64-byte slices of a page
-        that differs.  A run of differing chunks is trimmed to its
-        first and last differing byte and written with
-        :meth:`write_bytes`, so the write watcher sees the bytes that
-        changed, not the whole image.  Memory ends byte-identical to
-        ``data``; returns the number of bytes written.
-        """
-        address &= ADDRESS_MASK
-        written = 0
-        position = 0
-        while position < len(data):
-            offset = (address + position) & PAGE_MASK
-            size = min(len(data) - position, PAGE_SIZE - offset)
-            want = data[position:position + size]
-            page = self._pages.get((address + position) >> PAGE_SHIFT)
-            live = _ZERO_PAGE[:size] if page is None else \
-                page[offset:offset + size]
-            if live != want:
-                for low, high in _differing_spans(live, want):
-                    self.write_bytes(address + position + low,
-                                     want[low:high])
-                    written += high - low
-            position += size
-        return written
 
     def read_cstring(self, address: int, limit: int = 1 << 16) -> bytes:
         """Read a NUL-terminated C string (without the terminator).

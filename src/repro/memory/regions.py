@@ -9,7 +9,7 @@ of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional
 
 from repro.common.errors import MemoryError_
@@ -45,6 +45,11 @@ class Region:
     def overlaps(self, other: "Region") -> bool:
         return self.start < other.end and other.start < self.end
 
+    @property
+    def pages(self) -> range:
+        """Indices of the 4 KiB pages the region touches."""
+        return range(self.start >> 12, ((self.end - 1) >> 12) + 1)
+
     def format(self) -> str:
         flags = self.perms.ljust(3, "-")
         tag = " (3p)" if self.third_party else ""
@@ -56,19 +61,19 @@ class MemoryMap:
 
     def __init__(self) -> None:
         self._regions: List[Region] = []
-        # Region-table change listeners.  The instruction tracer caches
-        # per-page third-party decisions (and bakes them into translated
-        # blocks), so a library mapped after tracing starts must be able
-        # to invalidate those caches.
-        self._listeners: List[Callable[[], None]] = []
+        # Region-table change listeners.  Third-party decisions are cached
+        # per page (and baked into translated blocks), so a library mapped
+        # after tracing starts must reach the caches of its pages.
+        self._listeners: List[Callable[[Region], None]] = []
 
-    def subscribe(self, listener: Callable[[], None]) -> None:
-        """Call ``listener`` after every successful map/unmap."""
+    def subscribe(self, listener: Callable[[Region], None]) -> None:
+        """Call ``listener`` with the region of every successful
+        map/unmap."""
         self._listeners.append(listener)
 
-    def _notify(self) -> None:
+    def _notify(self, region: Region) -> None:
         for listener in self._listeners:
-            listener()
+            listener(region)
 
     def map_region(self, region: Region) -> Region:
         for existing in self._regions:
@@ -79,7 +84,7 @@ class MemoryMap:
                 )
         self._regions.append(region)
         self._regions.sort(key=lambda r: r.start)
-        self._notify()
+        self._notify(region)
         return region
 
     def map(self, start: int, size: int, name: str, perms: str = "rwx",
@@ -92,7 +97,7 @@ class MemoryMap:
         for index, region in enumerate(self._regions):
             if region.start == start:
                 del self._regions[index]
-                self._notify()
+                self._notify(region)
                 return
         raise MemoryError_(start, "unmap of unknown region")
 

@@ -39,15 +39,6 @@ def test_kinds_preserves_order():
     assert log.kinds() == ["enter", "taint", "exit"]
 
 
-def test_subscribe_sees_new_events():
-    log = EventLog()
-    seen = []
-    log.subscribe(lambda event: seen.append(event.kind))
-    log.emit("x", "alpha")
-    log.emit("x", "beta")
-    assert seen == ["alpha", "beta"]
-
-
 def test_dump_and_format():
     log = EventLog()
     log.emit("sink", "leak", "send() with tainted buffer")
@@ -61,18 +52,6 @@ def test_clear():
     log.emit("x", "y")
     log.clear()
     assert len(log) == 0
-
-
-def test_unsubscribe_stops_delivery():
-    log = EventLog()
-    seen = []
-    log.subscribe(seen.append)
-    log.emit("a", "x")
-    log.unsubscribe(seen.append)
-    log.emit("a", "y")
-    assert [event.kind for event in seen] == ["x"]
-    # Unsubscribing an unknown callback is a no-op.
-    log.unsubscribe(seen.append)
 
 
 def test_clear_resets_sequence():

@@ -243,7 +243,12 @@ class TestScopingAndCache:
         emu.add_tracer(tracer)
         emu.call(program.entry("main"))
         assert len(calls) == 1  # one page lookup, then cached
-        tracer.invalidate_region_cache()
+        # A mapping elsewhere keeps the decision; one covering the page
+        # drops it.
+        emu.memory_map.map(CODE_BASE + 0x1000, 0x1000, "libother.so")
+        emu.call(program.entry("main"))
+        assert len(calls) == 1
+        emu.memory_map.map(CODE_BASE, 0x1000, "libapp.so")
         emu.call(program.entry("main"))
         assert len(calls) == 2
 

@@ -91,11 +91,8 @@ CONFIGURATIONS = ((True, in_third_party), (False, in_third_party),
 def _ndroid_tables():
     platform = AndroidPlatform()
     ndroid = NDroid.attach(platform)
-    try:
-        return (dict(platform.jni.symbols),
-                [list(chain.names) for chain in ndroid.multilevel._chains])
-    finally:
-        ndroid.detach()
+    return (dict(platform.jni.symbols),
+            [list(chain.names) for chain in ndroid.multilevel._chains])
 
 
 SYMBOLS, CHAINS = _ndroid_tables()

@@ -314,15 +314,22 @@ def test_data_write_sharing_code_page_does_not_invalidate():
     assert emu.translation_stats()["invalidations"] == 0
 
 
-def test_explicit_load_flushes_everything():
+def test_load_over_code_retranslates_only_its_page():
     emu, program = make_emu(PATCHABLE)
     main = program.entry("main")
-    emu.call(main)
-    assert emu.translation_stats()["blocks"] > 0
+    other = CODE_BASE + 0x1000
+    emu.load(other, assemble("f:\n    mov r0, #3\n    bx lr\n",
+                             base=other).code)
+    assert emu.call(main) == 1
+    assert emu.call(other) == 3
+    assert emu.translation_stats()["blocks"] == 2
     emu.load(CODE_BASE, assemble("main:\n    mov r0, #7\n    bx lr\n",
                                  base=CODE_BASE).code)
-    assert emu.translation_stats()["blocks"] == 0
+    # Only the overwritten page's block died.
+    assert emu.translation_stats()["blocks"] == 1
+    assert emu.translation_stats()["invalidations"] == 1
     assert emu.call(main) == 7
+    assert emu.call(other) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,22 @@ class TestResetForJob:
         assert third == 1
         assert third_base not in (first_base, second_base)
 
+    def test_new_library_keeps_other_jobs_translations(self):
+        # Loading and mapping a library reaches only its own pages'
+        # caches: case3's job drops none of case2's blocks, and case2
+        # run again translates nothing.
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        metrics = {}
+        for name in ("case2", "case3", "case2"):
+            platform.reset_for_job()
+            run_scenario(ALL_SCENARIOS[name](), platform)
+            metrics[name] = platform.observability.snapshot()
+            assert platform.leaks.records
+        assert metrics["case3"]["emulator.tb.invalidations"] == 0
+        assert metrics["case2"]["emulator.tb.translations"] == 0
+        assert metrics["case2"]["emulator.tb.hits"] > 0
+
     def test_reset_clears_job_state(self):
         platform = make_platform("ndroid")
         platform.prepare_template()

@@ -226,7 +226,7 @@ def test_unwatch_page_silences_watcher():
     assert events == [1]
 
 
-# -- restore_bytes (a warm reset restoring a resident library) ---------------
+# -- reset_for_job (a warm reset restoring a resident library) ---------------
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(st.binary(min_size=1, max_size=9000), st.integers(0, 0xFFF),
@@ -234,10 +234,15 @@ def test_unwatch_page_silences_watcher():
                           st.binary(min_size=1, max_size=80)), max_size=6))
 @example(b"\x00" * 8192, 0xFF0, [(0x0F, b"\x01"), (0x10, b"\x02")])
 @example(b"\xaa" * 300, 0, [(5, b"\x00"), (200, b"\x00")])
-def test_restore_bytes_writes_only_changed_spans(image, offset, scribbles):
+def test_reset_for_job_writes_only_changed_spans(image, offset, scribbles):
+    # The image's pages join an (empty) checkpoint the way a library's
+    # do when it becomes resident.
     mem = Memory()
     base = 0x10000 + offset
     mem.write_bytes(base, image)
+    pages = range(base >> 12, ((base + len(image) - 1) >> 12) + 1)
+    mem.checkpoint(pages)
+    mem.write_u32(0x4000_0000, 1)  # a page the job created
     for position, data in scribbles:
         position %= len(image)
         mem.write_bytes(base + position, data[:len(image) - position])
@@ -246,15 +251,15 @@ def test_restore_bytes_writes_only_changed_spans(image, offset, scribbles):
                if live[index] != image[index]}
     events = []
     mem.set_write_watcher(lambda page, lo, hi: events.append((page, lo, hi)))
-    for page in range(base >> 12, ((base + len(image)) >> 12) + 1):
+    for page in pages:
         mem.watch_page(page)
 
-    written = mem.restore_bytes(base, image)
+    mem.reset_for_job()
 
     assert mem.read_bytes(base, len(image)) == image
+    assert mem.touched_pages() == len(pages)  # the job's page is gone
     notified = {(page << 12) + index - base
                 for page, lo, hi in events for index in range(lo, hi)}
-    assert written == len(notified)
     assert changed <= notified
     if changed:
         # Trimmed to the changed bytes at both ends.
