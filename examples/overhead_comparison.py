@@ -26,7 +26,7 @@ def main():
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     print(f"running CF-Bench ({iterations} iterations/workload, "
           f"4 configurations)...")
-    harness = OverheadHarness(iterations=iterations, repeats=2)
+    harness = OverheadHarness(iterations=iterations)
     tables = harness.compare_all()
 
     print()

@@ -1,21 +1,25 @@
 """Emulator throughput harness: records the perf trajectory of the engine.
 
-Measures instructions/second on the three benchmark workloads the PR
-acceptance criteria name (the uninstrumented CFBench native loop, the JNI
-crossing loop, and the Table-V tracer loop), each under both execution
-engines — the translation-block engine and the pre-TB single-step
-interpreter — and verifies *taint parity*: every Table-1/Fig-6–9 scenario
-must produce a byte-identical leak report under both engines.
+Measures instructions/second on the engine's benchmark workloads (the
+uninstrumented CFBench native loop, the CF-Bench kernels that call libc
+and libm models, the JNI crossing loop, and the Table-V tracer loop),
+each under both execution engines — the translation-block engine and
+the pre-TB single-step interpreter — and verifies *taint parity*: every
+Table-1/Fig-6–9 scenario must produce a byte-identical leak report under
+both engines.
 
-Results are serialised to ``BENCH_emulator.json``.  Regression gating
-compares **speedup ratios** (TB vs single-step on the same machine, same
-run) rather than absolute instructions/second, so the committed baseline
-is meaningful across machines of different speeds.
+Results are serialised to ``BENCH_emulator.json`` with the repeat count,
+host CPU count and Python version they were taken with.  Regression
+gating compares **speedup ratios** (TB vs single-step on the same
+machine, same run) rather than absolute instructions/second, so the
+committed baseline is meaningful across machines of different speeds.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,7 +37,7 @@ from repro.emulator import Emulator
 from repro.framework import Apk
 from repro.observability.metrics import MetricsRegistry
 
-SCHEMA = "bench_emulator/v1"
+SCHEMA = "bench_emulator/v2"
 
 # The scenarios whose taint verdicts must be engine-independent
 # (Table I cases plus the Fig. 6-9 app reconstructions).
@@ -58,6 +62,15 @@ INSTRUMENTED_SPEEDUP_FLOOR = 2.0
 # Dalvik blocks and the bridge runs through per-method trampolines.
 JNI_CROSSING_WORKLOAD = "jni_crossing"
 JNI_CROSSING_SPEEDUP_FLOOR = 2.0
+
+# The CF-Bench kernels whose loops call libc/libm models: every call
+# leaves translated code for a host function and comes back, so the row
+# measures the block-exit and host-call boundary.  They run under NDroid,
+# whose syslib hooks sit on those functions' entries and exits.
+HOST_CALL_WORKLOAD = "cfbench_host_calls"
+HOST_CALL_KERNELS = ("native_msflops", "native_mdflops", "native_mallocs",
+                     "native_disk_read", "native_disk_write")
+HOST_CALL_ITERATIONS = 300
 
 # Ceiling on the slowdown a *disabled* observability layer may add to the
 # uninstrumented CFBench loop (the zero-cost-when-off acceptance gate).
@@ -128,18 +141,20 @@ def _build_crossing_apk() -> Apk:
 
 
 def _measure(setup: Callable[[bool], Tuple[Emulator, Callable[[], None]]],
-             use_tb: bool, repeats: int) -> Tuple[int, float]:
-    """Best-of-``repeats`` timing; returns (instructions, seconds)."""
-    best: Optional[Tuple[int, float]] = None
+             use_tb: bool, repeats: int) -> Tuple[int, int, float]:
+    """Best-of-``repeats`` timing; returns (instructions, host calls,
+    seconds)."""
+    best: Optional[Tuple[int, int, float]] = None
     for _ in range(repeats):
         emu, run = setup(use_tb)
         before = emu.instruction_count
+        host_before = emu.host_call_count
         start = time.perf_counter()
         run()
         elapsed = time.perf_counter() - start
-        instructions = emu.instruction_count - before
-        if best is None or elapsed < best[1]:
-            best = (instructions, elapsed)
+        if best is None or elapsed < best[2]:
+            best = (emu.instruction_count - before,
+                    emu.host_call_count - host_before, elapsed)
     assert best is not None
     return best
 
@@ -166,6 +181,16 @@ class EmulatorBench:
 
         def run() -> None:
             bench.run_workload("native_mips", iterations=iterations)
+        return platform.emu, run
+
+    def _host_calls_setup(self, use_tb: bool):
+        from repro.bench.cfbench import CFBench
+        platform = make_platform("ndroid", use_tb=use_tb)
+        bench = CFBench(platform)
+
+        def run() -> None:
+            for name in HOST_CALL_KERNELS:
+                bench.run_workload(name, iterations=HOST_CALL_ITERATIONS)
         return platform.emu, run
 
     def _jni_crossing_setup(self, use_tb: bool):
@@ -215,12 +240,16 @@ class EmulatorBench:
     def measure_workload(self, name: str) -> Dict[str, float]:
         setup = {
             "cfbench_native_loop": self._cfbench_setup,
+            HOST_CALL_WORKLOAD: self._host_calls_setup,
             "jni_crossing": self._jni_crossing_setup,
             "table5_tracer": self._tracer_setup,
             "table5_tracer_tainted": self._tainted_tracer_setup,
         }[name]
-        step_instr, step_time = _measure(setup, False, self.repeats)
-        tb_instr, tb_time = _measure(setup, True, self.repeats)
+        step_instr, step_hosts, step_time = _measure(setup, False,
+                                                     self.repeats)
+        tb_instr, tb_hosts, tb_time = _measure(setup, True, self.repeats)
+        # Host-call counts may differ: a JNI crossing is a host call to
+        # the bridge on the single-step engine only (its guest protocol).
         assert step_instr == tb_instr, \
             f"{name}: engines disagree on instruction count " \
             f"({step_instr} vs {tb_instr})"
@@ -239,6 +268,12 @@ class EmulatorBench:
             row["single_step_us_per_crossing"] = round(
                 step_time / crossings * 1e6, 3)
             row["tb_us_per_crossing"] = round(tb_time / crossings * 1e6, 3)
+        if name == HOST_CALL_WORKLOAD:
+            # Wall time per host call, the kernels' own loops included.
+            row["host_calls"] = tb_hosts
+            row["single_step_us_per_host_call"] = round(
+                step_time / step_hosts * 1e6, 3)
+            row["tb_us_per_host_call"] = round(tb_time / tb_hosts * 1e6, 3)
         return row
 
     # -- observability zero-cost gate ---------------------------------------
@@ -326,8 +361,8 @@ class EmulatorBench:
         # back from its snapshot, so ``BENCH_emulator.json`` and
         # ``repro report`` can never disagree on instruction counts.
         registry = MetricsRegistry()
-        names = ("cfbench_native_loop", "jni_crossing", "table5_tracer",
-                 "table5_tracer_tainted")
+        names = ("cfbench_native_loop", HOST_CALL_WORKLOAD, "jni_crossing",
+                 "table5_tracer", "table5_tracer_tainted")
         row_keys: Dict[str, List[str]] = {}
         for name in names:
             row = self.measure_workload(name)
@@ -342,6 +377,9 @@ class EmulatorBench:
         }
         return {
             "schema": SCHEMA,
+            "host": {"cpus": os.cpu_count(),
+                     "python": "%d.%d.%d" % sys.version_info[:3],
+                     "repeats": self.repeats},
             "workloads": workloads,
             "metrics": snapshot,
             "observability": self.measure_observability_overhead(),

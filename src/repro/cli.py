@@ -59,7 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                   help="run the Fig. 10 overhead "
                                        "comparison")
     bench.add_argument("--iterations", type=int, default=200)
-    bench.add_argument("--repeats", type=int, default=2)
+    bench.add_argument("--repeats", type=int, default=5,
+                       help="interleaved rounds per configuration; each "
+                            "row is their median")
     bench.add_argument("--emulator", action="store_true",
                        help="run the emulator engine benchmark "
                             "(TB vs single-step + taint parity) instead")

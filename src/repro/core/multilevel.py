@@ -83,10 +83,12 @@ class MultilevelHookManager:
         return chain
 
     def reset_for_job(self) -> None:
-        """Forget all chain state and counters (a warm worker's new job)."""
+        """Forget all chain state and counters (a warm worker's new job).
+        Only a live chain (nonzero depth) needs resetting."""
         self._armed.clear()
         for chain in self._chains:
-            chain.reset()
+            if chain.depth:
+                chain.reset()
         self.checks = 0
         self.fires = 0
 

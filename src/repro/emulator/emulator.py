@@ -6,7 +6,10 @@ chained to their static successors — rather than fetch/decode/execute per
 instruction.  Instrumentation is decided at translation boundaries: while
 no per-instruction instrumentation is attached (no tracers, no fault
 injector), blocks run through a tight micro-op loop with **zero**
-per-instruction checks.
+per-instruction checks.  The block exit is compiled too: the terminator
+is a translated closure, and a call from it into a host function (the
+libc/libm models, NDroid's helpers) runs from the block epilogue, its
+return chained to the block's fall-through successor.
 
 Taint analysis is *compiled into* the blocks rather than demoting them
 (NDroid inserts its analysis at translation time inside QEMU's TCG
@@ -65,6 +68,7 @@ from repro.cpu.thumb_decoder import decode_thumb
 from repro.emulator.tb import TranslationBlock, TranslationCache
 from repro.emulator.translator import (
     build_micro_op,
+    build_terminator,
     ends_block,
     interleave_taint_ops,
     static_branch_target,
@@ -96,7 +100,8 @@ class HostContext:
     """Argument accessor handed to host functions (AAPCS view).
 
     The first four arguments live in R0-R3; the rest are on the stack.
-    ``returns`` sets R0 (and R1 for 64-bit results).
+    ``set_result`` sets R0 (and R1 for 64-bit results).  It holds no
+    per-call state, so each emulator hands every call the same one.
     """
 
     def __init__(self, emu: "Emulator") -> None:
@@ -161,6 +166,7 @@ class Emulator:
         self.memory.set_write_watcher(self._on_code_page_write)
 
         self._host_functions: Dict[int, _RegisteredHost] = {}
+        self._host_context = HostContext(self)
         self._entry_hooks: Dict[int, List[Hook]] = {}
         self._exit_hooks: Dict[int, List[Hook]] = {}
         self._branch_listeners: List[BranchListener] = []
@@ -275,10 +281,15 @@ class Emulator:
         calling into the guest.
         """
         expected = [[hook] for hook in hooks] if hooks else [[], []]
-        return (self.use_tb and self._fault_injector is None
-                and not self._per_step_instrumentation
+        return (self.runs_blocks and self._fault_injector is None
                 and [self._entry_hooks.get(address, []),
                      self._exit_hooks.get(address, [])] == expected)
+
+    @property
+    def runs_blocks(self) -> bool:
+        """True while :meth:`run` executes translated blocks: the TB
+        engine is on and no per-instruction instrumentation demotes it."""
+        return self.use_tb and not self._per_step_instrumentation
 
     def _refresh_instrumentation(self) -> None:
         compilers = [tracer for tracer in self._tracers
@@ -579,6 +590,7 @@ class Emulator:
         ops = []
         irs: List[Instruction] = []
         specialised = 0
+        term_op = None
         term_ir: Optional[Instruction] = None
         term_pc = pc
         current = pc
@@ -608,6 +620,9 @@ class Emulator:
             if ends_block(ir):
                 term_ir = ir
                 term_pc = current
+                term_op, is_specialised = build_terminator(
+                    ir, current, thumb, self.cpu, self.memory, self.executor)
+                specialised += is_specialised
                 if compiler is not None and in_scope:
                     term_taint_op = compiler.compile_taint_op(
                         ir, current, self)
@@ -636,7 +651,8 @@ class Emulator:
         taint_ops = (interleave_taint_ops(body_ops, taint_slots)
                      if traced else None)
         tb = TranslationBlock(
-            pc=pc, thumb=thumb, ops=body_ops, term_ir=term_ir,
+            pc=pc, thumb=thumb, ops=body_ops, term_op=term_op,
+            term_ir=term_ir,
             term_pc=term_pc, fall_pc=fall_pc, taken_pc=taken_pc,
             length=len(ops) + (1 if term_ir is not None else 0),
             pages=pages, specialised=specialised, irs=tuple(irs),
@@ -670,16 +686,24 @@ class Emulator:
         dispatch, stop/budget checks) happens between blocks only.
         A guest fault inside a block is unwound by :meth:`_abort_block`
         on the (zero-cost until taken) exception path.
+
+        The block epilogue runs the translated terminator.  When it
+        branches to a host function, the epilogue dispatches the call
+        itself (behind the same checks the loop head makes before any
+        dispatch), and a return to the block's ``fall_pc`` in the
+        block's mode chains through ``succ_fall`` instead of
+        re-resolving through the cache.
         """
         cpu = self.cpu
         regs = cpu.regs
         cache = self._tb_cache
         hosts = self._host_functions
-        executor_execute = self.executor.execute
+        listeners = self._branch_listeners
+        entry_hooks = self._entry_hooks
+        exit_hooks = self._exit_hooks
         # Hoisted like the other per-block state: one `is not None` check
         # per block, shared by the profiler and the crash ring.
         monitor = self._block_monitor
-        profiler = self._profiler
         limit = self._instruction_limit
         compiler = self._taint_compiler
         # The sticky flag is re-read at every block dispatch: taint only
@@ -700,10 +724,7 @@ class Emulator:
                 break  # (a hook may re-wire instrumentation mid-run)
             if tb is None or not tb.valid:
                 if (pc & ~1) in hosts:
-                    if profiler is not None and \
-                            self.instruction_count >= profiler.next_sample:
-                        profiler.take_sample(pc, self.instruction_count)
-                    self._dispatch_host(pc & ~1, simulate_return=True)
+                    self._run_host(pc)
                     executed += 1
                     tb = None
                     link = None
@@ -743,29 +764,23 @@ class Emulator:
                 compiler.traced_instructions += tb.traced
 
             executed += tb.length
-            term_ir = tb.term_ir
-            if term_ir is None:
+            term_op = tb.term_op
+            if term_op is None:
                 # Block was cut short (length cap / host code ahead).
-                self.instruction_count += tb.length
-                regs[PC] = tb.fall_pc
-                successor = tb.succ_fall
-                if successor is None:
-                    link = (tb, False)
-                tb = successor
-                continue
-
-            regs[PC] = tb.term_pc
-            if tainted and tb.term_taint_op is not None:
+                wrote_pc = False
+            else:
+                if tainted and tb.term_taint_op is not None:
+                    regs[PC] = tb.term_pc
+                    try:
+                        tb.term_taint_op()
+                    except Exception:
+                        self._abort_block(tb, len(tb.ops), False)
+                        raise
                 try:
-                    tb.term_taint_op()
+                    wrote_pc = term_op()
                 except Exception:
-                    self._abort_block(tb, len(tb.ops), False)
+                    self._abort_block(tb, len(tb.ops), True)
                     raise
-            try:
-                wrote_pc = executor_execute(term_ir)
-            except Exception:
-                self._abort_block(tb, len(tb.ops), True)
-                raise
             self.instruction_count += tb.length
             if not wrote_pc:
                 regs[PC] = tb.fall_pc
@@ -778,12 +793,36 @@ class Emulator:
             target = regs[PC]
             # Block-boundary instrumentation (cheap presence checks; the
             # paper's per-crossing hooks live here, not per instruction).
-            if self._branch_listeners:
-                self._notify_branch(tb.term_pc, target)
+            if listeners:
+                term_pc = tb.term_pc
+                for listener in listeners:
+                    listener(term_pc, target, self)
             if self._pending_exits:
                 self._fire_exit_hooks(target)
-            if (self._entry_hooks or self._exit_hooks) and \
-                    (target & ~1) not in hosts:
+            address = target & ~1
+            if address in hosts:
+                # A call into a host function (a libc/libm model): run it
+                # here unless the loop head would stop first.
+                if executed >= budget or target == stop_at or \
+                        self._stop_requested or \
+                        self._per_step_instrumentation or \
+                        self._taint_compiler is not compiler:
+                    tb = None
+                    continue
+                self._run_host(target)
+                executed += 1
+                if limit is not None:
+                    budget = min(budget, executed + limit -
+                                 self.instruction_count - MAX_BLOCK_OPS)
+                if regs[PC] == tb.fall_pc and cpu.thumb == tb.thumb:
+                    successor = tb.succ_fall
+                    if successor is None:
+                        link = (tb, False)
+                    tb = successor
+                else:
+                    tb = None
+                continue
+            if address in entry_hooks or address in exit_hooks:
                 self._fire_entry_hooks(target)
             if target == tb.taken_pc:
                 successor = tb.succ_taken
@@ -793,6 +832,15 @@ class Emulator:
             else:
                 tb = None  # dynamic target (BX, LDR pc, ...): re-resolve
         return executed
+
+    def _run_host(self, pc: int) -> None:
+        """A host call reached by the block engine: the profiler's
+        sample, then the call and its simulated return."""
+        profiler = self._profiler
+        if profiler is not None and \
+                self.instruction_count >= profiler.next_sample:
+            profiler.take_sample(pc, self.instruction_count)
+        self._dispatch_host(pc & ~1, simulate_return=True)
 
     @staticmethod
     def _fault_position(tb: TranslationBlock, body: Tuple,
@@ -881,21 +929,25 @@ class Emulator:
             raise EmulationError(f"no host function @ 0x{address:08x}",
                                  pc=address)
         self.host_call_count += 1
-        self.fire_fault_point("host", address=address, name=registered.name)
+        if self._fault_injector is not None:
+            self._fault_injector("host", self, address=address,
+                                 name=registered.name)
+        cpu = self.cpu
+        regs = cpu.regs
         # Capture the return address NOW: the host body may run nested
         # emulation (e.g. the JNI bridge calling into native code), which
         # clobbers LR exactly as a real call would.
         if return_address is None:
-            return_address = self.cpu.lr
+            return_address = regs[LR]
         self._fire_entry_hooks(address, return_address=return_address)
-        result = registered.function(HostContext(self))
+        result = registered.function(self._host_context)
         if result is not None:
-            self.cpu.write_reg(0, result & 0xFFFF_FFFF)
+            regs[0] = result & 0xFFFF_FFFF
         if simulate_return:
-            self.cpu.thumb = bool(return_address & 1)
-            self.cpu.pc = return_address & ~1
-            self._notify_branch(address, self.cpu.pc)
-            self._fire_exit_hooks(self.cpu.pc)
+            cpu.thumb = bool(return_address & 1)
+            regs[PC] = return_address & 0xFFFF_FFFE
+            self._notify_branch(address, regs[PC])
+            self._fire_exit_hooks(regs[PC])
 
     def call(self, address: int, args: Tuple[int, ...] = (),
              max_steps: int = 5_000_000) -> int:

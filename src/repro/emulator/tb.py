@@ -5,6 +5,8 @@ decoded once into blocks that end at control transfers, instrumentation
 is decided when the block is *translated* rather than re-checked on
 every executed instruction, and blocks chain directly to their static
 successors so a hot loop dispatches without touching the block cache.
+A block's terminator is translated too, and a call from it into a host
+function that returns to the block's fall-through chains there as well.
 
 Blocks are keyed by ``(pc, thumb)`` and indexed by the 4 KiB pages their
 bytes occupy.  Invalidation is page-granular: a write over translated
@@ -24,13 +26,15 @@ PAGE_SHIFT = 12
 class TranslationBlock:
     """One translated straight-line run starting at ``(pc, thumb)``.
 
-    ``ops`` are the body micro-ops (never write PC).  ``term_ir`` is the
-    decoded terminator executed through the interpretive executor, or
-    None when the block was cut short (max length / host-code boundary /
-    undecodable word ahead), in which case control falls through to
-    ``fall_pc``.  ``irs`` are the decoded instructions in order,
-    terminator included: the crash ring expands a block into them, and a
-    mid-block fault derives its pc from their widths.
+    ``ops`` are the body micro-ops (never write PC).  ``term_op`` is the
+    translated terminator, run in the block epilogue: a closure that
+    returns whether it wrote the PC (see ``translator.build_terminator``).
+    ``term_ir`` is its decoded instruction.  Both are None when the block
+    was cut short (max length / host-code boundary / undecodable word
+    ahead), in which case control falls through to ``fall_pc``.  ``irs``
+    are the decoded instructions in order, terminator included: the
+    crash ring expands a block into them, and a mid-block fault derives
+    its pc from their widths.
 
     Blocks from third-party regions carry a second executable variant:
     ``taint_ops`` interleaves a pre-bound Table V taint micro-op before
@@ -46,11 +50,11 @@ class TranslationBlock:
     """
 
     __slots__ = ("pc", "thumb", "ops", "irs", "taint_ops", "term_taint_op",
-                 "traced", "term_ir", "term_pc", "fall_pc",
+                 "traced", "term_op", "term_ir", "term_pc", "fall_pc",
                  "taken_pc", "length", "pages", "valid", "specialised",
                  "succ_taken", "succ_fall")
 
-    def __init__(self, pc: int, thumb: bool, ops: Tuple, term_ir,
+    def __init__(self, pc: int, thumb: bool, ops: Tuple, term_op, term_ir,
                  term_pc: int, fall_pc: int, taken_pc: Optional[int],
                  length: int, pages: Tuple[int, ...],
                  specialised: int, irs: Tuple = (),
@@ -63,11 +67,14 @@ class TranslationBlock:
         self.taint_ops = ops if taint_ops is None else taint_ops
         self.term_taint_op = term_taint_op
         self.traced = traced
+        self.term_op = term_op
         self.term_ir = term_ir
         self.term_pc = term_pc
         self.fall_pc = fall_pc
         # Static taken-target of a PC-relative terminator (chainable);
-        # None for dynamic targets (BX, LDR pc, ...).
+        # None for dynamic targets (BX, LDR pc, ...), which re-resolve
+        # through the cache, except a host call returning to ``fall_pc``
+        # in the block's own mode: it chains through ``succ_fall``.
         self.taken_pc = taken_pc
         self.length = length
         self.pages = pages

@@ -8,22 +8,31 @@ closure.  Executing the block then costs one closure call per
 instruction, with no decode, no dispatch, no per-instruction
 instrumentation checks, and no condition re-tests for the AL case.
 
+The block's terminator is translated the same way into a closure that
+returns whether it wrote the PC: B/BL/B<cond> with a constant target and
+link value, Thumb BLX-immediate with its switch to ARM, BX/BLX register
+with interworking, and POP/LDM loading the PC.  The dispatch loop runs
+it in the block epilogue, so an ordinary block exit never reaches the
+interpretive executor.
+
 Anything not covered by a specialised builder falls back to a closure
 around :meth:`Executor.execute`, which keeps semantics identical to the
 single-step engine at the single-step engine's speed.  The specialised
 builders must match the executor's semantics *exactly* (including its
-shifter-carry conventions) — the differential tests in
-``tests/emulator/test_translation_blocks.py`` enforce this.
+shifter-carry conventions and interworking quirks) — the differential
+tests in ``tests/emulator/test_translation_blocks.py`` and
+``tests/emulator/test_block_exit_differential.py`` enforce this.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
+from repro.common.errors import MemoryError_
 from repro.cpu import isa
 from repro.cpu.executor import CONDITION_TABLE, Executor
 from repro.cpu.isa import Cond, Op, ShiftType
-from repro.cpu.state import PC, CpuState
+from repro.cpu.state import LR, PC, CpuState
 from repro.memory.memory import Memory
 
 M32 = 0xFFFF_FFFF
@@ -31,6 +40,8 @@ SIGN = 0x8000_0000
 
 # A translated micro-op: no arguments, no return value, never writes PC.
 MicroOp = Callable[[], None]
+# A translated terminator: no arguments, returns whether it wrote the PC.
+Terminator = Callable[[], bool]
 
 
 def ends_block(ir: isa.Instruction) -> bool:
@@ -100,24 +111,41 @@ def build_micro_op(ir: isa.Instruction, pc: int, thumb: bool,
     return op, True
 
 
+def build_terminator(ir: isa.Instruction, pc: int, thumb: bool,
+                     cpu: CpuState, memory: Memory,
+                     executor: Executor) -> Tuple[Terminator, bool]:
+    """Translate a block terminator (``ends_block(ir)``) into
+    ``(closure, specialised)``; the closure returns whether it wrote the
+    PC, exactly as :meth:`Executor.execute` would."""
+    op = _specialise_terminator(ir, pc, thumb, cpu, memory, executor)
+    if op is None:
+        return _fallback(ir, pc, cpu, executor), False
+    if ir.cond != Cond.AL:
+        op = _conditional(op, ir.cond, cpu)
+    return op, True
+
+
 def _fallback(ir: isa.Instruction, pc: int, cpu: CpuState,
-              executor: Executor) -> MicroOp:
+              executor: Executor) -> Terminator:
     regs = cpu.regs
     execute = executor.execute
 
-    def op() -> None:
+    def op() -> bool:
         regs[PC] = pc
-        execute(ir)
+        return execute(ir)
     return op
 
 
-def _conditional(inner: MicroOp, cond: Cond, cpu: CpuState) -> MicroOp:
+def _conditional(inner, cond: Cond, cpu: CpuState):
+    """Guard ``inner`` by ``cond``; a failed condition returns False (no
+    PC write), so this wraps body micro-ops and terminators alike."""
     passes = CONDITION_TABLE[cond]
 
-    def op() -> None:
+    def op():
         if passes[cpu.flag_n << 3 | cpu.flag_z << 2 |
                   cpu.flag_c << 1 | cpu.flag_v]:
-            inner()
+            return inner()
+        return False
     return op
 
 
@@ -502,6 +530,15 @@ def _specialise_load_store(ir: isa.LoadStore, pc: int, thumb: bool,
     return strb
 
 
+def _multiple_deltas(ir: isa.LoadStoreMultiple) -> Tuple[int, int]:
+    """An LDM/STM's offsets from its base register: to the lowest word
+    it transfers, and to the base it writes back."""
+    count = len(ir.reglist)
+    if ir.increment:
+        return (4 if ir.before else 0), 4 * count
+    return (-4 * count if ir.before else -4 * count + 4), -4 * count
+
+
 def _specialise_load_store_multiple(ir: isa.LoadStoreMultiple,
                                     cpu: CpuState,
                                     memory: Memory) -> Optional[MicroOp]:
@@ -514,13 +551,7 @@ def _specialise_load_store_multiple(ir: isa.LoadStoreMultiple,
         return None
     read_words = memory.read_words
     write_words = memory.write_words
-
-    if ir.increment:
-        start_delta = 4 if ir.before else 0
-        end_delta = 4 * count
-    else:
-        start_delta = -4 * count if ir.before else -4 * count + 4
-        end_delta = -4 * count
+    start_delta, end_delta = _multiple_deltas(ir)
 
     if ir.load:
         load_in_list = rn in reglist
@@ -603,3 +634,120 @@ def _specialise_clz(ir: isa.CountLeadingZeros,
         value = regs[rm]
         regs[rd] = 32 if value == 0 else 32 - value.bit_length()
     return clz
+
+
+# -- block terminators --------------------------------------------------------
+
+def _specialise_terminator(ir: isa.Instruction, pc: int, thumb: bool,
+                           cpu: CpuState, memory: Memory,
+                           executor: Executor) -> Optional[Terminator]:
+    if isinstance(ir, isa.Branch):
+        return _specialise_branch(ir, pc, thumb, cpu)
+    if isinstance(ir, isa.BranchExchange):
+        return _specialise_branch_exchange(ir, pc, thumb, cpu)
+    if isinstance(ir, isa.LoadStoreMultiple):
+        return _specialise_pop(ir, pc, cpu, memory, executor)
+    return None  # PC-writing ALU ops, ldr pc, SVC, BKPT
+
+
+def _return_address(ir: isa.Instruction, pc: int, thumb: bool) -> int:
+    """The link value a BL/BLX leaves in LR: the next instruction, with
+    the Thumb bit set when the caller runs Thumb code."""
+    return ((pc + ir.width) & M32) | (1 if thumb else 0)
+
+
+def _specialise_branch(ir: isa.Branch, pc: int, thumb: bool,
+                       cpu: CpuState) -> Optional[Terminator]:
+    regs = cpu.regs
+    target = static_branch_target(ir, pc, thumb)
+    if ir.mnemonic == "blx" and thumb:
+        if not ir.link:
+            return None  # no decoder produces an unlinked BLX
+        link_value = _return_address(ir, pc, thumb)
+
+        def blx_imm() -> bool:
+            # Thumb BLX immediate: switch to ARM at the word-aligned target.
+            regs[LR] = link_value
+            cpu.thumb = False
+            regs[PC] = target
+            return True
+        return blx_imm
+    if ir.link:
+        link_value = _return_address(ir, pc, thumb)
+
+        def bl() -> bool:
+            regs[LR] = link_value
+            regs[PC] = target
+            return True
+        return bl
+
+    def b() -> bool:
+        regs[PC] = target
+        return True
+    return b
+
+
+def _specialise_branch_exchange(ir: isa.BranchExchange, pc: int,
+                                thumb: bool,
+                                cpu: CpuState) -> Optional[Terminator]:
+    if ir.rm == PC:
+        return None  # bx pc reads the pipelined PC: fall back
+    regs = cpu.regs
+    rm = ir.rm
+    if ir.link:
+        link_value = _return_address(ir, pc, thumb)
+
+        def blx_reg() -> bool:
+            target = regs[rm]  # read before LR is written (blx lr)
+            regs[LR] = link_value
+            cpu.thumb = bool(target & 1)
+            regs[PC] = target & 0xFFFF_FFFE
+            return True
+        return blx_reg
+
+    def bx() -> bool:
+        target = regs[rm]
+        cpu.thumb = bool(target & 1)
+        regs[PC] = target & 0xFFFF_FFFE
+        return True
+    return bx
+
+
+def _specialise_pop(ir: isa.LoadStoreMultiple, pc: int, cpu: CpuState,
+                    memory: Memory,
+                    executor: Executor) -> Optional[Terminator]:
+    """POP/LDM with the PC in the list (a function return).
+
+    The loaded PC interworks only towards Thumb, as the executor's
+    ``_branch_to`` does: an even value keeps the current mode.  A fault
+    re-runs the instruction through the executor, so the registers it
+    loaded before the faulting word are left exactly as single-step
+    leaves them.
+    """
+    reglist = ir.reglist
+    rn = ir.rn
+    if not ir.load or PC not in reglist or rn == PC:
+        return None
+    regs = cpu.regs
+    count = len(reglist)
+    read_words = memory.read_words
+    fallback = _fallback(ir, pc, cpu, executor)
+    start_delta, end_delta = _multiple_deltas(ir)
+    writeback = ir.writeback and rn not in reglist
+
+    def pop() -> bool:
+        base = regs[rn]
+        try:
+            values = read_words((base + start_delta) & M32, count)
+        except MemoryError_:
+            return fallback()
+        for register, value in zip(reglist, values):
+            regs[register] = value
+        target = regs[PC]
+        if target & 1:
+            cpu.thumb = True
+            regs[PC] = target & 0xFFFF_FFFE
+        if writeback:
+            regs[rn] = (base + end_delta) & M32
+        return True
+    return pop

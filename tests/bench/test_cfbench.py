@@ -76,13 +76,11 @@ class TestOverheadHarness:
         emulator rather than TCG-translated code, but the ordering and the
         native-vs-Java structure must hold.
         """
-        harness = OverheadHarness(iterations=150, repeats=2)
+        harness = OverheadHarness(iterations=150, repeats=3)
         workloads = ["native_mips", "java_mips", "native_mallocs",
                      "java_memory_read"]
-        baseline = harness.measure_config("vanilla", workloads)
-        ndroid = harness.overhead_table("ndroid", baseline, workloads)
-        droidscope = harness.overhead_table("droidscope", baseline,
-                                            workloads)
+        tables = harness.compare(["ndroid", "droidscope"], workloads)
+        ndroid, droidscope = tables["ndroid"], tables["droidscope"]
         # NDroid costs more on native code than on Java code.
         assert ndroid.rows["native_mips"] > ndroid.rows["java_mips"] * 0.9
         # DroidScope's overall slowdown exceeds NDroid's.
@@ -91,7 +89,7 @@ class TestOverheadHarness:
         assert droidscope.rows["java_mips"] > ndroid.rows["java_mips"] * 1.5
 
     def test_table_formatting(self):
-        harness = OverheadHarness(iterations=60)
+        harness = OverheadHarness(iterations=60, repeats=2)
         table = harness.overhead_table("ndroid",
                                        workloads=["native_mips",
                                                   "java_mips"])
@@ -99,3 +97,16 @@ class TestOverheadHarness:
         assert "NDroid" in text
         assert "native_mips" in text
         assert "Overall Score" in text
+        assert "median of 2 interleaved rounds" in text
+        assert len(table.rounds) == 2
+        low, high = table.spread["native_mips"]
+        assert low <= table.rows["native_mips"] <= high
+
+    def test_tables_name_each_configs_engines(self):
+        """DroidScope-sim runs single-step; the others translated code."""
+        tables = OverheadHarness(iterations=20, repeats=1).compare_all(
+            ["native_mips"])
+        assert tables["ndroid"].engine == "ARM translated, Dalvik compiled"
+        assert tables["droidscope"].engine == \
+            "ARM single-step, Dalvik single-step"
+        assert "single-step" in tables["droidscope"].format()

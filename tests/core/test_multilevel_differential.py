@@ -181,6 +181,10 @@ def replay(stream, chains=CHAINS):
             assert observe(indexed) == observe(oracle), (enabled, step)
         assert indexed.native_provenance_active() == \
             any(chain.depth for chain in oracle._chains)
+        # A job reset zeroes every chain, live or not.
+        indexed.reset_for_job()
+        assert not any(chain.depth for chain in indexed._chains)
+        assert not indexed.native_provenance_active()
 
 
 def _third_party_call(name, thumb=False):
