@@ -2,8 +2,8 @@
 
 Re-runs QQPhoneBook 3.5 under TaintDroid+NDroid, checks that the sid URL
 reaching ``info.3g.qq.com`` carries taint 0x202 (SMS | CONTACTS), that
-the event log contains the Fig. 6 sequence, and benchmarks the end-to-end
-analysis.
+the provenance ledger holds the Fig. 6 steps, and benchmarks the
+end-to-end analysis.
 """
 
 from repro.apps import qqphonebook
@@ -13,7 +13,7 @@ from repro.bench.harness import make_platform
 
 def run_once():
     scenario = qqphonebook.build()
-    platform = make_platform("ndroid")
+    platform = make_platform("ndroid", trace=True)
     run_scenario(scenario, platform)
     return scenario, platform
 
@@ -27,22 +27,16 @@ def test_fig6_flow_and_taint():
     # The wire really carried the staged sid URL.
     sent = platform.kernel.network.transmissions_to("info.3g.qq.com")
     assert any(b"xpimlogin?sid=" in t.payload for t in sent)
-    # Fig. 6 log shape: param taint recorded, then the NewStringUTF /
-    # dvmCreateStringFromCstr pair re-taints the URL string.
-    kinds = platform.event_log.kinds()
-    assert "SourcePolicy.create" in kinds
-    assert "NewStringUTF.begin" in kinds
-    assert "dvmCreateStringFromCstr" in kinds
-    assert "NewStringUTF.taint" in kinds
-    taint_event = platform.event_log.first("NewStringUTF.taint")
-    assert taint_event.data["taint"] == 0x202
+    # Fig. 6's steps: the SourcePolicy seeds the parameter's taint at
+    # the native entry, then NewStringUTF re-taints the URL string.
+    ledger = platform.observability.ledger
+    mechanisms = [edge.mechanism for edge in ledger]
+    assert "jni:dvmCallJNIMethod" in mechanisms
+    assert [edge.tag for edge in ledger
+            if edge.mechanism == "jni:NewStringUTF"] == [0x202]
     print()
-    print("Fig. 6 reproduction — key events:")
-    for kind in ("SourcePolicy.create", "NewStringUTF.begin",
-                 "dvmCreateStringFromCstr", "NewStringUTF.taint", "leak"):
-        event = platform.event_log.first(kind)
-        if event:
-            print(" ", event.format())
+    print("Fig. 6 reproduction — the leak's path:")
+    print(ledger.format_path(ledger.reconstruct(taint=0x202)))
 
 
 def test_taintdroid_alone_misses_it():

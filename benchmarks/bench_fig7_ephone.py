@@ -12,7 +12,7 @@ from repro.bench.harness import make_platform
 
 def run_once(config="ndroid"):
     scenario = ephone.build()
-    platform = make_platform(config)
+    platform = make_platform(config, trace=True)
     run_scenario(scenario, platform)
     return scenario, platform
 
@@ -29,11 +29,14 @@ def test_fig7_flow_and_taint():
     assert any(t.payload.startswith(b"REGISTER sip:") for t in sent)
     assert any(b"Vincent" in t.payload for t in sent)
     # Fig. 7's chain: GetStringUTFChars then the modelled calls.
-    kinds = platform.event_log.kinds()
-    assert "GetStringUTFChars.begin" in kinds
+    ledger = platform.observability.ledger
+    assert any(edge.mechanism == "jni:GetStringUTFChars"
+               and edge.tag & scenario.expected_taint for edge in ledger)
     print()
     print("Fig. 7 reproduction — native sink record:")
     print(" ", hits[0].describe())
+    print(ledger.format_path(ledger.reconstruct(
+        taint=scenario.expected_taint, destination=hits[0].destination)))
 
 
 def test_taintdroid_alone_misses_it():

@@ -12,7 +12,7 @@ from repro.bench.harness import make_platform
 
 def run_once(config="ndroid"):
     scenario = poc_case2.build()
-    platform = make_platform(config)
+    platform = make_platform(config, trace=True)
     run_scenario(scenario, platform)
     return scenario, platform
 
@@ -31,12 +31,16 @@ def test_fig8_flow_and_taint():
     assert file.taint_union() & 0x2
     # Fig. 8 sequence: source policy seeded, three tainted
     # GetStringUTFChars, then the sink.
-    chars_events = platform.event_log.find(kind="GetStringUTFChars.begin")
-    assert len(chars_events) >= 3
-    assert all(event.data["taint"] & 0x2 for event in chars_events[:3])
+    ledger = platform.observability.ledger
+    chars_edges = [edge for edge in ledger
+                   if edge.mechanism == "jni:GetStringUTFChars"]
+    assert len(chars_edges) >= 3
+    assert all(edge.tag & 0x2 for edge in chars_edges[:3])
     print()
     print("Fig. 8 reproduction — /sdcard/CONTACTS:", repr(content))
     print("  sink record:", hits[0].describe())
+    print(ledger.format_path(ledger.reconstruct(
+        taint=0x2, destination=hits[0].destination)))
 
 
 def test_taintdroid_alone_misses_it():

@@ -13,7 +13,7 @@ from repro.bench.harness import make_platform
 
 def run_once(config="ndroid"):
     scenario = poc_case3.build()
-    platform = make_platform(config)
+    platform = make_platform(config, trace=True)
     run_scenario(scenario, platform)
     return scenario, platform
 
@@ -30,21 +30,24 @@ def test_fig9_flow_and_taint():
     payload = b"".join(t.payload for t in sent)
     assert platform.device.line1_number.encode() in payload
     assert platform.device.network_operator.encode() in payload
-    # Fig. 9 sequence: NewStringUTF re-taint, the dvmCallMethodV ->
-    # dvmInterpret chain, and the frame-slot taint injection.
-    kinds = platform.event_log.kinds()
-    for expected in ("NewStringUTF.taint", "dvmCallMethodV",
-                     "dvmInterpret", "frame.taint"):
-        assert expected in kinds, expected
-    frame_event = platform.event_log.first("frame.taint")
-    assert frame_event.data["taint"] & scenario.expected_taint
+    # Fig. 9 sequence: NewStringUTF re-taint, the CallStaticVoidMethod
+    # argument entering Java through dvmCallMethodV, then dvmInterpret's
+    # frame-slot taint injection.
+    ledger = platform.observability.ledger
+    mechanisms = [edge.mechanism for edge in ledger]
+    for expected in ("jni:NewStringUTF", "jni:dvmCallMethodV",
+                     "jni:dvmInterpret"):
+        assert expected in mechanisms, expected
+    assert mechanisms.index("jni:dvmCallMethodV") < \
+        mechanisms.index("jni:dvmInterpret")
+    frame_edge = next(edge for edge in ledger
+                      if edge.mechanism == "jni:dvmInterpret")
+    assert frame_edge.dst.kind == "dvreg"
+    assert frame_edge.tag & scenario.expected_taint
     print()
-    print("Fig. 9 reproduction — key events:")
-    for kind in ("NewStringUTF.taint", "CallStaticVoidMethod.args",
-                 "dvmInterpret", "frame.taint"):
-        event = platform.event_log.first(kind)
-        if event:
-            print(" ", event.format())
+    print("Fig. 9 reproduction — the leak's path:")
+    print(ledger.format_path(ledger.reconstruct(
+        taint=scenario.expected_taint, destination=hits[0].destination)))
 
 
 def test_taintdroid_alone_misses_it():

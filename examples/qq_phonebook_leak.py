@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Reproduce Fig. 6: the QQPhoneBook v3.5 information flow, with the log.
+"""Reproduce Fig. 6: the QQPhoneBook v3.5 information flow, with its path.
 
 The Java code passes an SMS+contacts blob (taint 0x202) as ``args[3]`` of
 the native ``makeLoginRequestPackageMd5``; the native code formats it into
 a login URL; a second call, ``getPostUrl``, wraps that buffer with
 ``NewStringUTF`` and hands it back to Java, which posts it to
-``info.3g.qq.com``.  NDroid's log — like the paper's figure — shows the
-taint entering the native context, landing in the taint map, and being
-re-attached to the new String object.
+``info.3g.qq.com``.  The leak's reconstructed provenance path — like the
+paper's figure — shows the taint entering the native context, landing in
+native memory, and being re-attached to the new String object.
 
 Run:  python examples/qq_phonebook_leak.py
 """
@@ -19,14 +19,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.apps import qqphonebook
 from repro.apps.base import run_scenario
+from repro.bench.harness import make_platform
 from repro.common.taint import describe_taint
-from repro.core import NDroid
-from repro.framework import AndroidPlatform
 
 
 def main():
-    platform = AndroidPlatform()
-    NDroid.attach(platform)
+    platform = make_platform("ndroid", trace=True)
     scenario = qqphonebook.build()
     run_scenario(scenario, platform)
 
@@ -34,12 +32,9 @@ def main():
     print("QQPhoneBook v3.5 (Fig. 6) under TaintDroid + NDroid")
     print("=" * 70)
 
-    print("\nInformation-flow log (NDroid + JNI events):")
-    interesting = ("jni", "ndroid.hook", "ndroid.taint", "ndroid.sink",
-                   "taintdroid")
-    for event in platform.event_log:
-        if event.source in interesting or event.source.startswith("ndroid"):
-            print(" ", event.format())
+    print("\nInformation-flow path (provenance ledger):")
+    ledger = platform.observability.ledger
+    print(ledger.format_path(ledger.reconstruct(taint=0x202)))
 
     print("\nWhat went over the wire to info.3g.qq.com:")
     for transmission in platform.kernel.network.transmissions_to(

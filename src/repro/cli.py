@@ -4,7 +4,7 @@ Commands:
 
 * ``list`` — enumerate the built-in leak scenarios;
 * ``scenario <name>`` — run one scenario under a configuration and print
-  the leak report (and optionally the flow log);
+  the leak report (and optionally each leak's flow path);
 * ``matrix`` — run every scenario under TaintDroid-only and
   TaintDroid+NDroid and print the Table I detection matrix;
 * ``corpus`` — run the Section III study;
@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "droidscope"],
                           help="analysis configuration (default: ndroid)")
     scenario.add_argument("--log", action="store_true",
-                          help="print the full information-flow event log")
+                          help="print each leak's reconstructed "
+                               "information-flow path")
 
     subparsers.add_parser("matrix",
                           help="run the Table I detection matrix")
@@ -221,15 +222,20 @@ def _command_scenario(name: str, config: str, show_log: bool) -> int:
               file=sys.stderr)
         return 2
     scenario = ALL_SCENARIOS[name]()
-    platform = make_platform(config)
+    platform = make_platform(config, trace=show_log)
     run_scenario(scenario, platform)
     print(f"scenario:  {scenario.name} (case {scenario.case})")
     print(f"config:    {config}")
     print(f"expected:  taint 0x{scenario.expected_taint:x} -> "
           f"{scenario.expected_destination or '(no leak)'}")
     if show_log:
-        print("\nflow log:")
-        print(platform.event_log.dump())
+        ledger = platform.observability.ledger
+        print("\nflow paths:")
+        paths = ledger.paths()
+        if not paths:
+            print("  (no tainted data reached a sink)")
+        for path in paths:
+            print(ledger.format_path(path))
     print("\ndetected leaks:")
     print(platform.leaks.summary())
     detected = (any(r.taint & scenario.expected_taint

@@ -2,7 +2,7 @@
 
 This package holds the pieces that both the substrates (CPU, Dalvik VM,
 kernel) and the analysis systems (TaintDroid, NDroid) agree on: the 32-bit
-taint-label encoding, the structured event log, and the exception hierarchy.
+taint-label encoding and the exception hierarchy.
 """
 
 from repro.common.errors import (
@@ -14,7 +14,6 @@ from repro.common.errors import (
     KernelError,
     ReproError,
 )
-from repro.common.events import Event, EventLog
 from repro.common.taint import (
     TAINT_ACCELEROMETER,
     TAINT_ACCOUNT,
@@ -39,8 +38,6 @@ from repro.common.taint import (
 )
 
 __all__ = [
-    "Event",
-    "EventLog",
     "ReproError",
     "EmulationError",
     "DecodeError",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ReproError
-from repro.common.taint import TAINT_CLEAR, TaintLabel, describe_taint
+from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.core.multilevel import MultilevelHookManager
 from repro.core.source_policy import SourcePolicy, SourcePolicyMap
 from repro.core.taint_engine import TaintEngine
@@ -79,6 +79,8 @@ class DvmHookEngine:
         self._pending_string_chars: List[Dict] = []
         self._pending_field_get: List[Dict] = []
         self._pending_throw_taint: Optional[TaintLabel] = None
+        # The message C-string a pending ThrowNew's taint came from.
+        self._pending_throw_origin: Optional[Loc] = None
         # Native method address -> its SourcePolicy.apply entry hook.
         self._native_entry_hooks: Dict[int, Callable] = {}
         self.stats = {"jni_entries": 0, "jni_exits": 0, "creations": 0,
@@ -190,18 +192,14 @@ class DvmHookEngine:
         emu.add_exit_hook(symbols["GetStringUTFChars"],
                           guard("GetStringUTFChars.exit",
                                 self._on_get_string_chars_exit))
-        emu.add_entry_hook(symbols["GetByteArrayRegion"],
-                           guard("GetByteArrayRegion.entry",
-                                 self._make_get_array_region(1)))
-        emu.add_entry_hook(symbols["GetIntArrayRegion"],
-                           guard("GetIntArrayRegion.entry",
-                                 self._make_get_array_region(4)))
-        emu.add_entry_hook(symbols["SetByteArrayRegion"],
-                           guard("SetByteArrayRegion.entry",
-                                 self._make_set_array_region(1)))
-        emu.add_entry_hook(symbols["SetIntArrayRegion"],
-                           guard("SetIntArrayRegion.entry",
-                                 self._make_set_array_region(4)))
+        for kind, element_size in (("Byte", 1), ("Int", 4)):
+            for name, make in ((f"Get{kind}ArrayRegion",
+                                self._make_get_array_region),
+                               (f"Set{kind}ArrayRegion",
+                                self._make_set_array_region)):
+                emu.add_entry_hook(symbols[name],
+                                   guard(f"{name}.entry",
+                                         make(name, element_size)))
 
         # Exceptions.
         self.multilevel.add_chain(["ThrowNew", "initException"])
@@ -271,13 +269,6 @@ class DvmHookEngine:
                 "method": method.full_name, "taint": union,
                 "class_name": method.class_name,
             })
-            self.platform.event_log.emit(
-                "ndroid.hook", "SourcePolicy.create",
-                f"{method.full_name} shorty={method.shorty} "
-                f"taints={[hex(t) for t in taints]}",
-                method=method.full_name, shorty=method.shorty,
-                insn_addr=address, taints=list(taints),
-                class_name=method.class_name)
 
     def _jni_entry_fallback(self, emu, method=None,
                             taints: Optional[List[TaintLabel]] = None,
@@ -327,7 +318,6 @@ class DvmHookEngine:
         for index, label in enumerate(policy.stack_args_taints):
             if label:
                 self.taint.set_memory(cpu.sp + 4 * index, 4, label)
-                self.taint.log_memory_taint(cpu.sp + 4 * index, label)
                 self._trace(label, "jni:dvmCallJNIMethod",
                             Loc.java(label), Loc.mem(cpu.sp + 4 * index, 4),
                             location=policy.method_name)
@@ -341,11 +331,6 @@ class DvmHookEngine:
                     self._trace(label, "jni:dvmCallJNIMethod",
                                 Loc.java(label), Loc.iref(value),
                                 location=policy.method_name)
-        if policy.has_taint():
-            self.platform.event_log.emit(
-                "ndroid.hook", "SourcePolicy.apply",
-                f"seeded taints at 0x{policy.method_address:08x}",
-                address=policy.method_address)
 
     def _on_call_jni_exit(self, emu) -> None:
         """Overwrite the bridge's policy taint with the precise label."""
@@ -370,11 +355,6 @@ class DvmHookEngine:
                 entry["args_ptr"], entry["count"]), label)
         # Reset shadow registers: the native frame is gone.
         self.taint.clear_all_registers()
-        if label:
-            self.platform.event_log.emit(
-                "ndroid.hook", "jni.return_taint",
-                f"{method.full_name} returns taint {describe_taint(label)}",
-                method=method.full_name, taint=label)
 
     # =============================================================== JNI exit
 
@@ -412,11 +392,6 @@ class DvmHookEngine:
                                 Loc.java(label), location=method.full_name)
                 labels.append(label)
             self._java_call_taints.append(labels)
-            self.platform.event_log.emit(
-                "ndroid.hook", f"{name}.args",
-                f"{method.full_name} arg taints="
-                f"{[hex(l) for l in labels]}",
-                method=method.full_name, taints=list(labels))
         return hook
 
     def _on_interpret_entry(self, emu) -> None:
@@ -432,14 +407,11 @@ class DvmHookEngine:
         for offset, label in enumerate(labels):
             if label:
                 frame.add_taint(first_in + offset, label)
-                slot_address = frame.taint_address(first_in + offset)
-                self.platform.event_log.emit(
-                    "ndroid.hook", "frame.taint",
-                    f"add taint to new method frame "
-                    f"t[{frame.slot_address(first_in + offset):08x}] = "
-                    f"0x{label:x}",
-                    method=method.full_name, slot=slot_address, taint=label,
-                    frame=frame.fp)
+                # Fig. 9's last step: the argument's taint lands in the
+                # freshly pushed frame's slot, which the DVM had cleared.
+                self._trace(label, "jni:dvmInterpret", Loc.java(label),
+                            Loc.dvreg(frame.slot_address(first_in + offset)),
+                            location=method.full_name)
         self.stats["jni_exits"] += 1
 
     def _on_interpret_exit(self, emu) -> None:
@@ -459,6 +431,10 @@ class DvmHookEngine:
             self.taint.set_register(0, result.taint)
             if returns_object:
                 self.taint.add_iref(emu.cpu.regs[0], result.taint)
+            # The Java method's tainted result comes back to native code.
+            self._trace(result.taint, f"jni:{name}", Loc.java(result.taint),
+                        Loc.iref(emu.cpu.regs[0]) if returns_object
+                        else Loc.reg(0))
         return hook
 
     # ========================================================== object creation
@@ -472,10 +448,6 @@ class DvmHookEngine:
         self._pending_creation_address = None
         self._pending_creation_origin = (Loc.mem(cstr_ptr, len(data) + 1),
                                          "jni:NewStringUTF")
-        self.platform.event_log.emit(
-            "ndroid.hook", "NewStringUTF.begin",
-            f"source=0x{cstr_ptr:08x} taint=0x{label:x}",
-            source_ptr=cstr_ptr, taint=label)
 
     def _on_new_string_entry(self, emu) -> None:
         pointer, length = emu.cpu.regs[1], emu.cpu.regs[2]
@@ -498,12 +470,9 @@ class DvmHookEngine:
                 record.taint |= self._pending_throw_taint
                 self.taint.add_memory(record.address, record.byte_size(),
                                       self._pending_throw_taint)
-                self.platform.event_log.emit(
-                    "ndroid.hook", "exception.string_taint",
-                    f"add taint 0x{self._pending_throw_taint:x} to exception "
-                    f"string@0x{record.address:08x}",
-                    address=record.address,
-                    taint=self._pending_throw_taint)
+                self._trace(self._pending_throw_taint, "jni:ThrowNew",
+                            self._pending_throw_origin,
+                            Loc.mem(record.address, record.byte_size()))
 
     def _on_new_string_exit(self, emu) -> None:
         label = self._pending_creation_taint
@@ -525,11 +494,6 @@ class DvmHookEngine:
         if origin is not None:
             source, mechanism = origin
             self._trace(label, mechanism, source, Loc.iref(iref))
-        self.platform.event_log.emit(
-            "ndroid.hook", "NewStringUTF.taint",
-            f"add taint {label} to new string object@0x{address:08x}; "
-            f"t({address:08x}) := 0x{label:x}",
-            address=address, iref=iref, taint=label)
 
     # ============================================================ field access
 
@@ -567,13 +531,14 @@ class DvmHookEngine:
                     if slot is not None:
                         label = slot.taint
             self.taint.set_register(0, label)
-            if is_object and label:
+            if not label:
+                return
+            if is_object:
                 self.taint.add_iref(emu.cpu.regs[0], label)
-            if label:
-                self.platform.event_log.emit(
-                    "ndroid.hook", "GetField.taint",
-                    f"{field_class}->{field_name} taint=0x{label:x}",
-                    field=f"{field_class}->{field_name}", taint=label)
+            self._trace(label, f"jni:{name}", Loc.java(label),
+                        Loc.iref(emu.cpu.regs[0]) if is_object
+                        else Loc.reg(0),
+                        location=f"{field_class}->{field_name}")
         return hook
 
     def _make_set_field_hook(self, name: str):
@@ -608,10 +573,11 @@ class DvmHookEngine:
                         slot = HeapSlot()
                         record.fields[field_name] = slot
                     slot.taint |= label
-            self.platform.event_log.emit(
-                "ndroid.hook", "SetField.taint",
-                f"{field_class}->{field_name} taint=0x{label:x}",
-                field=f"{field_class}->{field_name}", taint=label)
+            self._trace(label, f"jni:{name}",
+                        Loc.iref(value) if is_object
+                        and self.taint.get_iref(value) else Loc.reg(3),
+                        Loc.java(label),
+                        location=f"{field_class}->{field_name}")
         return hook
 
     # ==================================================== string/array transfer
@@ -625,10 +591,6 @@ class DvmHookEngine:
             label |= record.taint
             label |= self.taint.get_memory(record.address, record.byte_size())
         self._pending_string_chars.append({"taint": label, "iref": iref})
-        if label:
-            self.platform.event_log.emit(
-                "ndroid.hook", "GetStringUTFChars.begin",
-                f"jstring taint:0x{label:x}", iref=iref, taint=label)
 
     def _on_get_string_chars_exit(self, emu) -> None:
         if not self._pending_string_chars:
@@ -641,15 +603,14 @@ class DvmHookEngine:
         length = len(emu.memory.read_cstring(buffer)) + 1
         self.taint.set_memory(buffer, length, label)
         self.taint.set_register(0, label)
-        self.taint.log_memory_taint(buffer, label)
         self._trace(label, "jni:GetStringUTFChars",
                     Loc.iref(pending["iref"]), Loc.mem(buffer, length))
 
-    def _make_get_array_region(self, element_size: int):
+    def _make_get_array_region(self, name: str, element_size: int):
         def hook(emu) -> None:
             """Get*ArrayRegion copies array data to a native buffer."""
             iref = emu.cpu.regs[1]
-            length = emu.cpu.regs[3]
+            size = emu.cpu.regs[3] * element_size
             buffer = self._fifth_argument(emu)
             address = self.jni.vm.irt.decode(iref)
             record = self.jni.vm.heap.maybe_get(address)
@@ -657,16 +618,18 @@ class DvmHookEngine:
             if record is not None:
                 label |= record.taint
             if label:
-                self.taint.set_memory(buffer, length * element_size, label)
+                self.taint.set_memory(buffer, size, label)
+                self._trace(label, f"jni:{name}", Loc.iref(iref),
+                            Loc.mem(buffer, size))
         return hook
 
-    def _make_set_array_region(self, element_size: int):
+    def _make_set_array_region(self, name: str, element_size: int):
         def hook(emu) -> None:
             """Set*ArrayRegion moves native bytes into a Java array."""
             iref = emu.cpu.regs[1]
-            length = emu.cpu.regs[3]
+            size = emu.cpu.regs[3] * element_size
             buffer = self._fifth_argument(emu)
-            label = self.taint.get_memory(buffer, length * element_size)
+            label = self.taint.get_memory(buffer, size)
             if not label:
                 return
             address = self.jni.vm.irt.decode(iref)
@@ -674,6 +637,8 @@ class DvmHookEngine:
             if record is not None:
                 record.taint |= label
             self.taint.add_iref(iref, label)
+            self._trace(label, f"jni:{name}", Loc.mem(buffer, size),
+                        Loc.iref(iref))
         return hook
 
     @staticmethod
@@ -688,15 +653,14 @@ class DvmHookEngine:
         label = self.taint.get_memory(message_ptr, len(data) + 1)
         label |= self.taint.get_register(2)
         self._pending_throw_taint = label or None
+        self._pending_throw_origin = Loc.mem(message_ptr, len(data) + 1)
         self.stats["exceptions"] += 1
-        if label:
-            self.platform.event_log.emit(
-                "ndroid.hook", "ThrowNew.begin",
-                f"message taint=0x{label:x}", taint=label)
 
     def _on_throw_new_exit(self, emu) -> None:
         label = self._pending_throw_taint
+        origin = self._pending_throw_origin
         self._pending_throw_taint = None
+        self._pending_throw_origin = None
         if not label:
             return
         if self.jni.pending_exception is not None:
@@ -711,3 +675,6 @@ class DvmHookEngine:
                     message = self.jni.vm.heap.maybe_get(slot.value)
                     if message is not None:
                         message.taint |= label
+            # The exception, message and all, enters the Java context.
+            self._trace(label, "jni:ThrowNew", origin, Loc.java(label),
+                        location=class_name)

@@ -19,7 +19,7 @@ from collections import defaultdict
 from typing import Callable, Dict, Optional, Set
 
 from repro.common.errors import DalvikThrow, ReproError
-from repro.common.taint import TAINT_CLEAR, TaintLabel, describe_taint
+from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.core.dvm_hooks import DvmHookEngine
 from repro.core.instruction_tracer import InstructionTracer
 from repro.core.multilevel import MultilevelHookManager
@@ -34,7 +34,7 @@ class NDroid:
 
     def __init__(self, platform, use_multilevel: bool = True) -> None:
         self.platform = platform
-        self.taint_engine = TaintEngine(event_log=platform.event_log)
+        self.taint_engine = TaintEngine()
         self.view_reconstructor = ViewReconstructor(platform.memory)
         self.multilevel = MultilevelHookManager(
             platform.jni.symbols, self._branch_from_third_party,
@@ -109,9 +109,6 @@ class NDroid:
         observability = getattr(platform, "observability", None)
         if observability is not None:
             observability.wire_ndroid(system)
-
-        platform.event_log.emit("ndroid", "attach",
-                                "NDroid instrumentation enabled")
         return system
 
     # -- graceful degradation ------------------------------------------------------
@@ -147,8 +144,8 @@ class NDroid:
                 hook(emu, *args)
             except DalvikThrow:
                 raise
-            except ReproError as error:
-                self._degrade_hook(name, error, emu, fallback, args)
+            except ReproError:
+                self._degrade_hook(name, emu, fallback, args)
 
         return guarded
 
@@ -161,7 +158,7 @@ class NDroid:
             return TAINT_CLEAR
         return label if label is not None else TAINT_CLEAR
 
-    def _degrade_hook(self, name: str, error: ReproError, emu,
+    def _degrade_hook(self, name: str, emu,
                       fallback: Optional[Callable], args: tuple = ()) -> None:
         self.degraded_events += 1
         self.quarantined_hooks.add(name)
@@ -169,21 +166,11 @@ class NDroid:
         if fallback is not None:
             label |= self._run_fallback(fallback, emu, args)
         self.taint_engine.degrade(label)
-        self.platform.event_log.emit(
-            "ndroid", "hook.degraded",
-            f"hook {name} quarantined after {type(error).__name__}: {error} "
-            f"(conservative label {describe_taint(label)})",
-            hook=name, error=type(error).__name__, label=label)
 
     def _on_tracer_fault(self, error: ReproError, ir, emu) -> None:
         """A per-instruction taint handler faulted: over-taint, keep going."""
         self.degraded_events += 1
         self.taint_engine.degrade(self.taint_engine.live_label())
-        self.platform.event_log.emit(
-            "ndroid", "tracer.degraded",
-            f"taint handler for {type(ir).__name__} faulted at "
-            f"pc=0x{emu.cpu.pc:08x}: {type(error).__name__}: {error}",
-            pc=emu.cpu.pc, error=type(error).__name__)
 
     # -- view plumbing ------------------------------------------------------------
 

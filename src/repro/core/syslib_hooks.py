@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.common.taint import TAINT_CLEAR, TaintLabel, describe_taint
+from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.core.taint_engine import TaintEngine
 from repro.framework.leaks import LeakRecord
 from repro.libc.stdio_format import FormatError, format_with_taints
@@ -311,12 +311,6 @@ class SysLibHookEngine:
         self.platform.leaks.report(LeakRecord(
             detector="ndroid", sink=sink, taint=label,
             destination=destination, payload=payload, context="native"))
-        self.platform.event_log.emit(
-            "ndroid.sink", "leak",
-            f"SinkHandler[{sink}] -> {destination} "
-            f"taint={describe_taint(label)}",
-            sink=sink, taint=label, destination=destination,
-            payload=payload[:64])
         if self.ledger is not None:
             syscall = SINK_SYSCALLS.get(sink, sink)
             for src in (src_locs or [Loc.java(label)]):

@@ -23,10 +23,9 @@ libc and the kernel consult it when data leaves the process.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.common.events import EventLog
-from repro.common.taint import TAINT_CLEAR, TaintLabel, describe_taint
+from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.libc.taint_interface import NativeTaintInterface
 
 # The taint map is chunked at page granularity: each present page holds a
@@ -63,8 +62,7 @@ def _spans(address: int, length: int):
 class TaintEngine(NativeTaintInterface):
     """Shadow registers + page-chunked taint map + iref shadow store."""
 
-    def __init__(self, event_log: Optional[EventLog] = None) -> None:
-        self.event_log = event_log
+    def __init__(self) -> None:
         self.shadow_registers: List[TaintLabel] = [TAINT_CLEAR] * 16
         # Page-chunked taint map: page index -> dense per-byte label list.
         self._memory_chunks: Dict[int, List[TaintLabel]] = {}
@@ -132,9 +130,6 @@ class TaintEngine(NativeTaintInterface):
             return
         self.conservative_label |= label
         self.maybe_tainted = True
-        self.log("degrade",
-                 f"conservative label now 0x{self.conservative_label:x}",
-                 taint=self.conservative_label)
 
     def live_label(self) -> TaintLabel:
         """Union of every label currently held anywhere in the engine.
@@ -380,14 +375,3 @@ class TaintEngine(NativeTaintInterface):
     def write_memory_taints(self, address: int,
                             labels: List[TaintLabel]) -> None:
         self.set_memory_bytes(address, labels)
-
-    # -- diagnostics ---------------------------------------------------------------------
-
-    def log(self, kind: str, detail: str, **data) -> None:
-        if self.event_log is not None:
-            self.event_log.emit("ndroid.taint", kind, detail, **data)
-
-    def log_memory_taint(self, address: int, label: TaintLabel) -> None:
-        """The paper's ``t(412a3320) := 0x202`` log lines."""
-        self.log("set", f"t({address:08x}) := 0x{label:x}",
-                 address=address, taint=label)

@@ -16,7 +16,7 @@ alert when one targets:
 * a **trusted code region** (``libdvm.so``, ``libc.so``, ``libm.so``) —
   patching a hooked function would disable the analysis.
 
-Alerts are events plus :class:`TamperAlert` records; policies decide
+Alerts are :class:`TamperAlert` records in ``alerts``; policies decide
 whether to just report or also to veto the write by restoring the old
 bytes (``mode="restore"``).
 """
@@ -73,8 +73,6 @@ class TaintProtection:
                                "NDroid first")
         protection = cls(platform, mode=mode)
         platform.emu.add_tracer(protection._monitor)
-        platform.event_log.emit("ndroid.protect", "attach",
-                                f"taint protection enabled (mode={mode})")
         return protection
 
     def _refresh_trusted_ranges(self) -> None:
@@ -127,10 +125,6 @@ class TaintProtection:
                 (address, emu.memory.read_bytes(address, size)))
             alert.restored = True
         self.alerts.append(alert)
-        self.platform.event_log.emit(
-            "ndroid.protect", "tamper", alert.describe(),
-            attack=alert.kind, pc=pc, target=address, region=alert.region,
-            restored=alert.restored)
 
     # -- queries ------------------------------------------------------------------
 

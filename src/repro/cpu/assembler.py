@@ -55,6 +55,9 @@ _BASES = sorted(
         "clz", "blx", "bx", "bl", "b", "svc", "swi", "nop", "adr", "neg",
     ],
     key=len, reverse=True)
+# Branches take a condition but never an S suffix: ``bls`` is B + LS,
+# not BL + S.
+_BRANCH_BASES = frozenset(("b", "bl", "bx", "blx"))
 
 
 @dataclass
@@ -836,6 +839,10 @@ def _split_mnemonic(word: str, lineno: int) -> Tuple[str, Cond, bool]:
         suffix = word[len(base):]
         if suffix == "":
             return base, Cond.AL, False
+        if base in _BRANCH_BASES:
+            if suffix in _CONDS:
+                return base, _CONDS[suffix], False
+            continue
         if suffix == "s":
             return base, Cond.AL, True
         if suffix in _CONDS:

@@ -346,6 +346,13 @@ class Interpreter:
                      frame.is_ref(register))
                 for register in ins.args
             ]
+            if ledger is not None:
+                for register, slot in zip(ins.args, arg_slots):
+                    if slot.taint:
+                        ledger.record(slot.taint, "dalvik:invoke",
+                                      Loc.dvreg(frame.slot_address(register)),
+                                      Loc.java(slot.taint),
+                                      location=ins.symbol)
             result = vm.invoke_symbol(ins.symbol, arg_slots,
                                       virtual=(op == Op.INVOKE_VIRTUAL))
             vm.interp_save_state = result

@@ -1045,6 +1045,13 @@ class DalvikTraceCompiler:
             flags = frame.ref_flags
             arg_slots = [Slot(rd(fp + 8 * r), rd(fp + 8 * r + 4), flags[r])
                          for r in registers]
+            ledger = vm.ledger
+            if ledger is not None:
+                for r, slot in zip(registers, arg_slots):
+                    if slot.taint:
+                        ledger.record(slot.taint, "dalvik:invoke",
+                                      Loc.dvreg(fp + 8 * r),
+                                      Loc.java(slot.taint), location=symbol)
             vm.interp_save_state = invoke(symbol, arg_slots,
                                           virtual=virtual)
             frame.pc = next_pc

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import DalvikError
-from repro.common.events import EventLog
 from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.dalvik.classes import ClassDef, Method
 from repro.dalvik.heap import DvmHeap, ObjectRecord, Slot
@@ -30,10 +29,8 @@ CallBridge = Callable[["DalvikVM", Method, List[Slot]], Slot]
 class DalvikVM:
     """One virtual machine instance (single interpreted thread)."""
 
-    def __init__(self, memory: Memory,
-                 event_log: Optional[EventLog] = None) -> None:
+    def __init__(self, memory: Memory) -> None:
         self.memory = memory
-        self.event_log = event_log if event_log is not None else EventLog()
         self.heap = DvmHeap(memory)
         self.irt = IndirectRefTable()
         self.stack = DvmStack(memory)

@@ -14,7 +14,7 @@ class DroidScopeSim:
 
     def __init__(self, platform) -> None:
         self.platform = platform
-        self.taint_engine = TaintEngine(event_log=None)
+        self.taint_engine = TaintEngine()
         # Unscoped tracer: every region counts as "in scope", and it
         # re-derives each instruction's handler per step.
         self.tracer = InstructionTracer(self.taint_engine,
@@ -61,8 +61,6 @@ class DroidScopeSim:
         platform.emu.add_tracer(sim._trace)
         platform.vm.interpreter.listener = sim._reconstruct_dvm_view
         sim._hook_all_library_calls()
-        platform.event_log.emit("droidscope", "attach",
-                                "DroidScope-style instrumentation enabled")
         return sim
 
     # -- DVM-level view reconstruction ------------------------------------------

@@ -59,7 +59,6 @@ from repro.common.errors import (
     EmulationError,
     MemoryError_,
 )
-from repro.common.events import EventLog
 from repro.cpu.arm_decoder import decode_arm
 from repro.cpu.executor import Executor
 from repro.cpu.isa import Instruction
@@ -144,12 +143,10 @@ class Emulator:
     """
 
     def __init__(self, memory: Optional[Memory] = None,
-                 event_log: Optional[EventLog] = None,
                  use_tb: bool = True) -> None:
         self.memory = memory if memory is not None else Memory()
         self.cpu = CpuState()
         self.memory_map = MemoryMap()
-        self.event_log = event_log if event_log is not None else EventLog()
         self.executor = Executor(self.cpu, self.memory,
                                  svc_handler=self._handle_svc)
         self.use_tb = use_tb

@@ -556,10 +556,22 @@ def _specialise_load_store_multiple(ir: isa.LoadStoreMultiple,
     if ir.load:
         load_in_list = rn in reglist
         writeback = ir.writeback and not load_in_list
+        read_u32 = memory.read_u32
+
+        def load_until_fault(address: int) -> None:
+            # A fault part-way through the list: like the executor, load
+            # word by word, so the registers before the faulting word keep
+            # their loaded values, and let the fault propagate.
+            for index, register in enumerate(reglist):
+                regs[register] = read_u32((address + 4 * index) & M32)
 
         def ldm() -> None:
             address = (regs[rn] + start_delta) & M32
-            values = read_words(address, count)
+            try:
+                values = read_words(address, count)
+            except MemoryError_:
+                load_until_fault(address)
+                raise
             for register, value in zip(reglist, values):
                 regs[register] = value
             if writeback:
@@ -569,7 +581,11 @@ def _specialise_load_store_multiple(ir: isa.LoadStoreMultiple,
             # Loaded value wins over writeback (executor semantics).
             def ldm_overlap() -> None:
                 address = (regs[rn] + start_delta) & M32
-                values = read_words(address, count)
+                try:
+                    values = read_words(address, count)
+                except MemoryError_:
+                    load_until_fault(address)
+                    raise
                 for register, value in zip(reglist, values):
                     regs[register] = value
             return ldm_overlap

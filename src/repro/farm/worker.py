@@ -58,9 +58,8 @@ def _boot_platform(spec: JobSpec, ctx):
     """Build + attach the job's platform, publishing it to ``LIVE``.
 
     With a span tracer active the boot is wrapped in a ``platform_boot``
-    span, the engines' span hooks are pointed at the tracer, and a
-    µs-per-crossing histogram is registered so JNI latency percentiles
-    land in the job's metrics snapshot.
+    span and the engines' span hooks are pointed at the tracer; each JNI
+    crossing is then one ``jni_crossing`` span carrying its duration.
 
     Warm mode reuses the per-config template platform instead: the job
     pays ``reset_for_job()`` (a state wipe), not a full boot, and keeps

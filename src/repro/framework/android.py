@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DalvikError
-from repro.common.events import EventLog
 from repro.cpu.assembler import Program, assemble
 from repro.dalvik.heap import Slot
 from repro.dalvik.vm import DalvikVM
@@ -54,11 +53,9 @@ class AndroidPlatform:
 
     def __init__(self, device: Optional[DeviceProfile] = None,
                  use_tb: bool = True, observe: bool = True) -> None:
-        self.event_log = EventLog()
         self.memory = Memory()
-        self.emu = Emulator(memory=self.memory, event_log=self.event_log,
-                            use_tb=use_tb)
-        self.kernel = Kernel(self.memory, event_log=self.event_log)
+        self.emu = Emulator(memory=self.memory, use_tb=use_tb)
+        self.kernel = Kernel(self.memory)
         self.kernel.spawn_process("system_server")
         self.app_process = self.kernel.spawn_process("app_process")
         self.kernel.set_current(self.app_process)
@@ -69,7 +66,7 @@ class AndroidPlatform:
 
         self.libc = CLibrary(self.emu, self.kernel)
         self.libm = MathLibrary(self.emu)
-        self.vm = DalvikVM(self.memory, event_log=self.event_log)
+        self.vm = DalvikVM(self.memory)
         if use_tb:
             # The managed side follows the native TB engine's switch: the
             # same flag selects trace-compiled Dalvik blocks, keeping the
@@ -112,10 +109,9 @@ class AndroidPlatform:
         self.vm.taint_tracking = False
 
         # Warm-worker machinery: libraries kept mapped + translated across
-        # jobs, and the event log's switch at prepare_template() (None
-        # until then).
+        # jobs, and whether prepare_template() has run.
         self._resident_libraries: Dict[str, Tuple[Program, int, str]] = {}
-        self._events_enabled: Optional[bool] = None
+        self._template_prepared = False
 
     # -- app management -------------------------------------------------------------
 
@@ -126,9 +122,6 @@ class AndroidPlatform:
         for class_def in apk.classes:
             self.vm.register_class(class_def)
         self._installed[apk.package] = apk
-        self.event_log.emit("framework", "install", apk.package,
-                            package=apk.package,
-                            libraries=sorted(apk.native_libraries))
 
     def run_app(self, apk: Apk, args: Optional[List[Slot]] = None) -> Slot:
         """Invoke the app's ``main``; libraries load via System.loadLibrary."""
@@ -143,7 +136,7 @@ class AndroidPlatform:
         *resident*: mapped, decoded, translated, its pristine image in
         memory's checkpoint.  When the same name resolves to the same
         source, the load skips assembly and mapping entirely and only
-        re-binds methods and replays the observable events.  A different
+        re-binds methods and re-runs ``JNI_OnLoad``.  A different
         source evicts the stale resident first, and the replacement maps
         at a fresh base (bases are never reissued), so two apps' code can
         never alias at the same pc.  The task list is synced right after
@@ -161,9 +154,9 @@ class AndroidPlatform:
             raise DalvikError(f"UnsatisfiedLinkError: no library {name!r}")
         resident = self._resident_libraries.get(name)
         if resident is not None:
-            program, base, resident_source = resident
+            program, __, resident_source = resident
             if resident_source == source:
-                return self._finish_load(name, program, base)
+                return self._finish_load(name, program)
             self._evict_resident(name)
         base = self._next_library_base
         self._next_library_base += APP_LIBRARY_STRIDE
@@ -177,16 +170,13 @@ class AndroidPlatform:
                                 third_party=True)
         self.kernel.sync_tasks_to_guest()
         self._resident_libraries[name] = (program, base, source)
-        return self._finish_load(name, program, base)
+        return self._finish_load(name, program)
 
-    def _finish_load(self, name: str, program: Program, base: int) -> Program:
-        """The source-independent tail of a load: bind, announce, OnLoad."""
+    def _finish_load(self, name: str, program: Program) -> Program:
+        """The source-independent tail of a load: bind, then OnLoad."""
         self._loaded_libraries[name] = program
         self._library_handles.append(name)
         self._bind_native_methods(program)
-        self.event_log.emit("framework", "loadLibrary",
-                            f"{name} @0x{base:08x}", name=name, base=base,
-                            size=len(program.code))
         # Run JNI_OnLoad if the library exports one (libraries that bind
         # their methods via RegisterNatives do it here).  The first
         # argument is the env pointer; the real ABI passes JavaVM*, whose
@@ -195,7 +185,6 @@ class AndroidPlatform:
         if "JNI_OnLoad" in program.symbols:
             self.emu.call(program.entry("JNI_OnLoad"),
                           args=(self.jni.env_pointer(), 0))
-            self.event_log.emit("framework", "JNI_OnLoad", name, name=name)
         return program
 
     def _evict_resident(self, name: str) -> None:
@@ -253,18 +242,18 @@ class AndroidPlatform:
         self.jni.checkpoint()
         if self.ndroid is not None:
             self.ndroid.checkpoint()
-        self._events_enabled = self.event_log.enabled
+        self._template_prepared = True
 
     def reset_for_job(self) -> None:
         """Return a used (possibly forked) platform to its booted state.
 
         Each owner resets its own job state, in place: memory first (the
         kernel's task list bytes and resident library images too), the
-        kernel after it, detectors last.  The decode, translation-block
-        and Dalvik-block caches, resident libraries and the tracers'
-        region caches stay warm.
+        kernel after it, detectors and the provenance ledger last.  The
+        decode, translation-block and Dalvik-block caches, resident
+        libraries and the tracers' region caches stay warm.
         """
-        if self._events_enabled is None:
+        if not self._template_prepared:
             raise DalvikError("prepare_template() was never called")
         self.memory.reset_for_job()
         self.emu.reset_for_job()
@@ -279,8 +268,8 @@ class AndroidPlatform:
             if detector is not None:
                 detector.reset_for_job()
 
-        self.event_log.clear()
-        self.event_log.enabled = self._events_enabled
+        if self.observability is not None:
+            self.observability.reset_for_job()
         self.leaks.clear()
         self._installed.clear()
         self._loaded_libraries.clear()

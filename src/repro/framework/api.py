@@ -132,9 +132,6 @@ class FrameworkApi:
             text = getter(self.platform.device)
             record = vm.heap.alloc_string(text, label)
             self._trace_source(symbol, label)
-            self.platform.event_log.emit(
-                "framework", "source", f"{text!r} taint=0x{label:x}",
-                text=text, taint=label)
             return Slot(record.address, label, True)
         return intrinsic
 

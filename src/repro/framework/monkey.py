@@ -79,10 +79,4 @@ class MonkeyRunner:
                 self.platform.vm.call_main(handler)
             except PendingException:
                 session.crashes += 1
-        self.platform.event_log.emit(
-            "monkey", "session",
-            f"{apk.package}: {events} events, "
-            f"coverage {session.coverage:.0%}",
-            package=apk.package, events=events,
-            coverage=session.coverage)
         return session

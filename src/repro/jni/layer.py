@@ -281,8 +281,8 @@ class JniLayer:
           bridge but a detector's ``crossing_plan.hooks`` (NDroid's) or
           none at all: the host-side crossing, which runs the bridge's
           body directly — wrapped in the plan's entry and exit halves
-          when a plan is installed — with the same event-log entries,
-          and skips the guest-memory round trip;
+          when a plan is installed — with the same ledger edges, and
+          skips the guest-memory round trip;
         * anything else (a foreign hook on the bridge, the single-step
           engine, a fault injector): the byte-faithful guest protocol,
           the oracle for the host-side path.
@@ -340,7 +340,7 @@ class JniLayer:
 
         A plan's halves run where the bridge's entry and exit hooks
         would fire, and ``args_ptr`` is where the outs block would have
-        been written, so hooks and event log see what the protocol
+        been written, so hooks and the ledger see what the protocol
         shows them.
         """
         taints = [slot.taint for slot in args]
@@ -403,14 +403,6 @@ class JniLayer:
                 jni_args.append(value)
 
         self.native_call_args = jni_args
-        log = self.vm.event_log
-        if log.enabled:
-            log.emit(
-                "jni", "dvmCallJNIMethod",
-                f"{method.full_name} shorty={method.shorty}",
-                method=method.full_name, shorty=method.shorty,
-                insn_addr=method.native_address & ~1, args_ptr=args_ptr,
-                taints=list(taints))
 
         return_value = self.emu.call(method.native_address, tuple(jni_args))
 
@@ -546,12 +538,6 @@ class JniLayer:
             "method": method, "frame": frame, "irefs": irefs,
             "variant": variant, "first_in": first_in, "types": types,
         }
-        log = self.vm.event_log
-        if log.enabled:
-            log.emit(
-                "jni", f"dvmCallMethod{variant}",
-                f"{method.full_name} frame@0x{frame.fp:08x}",
-                method=method.full_name, frame=frame.fp, irefs=list(irefs))
         self.emu.call_host(self.symbols["dvmInterpret"])
         return self.emu.cpu.regs[0]
 
@@ -560,19 +546,8 @@ class JniLayer:
         if pending is None:
             raise JNIError("dvmInterpret with no pending frame")
         self.pending_interpret = None
-        frame = pending["frame"]
-        method = pending["method"]
-        log = self.vm.event_log
-        if log.enabled:
-            log.emit(
-                "jni", "dvmInterpret",
-                f"{method.full_name} shorty={method.shorty} "
-                f"curFrame@0x{frame.fp:08x}",
-                method=method.full_name, shorty=method.shorty,
-                frame=frame.fp, registers=frame.register_count,
-                ins=method.ins_size)
         try:
-            result = self.vm.interpreter.execute_frame(frame)
+            result = self.vm.interpreter.execute_frame(pending["frame"])
             self.vm.interp_save_state = result
             return result.value
         except PendingException as pending_exception:
@@ -596,13 +571,6 @@ class JniLayer:
     def _impl_dvmCreateStringFromCstr(self, ctx: HostContext):
         text = ctx.cstring_arg(0)
         record = self.vm.heap.alloc_string(text)
-        log = self.vm.event_log
-        if log.enabled:
-            log.emit(
-                "jni", "dvmCreateStringFromCstr",
-                f"{text!r} -> 0x{record.address:08x}",
-                text=text, address=record.address, source_ptr=ctx.arg(0),
-                length=len(text))
         return record.address
 
     def _impl_dvmCreateStringFromUnicode(self, ctx: HostContext):
@@ -610,13 +578,6 @@ class JniLayer:
         data = self.emu.memory.read_bytes(pointer, 2 * length)
         text = data.decode("utf-16-le", errors="replace")
         record = self.vm.heap.alloc_string(text)
-        log = self.vm.event_log
-        if log.enabled:
-            log.emit(
-                "jni", "dvmCreateStringFromUnicode",
-                f"{text!r} -> 0x{record.address:08x}",
-                text=text, address=record.address, source_ptr=pointer,
-                length=2 * length)
         return record.address
 
     def _impl_dvmAllocArrayByClass(self, ctx: HostContext):
@@ -793,13 +754,6 @@ class JniLayer:
         self.emu.memory.write_bytes(buffer, data + b"\x00")
         if ctx.arg(2):
             self.emu.memory.write_u8(ctx.arg(2), 1)  # *isCopy = JNI_TRUE
-        log = self.vm.event_log
-        if log.enabled:
-            log.emit(
-                "jni", "GetStringUTFChars",
-                f"{record.text!r} -> buffer@0x{buffer:08x}",
-                text=record.text, buffer=buffer, length=len(data),
-                jstring=ctx.arg(1), string_address=record.address)
         return buffer
 
     def _env_ReleaseStringUTFChars(self, ctx: HostContext):
@@ -933,10 +887,6 @@ class JniLayer:
         cpu.regs[0:2] = saved2
 
         self.pending_exception = (exception_address, TAINT_CLEAR, class_name)
-        self.vm.event_log.emit(
-            "jni", "ThrowNew", f"{class_name} @0x{exception_address:08x}",
-            class_name=class_name, exception=exception_address,
-            message_ptr=message_ptr)
         return 0
 
     def _env_Throw(self, ctx: HostContext):
@@ -988,10 +938,6 @@ class JniLayer:
             if self._trampolines.pop(method, None) is not None:
                 self.trampoline_invalidations += 1
             bound += 1
-            self.vm.event_log.emit(
-                "jni", "RegisterNatives",
-                f"{class_name}->{name} @0x{function & ~1:08x}",
-                class_name=class_name, method=name, address=function)
         return 0 if bound == count else 0xFFFF_FFFF
 
     def _env_UnregisterNatives(self, ctx: HostContext):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import KernelError, TransientSyscallFault
-from repro.common.events import EventLog
 from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.kernel.filesystem import FileSystem
 from repro.kernel.network import AF_INET, NetworkStack, SOCK_STREAM
@@ -30,7 +29,7 @@ from repro.kernel.process import (
     FileDescriptor,
     Process,
 )
-from repro.kernel.syscalls import NR, Errno
+from repro.kernel.syscalls import NR
 from repro.memory.allocator import BumpAllocator
 from repro.memory.memory import Memory
 from repro.observability.ledger import Loc
@@ -55,10 +54,8 @@ SyscallFaultHook = Callable[[str, int], Optional[Tuple[str, int]]]
 class Kernel:
     """All kernel state for one emulated machine."""
 
-    def __init__(self, memory: Memory,
-                 event_log: Optional[EventLog] = None) -> None:
+    def __init__(self, memory: Memory) -> None:
         self.memory = memory
-        self.event_log = event_log if event_log is not None else EventLog()
         self.filesystem = FileSystem()
         self.network = NetworkStack()
         self.processes: Dict[int, Process] = {}
@@ -230,8 +227,6 @@ class Kernel:
         process.fds[fd] = FileDescriptor(
             fd=fd, kind="file", path=path, file=file, offset=offset,
             writable=bool(flags & (O_WRONLY | O_RDWR | O_CREAT | O_APPEND)))
-        self.event_log.emit("kernel", "open", f"{path} -> fd {fd}",
-                            path=path, fd=fd, flags=flags)
         return fd
 
     def sys_close(self, fd: int) -> int:
@@ -241,7 +236,6 @@ class Kernel:
         if descriptor.kind == "socket":
             self.network.close(fd)
         del process.fds[fd]
-        self.event_log.emit("kernel", "close", f"fd {fd}", fd=fd)
         return 0
 
     def _apply_write_faults(
@@ -262,16 +256,9 @@ class Kernel:
             return payload, taints
         kind, value = decision
         if kind == "errno":
-            self.event_log.emit("kernel", "syscall.fault",
-                                f"{name} -> {Errno(value).name}",
-                                syscall=name, errno=int(value))
             raise TransientSyscallFault(name, int(value))
         if kind == "partial":
             count = max(0, min(int(value), len(payload)))
-            self.event_log.emit(
-                "kernel", "syscall.partial",
-                f"{name} short count {count}/{len(payload)}",
-                syscall=name, requested=len(payload), written=count)
             return payload[:count], (taints[:count] if taints is not None
                                      else None)
         raise KernelError(f"unknown syscall fault decision {kind!r}")
@@ -303,9 +290,6 @@ class Kernel:
         sink_taints, sink_loc = self._sink_view(taints, src_loc, written)
         self._record_sink("write", sink_taints, descriptor.path or f"fd:{fd}",
                           sink_loc)
-        self.event_log.emit("kernel", "write",
-                            f"fd {fd} ({descriptor.path}) {written} bytes",
-                            fd=fd, path=descriptor.path, length=written)
         return written
 
     def sys_read(self, fd: int,
@@ -350,15 +334,12 @@ class Kernel:
         fd = process.allocate_fd()
         socket = self.network.create_socket(fd, domain, type_)
         process.fds[fd] = FileDescriptor(fd=fd, kind="socket", socket=socket)
-        self.event_log.emit("kernel", "socket", f"fd {fd}", fd=fd)
         return fd
 
     def sys_connect(self, fd: int, destination: str) -> int:
         self._descriptor(fd)
         self._count("connect")
         self.network.connect(fd, destination)
-        self.event_log.emit("kernel", "connect", f"fd {fd} -> {destination}",
-                            fd=fd, destination=destination)
         return 0
 
     def sys_bind(self, fd: int, address: str) -> int:
@@ -467,5 +448,4 @@ class Kernel:
             # Recognised but unmodelled syscalls return success; they are
             # hooked for observation (Table VII), not for behaviour.
             self._count(nr.name.lower())
-            self.event_log.emit("kernel", "syscall.stub", nr.name, nr=number)
             cpu.write_reg(0, 0)

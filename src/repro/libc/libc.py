@@ -341,20 +341,15 @@ class CLibrary:
                           sources: Optional[List[Loc]] = None) -> None:
         """Land formatted-output taints in the native taint map."""
         self.taint_interface.write_memory_taints(dest, taints)
-        if any(taints):
-            self.kernel.event_log.emit(
-                "libc", "format.tainted",
-                f"formatted output @0x{dest:08x} carries taint",
-                dest=dest, taints=taints)
-            if self.ledger is not None and sources:
-                union = TAINT_CLEAR
-                for taint in taints:
-                    union |= taint
-                dst = Loc.mem(dest, max(len(taints), 1))
-                for src in sources:
-                    tag = self.taint_interface.memory_taint_union(
-                        src.base, src.length) or union
-                    self.ledger.record(tag, "libc:sprintf", src, dst)
+        if self.ledger is not None and sources and any(taints):
+            union = TAINT_CLEAR
+            for taint in taints:
+                union |= taint
+            dst = Loc.mem(dest, max(len(taints), 1))
+            for src in sources:
+                tag = self.taint_interface.memory_taint_union(
+                    src.base, src.length) or union
+                self.ledger.record(tag, "libc:sprintf", src, dst)
 
     def _impl_sscanf(self, ctx: HostContext) -> int:
         memory = self._memory()
@@ -534,23 +529,18 @@ class CLibrary:
             return EOF
 
     def _impl_kill(self, ctx: HostContext) -> int:
-        self.kernel.event_log.emit("libc", "kill", pid=ctx.arg(0),
-                                   signal=ctx.arg(1))
         return 0
 
     def _impl_fork(self, ctx: HostContext) -> int:
-        self.kernel.event_log.emit("libc", "fork")
         return EOF  # fork is observed (Table VII) but not supported
 
     def _impl_execve(self, ctx: HostContext) -> int:
-        self.kernel.event_log.emit("libc", "execve", path=ctx.cstring_arg(0))
         return EOF
 
     def _impl_chown(self, ctx: HostContext) -> int:
         return 0
 
     def _impl_ptrace(self, ctx: HostContext) -> int:
-        self.kernel.event_log.emit("libc", "ptrace", request=ctx.arg(0))
         return 0
 
     def _impl_sysconf(self, ctx: HostContext) -> int:

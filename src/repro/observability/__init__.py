@@ -1,16 +1,18 @@
-"""Unified observability layer: ledger, metrics, profiler.
+"""Unified observability layer: ledger, metrics, profiler, spans.
 
 One facade object per platform gathers the observability facilities
 the paper's evaluation needs:
 
-* a :class:`ProvenanceLedger` recording every taint-propagation step so a
-  leak's complete source->sink path can be reconstructed (case studies,
-  Section VI.B);
+* a :class:`ProvenanceLedger`, the one record of taint flows: every
+  taint-propagation step is an edge, so a leak's complete source->sink
+  path can be reconstructed and printed in the shape of the paper's
+  annotated flows (Figs. 6-9, Section VI.B);
 * a :class:`MetricsRegistry` of counters/gauges and *pull* sources over
   the emulator/kernel/DVM/core statistics already kept by the engines
   (Tables IV/V overhead breakdowns);
 * a TB-boundary :class:`SamplingProfiler` attributing instruction counts
-  to guest functions;
+  to guest functions (like the ledger, job state: a warm platform's
+  ``reset_for_job()`` clears both);
 * an optional :class:`SpanTracer` timing engine work as spans — each JNI
   crossing is one ``jni_crossing`` span carrying its duration and its
   path (host-side ``fast`` or guest-protocol ``slow``), the only
@@ -85,6 +87,12 @@ class Observability:
             }, gauges=("edges",))
             self._propagate()
         return self.ledger
+
+    def reset_for_job(self) -> None:
+        """Forget the last job's edges and samples (tracing stays on)."""
+        if self.ledger is not None:
+            self.ledger.clear()
+            self.profiler.reset()
 
     def disable_tracing(self) -> None:
         if self.ledger is None:

@@ -15,7 +15,10 @@ Locations are structural, not textual, so edges chain by *overlap*:
 * ``mem`` locations match on byte-range intersection;
 * ``java`` locations are coarse per-label nodes for the Java context
   (TaintDroid tracks variables, not addresses) and match on label
-  intersection;
+  intersection.  The DVM records moves, move-results and invoke
+  arguments between frame slots; a slot some other bytecode wrote
+  (string concatenation, arithmetic) has no recorded writer, so a walk
+  stuck at a ``dvreg`` continues from its label's ``java`` node;
 * ``api``/``sink`` locations match on name and terminate/begin chains.
 
 The ledger is bounded (a ring): tracing a long run keeps the most recent
@@ -185,6 +188,18 @@ class ProvenancePath(List[ProvenanceEdge]):
         return bool(self) and not self.complete
 
 
+def _predecessor(edges: List[ProvenanceEdge], current: ProvenanceEdge,
+                 src: Loc, seen: set) -> Optional[ProvenanceEdge]:
+    """The latest edge before ``current`` that wrote ``src`` with a tag
+    intersecting ``current``'s, skipping edges already on the path."""
+    for candidate in reversed(edges):
+        if candidate.seq >= current.seq or candidate.seq in seen:
+            continue
+        if candidate.tag & current.tag and candidate.dst.overlaps(src):
+            return candidate
+    return None
+
+
 class ProvenanceLedger:
     """Bounded append-only edge store with source→sink reconstruction."""
 
@@ -247,8 +262,10 @@ class ProvenanceLedger:
         """Walk backwards from a sink edge to the source (Figs. 6-9).
 
         Each hop finds the latest earlier edge whose destination overlaps
-        the current edge's source and whose tag intersects it; the walk
-        ends at an ``api`` source, the ledger's horizon, or ``max_hops``.
+        the current edge's source (for a ``dvreg`` source with no such
+        edge: the ``java`` node of its tag) and whose tag intersects it;
+        the walk ends at an ``api`` source, the ledger's horizon, or
+        ``max_hops``.
         Returns the path source-first (empty if no sink edge matches).
 
         After ring eviction the walk may run out of recorded history
@@ -269,14 +286,10 @@ class ProvenanceLedger:
         for __ in range(max_hops):
             if current.src.kind == "api":
                 break
-            predecessor = None
-            for candidate in reversed(edges):
-                if candidate.seq >= current.seq or candidate.seq in seen:
-                    continue
-                if candidate.tag & current.tag and \
-                        candidate.dst.overlaps(current.src):
-                    predecessor = candidate
-                    break
+            predecessor = _predecessor(edges, current, current.src, seen)
+            if predecessor is None and current.src.kind == "dvreg":
+                predecessor = _predecessor(edges, current,
+                                           Loc.java(current.tag), seen)
             if predecessor is None:
                 break
             seen.add(predecessor.seq)

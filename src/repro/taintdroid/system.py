@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.common.taint import TaintLabel, describe_taint
+from repro.common.taint import TaintLabel
 from repro.framework.leaks import LeakRecord
 
 
@@ -18,8 +18,6 @@ class TaintDroid:
         platform.taintdroid = system
         # The modified DVM propagates taints per instruction.
         platform.vm.taint_tracking = True
-        platform.event_log.emit("taintdroid", "attach",
-                                "TaintDroid instrumentation enabled")
         return system
 
     def report_leak(self, sink: str, taint: TaintLabel, destination: str,
@@ -27,7 +25,3 @@ class TaintDroid:
         self.platform.leaks.report(LeakRecord(
             detector="taintdroid", sink=sink, taint=taint,
             destination=destination, payload=payload, context="java"))
-        self.platform.event_log.emit(
-            "taintdroid", "leak",
-            f"{sink} -> {destination} taint={describe_taint(taint)}",
-            sink=sink, taint=taint, destination=destination)

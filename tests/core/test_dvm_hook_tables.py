@@ -4,10 +4,13 @@ Table II: every ``Call<Type>Method{,V,A}`` (+Static/Nonvirtual) exists in
 the JNIEnv table and routes through the right ``dvmCallMethod*``.
 Table III: every NOF→MAF object-creation pair exists and is paired.
 Table IV: every Get/Set field function exists and bridges taints.
+Each taint-moving field, array-region and exception hook records exactly
+one provenance edge.
 """
 
 import pytest
 
+from repro.bench.harness import make_platform
 from repro.common.taint import TAINT_IMEI, TAINT_SMS
 from repro.core import NDroid
 from repro.cpu.assembler import assemble
@@ -198,3 +201,157 @@ class TestTableIV:
         platform.emu.call(platform.jni.symbols["GetStaticIntField"],
                           args=(platform.jni.env_pointer(), cls_handle, fid))
         assert ndroid.taint_engine.get_register(0) & TAINT_IMEI
+
+
+BUFFER = 0x9000
+
+
+class TestHookEdges:
+    """One ledger edge per taint-moving hook: its JNI function's name,
+    the taint it moved, and where it moved it from and to."""
+
+    def _platform(self):
+        platform = make_platform("ndroid", trace=True)
+        cls = ClassDef("LHolder;")
+        cls.add_instance_field("secret", "I")
+        cls.add_instance_field("name", "L")
+        cls.add_static_field("shared", "I")
+        platform.vm.register_class(cls)
+        platform.vm.register_class(ClassDef("Ljava/lang/RuntimeException;"))
+        return platform, platform.ndroid.taint_engine
+
+    @staticmethod
+    def _call(platform, name, *args):
+        jni = platform.jni
+        return platform.emu.call(jni.symbols[name],
+                                 args=(jni.env_pointer(), *args))
+
+    @staticmethod
+    def _edges(platform):
+        return [(edge.mechanism, edge.tag, edge.src.describe(),
+                 edge.dst.describe(), edge.location)
+                for edge in platform.observability.ledger]
+
+    def _holder(self, platform):
+        obj = platform.vm.new_instance("LHolder;")
+        return obj, platform.vm.irt.add_local(obj.address)
+
+    @pytest.mark.parametrize("static", [False, True])
+    def test_set_int_field(self, static):
+        platform, taint = self._platform()
+        fid = platform.jni.field_handle(
+            "LHolder;", "shared" if static else "secret")
+        target = (platform.jni.class_handle("LHolder;") if static
+                  else self._holder(platform)[1])
+        taint.set_register(3, TAINT_IMEI)
+        name = "SetStaticIntField" if static else "SetIntField"
+        self._call(platform, name, target, fid, 42)
+        field = "LHolder;->shared" if static else "LHolder;->secret"
+        assert self._edges(platform) == [
+            (f"jni:{name}", TAINT_IMEI, "reg:r3", f"java:0x{TAINT_IMEI:x}",
+             field)]
+
+    def test_set_object_field_moves_the_value_iref(self):
+        platform, taint = self._platform()
+        obj, iref = self._holder(platform)
+        text = platform.vm.heap.alloc_string("imei")
+        value = platform.vm.irt.add_local(text.address)
+        taint.add_iref(value, TAINT_IMEI)
+        self._call(platform, "SetObjectField", iref,
+                   platform.jni.field_handle("LHolder;", "name"), value)
+        assert self._edges(platform) == [
+            ("jni:SetObjectField", TAINT_IMEI, f"iref:0x{value:x}",
+             f"java:0x{TAINT_IMEI:x}", "LHolder;->name")]
+
+    @pytest.mark.parametrize("static", [False, True])
+    def test_get_int_field(self, static):
+        platform, taint = self._platform()
+        if static:
+            platform.vm.set_static("LHolder;->shared", 7, TAINT_SMS)
+            target = platform.jni.class_handle("LHolder;")
+        else:
+            obj, target = self._holder(platform)
+            obj.fields["secret"].value = 7
+            obj.fields["secret"].taint = TAINT_SMS
+        name = "GetStaticIntField" if static else "GetIntField"
+        field = "shared" if static else "secret"
+        assert self._call(platform, name, target, platform.jni.field_handle(
+            "LHolder;", field)) == 7
+        assert self._edges(platform) == [
+            (f"jni:{name}", TAINT_SMS, f"java:0x{TAINT_SMS:x}", "reg:r0",
+             f"LHolder;->{field}")]
+
+    def test_get_object_field_lands_on_the_returned_iref(self):
+        platform, taint = self._platform()
+        obj, iref = self._holder(platform)
+        text = platform.vm.heap.alloc_string("sms", TAINT_SMS)
+        obj.fields["name"].value = text.address
+        obj.fields["name"].taint = TAINT_SMS
+        result = self._call(platform, "GetObjectField", iref,
+                            platform.jni.field_handle("LHolder;", "name"))
+        assert taint.get_iref(result) == TAINT_SMS
+        assert self._edges(platform) == [
+            ("jni:GetObjectField", TAINT_SMS, f"java:0x{TAINT_SMS:x}",
+             f"iref:0x{result:x}", "LHolder;->name")]
+
+    @pytest.mark.parametrize("kind,size", [("Byte", 1), ("Int", 4)])
+    def test_get_array_region(self, kind, size):
+        platform, taint = self._platform()
+        array = platform.vm.heap.alloc_array(kind[0], 4)
+        array.taint = TAINT_SMS
+        iref = platform.vm.irt.add_local(array.address)
+        self._call(platform, f"Get{kind}ArrayRegion", iref, 0, 3, BUFFER)
+        assert taint.get_memory(BUFFER, 3 * size) == TAINT_SMS
+        assert self._edges(platform) == [
+            (f"jni:Get{kind}ArrayRegion", TAINT_SMS, f"iref:0x{iref:x}",
+             f"mem:0x{BUFFER:08x}+{3 * size}", "")]
+
+    @pytest.mark.parametrize("kind,size", [("Byte", 1), ("Int", 4)])
+    def test_set_array_region(self, kind, size):
+        platform, taint = self._platform()
+        array = platform.vm.heap.alloc_array(kind[0], 4)
+        iref = platform.vm.irt.add_local(array.address)
+        taint.set_memory(BUFFER, 2 * size, TAINT_IMEI)
+        self._call(platform, f"Set{kind}ArrayRegion", iref, 0, 2, BUFFER)
+        assert array.taint == TAINT_IMEI
+        assert self._edges(platform) == [
+            (f"jni:Set{kind}ArrayRegion", TAINT_IMEI,
+             f"mem:0x{BUFFER:08x}+{2 * size}", f"iref:0x{iref:x}", "")]
+
+    def test_throw_new_taints_the_message_then_the_exception(self):
+        """Two hooks move the message's taint: initException's string
+        creation (onto the message String) and ThrowNew's exit (the
+        exception enters Java)."""
+        platform, taint = self._platform()
+        platform.memory.write_cstring(BUFFER, "imei:35693")
+        taint.set_memory(BUFFER, 11, TAINT_IMEI)
+        cls = "Ljava/lang/RuntimeException;"
+        self._call(platform, "ThrowNew", platform.jni.class_handle(cls),
+                   BUFFER)
+        exception, label, __ = platform.jni.pending_exception
+        assert label == TAINT_IMEI
+        heap = platform.vm.heap
+        message = heap.get(heap.get(exception).fields["message"].value)
+        assert self._edges(platform) == [
+            ("jni:ThrowNew", TAINT_IMEI, f"mem:0x{BUFFER:08x}+11",
+             f"mem:0x{message.address:08x}+{message.byte_size()}", ""),
+            ("jni:ThrowNew", TAINT_IMEI, f"mem:0x{BUFFER:08x}+11",
+             f"java:0x{TAINT_IMEI:x}", cls)]
+
+    @pytest.mark.parametrize("name", ["SetIntField", "GetIntField",
+                                      "GetByteArrayRegion",
+                                      "SetByteArrayRegion", "ThrowNew"])
+    def test_clean_calls_record_nothing(self, name):
+        platform, __ = self._platform()
+        obj, iref = self._holder(platform)
+        fid = platform.jni.field_handle("LHolder;", "secret")
+        array = platform.vm.irt.add_local(
+            platform.vm.heap.alloc_array("B", 4).address)
+        platform.memory.write_cstring(BUFFER, "clean")
+        args = {"SetIntField": (iref, fid, 1), "GetIntField": (iref, fid),
+                "GetByteArrayRegion": (array, 0, 4, BUFFER),
+                "SetByteArrayRegion": (array, 0, 4, BUFFER),
+                "ThrowNew": (platform.jni.class_handle(
+                    "Ljava/lang/RuntimeException;"), BUFFER)}[name]
+        self._call(platform, name, *args)
+        assert self._edges(platform) == []

@@ -133,6 +133,36 @@ class TestFlagsAndConditions:
         result, _ = run_asm(source, args=(1, 0xFFFF_FFFF))
         assert result == 0
 
+    def test_bls_is_a_conditional_branch_not_a_call(self):
+        """``bls`` is B with LS, not BL with an S suffix."""
+        from repro.cpu.isa import Cond
+        program = assemble("main: bls main", base=CODE_BASE)
+        word = int.from_bytes(program.code[:4], "little")
+        assert word >> 28 == Cond.LS
+        assert (word >> 24) & 0xF == 0b1010  # B, link bit clear
+        source = """
+        main:
+            cmp r0, r1
+            bls lower_or_same
+            mov r0, #1
+            bx lr
+        lower_or_same:
+            mov r0, #2
+            bx lr
+        """
+        assert run_asm(source, args=(1, 1))[0] == 2
+        assert run_asm(source, args=(1, 0xFFFF_FFFF))[0] == 2
+        assert run_asm(source, args=(0xFFFF_FFFF, 1))[0] == 1
+
+    def test_branch_mnemonics_keep_their_conditions(self):
+        # (condition, link bit)
+        cases = {"blt": (0xB, 0), "bleq": (0x0, 1), "bhi": (0x8, 0),
+                 "blls": (0x9, 1), "bl": (0xE, 1), "b": (0xE, 0)}
+        for mnemonic, expected in cases.items():
+            program = assemble(f"main: {mnemonic} main", base=CODE_BASE)
+            word = int.from_bytes(program.code[:4], "little")
+            assert (word >> 28, (word >> 24) & 1) == expected, mnemonic
+
     def test_adds_carry_then_adc(self):
         source = """
         main:

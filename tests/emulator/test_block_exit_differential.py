@@ -66,10 +66,6 @@ WORK = st.integers(0, 7)
 CONDS = st.sampled_from(["eq", "ne", "cs", "cc", "mi", "pl", "hi", "ls",
                          "ge", "lt", "gt", "le", "vs", "vc"])
 MAYBE_COND = st.one_of(st.just(""), CONDS)
-# The assembler reads ``bls`` as BL with an S suffix, so plain branches
-# draw from the other conditions.
-B_CONDS = st.sampled_from(["eq", "ne", "cs", "cc", "mi", "pl", "hi", "ge",
-                           "lt", "gt", "le", "vs", "vc"])
 
 
 def host_address(name):
@@ -188,7 +184,7 @@ def segment(draw):
         return ("b", body, draw(arm_line()))
     if kind == "bcond":
         return ("bcond", body, f"cmp r{draw(WORK)}, #{draw(st.integers(0, 9))}",
-                draw(B_CONDS), draw(arm_body(2)))
+                draw(CONDS), draw(arm_body(2)))
     if kind == "bl":
         return ("bl", body, draw(MAYBE_COND), draw(arm_body()),
                 draw(st.sampled_from(["bx", "pop", "ldm", "mov", "ldr"])),
@@ -196,7 +192,7 @@ def segment(draw):
     if kind == "thumb":
         return ("thumb", body, draw(thumb_body()), draw(thumb_call()),
                 draw(st.one_of(st.none(), st.tuples(WORK, st.integers(0, 9),
-                                                    B_CONDS))))
+                                                    CONDS))))
     if kind == "host":
         return ("host", body, draw(st.sampled_from(HOSTS)),
                 draw(MAYBE_COND))

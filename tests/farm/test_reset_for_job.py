@@ -16,7 +16,8 @@ the outside:
   market apps, the stale pair, a job cut off mid-crossing), a reset
   gives back the booted guest memory, and a probe job observes exactly
   what it observes on a cold boot: leak rows, bytes sent, work counters,
-  event log and metrics, cache counters excepted;
+  provenance ledger edges, open descriptors and metrics, cache counters
+  excepted;
 * a job cut off mid-crossing leaves no call state behind.
 """
 
@@ -172,18 +173,19 @@ def relocator(platform):
     return relocate
 
 
-def observe(platform, boot_events=0):
-    """What a job leaves behind; ``boot_events`` skips a cold boot's
-    attach events (a reset clears the log)."""
+def observe(platform):
+    """What a (traced) job leaves behind."""
     relocate = relocator(platform)
     observed = {
         "leaks": leak_rows(platform),
         "sent": [(sent.destination, sent.payload.hex())
                  for sent in platform.kernel.network.transmissions],
         "counters": platform.work_counters(),
-        "events": [relocate([event.source, event.kind, event.detail,
-                             event.data])
-                   for event in list(platform.event_log)[boot_events:]],
+        "edges": [relocate(edge.to_dict())
+                  for edge in platform.observability.ledger],
+        "descriptors": [(fd, descriptor.kind, descriptor.path)
+                        for fd, descriptor in
+                        sorted(platform.kernel.current.fds.items())],
         "metrics": engine_metrics(platform),
     }
     droidscope = platform.droidscope
@@ -207,10 +209,9 @@ def guest_memory(platform):
 
 
 def cold_observation(config, probe):
-    platform = make_platform(config)
-    boot_events = len(platform.event_log)
+    platform = make_platform(config, trace=True)
     run_job(platform, probe)
-    return observe(platform, boot_events)
+    return observe(platform)
 
 
 # -- the stale SourcePolicy -------------------------------------------------------
@@ -228,7 +229,7 @@ class TestStaleSourcePolicy:
             [("ndroid", "send", 1024, DESTINATION)]
 
     def test_warm_direct_after_seed_matches_cold(self):
-        platform = make_platform("ndroid")
+        platform = make_platform("ndroid", trace=True)
         platform.prepare_template()
         platform.reset_for_job()
         run_job(platform, ("stale", "seed"))
@@ -250,7 +251,7 @@ def test_repeated_warm_job_gives_cold_metrics(config, target):
     """Three runs of one scenario on one warm platform: the same metrics
     snapshot each time, a cold run's but for the cache counters."""
     job = ("scenario", target)
-    platform = make_platform(config)
+    platform = make_platform(config, trace=True)
     platform.prepare_template()
     runs = []
     for __ in range(3):
@@ -285,7 +286,7 @@ def cold(config, probe):
 @example(history=[("scenario", "case1_prime")] * 3,
          probe=("scenario", "case1_prime"))
 def test_reset_after_any_jobs_is_a_cold_boot(config, history, probe):
-    platform = make_platform(config)
+    platform = make_platform(config, trace=True)
     platform.prepare_template()
     booted = guest_memory(platform)
     for job in history:

@@ -128,17 +128,18 @@ class TestResetForJob:
         assert metrics["case2"]["emulator.tb.hits"] > 0
 
     def test_reset_clears_job_state(self):
-        platform = make_platform("ndroid")
+        platform = make_platform("ndroid", trace=True)
         platform.prepare_template()
         platform.reset_for_job()
         run_scenario(ALL_SCENARIOS["case2"](), platform)
         assert platform.leaks.records
+        assert len(platform.observability.ledger) > 0
         platform.reset_for_job()
         assert not platform.leaks.records
         assert platform.emu.instruction_count == 0
         assert platform.vm.interpreter.instructions_executed == 0
         assert platform.kernel.syscall_count == 0
-        assert len(platform.event_log) == 0
+        assert len(platform.observability.ledger) == 0
 
 
 class TestResidentRestore:

@@ -23,7 +23,7 @@ exception), the taint map, the iref shadow, shadow registers, the
 conservative label, ledger edges, ``tainted_deliveries``, the hook
 engine's stats, ``hook_invocations``, quarantined hooks, NDroid's
 statistics (the NDroid-only items are absent on the other platforms),
-the event log, the JNI chars heap, r0, r4-r12 and sp, instruction
+the JNI chars heap, r0, r4-r12 and sp, instruction
 counts and guest memory.
 
 Excluded, because only the protocol produces them:
@@ -223,8 +223,6 @@ def observe(platform, outcomes):
         "ledger": [(edge.tag, edge.mechanism, edge.src.describe(),
                     edge.dst.describe(), edge.location)
                    for edge in platform.observability.ledger],
-        "events": [(event.source, event.kind, event.detail, event.data)
-                   for event in platform.event_log],
         "chars_heap": ([(block.start, block.size) for block in heap._free],
                        dict(heap._live)),
         "registers": [platform.emu.cpu.regs[0],
@@ -351,10 +349,8 @@ def test_plan_matches_guest_protocol(case):
 def test_host_side_matches_guest_protocol_without_plan(config, case):
     host = run_case(case, oracle=False, config=config)
     assert host == run_case(case, oracle=True, config=config)
-    # The host-side crossing emits the bridge's event too, and returns
+    # The host-side crossing (one per call, as run_case asserts) returns
     # TaintDroid's policy label: the union of the parameters' taints.
-    assert [kind for __, kind, *_ in host["events"]].count(
-        "dvmCallJNIMethod") == len(case["calls"])
     arity = len(case["params"])
     for outcome, taints in zip(host["outcomes"], case["calls"]):
         if outcome[0] == "ok":
@@ -373,9 +369,13 @@ def test_plan_is_ndroids_default_path():
     # of all parameters: the body never reads IMEI-tainted parameter 1.
     assert plan["outcomes"] == [("ok", 0 + 3 + 4 + 6,
                                  TAINT_SMS | TAINT_CONTACTS, False)]
-    events = [kind for __, kind, *_ in plan["events"]]
-    assert "dvmCallJNIMethod" in events
-    assert "SourcePolicy.apply" in events
+    # The SourcePolicy seeded each tainted parameter's register or stack
+    # word at the native method's entry.
+    seeded = [(tag, dst.partition(":")[0])
+              for tag, mechanism, __, dst, __ in plan["ledger"]
+              if mechanism == "jni:dvmCallJNIMethod"]
+    assert seeded == [(TAINT_IMEI, "reg"), (TAINT_SMS, "mem"),
+                      (TAINT_CONTACTS, "mem")]
 
 
 @pytest.mark.parametrize("entry", ["quarantined", "faulting"])
@@ -415,8 +415,6 @@ def analyze_app(kind, target, seed, oracle, config="ndroid"):
         "tainted_deliveries": list(
             platform.ndroid.dvm_hooks.tainted_deliveries)
         if platform.ndroid else None,
-        "events": [(event.source, event.kind, event.detail, event.data)
-                   for event in platform.event_log],
         "crossings": crossings,
     }
 
@@ -439,6 +437,6 @@ def test_apps_match_guest_protocol(kind, target, seed):
 ])
 def test_apps_match_guest_protocol_without_plan(config, kind, target):
     """The same apps with no plan installed: the same leak rows and the
-    same event log, bridge events included."""
+    same ledger edges."""
     assert analyze_app(kind, target, 0, oracle=False, config=config) == \
         analyze_app(kind, target, 0, oracle=True, config=config)

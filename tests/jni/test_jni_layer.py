@@ -21,11 +21,11 @@ class Platform:
 
     def __init__(self):
         self.emu = Emulator()
-        self.kernel = Kernel(self.emu.memory, event_log=self.emu.event_log)
+        self.kernel = Kernel(self.emu.memory)
         self.kernel.spawn_process("com.example.app")
         self.emu.syscall_handler = self.kernel.handle_svc
         self.libc = CLibrary(self.emu, self.kernel)
-        self.vm = DalvikVM(self.emu.memory, event_log=self.emu.event_log)
+        self.vm = DalvikVM(self.emu.memory)
         self.jni = JniLayer(self.emu, self.vm)
         self.emu.cpu.sp = STACK_TOP
 
@@ -266,14 +266,13 @@ class TestNativeToJava:
             .asciz "triple"
         """
         self._app_with_callback(platform, source)
+        entered = self._watch_call_chain(platform)
         platform.vm.call_main("LTest;->entry")
-        kinds = platform.vm.event_log.kinds()
-        assert "dvmCallMethodV" in kinds
-        assert "dvmInterpret" in kinds
-        assert kinds.index("dvmCallMethodV") < kinds.index("dvmInterpret")
+        assert [name for name, __ in entered] == ["dvmCallMethodV",
+                                                  "dvmInterpret"]
 
     def test_interpret_frame_address_exposed(self, platform):
-        """The dvmInterpret event carries the real frame address (Fig. 9)."""
+        """dvmInterpret runs on the real, freshly pushed frame (Fig. 9)."""
         source = f"""
         entry_impl:
             push {{r4, r5, r6, lr}}
@@ -297,11 +296,25 @@ class TestNativeToJava:
             .asciz "triple"
         """
         self._app_with_callback(platform, source)
+        entered = self._watch_call_chain(platform)
         platform.vm.call_main("LTest;->entry")
-        event = platform.vm.event_log.last("dvmInterpret")
-        frame_address = event.data["frame"]
+        frame_address = dict(entered)["dvmInterpret"]
         from repro.dalvik.stack import DVM_STACK_BASE, DVM_STACK_SIZE
         assert DVM_STACK_BASE - DVM_STACK_SIZE <= frame_address < DVM_STACK_BASE
+
+    @staticmethod
+    def _watch_call_chain(platform):
+        """Entry hooks on the host-side dvmCallMethodV and dvmInterpret:
+        each entry appends ``(name, frame address or None)``."""
+        jni, entered = platform.jni, []
+        platform.emu.add_entry_hook(
+            jni.symbols["dvmCallMethodV"],
+            lambda emu: entered.append(("dvmCallMethodV", None)))
+        platform.emu.add_entry_hook(
+            jni.symbols["dvmInterpret"],
+            lambda emu: entered.append(
+                ("dvmInterpret", jni.pending_interpret["frame"].fp)))
+        return entered
 
 
 class TestFieldsAndArrays:

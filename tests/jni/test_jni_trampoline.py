@@ -4,10 +4,11 @@
 :class:`Method` into a ``_Trampoline``.  When nothing hooks the bridge
 (TB engine on, no fault injector) the crossing runs host-side; these
 tests pin down that, seen from Java, it is indistinguishable from the
-guest protocol — reached with a no-op foreign hook on the bridge — and
-that the cache is invalidated when bindings change.  The event log does not
-pick the path.  NDroid's plan and the platforms' generated crossings
-have their own differential test (``test_crossing_plan_differential.py``).
+guest protocol — reached with a no-op foreign hook on the bridge — down
+to the provenance edges the crossing's Java caller records, and that the
+cache is invalidated when bindings change.  NDroid's plan and the
+platforms' generated crossings have their own differential test
+(``test_crossing_plan_differential.py``).
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.emulator import Emulator, HostContext
 from repro.jni import JniLayer
 from repro.kernel import Kernel
 from repro.libc import CLibrary
+from repro.observability import ProvenanceLedger
 
 NATIVE_BASE = 0x6000_0000
 STACK_TOP = 0x0800_0000
@@ -28,11 +30,12 @@ STACK_TOP = 0x0800_0000
 class Platform:
     def __init__(self):
         self.emu = Emulator()
-        self.kernel = Kernel(self.emu.memory, event_log=self.emu.event_log)
+        self.kernel = Kernel(self.emu.memory)
         self.kernel.spawn_process("com.example.app")
         self.emu.syscall_handler = self.kernel.handle_svc
         self.libc = CLibrary(self.emu, self.kernel)
-        self.vm = DalvikVM(self.emu.memory, event_log=self.emu.event_log)
+        self.vm = DalvikVM(self.emu.memory)
+        self.vm.ledger = ProvenanceLedger()
         self.jni = JniLayer(self.emu, self.vm)
         self.emu.cpu.sp = STACK_TOP
 
@@ -66,6 +69,14 @@ def platform():
     """)
     p.method = p.add_native_method(cls, "addArgs", "III", program,
                                    "add_args")
+    # callAdd(x, y) returns addArgs(x, y): a Java caller, so the ledger
+    # records the crossing's arguments and its result's taint.
+    caller = MethodBuilder("LTest;", "callAdd", "III", static=True,
+                           registers=3)
+    caller.invoke_static("LTest;->addArgs", 1, 2)
+    caller.move_result(0)
+    caller.ret(0)
+    cls.add_method(caller.build())
     p.cls = cls
     p.program = program
     return p
@@ -80,19 +91,20 @@ def force_guest_protocol(platform, hits=None):
 
 
 def cross(platform, args):
-    """One crossing's Java-visible result, instruction count and events."""
-    vm, emu = platform.vm, platform.emu
-    before, logged = emu.instruction_count, len(vm.event_log)
-    result = vm.call_main("LTest;->addArgs", list(args))
-    events = [(event.kind, event.data)
-              for event in list(vm.event_log)[logged:]]
+    """One crossing's Java-visible result, instruction count and the
+    ledger edges its Java caller recorded."""
+    vm, emu, ledger = platform.vm, platform.emu, platform.vm.ledger
+    before, recorded = emu.instruction_count, len(ledger)
+    result = vm.call_main("LTest;->callAdd", list(args))
+    edges = [(edge.mechanism, edge.src.describe(), edge.dst.describe(),
+              edge.tag) for edge in list(ledger)[recorded:]]
     return (result.value, result.taint, result.is_ref,
-            emu.instruction_count - before, events)
+            emu.instruction_count - before, edges)
 
 
 class TestFastSlowParity:
     def test_results_and_taints_agree(self, platform):
-        """Same value, taint, instruction stream and bridge event on the
+        """Same value, taint, instruction stream and ledger edges on the
         host-side path and the guest protocol."""
         jni = platform.jni
         cases = [
@@ -109,47 +121,30 @@ class TestFastSlowParity:
         assert slow[0][:2] == (7, TAINT_CLEAR)
         assert slow[1][1] == TAINT_IMEI
         assert slow[2][1] == TAINT_IMEI | TAINT_SMS
-        assert [kind for kind, __ in slow[0][4]] == ["dvmCallJNIMethod"]
+        assert slow[0][4] == []
+        assert [(mechanism, tag) for mechanism, __, __, tag in slow[2][4]] \
+            == [("dalvik:invoke", TAINT_IMEI), ("dalvik:invoke", TAINT_SMS),
+                ("dalvik:move-result", TAINT_IMEI | TAINT_SMS)]
 
     def test_hooks_force_slow_path(self, platform):
         """A foreign hook on the bridge routes through dvmCallJNIMethod
-        in the guest, with the event log on or off."""
+        in the guest."""
         vm, jni = platform.vm, platform.jni
         bridge_hits = []
         force_guest_protocol(platform, bridge_hits)
-        for enabled in (True, False):
-            vm.event_log.enabled = enabled
-            result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
-            assert result.value == 42
-        assert bridge_hits == [1, 1], "hooked run must take the guest bridge"
-        assert (jni.crossings_fast, jni.crossings_slow) == (0, 2)
+        result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
+        assert result.value == 42
+        assert bridge_hits == [1], "hooked run must take the guest bridge"
+        assert (jni.crossings_fast, jni.crossings_slow) == (0, 1)
 
     def test_fast_path_skips_guest_bridge(self, platform):
-        """Without a hook on the bridge the guest bridge never runs, with
-        the event log on or off."""
+        """Without a hook on the bridge the guest bridge never runs."""
         vm, jni = platform.vm, platform.jni
-        for enabled in (True, False):
-            vm.event_log.enabled = enabled
-            result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
-            assert result.value == 42
-        assert (jni.crossings_fast, jni.crossings_slow) == (2, 0)
+        result = vm.call_main("LTest;->addArgs", [Slot(20), Slot(22)])
+        assert result.value == 42
+        assert (jni.crossings_fast, jni.crossings_slow) == (1, 0)
         # The call plan is cached and keyed by the method.
         assert platform.method in jni._trampolines
-
-
-class TestEventLogGuard:
-    def test_disabled_log_stays_empty_across_crossing(self, platform):
-        vm = platform.vm
-        vm.event_log.enabled = False
-        before = len(vm.event_log)
-        vm.call_main("LTest;->addArgs", [Slot(1), Slot(2)])
-        assert len(vm.event_log) == before
-
-    def test_enabled_log_records_the_bridge(self, platform):
-        vm = platform.vm
-        vm.event_log.enabled = True
-        vm.call_main("LTest;->addArgs", [Slot(1), Slot(2)])
-        assert vm.event_log.find(kind="dvmCallJNIMethod")
 
 
 class TestInvalidation:
@@ -171,7 +166,6 @@ class TestInvalidation:
 
     def test_register_natives_pops_cached_trampoline(self, platform):
         vm, jni = platform.vm, platform.jni
-        vm.event_log.enabled = False
         assert vm.call_main("LTest;->addArgs",
                             [Slot(2), Slot(3)]).value == 5
         assert platform.method in jni._trampolines
@@ -184,7 +178,6 @@ class TestInvalidation:
     def test_stale_trampoline_still_follows_rebinding(self, platform):
         """Belt and braces: the closure re-reads native_address anyway."""
         vm = platform.vm
-        vm.event_log.enabled = False
         assert vm.call_main("LTest;->addArgs",
                             [Slot(2), Slot(3)]).value == 5
         platform.method.native_address = platform.program.entry(

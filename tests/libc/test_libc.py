@@ -16,7 +16,7 @@ STACK_TOP = 0x0800_0000
 @pytest.fixture
 def platform():
     emu = Emulator()
-    kernel = Kernel(emu.memory, event_log=emu.event_log)
+    kernel = Kernel(emu.memory)
     kernel.spawn_process("com.example.app")
     emu.syscall_handler = kernel.handle_svc
     libc = CLibrary(emu, kernel)

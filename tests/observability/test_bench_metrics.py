@@ -1,6 +1,6 @@
 """`repro bench --emulator` must route results through the registry."""
 
-from repro.bench.emulator_bench import EmulatorBench
+from repro.bench.emulator_bench import OBS_PAIRS, EmulatorBench
 
 
 def test_bench_results_and_metrics_snapshot_agree():
@@ -14,3 +14,6 @@ def test_bench_results_and_metrics_snapshot_agree():
     observability = results["observability"]
     assert "cfbench_disabled_overhead" in observability
     assert observability["limit"] == 0.03
+    # The gate's median stands on at least OBS_PAIRS interleaved pairs,
+    # whatever the bench's own repeat count.
+    assert observability["pairs"] >= OBS_PAIRS >= 9

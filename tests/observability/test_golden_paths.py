@@ -66,7 +66,40 @@ def test_poc_case3_newstringutf_callback_to_socket():
     # back into the Java context.
     assert "jni:NewStringUTF" in mechanisms
     assert any(m.startswith("jni:dvmCallMethod") for m in mechanisms)
+    # dvmInterpret writes the taint into the callback's frame slot (the
+    # DVM had cleared it), and the callback hands that slot to the sink.
+    frame_edges = [e for e in path if e.mechanism == "jni:dvmInterpret"]
+    assert len(frame_edges) == 1
+    frame_edge = frame_edges[0]
+    assert frame_edge.src.kind == "java" and frame_edge.dst.kind == "dvreg"
+    assert frame_edge.tag & leak.taint
+    assert "nativeCallback" in frame_edge.location
+    assert mechanisms.index("jni:NewStringUTF") < \
+        mechanisms.index("jni:dvmInterpret")
+    assert path.complete
     assert path[-1].location == "syscall:send"
+
+
+def test_case4_native_pulls_the_data_through_a_java_call():
+    platform, leak, path = _traced_path("case4")
+    mechanisms = _mechanisms(path)
+    assert path.complete
+    assert mechanisms[0] == "source:framework"
+    # CallStaticObjectMethod's tainted result is the native side's only
+    # way in: no JNI method parameter carries it.
+    assert "jni:dvmCallJNIMethod" not in mechanisms
+    assert mechanisms.index("jni:CallStaticObjectMethod") < \
+        mechanisms.index("jni:GetStringUTFChars")
+    assert path[-1].location == "syscall:send"
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, build in ALL_SCENARIOS.items()
+    if build().expected_taint))
+def test_every_leak_path_reaches_its_source(name):
+    platform, leak, path = _traced_path(name)
+    assert path.complete, platform.observability.ledger.format_path(path)
+    assert path[0].mechanism == "source:framework"
 
 
 @pytest.mark.parametrize("name", ["ephone", "poc_case2", "poc_case3"])

@@ -132,6 +132,33 @@ def test_unevicted_dead_end_is_partial_but_not_at_horizon():
     assert not path.at_horizon
 
 
+def test_frame_slot_without_recorded_writer_chains_through_java():
+    # A slot some untraced bytecode wrote (a string concatenation) has no
+    # dvreg edge into it: the walk continues from its label's Java node.
+    ledger = ProvenanceLedger()
+    ledger.record(0x2, "source:framework", Loc.api("getContact"),
+                  Loc.java(0x2))
+    ledger.record(0x2, "dalvik:invoke", Loc.dvreg(0x80), Loc.java(0x2))
+    ledger.record(0x2, "sink:send", Loc.java(0x2), Loc.sink("host:80"))
+    path = ledger.reconstruct(taint=0x2, destination="host:80")
+    assert [edge.seq for edge in path] == [0, 1, 2]
+    assert path.complete
+
+
+def test_frame_slot_with_a_writer_chains_through_it():
+    ledger = ProvenanceLedger()
+    ledger.record(0x2, "source:framework", Loc.api("getContact"),
+                  Loc.java(0x2))
+    ledger.record(0x2, "dalvik:move-result", Loc.java(0x2),
+                  Loc.dvreg(0x40))
+    ledger.record(0x4, "source:framework", Loc.api("getSms"),
+                  Loc.java(0x4))
+    ledger.record(0x2, "dalvik:invoke", Loc.dvreg(0x40), Loc.java(0x2))
+    ledger.record(0x2, "sink:send", Loc.java(0x2), Loc.sink("host:80"))
+    path = ledger.reconstruct(taint=0x2, destination="host:80")
+    assert [edge.seq for edge in path] == [0, 1, 3, 4]
+
+
 def test_empty_reconstruction_is_a_path_object():
     ledger = ProvenanceLedger()
     path = ledger.reconstruct(taint=0x2, destination="nowhere")

@@ -4,8 +4,9 @@ The supervisor's watchdog and crash ring run inside the emulator, so a
 supervised run stays on translation blocks.  The single-step engine
 (``use_tb=False``) is the oracle: for generated ARM and Thumb loops —
 bodies longer than ``MAX_BLOCK_OPS``, conditional exits, random
-instruction budgets, an undecodable word or an unmapped load at a random
-offset, with and without a taint-compiling tracer — both engines must
+instruction budgets, an undecodable word, an unmapped load or an LDM
+straddling a mapped and an unmapped page at a random offset, with and
+without a taint-compiling tracer — both engines must
 end in the same outcome with the same error, ``AnalysisTimeout`` pc,
 instruction count, registers, taint shadow and ring contents.
 """
@@ -28,6 +29,9 @@ from repro.resilience import Supervisor
 CODE_BASE = 0x6000_0000
 STACK_TOP = 0x0800_0000
 UNMAPPED = 0x4000_0000   # strict memory: never written, so loads fault
+# The last word of a page the straddling LDM writes first; the next page
+# is never written, so the LDM's second word faults.
+STRADDLE = 0x5000_0FFC
 
 # Loop-body statements; r0-r5 are scratch, r6 holds an unmapped address,
 # r7 counts iterations.  Each entry maps (a, b, imm) to source.
@@ -51,6 +55,9 @@ THUMB_OPS = {
 FAULTS = {
     "none": lambda thumb: None,
     "load": lambda thumb: "ldr r3, [r6]",
+    "straddle": lambda thumb: "\n    ".join([
+        f"ldr r4, ={STRADDLE:#x}", "str r7, [r4]",
+        "ldmia r4!, {r1, r2}" if thumb else "ldmia r4, {r1, r2}"]),
     "undecodable": lambda thumb: (".hword 0xde00" if thumb
                                   else ".word 0xf7f0f0f0"),
 }
@@ -172,6 +179,8 @@ LONG_THUMB = [f"add r{i % 6}, #{i}" for i in range(MAX_BLOCK_OPS + 6)]
 # Faults past the first block boundary, tainted and clean.
 @example((False, LONG_ARM, 3, "load", MAX_BLOCK_OPS + 2, 100_000, True))
 @example((False, LONG_ARM, 3, "undecodable", 40, 100_000, False))
+@example((False, LONG_ARM, 3, "straddle", MAX_BLOCK_OPS + 2, 100_000, True))
+@example((True, LONG_THUMB, 3, "straddle", 5, 100_000, False))
 @example((True, LONG_THUMB, 3, "undecodable", MAX_BLOCK_OPS + 3, 100_000,
           True))
 # A conditional exit taken on the first pass.
