@@ -311,8 +311,11 @@ class SysLibHookEngine:
         self.platform.leaks.report(LeakRecord(
             detector="ndroid", sink=sink, taint=label,
             destination=destination, payload=payload, context="native"))
-        if self.ledger is not None:
-            syscall = SINK_SYSCALLS.get(sink, sink)
+        syscall = SINK_SYSCALLS.get(sink, sink)
+        # A bare syscall sink's edge is the kernel's, recorded over the
+        # bytes the device accepted; only the stdio sinks add their own,
+        # one per tainted source the call drew from.
+        if self.ledger is not None and syscall != sink:
             for src in (src_locs or [Loc.java(label)]):
                 tag = label
                 if src.kind == "mem":

@@ -14,8 +14,10 @@ proportions at any scale instead of drifting the way independent
 ``max(1, round(...))`` rounding does.
 
 The corpus is **addressable and streamable**: every record is a pure
-function of ``(seed, stratum, index)`` — per-record RNGs are derived by
-hashing, never by consuming a shared generator — and strata are
+function of ``(seed, stratum, index)``, hashed into a 64-bit key, never
+drawn from a shared generator.  Type I/II records seed a per-record RNG
+with the key; plain records, which draw only a category, index the
+category table by the key itself, so they pay for no RNG.  Strata are
 interleaved by a seed-derived affine permutation of positions rather
 than an in-memory shuffle.  :meth:`CorpusGenerator.stream` therefore
 yields any slice of the corpus in constant memory, ``record_at`` is
@@ -189,7 +191,6 @@ class CorpusGenerator:
                  parameters: StudyParameters = PAPER_PARAMETERS,
                  scale: float = 1.0) -> None:
         self.seed = seed
-        self.random = random.Random(seed)
         self.parameters = parameters
         self.scale = scale
         self.plan = plan_corpus(parameters, scale)
@@ -240,11 +241,15 @@ class CorpusGenerator:
             if math.gcd(mul, total) == 1:
                 return mul, offset
 
-    def _rng(self, stratum: str, index: int) -> random.Random:
-        """Per-record RNG: a pure function of (seed, stratum, index)."""
-        key = f"{self.seed}:{stratum}:{index}".encode()
-        return random.Random(
-            int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+    def _key(self, stratum: str, index: int) -> int:
+        """Per-record 64-bit key: a pure function of (seed, stratum, index).
+
+        Type I/II records seed their RNG with it; plain records, which
+        draw only a category, index by it directly.
+        """
+        digest = hashlib.sha256(
+            f"{self.seed}:{stratum}:{index}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
 
     # -- public API ---------------------------------------------------------------
 
@@ -315,7 +320,7 @@ class CorpusGenerator:
         return tuple(sorted(chosen))
 
     def _type1_record(self, index: int) -> AppRecord:
-        rng = self._rng("type1", index)
+        rng = random.Random(self._key("type1", index))
         plan = self.plan
         category = self._pick_type1_category(rng)
         strings = _PLAIN_STRINGS + (
@@ -335,7 +340,7 @@ class CorpusGenerator:
             declared_native_classes=declared)
 
     def _type2_record(self, index: int) -> AppRecord:
-        rng = self._rng("type2", index)
+        rng = random.Random(self._key("type2", index))
         if index < self.plan.type2_loadable:
             embedded = (EmbeddedDexInfo(
                 "assets/payload.dex",
@@ -366,7 +371,8 @@ class CorpusGenerator:
             manifest_flags=(NATIVE_ACTIVITY_STRING,))
 
     def _plain_record(self, index: int) -> AppRecord:
-        rng = self._rng("plain", index)
+        key = self._key("plain", index)
         return AppRecord(package=f"com.plain.app{index}",
-                         category=rng.choice(_GENERIC_CATEGORIES),
+                         category=_GENERIC_CATEGORIES[
+                             key % len(_GENERIC_CATEGORIES)],
                          dex_strings=_PLAIN_STRINGS)

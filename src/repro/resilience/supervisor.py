@@ -155,7 +155,7 @@ class Supervisor:
         active = plan.activate() if plan else None
         delays: List[float] = []
         attempt = 0
-        rng = jitter_rng("supervisor", label)
+        rng = None  # built on the first retry: most runs never retry
         self._count("runs")
         while True:
             attempt += 1
@@ -164,6 +164,8 @@ class Supervisor:
                 value = analysis(ctx)
             except TransientSyscallFault as error:
                 if attempt <= self.max_retries:
+                    if rng is None:
+                        rng = jitter_rng("supervisor", label)
                     delay = backoff_delay(attempt, base=self.backoff_base,
                                           factor=self.backoff_factor,
                                           jitter=self.backoff_jitter,

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.apps import ALL_SCENARIOS
+from repro.apps.base import run_scenario
+from repro.bench.harness import make_platform
 from repro.common.taint import TAINT_CONTACTS, TAINT_IMEI, TAINT_SMS
 from repro.core import NDroid
 from repro.framework import AndroidPlatform
@@ -150,3 +153,35 @@ class TestRawSyscallSink:
         platform.emu.call(program.entry("main"))
         file = platform.kernel.filesystem.lookup("/sdcard/raw.bin")
         assert file.taint_union() == TAINT_SMS
+
+
+class TestSinkEdgesRecordedOnce:
+    """Each sink step leaves one ledger edge: the kernel records a bare
+    syscall's edge, NDroid's hook only the stdio sinks' per-source ones."""
+
+    @staticmethod
+    def _sink_edges(name):
+        platform = make_platform("ndroid", trace=True)
+        run_scenario(ALL_SCENARIOS[name](), platform)
+        return [edge for edge in platform.observability.ledger
+                if edge.mechanism.startswith("sink:")]
+
+    @pytest.mark.parametrize("name, mechanism", [
+        ("case4", "sink:send"), ("ephone", "sink:sendto")])
+    def test_syscall_sink_has_one_edge(self, name, mechanism):
+        edges = self._sink_edges(name)
+        assert [edge.mechanism for edge in edges] == [mechanism]
+        assert edges[0].location == f"syscall:{mechanism[5:]}"
+
+    def test_fprintf_keeps_one_edge_per_source(self):
+        mechanisms = [edge.mechanism
+                      for edge in self._sink_edges("poc_case2")]
+        assert mechanisms.count("sink:fprintf") == 3
+        assert mechanisms.count("sink:write") == 1
+
+    @pytest.mark.parametrize("name", sorted(ALL_SCENARIOS))
+    def test_no_scenario_repeats_a_sink_edge(self, name):
+        keys = [(edge.tag, edge.mechanism, repr(edge.src.to_dict()),
+                 repr(edge.dst.to_dict()), edge.location)
+                for edge in self._sink_edges(name)]
+        assert len(keys) == len(set(keys))

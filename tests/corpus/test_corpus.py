@@ -1,5 +1,8 @@
 """Corpus generator + study pipeline tests (Section III / Fig. 2)."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.corpus import (
@@ -9,7 +12,11 @@ from repro.corpus import (
     analyze_corpus,
 )
 from repro.corpus.appmodel import EmbeddedDexInfo
-from repro.corpus.generator import largest_remainder, plan_corpus
+from repro.corpus.generator import (
+    _GENERIC_CATEGORIES,
+    largest_remainder,
+    plan_corpus,
+)
 from repro.corpus.study import classify
 
 
@@ -148,13 +155,21 @@ class TestApportionment:
         assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
 
 
+def record_fields(record):
+    """Every field of ``record``, embedded dex included, as a tuple."""
+    return (record.package, record.category, record.dex_strings,
+            record.native_libraries, record.library_archs,
+            tuple((dex.name, dex.strings) for dex in record.embedded_dex),
+            record.manifest_flags, record.declared_native_classes)
+
+
 class TestStreaming:
     """The generator is addressable: stream == materialize, any slice."""
 
     def test_stream_equals_generate(self):
         generator = CorpusGenerator(seed=2014, scale=0.01)
-        streamed = [record.package for record in generator.stream()]
-        materialized = [record.package
+        streamed = [record_fields(record) for record in generator.stream()]
+        materialized = [record_fields(record)
                         for record in
                         CorpusGenerator(seed=2014, scale=0.01).generate()]
         assert streamed == materialized
@@ -162,10 +177,13 @@ class TestStreaming:
 
     def test_slices_are_position_addressable(self):
         generator = CorpusGenerator(seed=3, scale=0.005)
-        full = [record.package for record in generator.stream()]
-        middle = [record.package for record in generator.stream(100, 150)]
+        full = [record_fields(record) for record in generator.stream()]
+        middle = [record_fields(record)
+                  for record in generator.stream(100, 150)]
         assert middle == full[100:150]
-        assert generator.record_at(117).package == full[117]
+        for position in (0, 117, len(full) - 1):
+            assert record_fields(generator.record_at(position)) == \
+                full[position]
         with pytest.raises(IndexError):
             generator.record_at(len(generator))
 
@@ -174,20 +192,68 @@ class TestStreaming:
         total = len(generator)
         chunked = []
         for start in range(0, total, 37):
-            chunked += [record.package
+            chunked += [record_fields(record)
                         for record in
                         generator.stream(start, min(start + 37, total))]
-        assert chunked == [record.package
+        assert chunked == [record_fields(record)
                            for record in generator.stream()]
+        assert chunked == [record_fields(generator.record_at(position))
+                           for position in range(total)]
 
     def test_library_picks_are_bounded_and_deterministic(self):
         generator = CorpusGenerator(seed=5, scale=0.01)
-        rng_a = generator._rng("probe", 1)
-        rng_b = generator._rng("probe", 1)
+        rng_a = random.Random(generator._key("probe", 1))
+        rng_b = random.Random(generator._key("probe", 1))
         libs_a = generator._pick_libraries(rng_a, "Game")
         libs_b = generator._pick_libraries(rng_b, "Game")
         assert libs_a == libs_b
         assert len(libs_a) == len(set(libs_a))
+
+
+class TestRecordRandomness:
+    """What each stratum draws, and what it must keep drawing."""
+
+    # sha256 over every field of every type I/II/III record of
+    # CorpusGenerator(seed=2014, scale=0.01), in stream order: the
+    # inputs of Fig. 2 and the Section III table.  Any change to how
+    # those records draw their randomness moves it.
+    JNI_RECORDS_DIGEST = \
+        "49184f86b15dac9900a13d497d075068ca38662d362bbcad9bd56b49e7768a0a"
+
+    def test_jni_records_match_the_golden_digest(self):
+        digest = hashlib.sha256()
+        count = 0
+        for record in CorpusGenerator(seed=2014, scale=0.01).stream():
+            if record.package.startswith("com.plain."):
+                continue
+            count += 1
+            digest.update(repr(record_fields(record)).encode() + b"\n")
+        plan = plan_corpus(PAPER_PARAMETERS, 0.01)
+        assert count == plan.type1 + plan.type2 + plan.type3 == 392
+        assert digest.hexdigest() == self.JNI_RECORDS_DIGEST
+
+    def test_plain_categories_are_deterministic_and_cover_all(self):
+        generator = CorpusGenerator(seed=2014, scale=0.01)
+        first = [generator._plain_record(index).category
+                 for index in range(generator.plan.plain)]
+        again = [CorpusGenerator(seed=2014, scale=0.01)
+                 ._plain_record(index).category
+                 for index in range(generator.plan.plain)]
+        assert first == again
+        assert set(first) == set(_GENERIC_CATEGORIES)
+        assert len(_GENERIC_CATEGORIES) == 13
+        # The streamed plain records carry the same categories.
+        streamed = {record.package: record.category
+                    for record in generator.stream()
+                    if record.package.startswith("com.plain.")}
+        assert len(streamed) == generator.plan.plain
+        assert streamed == {f"com.plain.app{index}": category
+                            for index, category in enumerate(first)}
+        # A different seed gives a different assignment.
+        other = [CorpusGenerator(seed=7, scale=0.01)
+                 ._plain_record(index).category
+                 for index in range(generator.plan.plain)]
+        assert other != first
 
 
 class TestLibraryKinds:

@@ -143,6 +143,28 @@ class TestRetryHygiene:
             assert core <= delay <= core * 1.5
         assert first != [0.5, 1.0]  # the jitter actually engaged
 
+    @pytest.mark.parametrize("label, expected", [
+        ("jittery",
+         [0.5941495181402676, 1.3131968177233173, 2.781477484271952]),
+        ("com.market.ephone",
+         [0.7221460070715003, 1.2658422413772135, 2.147784722755596]),
+    ])
+    def test_jittered_delays_are_pinned_per_label(self, label, expected):
+        # The jitter RNG is built lazily on the first retry; a label's
+        # delays must still be the ones its eagerly seeded RNG drew.
+        supervisor, sleeps = make_supervisor(backoff_jitter=0.5)
+        calls = []
+
+        def analysis(ctx):
+            calls.append(1)
+            if len(calls) < 4:
+                raise TransientSyscallFault("sendto", 4)
+            return "done"
+
+        result = supervisor.run(label, analysis)
+        assert result.attempts == 4
+        assert sleeps == result.backoff_delays == expected
+
 
 class TestWatchdog:
     def test_budget_timeout_on_runaway_loop(self):
