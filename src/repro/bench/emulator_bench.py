@@ -77,6 +77,8 @@ HOST_CALL_ITERATIONS = 300
 OBS_DISABLED_OVERHEAD_LIMIT = 0.03
 # Interleaved (absent, disabled) pairs the gate takes its median over.
 OBS_PAIRS = 9
+# native_mips iterations of the gate's call-count companion.
+OBS_CALL_ITERATIONS = 200
 
 CROSSING_CLASS = "Lcom/bench/Crossing;"
 
@@ -159,6 +161,48 @@ def _measure(setup: Callable[[bool], Tuple[Emulator, Callable[[], None]]],
                     emu.host_call_count - host_before, elapsed)
     assert best is not None
     return best
+
+
+def _warmed_cfbench(observe: bool, iterations: int):
+    """A CFBench on a fresh vanilla platform, with or without
+    observability, after one untimed ``native_mips`` pass: translation
+    and first-run costs stay out of what is measured next."""
+    from repro.bench.cfbench import CFBench
+    bench = CFBench(make_platform("vanilla", observe=observe))
+    bench.run_workload("native_mips", iterations=iterations)
+    return bench
+
+
+def count_cfbench_calls(observe: bool, iterations: int) -> int:
+    """Function calls (Python and builtin) made by one warmed-up
+    ``native_mips`` pass on a vanilla platform, counted with
+    :func:`sys.setprofile`.
+
+    The deterministic companion of the timed zero-cost gate: with
+    observability constructed but disabled the count must equal the
+    count without it, on any host.  The collector is off while counting
+    so no finalizer runs inside the pass.
+    """
+    import gc
+
+    bench = _warmed_cfbench(observe, iterations)
+    calls = 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        bench.run_workload("native_mips", iterations=iterations)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return calls
 
 
 class EmulatorBench:
@@ -290,17 +334,12 @@ class EmulatorBench:
         measured loop and the <limit ceiling covers them too — the
         result row says so with ``span_layer_included``.
         """
-        from repro.bench.cfbench import CFBench
         # Longer runs than the throughput workloads: a percent-level gate
         # needs the signal well above timer/scheduler noise.
         iterations = self.cfbench_iterations * 2
 
         def timed(observe: bool) -> float:
-            platform = make_platform("vanilla", observe=observe)
-            bench = CFBench(platform)
-            # Untimed warm-up: translation and first-run costs stay out
-            # of the timed run.
-            bench.run_workload("native_mips", iterations=iterations)
+            bench = _warmed_cfbench(observe, iterations)
             start = time.perf_counter()
             bench.run_workload("native_mips", iterations=iterations)
             return time.perf_counter() - start
@@ -325,6 +364,9 @@ class EmulatorBench:
             "limit": OBS_DISABLED_OVERHEAD_LIMIT,
             "pairs": len(pairs),
             "span_layer_included": True,
+            "disabled_call_delta":
+                count_cfbench_calls(True, OBS_CALL_ITERATIONS) -
+                count_cfbench_calls(False, OBS_CALL_ITERATIONS),
         }
 
     # -- taint parity -------------------------------------------------------

@@ -11,7 +11,8 @@ metadata.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import repeat
+from typing import Tuple
 
 LOAD_LIBRARY_STRING = "Ljava/lang/System;->loadLibrary"
 LOAD_STRING = "Ljava/lang/System;->load"
@@ -41,7 +42,7 @@ class EmbeddedDexInfo:
         self.strings = strings
 
     def calls_load(self) -> bool:
-        return any(s.startswith(LOAD_STRING) for s in self.strings)
+        return any(map(str.startswith, self.strings, repeat(LOAD_STRING)))
 
 
 class AppRecord:
@@ -71,7 +72,8 @@ class AppRecord:
 
     def calls_load(self) -> bool:
         """Does the main dex invoke System.load()/System.loadLibrary()?"""
-        return any(s.startswith(LOAD_STRING) for s in self.dex_strings)
+        return any(map(str.startswith, self.dex_strings,
+                       repeat(LOAD_STRING)))
 
     def has_native_libraries(self) -> bool:
         return bool(self.native_libraries)

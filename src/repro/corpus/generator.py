@@ -202,6 +202,11 @@ class CorpusGenerator:
         self._offsets = (plan.type1,
                          plan.type1 + plan.type2,
                          plan.type1 + plan.type2 + plan.type3)
+        # sha256 states over each stratum's ``"{seed}:{stratum}:"``
+        # prefix; a key copies one and hashes only the index digits.
+        self._key_prefixes = {
+            stratum: hashlib.sha256(f"{seed}:{stratum}:".encode())
+            for stratum in ("type1", "type2", "type3", "plain")}
 
     # -- deterministic machinery ---------------------------------------------------
 
@@ -247,9 +252,13 @@ class CorpusGenerator:
         Type I/II records seed their RNG with it; plain records, which
         draw only a category, index by it directly.
         """
-        digest = hashlib.sha256(
-            f"{self.seed}:{stratum}:{index}".encode()).digest()
-        return int.from_bytes(digest[:8], "big")
+        try:
+            prefix = self._key_prefixes[stratum]
+        except KeyError:  # not a record stratum: hash its prefix afresh
+            prefix = hashlib.sha256(f"{self.seed}:{stratum}:".encode())
+        digest = prefix.copy()
+        digest.update(b"%d" % index)
+        return int.from_bytes(digest.digest()[:8], "big")
 
     # -- public API ---------------------------------------------------------------
 
@@ -262,14 +271,19 @@ class CorpusGenerator:
         if not 0 <= position < total:
             raise IndexError(f"position {position} outside corpus "
                              f"[0, {total})")
-        permuted = (self._mul * position + self._add) % total
-        if permuted < self._offsets[0]:
+        return self._record_for((self._mul * position + self._add) % total)
+
+    def _record_for(self, permuted: int) -> AppRecord:
+        """The record at permuted position ``permuted``: one stratum
+        dispatch, shared by :meth:`record_at` and :meth:`stream`."""
+        type2_start, type3_start, plain_start = self._offsets
+        if permuted >= plain_start:
+            return self._plain_record(permuted - plain_start)
+        if permuted < type2_start:
             return self._type1_record(permuted)
-        if permuted < self._offsets[1]:
-            return self._type2_record(permuted - self._offsets[0])
-        if permuted < self._offsets[2]:
-            return self._type3_record(permuted - self._offsets[1])
-        return self._plain_record(permuted - self._offsets[2])
+        if permuted < type3_start:
+            return self._type2_record(permuted - type2_start)
+        return self._type3_record(permuted - type3_start)
 
     def stream(self, start: int = 0,
                stop: Optional[int] = None) -> Iterator[AppRecord]:
@@ -282,8 +296,9 @@ class CorpusGenerator:
         """
         total = self.plan.total
         stop = total if stop is None else min(stop, total)
+        mul, add, record_for = self._mul, self._add, self._record_for
         for position in range(max(0, start), stop):
-            yield self.record_at(position)
+            yield record_for((mul * position + add) % total)
 
     def generate(self) -> List[AppRecord]:
         """Materialize the full corpus (identical to ``list(stream())``)."""

@@ -81,8 +81,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "JobSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{k: v for k, v in data.items() if k in _SPEC_FIELDS})
 
     def digest(self) -> str:
         """Content digest: identical spec => identical key, any change

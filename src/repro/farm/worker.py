@@ -12,6 +12,7 @@ pool never loses a worker to one hostile job.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 import time
@@ -178,51 +179,68 @@ def _analyze_market(spec: JobSpec, ctx) -> Dict:
     return payload
 
 
+@functools.lru_cache(maxsize=1)
+def _corpus_generator(seed: int, scale: float):
+    """The worker's generator for the last ``(seed, scale)`` it saw.
+
+    Building one plans the strata, normalises the category table and
+    draws the interleave permutation — all functions of ``(seed,
+    scale)`` alone — so consecutive chunk jobs of one corpus share it
+    and a job for another corpus replaces it.
+    """
+    from repro.corpus.generator import CorpusGenerator
+
+    return CorpusGenerator(seed=seed, scale=scale)
+
+
 def _analyze_corpus_chunk(spec: JobSpec, ctx) -> Dict:
     """Classify one chunk of the synthetic Section III corpus.
 
-    Pure static analysis: the worker rebuilds the addressable generator
-    from ``(seed, scale)``, streams exactly ``[target, target+chunk)``
-    — never the prefix — and folds the classification into counters.
-    No platform is booted, so a 100k-record corpus costs no emulator
-    state; the counts merge fleet-wide as plain summed metrics.
+    Pure static analysis: the worker streams exactly ``[target,
+    target+chunk)`` of the addressable corpus — never the prefix — and
+    folds the classification into counters.  No platform is booted, so
+    a 100k-record corpus costs no emulator state; the counts merge
+    fleet-wide as plain summed metrics.
     """
-    from repro.corpus.generator import CorpusGenerator
     from repro.corpus.study import classify
 
-    generator = CorpusGenerator(seed=spec.seed, scale=spec.scale)
     start = int(spec.target)
-    counts = {"corpus.records": 0, "corpus.type1": 0, "corpus.type2": 0,
-              "corpus.type3": 0, "corpus.plain": 0,
-              "corpus.type1_without_libs": 0, "corpus.type1_admob": 0,
-              "corpus.type2_loadable": 0, "corpus.type3_games": 0}
+    records = type1 = type2 = type3 = 0
+    without_libs = admob = loadable = games = 0
     categories: Dict[str, int] = {}
-    for record in generator.stream(start, start + spec.chunk):
-        counts["corpus.records"] += 1
+    for record in _corpus_generator(spec.seed, spec.scale).stream(
+            start, start + spec.chunk):
+        records += 1
         kind = classify(record)
+        if kind == "none":
+            continue
         if kind == "I":
-            counts["corpus.type1"] += 1
+            type1 += 1
             categories[record.category] = \
                 categories.get(record.category, 0) + 1
             if not record.has_native_libraries():
-                counts["corpus.type1_without_libs"] += 1
+                without_libs += 1
                 if record.uses_admob_native_classes():
-                    counts["corpus.type1_admob"] += 1
+                    admob += 1
         elif kind == "II":
-            counts["corpus.type2"] += 1
+            type2 += 1
             if record.has_loadable_embedded_dex():
-                counts["corpus.type2_loadable"] += 1
-        elif kind == "III":
-            counts["corpus.type3"] += 1
-            if record.category == "Game":
-                counts["corpus.type3_games"] += 1
+                loadable += 1
         else:
-            counts["corpus.plain"] += 1
+            type3 += 1
+            if record.category == "Game":
+                games += 1
+    counts = {"corpus.records": records, "corpus.type1": type1,
+              "corpus.type2": type2, "corpus.type3": type3,
+              "corpus.plain": records - type1 - type2 - type3,
+              "corpus.type1_without_libs": without_libs,
+              "corpus.type1_admob": admob,
+              "corpus.type2_loadable": loadable,
+              "corpus.type3_games": games}
     for name, count in categories.items():
         counts[f"corpus.category.{name}"] = count
     return {"metrics": counts, "leaks": [],
-            "detected": counts["corpus.type1"] + counts["corpus.type2"] +
-            counts["corpus.type3"] > 0}
+            "detected": type1 + type2 + type3 > 0}
 
 
 _ANALYSES = {"scenario": _analyze_scenario, "market": _analyze_market,

@@ -4,8 +4,10 @@ import json
 
 from repro.bench.emulator_bench import (
     DEFAULT_TOLERANCE,
+    OBS_CALL_ITERATIONS,
     EmulatorBench,
     compare_to_baseline,
+    count_cfbench_calls,
     load_results,
     write_results,
 )
@@ -82,6 +84,14 @@ def test_compare_to_baseline_gates_disabled_observability_overhead():
     assert any("observability" in f for f in failures)
     current["observability"]["cfbench_disabled_overhead"] = 0.01
     assert compare_to_baseline(current, {"workloads": {}}) == []
+
+
+def test_disabled_observability_adds_no_calls():
+    # The deterministic companion of the timed gate: constructed-but-
+    # disabled observability makes exactly the calls its absence does.
+    without = count_cfbench_calls(False, OBS_CALL_ITERATIONS)
+    assert without > OBS_CALL_ITERATIONS
+    assert count_cfbench_calls(True, OBS_CALL_ITERATIONS) == without
 
 
 def test_old_baselines_without_observability_key_still_compare():

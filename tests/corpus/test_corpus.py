@@ -232,6 +232,20 @@ class TestRecordRandomness:
         assert count == plan.type1 + plan.type2 + plan.type3 == 392
         assert digest.hexdigest() == self.JNI_RECORDS_DIGEST
 
+    @pytest.mark.parametrize("stratum",
+                             ("type1", "type2", "type3", "plain", "probe"))
+    def test_key_is_the_record_sha256_prefix(self, stratum):
+        # The prefix-hashed key must equal hashing the whole
+        # "{seed}:{stratum}:{index}" string, on first use and on reuse,
+        # for the record strata and for any other stratum name.
+        generator = CorpusGenerator(seed=2014, scale=0.01)
+        for __ in range(2):
+            for index in (0, 9, 10, 10 ** 6):
+                literal = hashlib.sha256(
+                    f"2014:{stratum}:{index}".encode()).digest()
+                assert generator._key(stratum, index) == \
+                    int.from_bytes(literal[:8], "big")
+
     def test_plain_categories_are_deterministic_and_cover_all(self):
         generator = CorpusGenerator(seed=2014, scale=0.01)
         first = [generator._plain_record(index).category

@@ -56,7 +56,31 @@ def run_both(make_class, symbol, make_args=lambda: [],
         assert compiled.dalvik_instructions == oracle.dalvik_instructions
     assert [edge.to_dict() for edge in compiled.ledger] == \
         [edge.to_dict() for edge in oracle.ledger]
+    assert _heap_state(compiled) == _heap_state(oracle)
+    assert _static_state(compiled) == _static_state(oracle)
     return oracle, compiled
+
+
+def _slot_state(slot):
+    return slot.value, slot.taint, slot.is_ref
+
+
+def _heap_state(vm):
+    """Every heap object, by address: its fields, elements and taint."""
+    return {
+        address: (record.class_name, record.kind, record.taint, record.text,
+                  {name: _slot_state(slot)
+                   for name, slot in record.fields.items()},
+                  [_slot_state(slot) for slot in record.elements])
+        for address, record in vm.heap._objects.items()}
+
+
+def _static_state(vm):
+    """Every registered class's static fields: value, taint, ref flag."""
+    return {
+        name: {field: (tuple(values), class_def.static_ref_flags[field])
+               for field, values in class_def.static_values.items()}
+        for name, class_def in vm.classes.items()}
 
 
 class TestStraightLineParity:

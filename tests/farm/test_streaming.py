@@ -2,8 +2,11 @@
 
 import json
 import os
+from collections import Counter
 
+from repro.corpus import analyze_corpus
 from repro.corpus.generator import CorpusGenerator
+from repro.farm import worker
 from repro.farm.journal import iter_events
 from repro.farm.manifest import ShardedManifest, iter_corpus_jobs
 from repro.farm.merge import (MergeFold, merge_results,
@@ -24,6 +27,48 @@ def _manifest(tmp_path, chunk=16, shard_size=8):
 def _corpus_metrics(report):
     return {name: value for name, value in report.merged_metrics.items()
             if name.startswith("corpus.")}
+
+
+def _fresh_chunk_counts(job):
+    """A chunk's ``corpus.*`` counters off a newly built generator."""
+    start = int(job.target)
+    records = list(CorpusGenerator(seed=job.seed, scale=job.scale)
+                   .stream(start, start + job.chunk))
+    report = analyze_corpus(records)
+    counts = {"corpus.records": report.total_apps,
+              "corpus.type1": len(report.type1),
+              "corpus.type2": len(report.type2),
+              "corpus.type3": len(report.type3),
+              "corpus.plain": report.total_apps - report.jni_app_count,
+              "corpus.type1_without_libs": report.type1_without_libs,
+              "corpus.type1_admob": report.type1_without_libs_admob,
+              "corpus.type2_loadable": report.type2_loadable,
+              "corpus.type3_games": report.type3_games}
+    for name, count in Counter(r.category for r in report.type1).items():
+        counts[f"corpus.category.{name}"] = count
+    return counts
+
+
+def test_worker_generator_follows_each_jobs_corpus():
+    # Chunk jobs of three corpora, interleaved, in one process: a
+    # generator cached for the wrong (seed, scale) would miscount.
+    corpora = [list(iter_corpus_jobs(scale=scale, seed=seed, chunk=53))
+               for seed, scale in ((SEED, SCALE), (7, 0.005), (SEED, 0.005))]
+    interleaved = [job for batch in zip(*corpora) for job in batch]
+    assert len({(job.seed, job.scale) for job in interleaved}) == 3
+    for job in interleaved:
+        row = worker.execute_job(job.to_dict())
+        assert row["status"] == "ok"
+        assert row["metrics"] == _fresh_chunk_counts(job), job.id
+
+
+def test_worker_plans_each_corpus_once():
+    worker._corpus_generator.cache_clear()
+    jobs = list(iter_corpus_jobs(scale=SCALE, seed=SEED, chunk=64))
+    assert len(jobs) > 1
+    for job in jobs:
+        worker.execute_job(job.to_dict())
+    assert worker._corpus_generator.cache_info().misses == 1
 
 
 def test_serial_stream_counts_the_whole_corpus(tmp_path):
