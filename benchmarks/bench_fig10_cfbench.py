@@ -10,7 +10,9 @@ interpreter rather than TCG-translated code, so the instrumented and
 uninstrumented paths are closer in speed — but the *shape* assertions
 below encode the paper's qualitative result:
 
-* ordering: vanilla < TaintDroid < NDroid < DroidScope-sim (overall);
+* ordering: TaintDroid < NDroid < DroidScope-sim (overall); TaintDroid
+  is not ordered against vanilla, whose Dalvik engine it shares (on
+  clean data the two run the same code);
 * NDroid's native slowdown exceeds its Java slowdown;
 * DroidScope's Java slowdown dwarfs NDroid's.
 """

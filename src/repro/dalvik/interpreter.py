@@ -2,9 +2,10 @@
 
 "TaintDroid tracks the taints of primitive type variables and object
 references according to the logic of each DVM instruction" (Section II.B).
-Every handler below moves taint alongside data with the union rule; the
-``taint_tracking`` flag turns the extra work off for the vanilla-platform
-benchmark configuration.
+Every handler below moves taint alongside data with the union rule, in
+every configuration: vanilla runs this same propagation, its framework
+sources just never return a taint.  This loop is the single-step oracle
+the trace compiler (:mod:`repro.dalvik.tbc`) is checked against.
 
 Exception flow: ``throw`` raises :class:`PendingException`, which unwinds
 interpreted frames honouring each method's catch ranges — the carrier of
@@ -102,7 +103,6 @@ class Interpreter:
             return self._run_compiled(frame, tbc)
         method = frame.method
         code = method.code
-        taint_on = vm.taint_tracking
         # The provenance ledger is resolved once per frame run, not per
         # instruction; ``ledger_epoch`` bumps whenever observability
         # attaches/detaches one, so a cheap int compare re-validates it.
@@ -120,7 +120,7 @@ class Interpreter:
                 ledger = vm._ledger
                 epoch = vm.ledger_epoch
             try:
-                result = self._dispatch(frame, ins, taint_on, ledger)
+                result = self._dispatch(frame, ins, ledger)
             except PendingException as pending:
                 handler = self._find_handler(method, frame.pc)
                 if handler is None:
@@ -140,7 +140,6 @@ class Interpreter:
         vm = self.vm
         method = frame.method
         blocks = tbc.blocks_for(method)
-        tracking = vm.taint_tracking
         while True:
             block = blocks.get(frame.pc)
             if block is None:
@@ -148,7 +147,7 @@ class Interpreter:
             else:
                 tbc.hits += 1
             try:
-                result = block.execute(frame, self, tracking)
+                result = block.execute(frame, self)
             except PendingException as pending:
                 handler = self._find_handler(method, frame.pc)
                 if handler is None:
@@ -168,7 +167,7 @@ class Interpreter:
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _dispatch(self, frame: Frame, ins: Ins, taint_on: bool,
+    def _dispatch(self, frame: Frame, ins: Ins,
                   ledger=None) -> Optional[Slot]:
         op = ins.op
         vm = self.vm
@@ -179,7 +178,7 @@ class Interpreter:
 
         # -- moves ----------------------------------------------------------
         if op in (Op.MOVE, Op.MOVE_OBJECT):
-            taint = frame.get_taint(ins.b) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.b)
             if taint and ledger is not None:
                 ledger.record(taint, "dalvik:move",
                               Loc.dvreg(frame.slot_address(ins.b)),
@@ -190,7 +189,7 @@ class Interpreter:
             return None
         if op in (Op.MOVE_RESULT, Op.MOVE_RESULT_OBJECT):
             result = vm.interp_save_state
-            taint = result.taint if taint_on else TAINT_CLEAR
+            taint = result.taint
             if taint and ledger is not None:
                 ledger.record(taint, "dalvik:move-result",
                               Loc.java(taint),
@@ -204,7 +203,7 @@ class Interpreter:
             if pending is None:
                 raise DalvikError("move-exception with no pending exception")
             frame.set(ins.a, pending.exception_address,
-                      pending.taint if taint_on else TAINT_CLEAR, is_ref=True)
+                      pending.taint, is_ref=True)
             vm.caught_exception = None
             frame.pc += 1
             return None
@@ -224,10 +223,10 @@ class Interpreter:
         if op == Op.RETURN_VOID:
             return Slot(0, TAINT_CLEAR, False)
         if op == Op.RETURN:
-            taint = frame.get_taint(ins.a) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.a)
             return Slot(frame.get(ins.a), taint, False)
         if op == Op.RETURN_OBJECT:
-            taint = frame.get_taint(ins.a) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.a)
             return Slot(frame.get(ins.a), taint, True)
 
         # -- arithmetic -----------------------------------------------------------
@@ -239,30 +238,29 @@ class Interpreter:
             except ZeroDivisionError:
                 self._throw_new(frame, "Ljava/lang/ArithmeticException;",
                                 "divide by zero")
-            taint = (frame.get_taint(ins.b) | frame.get_taint(ins.c)) \
-                if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.b) | frame.get_taint(ins.c)
             frame.set(ins.a, value & 0xFFFF_FFFF, taint)
             frame.pc += 1
             return None
         if op == Op.ADD_INT_LIT:
             value = _signed(frame.get(ins.b)) + int(ins.literal)
-            taint = frame.get_taint(ins.b) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.b)
             frame.set(ins.a, value & 0xFFFF_FFFF, taint)
             frame.pc += 1
             return None
         if op == Op.MUL_INT_LIT:
             value = _signed(frame.get(ins.b)) * int(ins.literal)
-            taint = frame.get_taint(ins.b) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.b)
             frame.set(ins.a, value & 0xFFFF_FFFF, taint)
             frame.pc += 1
             return None
         if op == Op.NEG_INT:
-            taint = frame.get_taint(ins.b) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.b)
             frame.set(ins.a, (-_signed(frame.get(ins.b))) & 0xFFFF_FFFF, taint)
             frame.pc += 1
             return None
         if op == Op.NOT_INT:
-            taint = frame.get_taint(ins.b) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.b)
             frame.set(ins.a, (~frame.get(ins.b)) & 0xFFFF_FFFF, taint)
             frame.pc += 1
             return None
@@ -285,7 +283,7 @@ class Interpreter:
             return None
         if op == Op.ARRAY_LENGTH:
             record = self._array(frame, ins.b)
-            taint = record.taint if taint_on else TAINT_CLEAR
+            taint = record.taint
             frame.set(ins.a, len(record.elements), taint)
             frame.pc += 1
             return None
@@ -293,8 +291,7 @@ class Interpreter:
             record = self._array(frame, ins.b)
             index = self._array_index(frame, ins.c, record)
             slot = record.elements[index]
-            taint = (record.taint | frame.get_taint(ins.c)) \
-                if taint_on else TAINT_CLEAR
+            taint = record.taint | frame.get_taint(ins.c)
             frame.set(ins.a, slot.value, taint,
                       is_ref=(op == Op.AGET_OBJECT))
             frame.pc += 1
@@ -305,35 +302,34 @@ class Interpreter:
             is_ref = op == Op.APUT_OBJECT
             record.elements[index] = Slot(frame.get(ins.a), TAINT_CLEAR,
                                           is_ref)
-            if taint_on:
-                # TaintDroid: one label per array object, grown by union.
-                record.taint |= frame.get_taint(ins.a) | frame.get_taint(ins.c)
+            # TaintDroid: one label per array object, grown by union.
+            record.taint |= frame.get_taint(ins.a) | frame.get_taint(ins.c)
             vm.heap.sync_array_to_memory(record)
             frame.pc += 1
             return None
         if op in (Op.IGET, Op.IGET_OBJECT):
             slot = self._field(frame, ins.b, ins.symbol)
             frame.set(ins.a, slot.value,
-                      slot.taint if taint_on else TAINT_CLEAR,
+                      slot.taint,
                       is_ref=(op == Op.IGET_OBJECT))
             frame.pc += 1
             return None
         if op in (Op.IPUT, Op.IPUT_OBJECT):
             slot = self._field(frame, ins.b, ins.symbol, create=True)
             slot.value = frame.get(ins.a)
-            slot.taint = frame.get_taint(ins.a) if taint_on else TAINT_CLEAR
+            slot.taint = frame.get_taint(ins.a)
             slot.is_ref = op == Op.IPUT_OBJECT
             frame.pc += 1
             return None
         if op in (Op.SGET, Op.SGET_OBJECT):
             value, taint = vm.get_static(ins.symbol)
-            frame.set(ins.a, value, taint if taint_on else TAINT_CLEAR,
+            frame.set(ins.a, value, taint,
                       is_ref=(op == Op.SGET_OBJECT))
             frame.pc += 1
             return None
         if op in (Op.SPUT, Op.SPUT_OBJECT):
             vm.set_static(ins.symbol, frame.get(ins.a),
-                          frame.get_taint(ins.a) if taint_on else TAINT_CLEAR,
+                          frame.get_taint(ins.a),
                           is_ref=(op == Op.SPUT_OBJECT))
             frame.pc += 1
             return None
@@ -342,7 +338,7 @@ class Interpreter:
         if op in (Op.INVOKE_VIRTUAL, Op.INVOKE_DIRECT, Op.INVOKE_STATIC):
             arg_slots = [
                 Slot(frame.get(register),
-                     frame.get_taint(register) if taint_on else TAINT_CLEAR,
+                     frame.get_taint(register),
                      frame.is_ref(register))
                 for register in ins.args
             ]
@@ -379,24 +375,22 @@ class Interpreter:
             record = vm.heap.get(address)
             raise PendingException(
                 address,
-                frame.get_taint(ins.a) if taint_on else TAINT_CLEAR,
+                frame.get_taint(ins.a),
                 record.class_name)
 
         # -- string helpers ---------------------------------------------------------------------
         if op == Op.STRING_CONCAT:
             left = vm.heap.get(frame.get(ins.b))
             right = vm.heap.get(frame.get(ins.c))
-            taint = TAINT_CLEAR
-            if taint_on:
-                taint = (left.taint | right.taint | frame.get_taint(ins.b)
-                         | frame.get_taint(ins.c))
+            taint = (left.taint | right.taint | frame.get_taint(ins.b)
+                     | frame.get_taint(ins.c))
             record = vm.heap.alloc_string(
                 vm.string_value(left) + vm.string_value(right), taint)
             frame.set(ins.a, record.address, taint, is_ref=True)
             frame.pc += 1
             return None
         if op == Op.INT_TO_STRING:
-            taint = frame.get_taint(ins.b) if taint_on else TAINT_CLEAR
+            taint = frame.get_taint(ins.b)
             record = vm.heap.alloc_string(str(_signed(frame.get(ins.b))),
                                           taint)
             frame.set(ins.a, record.address, taint, is_ref=True)

@@ -9,19 +9,16 @@ relative to the frame pointer, and the guest-memory accessors pre-bound.
 Subsequent executions replay the closures instead of re-decoding the
 instruction stream through ``Interpreter._dispatch``.
 
-Each block carries three variants, mirroring PR 5's clean/tainted TB
-variants on the native side:
-
-``untracked``
-    ``vm.taint_tracking`` is off.  Taint tags are still *written* as
-    clear wherever the single-step interpreter would write them (frames
-    can inherit tainted argument slots even with tracking off), but no
-    taint is ever read or propagated.
+Each block carries two body variants, mirroring the clean/tainted TB
+variants on the native side, picked by the frame's sticky
+``maybe_tainted`` flag.  Every configuration runs the same two: vanilla
+differs from TaintDroid only in that its framework sources return no
+taint, so its frames stay on the clean variant.
 
 ``clean``
-    Tracking is on but the frame's sticky ``maybe_tainted`` flag is
-    False, which guarantees every register taint word is zero (the flag
-    is maintained centrally by :class:`~repro.dalvik.stack.Frame`).
+    The frame's ``maybe_tainted`` flag is False, which guarantees every
+    register taint word is zero (the flag is maintained centrally by
+    :class:`~repro.dalvik.stack.Frame`).
     Register-to-register ops skip taint work entirely.  Ops that can
     *introduce* taint from outside the frame (heap fields, statics,
     arrays, invoke results, caught exceptions) check the incoming tag;
@@ -91,13 +88,12 @@ class _TaintEntered(Exception):
 class DalvikBlock:
     """One compiled straight-line run plus its terminator closures."""
 
-    __slots__ = ("start", "count", "body_count", "untracked", "clean",
-                 "tainted", "term_clean", "term_tainted")
+    __slots__ = ("start", "count", "body_count", "clean", "tainted",
+                 "term_clean", "term_tainted")
 
-    def __init__(self, start: int, untracked, clean, tainted,
-                 term_clean, term_tainted) -> None:
+    def __init__(self, start: int, clean, tainted, term_clean,
+                 term_tainted) -> None:
         self.start = start
-        self.untracked = untracked
         self.clean = clean
         self.tainted = tainted
         self.term_clean = term_clean
@@ -105,7 +101,7 @@ class DalvikBlock:
         self.body_count = len(clean)
         self.count = self.body_count + 1   # + the terminator
 
-    def execute(self, frame, interp, tracking: bool) -> Optional[Slot]:
+    def execute(self, frame, interp) -> Optional[Slot]:
         """Run the block; returns the method result Slot or None.
 
         On a normal exit the terminator has set ``frame.pc`` (branches,
@@ -113,13 +109,7 @@ class DalvikBlock:
         accounting matches the single-step loop exactly, including the
         partial count when an op raises a catchable exception.
         """
-        if not tracking:
-            ops = self.untracked
-            term = self.term_clean
-        elif frame.maybe_tainted:
-            ops = self.tainted
-            term = self.term_tainted
-        else:
+        if not frame.maybe_tainted:
             try:
                 for op in self.clean:
                     op(frame)
@@ -147,13 +137,13 @@ class DalvikBlock:
             interp.instructions_executed += self.count
             return self.term_clean(frame)
         try:
-            for op in ops:
+            for op in self.tainted:
                 op(frame)
         except PendingException:
             interp.instructions_executed += frame.pc - self.start + 1
             raise
         interp.instructions_executed += self.count
-        return term(frame)
+        return self.term_tainted(frame)
 
 
 class DalvikTraceCompiler:
@@ -225,7 +215,6 @@ class DalvikTraceCompiler:
         code = method.code
         if start >= len(code):
             raise DalvikError(f"fell off the end of {method.full_name}")
-        untracked: List[Callable] = []
         clean: List[Callable] = []
         tainted: List[Callable] = []
         pc = start
@@ -235,15 +224,14 @@ class DalvikTraceCompiler:
                 term_clean, term_tainted = self._compile_terminator(
                     method, ins, pc)
                 break
-            u, c, t = self._compile_op(method, ins, pc, len(clean))
-            untracked.append(u)
+            c, t = self._compile_op(method, ins, pc, len(clean))
             clean.append(c)
             tainted.append(t)
             pc += 1
         else:
             term_clean = term_tainted = self._compile_fell_off(method)
-        block = DalvikBlock(start, tuple(untracked), tuple(clean),
-                            tuple(tainted), term_clean, term_tainted)
+        block = DalvikBlock(start, tuple(clean), tuple(tainted),
+                            term_clean, term_tainted)
         self.blocks_for(method)[start] = block
         self.blocks_compiled += 1
         if tracer is not None:
@@ -258,7 +246,7 @@ class DalvikTraceCompiler:
         def op(frame):
             raise DalvikError(
                 f"register v{register} out of range in {method.full_name}")
-        return op, op, op
+        return op, op
 
     def _check_registers(self, method: Method, *registers: int
                          ) -> Optional[int]:
@@ -268,8 +256,8 @@ class DalvikTraceCompiler:
         return None
 
     def _compile_op(self, method: Method, ins: Ins, pc: int, index: int
-                    ) -> Tuple[Callable, Callable, Callable]:
-        """One body instruction -> (untracked, clean, tainted) closures."""
+                    ) -> Tuple[Callable, Callable]:
+        """One body instruction -> (clean, tainted) closures."""
         vm = self.vm
         interp = vm.interpreter
         memory = vm.memory
@@ -284,18 +272,13 @@ class DalvikTraceCompiler:
         if op is Op.NOP:
             def nop(frame):
                 return None
-            return nop, nop, nop
+            return nop, nop
 
         if op in (Op.MOVE, Op.MOVE_OBJECT):
             bad = self._check_registers(method, a, b)
             if bad is not None:
                 return self._bad_register(method, bad)
             is_ref = op is Op.MOVE_OBJECT
-
-            def untracked(frame):
-                fp = frame.fp
-                wr2(fp + off_a, rd(fp + off_b), 0)
-                frame.ref_flags[a] = is_ref
 
             def clean(frame):
                 fp = frame.fp
@@ -313,17 +296,13 @@ class DalvikTraceCompiler:
                                       Loc.dvreg(fp + off_a))
                 wr2(fp + off_a, rd(fp + off_b), taint)
                 frame.ref_flags[a] = is_ref
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op in (Op.MOVE_RESULT, Op.MOVE_RESULT_OBJECT):
             bad = self._check_registers(method, a)
             if bad is not None:
                 return self._bad_register(method, bad)
             is_ref = op is Op.MOVE_RESULT_OBJECT
-
-            def untracked(frame):
-                wr2(frame.fp + off_a, vm.interp_save_state.value & _M32, 0)
-                frame.ref_flags[a] = is_ref
 
             def clean(frame):
                 result = vm.interp_save_state
@@ -352,21 +331,12 @@ class DalvikTraceCompiler:
                                       Loc.dvreg(frame.fp + off_a))
                 wr2(frame.fp + off_a, result.value & _M32, taint)
                 frame.ref_flags[a] = is_ref
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op is Op.MOVE_EXCEPTION:
             bad = self._check_registers(method, a)
             if bad is not None:
                 return self._bad_register(method, bad)
-
-            def untracked(frame):
-                pending = vm.caught_exception
-                if pending is None:
-                    raise DalvikError(
-                        "move-exception with no pending exception")
-                wr2(frame.fp + off_a, pending.exception_address & _M32, 0)
-                frame.ref_flags[a] = True
-                vm.caught_exception = None
 
             def clean(frame):
                 pending = vm.caught_exception
@@ -394,7 +364,7 @@ class DalvikTraceCompiler:
                     pending.taint)
                 frame.ref_flags[a] = True
                 vm.caught_exception = None
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op is Op.CONST:
             bad = self._check_registers(method, a)
@@ -402,14 +372,14 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             value = int(ins.literal) & _M32
 
-            def untracked(frame):
-                wr2(frame.fp + off_a, value, 0)
-                frame.ref_flags[a] = False
-
             def clean(frame):
                 wr(frame.fp + off_a, value)
                 frame.ref_flags[a] = False
-            return untracked, clean, untracked
+
+            def tainted(frame):
+                wr2(frame.fp + off_a, value, 0)
+                frame.ref_flags[a] = False
+            return clean, tainted
 
         if op is Op.CONST_STRING:
             bad = self._check_registers(method, a)
@@ -417,14 +387,14 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             text = str(ins.literal)
 
-            def untracked(frame):
-                wr2(frame.fp + off_a, vm.intern_string(text) & _M32, 0)
-                frame.ref_flags[a] = True
-
             def clean(frame):
                 wr(frame.fp + off_a, vm.intern_string(text) & _M32)
                 frame.ref_flags[a] = True
-            return untracked, clean, untracked
+
+            def tainted(frame):
+                wr2(frame.fp + off_a, vm.intern_string(text) & _M32, 0)
+                frame.ref_flags[a] = True
+            return clean, tainted
 
         if op in BINARY_OPS:
             bad = self._check_registers(method, a, b, c)
@@ -432,24 +402,6 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             fn = BINARY_OPS[op]
             if op in (Op.DIV_INT, Op.REM_INT):
-                def untracked(frame):
-                    frame.pc = pc
-                    fp = frame.fp
-                    x = rd(fp + off_b)
-                    y = rd(fp + off_c)
-                    if x & _SIGN:
-                        x -= _WRAP
-                    if y & _SIGN:
-                        y -= _WRAP
-                    try:
-                        value = fn(x, y)
-                    except ZeroDivisionError:
-                        interp._throw_new(
-                            frame, "Ljava/lang/ArithmeticException;",
-                            "divide by zero")
-                    wr2(fp + off_a, value & _M32, 0)
-                    frame.ref_flags[a] = False
-
                 def clean(frame):
                     frame.pc = pc
                     fp = frame.fp
@@ -486,18 +438,7 @@ class DalvikTraceCompiler:
                     wr2(fp + off_a, value & _M32,
                         rd(fp + toff_b) | rd(fp + toff_c))
                     frame.ref_flags[a] = False
-                return untracked, clean, tainted
-
-            def untracked(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
-                y = rd(fp + off_c)
-                if x & _SIGN:
-                    x -= _WRAP
-                if y & _SIGN:
-                    y -= _WRAP
-                wr2(fp + off_a, fn(x, y) & _M32, 0)
-                frame.ref_flags[a] = False
+                return clean, tainted
 
             def clean(frame):
                 fp = frame.fp
@@ -521,7 +462,7 @@ class DalvikTraceCompiler:
                 wr2(fp + off_a, fn(x, y) & _M32,
                     rd(fp + toff_b) | rd(fp + toff_c))
                 frame.ref_flags[a] = False
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op in (Op.ADD_INT_LIT, Op.MUL_INT_LIT):
             bad = self._check_registers(method, a, b)
@@ -529,15 +470,6 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             literal = int(ins.literal)
             add = op is Op.ADD_INT_LIT
-
-            def untracked(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
-                if x & _SIGN:
-                    x -= _WRAP
-                wr2(fp + off_a,
-                    ((x + literal) if add else (x * literal)) & _M32, 0)
-                frame.ref_flags[a] = False
 
             def clean(frame):
                 fp = frame.fp
@@ -557,25 +489,13 @@ class DalvikTraceCompiler:
                     ((x + literal) if add else (x * literal)) & _M32,
                     rd(fp + toff_b))
                 frame.ref_flags[a] = False
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op in (Op.NEG_INT, Op.NOT_INT):
             bad = self._check_registers(method, a, b)
             if bad is not None:
                 return self._bad_register(method, bad)
             neg = op is Op.NEG_INT
-
-            def untracked(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
-                if neg:
-                    if x & _SIGN:
-                        x -= _WRAP
-                    value = (-x) & _M32
-                else:
-                    value = (~x) & _M32
-                wr2(fp + off_a, value, 0)
-                frame.ref_flags[a] = False
 
             def clean(frame):
                 fp = frame.fp
@@ -600,7 +520,7 @@ class DalvikTraceCompiler:
                     value = (~x) & _M32
                 wr2(fp + off_a, value, rd(fp + toff_b))
                 frame.ref_flags[a] = False
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op is Op.NEW_INSTANCE:
             bad = self._check_registers(method, a)
@@ -608,34 +528,22 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             symbol = ins.symbol
 
-            def untracked(frame):
-                record = vm.new_instance(symbol)
-                wr2(frame.fp + off_a, record.address & _M32, 0)
-                frame.ref_flags[a] = True
-
             def clean(frame):
                 record = vm.new_instance(symbol)
                 wr(frame.fp + off_a, record.address & _M32)
                 frame.ref_flags[a] = True
-            return untracked, clean, untracked
+
+            def tainted(frame):
+                record = vm.new_instance(symbol)
+                wr2(frame.fp + off_a, record.address & _M32, 0)
+                frame.ref_flags[a] = True
+            return clean, tainted
 
         if op is Op.NEW_ARRAY:
             bad = self._check_registers(method, a, b)
             if bad is not None:
                 return self._bad_register(method, bad)
             element_type = ins.symbol or "I"
-
-            def untracked(frame):
-                frame.pc = pc
-                fp = frame.fp
-                length = rd(fp + off_b)
-                if length & _SIGN:
-                    interp._throw_new(
-                        frame, "Ljava/lang/NegativeArraySizeException;",
-                        str(length - _WRAP))
-                record = vm.heap.alloc_array(element_type, length)
-                wr2(fp + off_a, record.address & _M32, 0)
-                frame.ref_flags[a] = True
 
             def clean(frame):
                 frame.pc = pc
@@ -648,18 +556,24 @@ class DalvikTraceCompiler:
                 record = vm.heap.alloc_array(element_type, length)
                 wr(fp + off_a, record.address & _M32)
                 frame.ref_flags[a] = True
-            return untracked, clean, untracked
+
+            def tainted(frame):
+                frame.pc = pc
+                fp = frame.fp
+                length = rd(fp + off_b)
+                if length & _SIGN:
+                    interp._throw_new(
+                        frame, "Ljava/lang/NegativeArraySizeException;",
+                        str(length - _WRAP))
+                record = vm.heap.alloc_array(element_type, length)
+                wr2(fp + off_a, record.address & _M32, 0)
+                frame.ref_flags[a] = True
+            return clean, tainted
 
         if op is Op.ARRAY_LENGTH:
             bad = self._check_registers(method, a, b)
             if bad is not None:
                 return self._bad_register(method, bad)
-
-            def untracked(frame):
-                frame.pc = pc
-                record = interp._array(frame, b)
-                wr2(frame.fp + off_a, len(record.elements) & _M32, 0)
-                frame.ref_flags[a] = False
 
             def clean(frame):
                 frame.pc = pc
@@ -680,20 +594,13 @@ class DalvikTraceCompiler:
                 wr2(frame.fp + off_a, len(record.elements) & _M32,
                     record.taint)
                 frame.ref_flags[a] = False
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op in (Op.AGET, Op.AGET_OBJECT):
             bad = self._check_registers(method, a, b, c)
             if bad is not None:
                 return self._bad_register(method, bad)
             is_ref = op is Op.AGET_OBJECT
-
-            def untracked(frame):
-                frame.pc = pc
-                record = interp._array(frame, b)
-                idx = interp._array_index(frame, c, record)
-                wr2(frame.fp + off_a, record.elements[idx].value & _M32, 0)
-                frame.ref_flags[a] = is_ref
 
             def clean(frame):
                 frame.pc = pc
@@ -717,7 +624,7 @@ class DalvikTraceCompiler:
                 wr2(fp + off_a, record.elements[idx].value & _M32,
                     record.taint | rd(fp + toff_c))
                 frame.ref_flags[a] = is_ref
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op in (Op.APUT, Op.APUT_OBJECT):
             bad = self._check_registers(method, a, b, c)
@@ -725,7 +632,7 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             is_ref = op is Op.APUT_OBJECT
 
-            def untracked(frame):
+            def clean(frame):
                 frame.pc = pc
                 record = interp._array(frame, b)
                 idx = interp._array_index(frame, c, record)
@@ -743,7 +650,7 @@ class DalvikTraceCompiler:
                 # TaintDroid: one label per array object, grown by union.
                 record.taint |= rd(fp + toff_a) | rd(fp + toff_c)
                 vm.heap.sync_array_to_memory(record)
-            return untracked, untracked, tainted
+            return clean, tainted
 
         if op in (Op.IGET, Op.IGET_OBJECT):
             bad = self._check_registers(method, a, b)
@@ -751,12 +658,6 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             is_ref = op is Op.IGET_OBJECT
             symbol = ins.symbol
-
-            def untracked(frame):
-                frame.pc = pc
-                slot = interp._field(frame, b, symbol)
-                wr2(frame.fp + off_a, slot.value & _M32, 0)
-                frame.ref_flags[a] = is_ref
 
             def clean(frame):
                 frame.pc = pc
@@ -775,7 +676,7 @@ class DalvikTraceCompiler:
                 slot = interp._field(frame, b, symbol)
                 wr2(frame.fp + off_a, slot.value & _M32, slot.taint)
                 frame.ref_flags[a] = is_ref
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op in (Op.IPUT, Op.IPUT_OBJECT):
             bad = self._check_registers(method, a, b)
@@ -784,7 +685,7 @@ class DalvikTraceCompiler:
             is_ref = op is Op.IPUT_OBJECT
             symbol = ins.symbol
 
-            def untracked(frame):
+            def clean(frame):
                 frame.pc = pc
                 slot = interp._field(frame, b, symbol, create=True)
                 slot.value = rd(frame.fp + off_a)
@@ -798,7 +699,7 @@ class DalvikTraceCompiler:
                 slot.value = rd(fp + off_a)
                 slot.taint = rd(fp + toff_a)
                 slot.is_ref = is_ref
-            return untracked, untracked, tainted
+            return clean, tainted
 
         if op in (Op.SGET, Op.SGET_OBJECT):
             bad = self._check_registers(method, a)
@@ -806,11 +707,6 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
             is_ref = op is Op.SGET_OBJECT
             symbol = ins.symbol
-
-            def untracked(frame):
-                value, _taint = vm.get_static(symbol)
-                wr2(frame.fp + off_a, value & _M32, 0)
-                frame.ref_flags[a] = is_ref
 
             def clean(frame):
                 value, taint = vm.get_static(symbol)
@@ -826,7 +722,7 @@ class DalvikTraceCompiler:
                 value, taint = vm.get_static(symbol)
                 wr2(frame.fp + off_a, value & _M32, taint)
                 frame.ref_flags[a] = is_ref
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op in (Op.SPUT, Op.SPUT_OBJECT):
             bad = self._check_registers(method, a)
@@ -835,7 +731,7 @@ class DalvikTraceCompiler:
             is_ref = op is Op.SPUT_OBJECT
             symbol = ins.symbol
 
-            def untracked(frame):
+            def clean(frame):
                 vm.set_static(symbol, rd(frame.fp + off_a), TAINT_CLEAR,
                               is_ref=is_ref)
 
@@ -843,22 +739,12 @@ class DalvikTraceCompiler:
                 fp = frame.fp
                 vm.set_static(symbol, rd(fp + off_a), rd(fp + toff_a),
                               is_ref=is_ref)
-            return untracked, untracked, tainted
+            return clean, tainted
 
         if op is Op.STRING_CONCAT:
             bad = self._check_registers(method, a, b, c)
             if bad is not None:
                 return self._bad_register(method, bad)
-
-            def untracked(frame):
-                fp = frame.fp
-                left = vm.heap.get(rd(fp + off_b))
-                right = vm.heap.get(rd(fp + off_c))
-                record = vm.heap.alloc_string(
-                    vm.string_value(left) + vm.string_value(right),
-                    TAINT_CLEAR)
-                wr2(fp + off_a, record.address & _M32, 0)
-                frame.ref_flags[a] = True
 
             def clean(frame):
                 fp = frame.fp
@@ -885,21 +771,12 @@ class DalvikTraceCompiler:
                     vm.string_value(left) + vm.string_value(right), taint)
                 wr2(fp + off_a, record.address & _M32, taint)
                 frame.ref_flags[a] = True
-            return untracked, clean, tainted
+            return clean, tainted
 
         if op is Op.INT_TO_STRING:
             bad = self._check_registers(method, a, b)
             if bad is not None:
                 return self._bad_register(method, bad)
-
-            def untracked(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
-                if x & _SIGN:
-                    x -= _WRAP
-                record = vm.heap.alloc_string(str(x), TAINT_CLEAR)
-                wr2(fp + off_a, record.address & _M32, 0)
-                frame.ref_flags[a] = True
 
             def clean(frame):
                 fp = frame.fp
@@ -919,11 +796,11 @@ class DalvikTraceCompiler:
                 record = vm.heap.alloc_string(str(x), taint)
                 wr2(fp + off_a, record.address & _M32, taint)
                 frame.ref_flags[a] = True
-            return untracked, clean, tainted
+            return clean, tainted
 
         def unimplemented(frame):
             raise DalvikError(f"unimplemented opcode {op}")
-        return unimplemented, unimplemented, unimplemented
+        return unimplemented, unimplemented
 
     # -- terminator compilation -------------------------------------------
 

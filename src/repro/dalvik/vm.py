@@ -37,7 +37,6 @@ class DalvikVM:
         self.interpreter = Interpreter(self)
         self.classes: Dict[str, ClassDef] = {}
         self.intrinsics: Dict[str, Intrinsic] = {}
-        self.taint_tracking = True
         self.call_bridge: Optional[CallBridge] = None
         # Provenance ledger (observability); None when not tracing.  The
         # interpreter hoists the lookup out of its dispatch loop and uses

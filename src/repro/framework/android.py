@@ -104,9 +104,6 @@ class AndroidPlatform:
         self._loaded_libraries: Dict[str, Program] = {}
         self._library_handles: List[str] = []
         self._next_library_base = APP_LIBRARY_BASE
-        # The VM starts with taint slots maintained but no policy consumer;
-        # the vanilla configuration disables the bookkeeping entirely.
-        self.vm.taint_tracking = False
 
         # Warm-worker machinery: libraries kept mapped + translated across
         # jobs, and whether prepare_template() has run.

@@ -7,7 +7,11 @@ from repro.framework.leaks import LeakRecord
 
 
 class TaintDroid:
-    """Enables framework sources, DVM propagation and Java sinks."""
+    """Enables framework sources and Java sinks.
+
+    The DVM propagates taint per instruction in every configuration;
+    attaching TaintDroid is what lets a source hand it a nonzero taint.
+    """
 
     def __init__(self, platform) -> None:
         self.platform = platform
@@ -16,8 +20,6 @@ class TaintDroid:
     def attach(cls, platform) -> "TaintDroid":
         system = cls(platform)
         platform.taintdroid = system
-        # The modified DVM propagates taints per instruction.
-        platform.vm.taint_tracking = True
         return system
 
     def report_leak(self, sink: str, taint: TaintLabel, destination: str,

@@ -345,15 +345,6 @@ class TestTaintPropagation:
             Slot(tainted.address, 0, True), Slot(clean.address, 0, True)])
         assert vm.heap.get(result.value).taint == TAINT_IMEI
 
-    def test_taint_tracking_can_be_disabled(self, vm):
-        vm.taint_tracking = False
-        cls = build_class(vm)
-        builder = MethodBuilder("LTest;", "mv", "II", static=True,
-                                registers=3)
-        builder.move(0, 2).ret(0)
-        cls.add_method(builder.build())
-        assert vm.call_main("LTest;->mv", [Slot(5, TAINT_IMEI)]).taint == 0
-
     def test_return_taint_reaches_caller_via_interp_save_state(self, vm):
         cls = build_class(vm)
         builder = MethodBuilder("LTest;", "source", "I", static=True,

@@ -2,7 +2,8 @@
 
 Every program below runs twice — once on a plain VM (the single-step
 interpreter) and once on a VM with the trace compiler enabled — and must
-produce identical results: return value and taint, heap/static slot
+produce identical results: return value and taint, every popped frame's
+taint flag, slot values, taint words and ref flags, heap/static slot
 values and taints, executed-instruction counts, and byte-identical
 provenance-ledger edges.  The suite also replays all 11 taint-parity
 scenarios end-to-end through both engines, and exercises the mid-trace
@@ -33,12 +34,12 @@ def _fresh_vms():
     return oracle, compiled
 
 
-def run_both(make_class, symbol, make_args=lambda: [],
-             taint_tracking=True, setup=None):
+def run_both(make_class, symbol, make_args=lambda: [], setup=None):
     """Run the program on both engines and assert full-state parity."""
     outcomes = []
+    popped = []
     for vm in _fresh_vms():
-        vm.taint_tracking = taint_tracking
+        popped.append(watch_popped_frames(vm))
         vm.ledger = ProvenanceLedger()
         vm.register_class(make_class())
         if setup is not None:
@@ -52,6 +53,7 @@ def run_both(make_class, symbol, make_args=lambda: [],
     (oracle, oracle_out), (compiled, compiled_out) = outcomes
     assert compiled.tbc is not None and oracle.tbc is None
     assert compiled_out == oracle_out
+    assert popped[1] == popped[0]
     if oracle_out[0] == "ok":
         assert compiled.dalvik_instructions == oracle.dalvik_instructions
     assert [edge.to_dict() for edge in compiled.ledger] == \
@@ -59,6 +61,27 @@ def run_both(make_class, symbol, make_args=lambda: [],
     assert _heap_state(compiled) == _heap_state(oracle)
     assert _static_state(compiled) == _static_state(oracle)
     return oracle, compiled
+
+
+def watch_popped_frames(vm):
+    """Snapshot every frame as it is popped, in pop order: its method,
+    its sticky ``maybe_tainted`` flag and, per register, the slot's
+    value, taint word and ref flag (read before the pop, while the
+    slots are live)."""
+    popped = []
+    stack = vm.stack
+    pop_frame = stack.pop_frame
+
+    def watched():
+        frame = stack.frames[-1]
+        popped.append((frame.method.full_name, frame.maybe_tainted, [
+            (frame.get(register), frame.get_taint(register),
+             frame.ref_flags[register])
+            for register in range(frame.register_count)]))
+        return pop_frame()
+
+    stack.pop_frame = watched
+    return popped
 
 
 def _slot_state(slot):
@@ -311,22 +334,6 @@ class TestVariantSwitch:
         assert compiled.tbc.blocks_compiled == len(
             [b for m in compiled.tbc._method_blocks.values()
              for b in m.values()])
-
-    def test_untracked_mode_clears_taint_like_the_oracle(self):
-        def make_class():
-            cls = ClassDef("LT;")
-            b = MethodBuilder("LT;", "main", "II", static=True, registers=3)
-            b.move(0, 2)
-            b.add_lit(0, 0, 1)
-            b.ret(0)
-            cls.add_method(b.build())
-            return cls
-        # Tracking off: a tainted argument must come back clear on BOTH
-        # engines (the untracked variant writes clear tags exactly like
-        # the single-step loop does with taint_on False).  run_both
-        # asserts the result values and taints match.
-        run_both(make_class, "LT;->main",
-                 lambda: [Slot(5, TAINT_IMEI)], taint_tracking=False)
 
 
 class TestCacheInvalidation:
