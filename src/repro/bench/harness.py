@@ -36,7 +36,7 @@ def make_platform(config: str, use_tb: bool = True, trace: bool = False,
     pre-translation baseline the emulator benchmark compares against).
     ``observe=False`` skips the observability facade entirely;
     ``trace=True`` additionally enables the provenance ledger and the
-    sampling profiler before the analysis attaches.
+    exact profile before the analysis attaches.
     """
     platform = AndroidPlatform(use_tb=use_tb, observe=observe)
     if trace:
@@ -52,6 +52,28 @@ def make_platform(config: str, use_tb: bool = True, trace: bool = False,
     elif config != "vanilla":
         raise ValueError(f"unknown config {config!r}")
     return platform
+
+
+def williams_order(count: int, index: int) -> List[int]:
+    """Row ``index`` of a balanced (Williams) design over ``count``
+    treatments: the order in which to run them in sequence ``index``.
+
+    Over ``count`` consecutive rows (``2 * count`` when ``count`` is
+    odd) every treatment runs once in each position and directly
+    follows every other treatment equally often.
+    """
+    base = [0]
+    low, high = 1, count - 1
+    while len(base) < count:
+        base.append(low)
+        low += 1
+        if len(base) < count:
+            base.append(high)
+            high -= 1
+    row = [(treatment + index) % count for treatment in base]
+    if count % 2 and (index // count) % 2:
+        row.reverse()
+    return row
 
 
 def engine_footing(platform: AndroidPlatform) -> str:
@@ -136,9 +158,11 @@ class OverheadHarness:
     pass of every workload (translations, compiled Dalvik blocks, JNI
     trampolines and allocator state all exist before any timing).  Then
     ``repeats`` rounds run; in each round every workload runs once per
-    configuration back to back, in an order that rotates from workload
-    to workload and round to round, so machine drift and the cost of
-    running first hit every configuration alike.  A table
+    configuration back to back, in the orders of a balanced
+    (:func:`williams_order`) design taken row by row from workload to
+    workload and round to round, so machine drift, the cost of running
+    first and the state the previous configuration left behind hit every
+    configuration alike.  A table
     reports the median of the per-round ratios to vanilla and their
     spread.
 
@@ -175,8 +199,9 @@ class OverheadHarness:
             for config in everyone:
                 rounds[config].append({})
             for position, name in enumerate(names):
-                shift = (index + position) % len(everyone)
-                for config in everyone[shift:] + everyone[:shift]:
+                order = williams_order(len(everyone),
+                                       index * len(names) + position)
+                for config in (everyone[slot] for slot in order):
                     rounds[config][-1][name] = \
                         benches[config].run_workload(name).elapsed_seconds
         cpus = os.cpu_count()

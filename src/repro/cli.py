@@ -186,16 +186,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=["taintdroid", "ndroid", "droidscope"],
                      help="analysis configuration (default: ndroid)")
     run.add_argument("--trace", action="store_true",
-                     help="enable the provenance ledger and the sampling "
-                          "profiler")
+                     help="enable the provenance ledger and the exact "
+                          "profile (instructions retired per guest "
+                          "function, in metrics.json and profile.folded)")
     run.add_argument("--out", default="repro-trace", metavar="DIR",
                      help="artifact directory (default: repro-trace)")
     run.add_argument("--faults", default=None,
                      help="inject a fault plan into the instrumented run "
                           "(same atoms as `repro supervise --faults`)")
-    run.add_argument("--profile-interval", type=int, default=16,
-                     help="profiler sampling interval in instructions "
-                          "(default 16; the in-process default is 128)")
 
     report = subparsers.add_parser(
         "report", help="render a run artifact directory")
@@ -516,7 +514,7 @@ def _command_run(args) -> int:
     from repro.apps import ALL_SCENARIOS
     from repro.apps.base import run_scenario
     from repro.bench.harness import make_platform
-    from repro.observability.profiler import SymbolResolver
+    from repro.observability.profiler import folded_lines
     from repro.resilience import FaultPlan
 
     name = os.path.basename(os.path.normpath(args.target))
@@ -536,9 +534,6 @@ def _command_run(args) -> int:
     def execute(config: str, trace: bool, faulted: bool):
         scenario = ALL_SCENARIOS[name]()
         platform = make_platform(config, trace=trace)
-        if trace:
-            platform.observability.profiler.set_interval(
-                args.profile_interval)
         if faulted and plan is not None:
             active = plan.activate()
             platform.emu.fault_injector = active
@@ -555,7 +550,8 @@ def _command_run(args) -> int:
         artifact("metrics_baseline.json"))
 
     platform, scenario = execute(args.config, args.trace, True)
-    platform.observability.metrics.write_json(artifact("metrics.json"))
+    metrics = platform.observability.metrics.write_json(
+        artifact("metrics.json"))
     leaks = [
         {
             "detector": record.detector,
@@ -593,9 +589,8 @@ def _command_run(args) -> int:
                 paths.append(path)
         with open(artifact("flow.dot"), "w") as handle:
             handle.write(observability.ledger.to_dot(paths or None))
-        observability.profiler.write_folded(
-            artifact("profile.folded"),
-            SymbolResolver.from_platform(platform))
+        with open(artifact("profile.folded"), "w") as handle:
+            handle.writelines(f"{line}\n" for line in folded_lines(metrics))
         written += ["trace.jsonl", "flow.dot", "profile.folded"]
         print(f"traced {edges} provenance edges "
               f"({observability.ledger.dropped} dropped)")

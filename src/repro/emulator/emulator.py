@@ -172,15 +172,15 @@ class Emulator:
         # Pluggable fault injection (resilience/faults.py); stays None in
         # production runs.  Installing one forces per-instruction mode.
         self._fault_injector: Optional[FaultInjector] = None
-        # Optional TB-boundary sampling profiler (observability).  Unlike
-        # tracers, attaching one does NOT force the single-step engine:
-        # sampling is a block-boundary presence check, never per-step.
-        self._profiler = None
+        # The exact profile (observability): ``pc -> instructions
+        # retired`` while tracing is on, else None.  Unlike tracers it
+        # does NOT force the single-step engine: blocks credit it whole.
+        self._profile: Optional[Dict[int, int]] = None
         # Supervision (set_supervision): the watchdog's absolute
         # instruction limit and the crash ring.  Neither is a tracer.
         self._instruction_limit: Optional[int] = None
         self._crash_ring = None
-        # Called with each dispatched block while a profiler or a crash
+        # Called with each dispatched block while a profile or a crash
         # ring is attached; the dispatch loop's one per-block check.
         self._block_monitor: Optional[Callable[[TranslationBlock], None]] \
             = None
@@ -336,14 +336,14 @@ class Emulator:
         self._refresh_instrumentation()
 
     @property
-    def profiler(self):
-        return self._profiler
+    def profile(self) -> Optional[Dict[int, int]]:
+        return self._profile
 
-    @profiler.setter
-    def profiler(self, profiler) -> None:
-        # Deliberately no _refresh_instrumentation(): the profiler samples
-        # at block boundaries and must not demote the TB fast path.
-        self._profiler = profiler
+    @profile.setter
+    def profile(self, profile: Optional[Dict[int, int]]) -> None:
+        # Deliberately no _refresh_instrumentation(): the profile is
+        # credited per block and must not demote the TB fast path.
+        self._profile = profile
         self._refresh_block_monitor()
 
     def set_supervision(self, limit: Optional[int], ring=None) -> None:
@@ -361,20 +361,29 @@ class Emulator:
         self._refresh_block_monitor()
 
     def _refresh_block_monitor(self) -> None:
-        profiler, ring = self._profiler, self._crash_ring
-        if profiler is None and ring is None:
-            self._block_monitor = None
-            return
+        """One branch-free monitor per combination of profile and ring:
+        the crash ring's is the one every supervised job runs."""
+        profile, ring = self._profile, self._crash_ring
         entries = ring.entries if ring is not None else None
         emu = self
 
-        def monitor(tb: TranslationBlock) -> None:
-            count = emu.instruction_count
-            if entries is not None:
-                entries.append((tb.pc, tb.thumb, tb.irs, count))
-            if profiler is not None and count >= profiler.next_sample:
-                profiler.take_sample(tb.pc, count)
-        self._block_monitor = monitor
+        def credit(tb: TranslationBlock) -> None:
+            pc = tb.pc
+            profile[pc] = profile.get(pc, 0) + tb.length
+
+        def record(tb: TranslationBlock) -> None:
+            entries.append((tb.pc, tb.thumb, tb.irs, emu.instruction_count))
+
+        def credit_and_record(tb: TranslationBlock) -> None:
+            pc = tb.pc
+            profile[pc] = profile.get(pc, 0) + tb.length
+            entries.append((pc, tb.thumb, tb.irs, emu.instruction_count))
+
+        if profile is None:
+            self._block_monitor = None if ring is None else record
+        else:
+            self._block_monitor = credit if ring is None \
+                else credit_and_record
 
     # -- host functions -------------------------------------------------------
 
@@ -537,14 +546,10 @@ class Emulator:
     def step(self) -> None:
         """Execute a single instruction (or host function) at PC."""
         pc = self.cpu.pc
-        profiler = self._profiler
-        if profiler is not None and \
-                self.instruction_count >= profiler.next_sample:
-            profiler.take_sample(pc, self.instruction_count)
         self.fire_fault_point("step", pc=pc,
                               instruction_count=self.instruction_count)
         if self.is_host_address(pc):
-            self._dispatch_host(pc & ~1, simulate_return=True)
+            self._run_host(pc)
             return
         ir = self._decode(pc, self.cpu.thumb)
         for tracer in self._tracers:
@@ -556,6 +561,9 @@ class Emulator:
             raise AnalysisTimeout(limit, pc)
         wrote_pc = self.executor.execute(ir)
         self.instruction_count += 1
+        profile = self._profile
+        if profile is not None:
+            profile[pc] = profile.get(pc, 0) + 1
         if wrote_pc:
             target = self.cpu.pc
             self._notify_branch(pc, target)
@@ -699,7 +707,7 @@ class Emulator:
         entry_hooks = self._entry_hooks
         exit_hooks = self._exit_hooks
         # Hoisted like the other per-block state: one `is not None` check
-        # per block, shared by the profiler and the crash ring.
+        # per block, shared by the profile and the crash ring.
         monitor = self._block_monitor
         limit = self._instruction_limit
         compiler = self._taint_compiler
@@ -831,13 +839,14 @@ class Emulator:
         return executed
 
     def _run_host(self, pc: int) -> None:
-        """A host call reached by the block engine: the profiler's
-        sample, then the call and its simulated return."""
-        profiler = self._profiler
-        if profiler is not None and \
-                self.instruction_count >= profiler.next_sample:
-            profiler.take_sample(pc, self.instruction_count)
-        self._dispatch_host(pc & ~1, simulate_return=True)
+        """A host call reached by either engine: its profile entry (a
+        host model retires no guest instruction, so it is credited
+        none), then the call and its simulated return."""
+        profile = self._profile
+        address = pc & ~1
+        if profile is not None and address not in profile:
+            profile[address] = 0
+        self._dispatch_host(address, simulate_return=True)
 
     @staticmethod
     def _fault_position(tb: TranslationBlock, body: Tuple,
@@ -868,6 +877,9 @@ class Emulator:
         got as far as being traced (``recorded``: its execution faulted,
         not its taint propagation)."""
         self.instruction_count += index
+        if self._profile is not None:
+            # The block monitor credited the whole block on dispatch.
+            self._profile[tb.pc] -= tb.length - index
         pc = tb.pc
         for ir in tb.irs[:index]:
             pc += ir.width

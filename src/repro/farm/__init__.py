@@ -33,13 +33,16 @@ Layers::
     ShardedManifest (manifest.py) streamed JSONL shards + index
     FarmScheduler (scheduler.py)  batch -> dispatch -> split/retry/
                              quarantine -> commit -> merge
-    execute_batch (worker.py)  a batch of supervised jobs, one file
+    execute_batch (worker.py)  a batch of supervised jobs, one file;
+                             result_row builds every status's row
     WorkerPool (health.py)   fork, heartbeat, hung-vs-dead, reclaim
-    RunJournal (journal.py)  crash-consistent WAL of batch transitions
+    RunJournal (journal.py)  crash-consistent WAL of batch transitions,
+                             timestamped: the scheduler's timeline
     ResultStore (store.py)   digest-addressed fsync'd batch files
     ChaosMonkey (chaos.py)   deterministic fault injection + harness
     merge_results (merge.py) type-aware metric merge, tombstones, report
-    FarmConsole (console.py) live TTY view over heartbeats + span spools
+    FarmConsole (console.py) live TTY view over heartbeats, worker span
+                             spools and the journal
 """
 
 from repro.farm.chaos import ChaosMonkey, ChaosReport, run_chaos_harness

@@ -44,10 +44,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.farm.journal import iter_events, replay, verify_journal
+from repro.farm.journal import journal_counts, replay, verify_journal
 from repro.farm.manifest import ShardedManifest
 from repro.farm.merge import FarmReport, sink_counts
 from repro.farm.store import ResultStore, scan_rows
+from repro.observability.flight import read_jsonl
 
 DEFAULT_KILL_PCT = 25
 DEFAULT_STOP_PCT = 12
@@ -222,13 +223,6 @@ def _repro_env() -> Dict[str, str]:
     return env
 
 
-def _journal_counts(path: str) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for event in iter_events(path):
-        counts[event["event"]] = counts.get(event["event"], 0) + 1
-    return counts
-
-
 def _kill_leaked_workers(journal_path: str) -> int:
     """Reap worker orphans after the scheduler was SIGKILLed.
 
@@ -238,7 +232,7 @@ def _kill_leaked_workers(journal_path: str) -> int:
     """
     state = replay(journal_path)
     pids = set()
-    for event in iter_events(journal_path):
+    for event in read_jsonl(journal_path, "event"):
         if event["event"] == "dispatched" and \
                 event.get("digest") in state.in_flight_digests():
             pid = event.get("pid")
@@ -306,7 +300,7 @@ def run_chaos_harness(manifest, seed: int, out_dir: str,
             process.wait()
             report.failures.append("chaos subprocess timed out")
             break
-        counts = _journal_counts(journal_path)
+        counts = journal_counts(journal_path)
         if counts.get("done", 0) >= kill_after_done:
             os.kill(process.pid, signal.SIGKILL)
             process.wait()
@@ -378,7 +372,7 @@ def run_chaos_harness(manifest, seed: int, out_dir: str,
 
     report.stats = {
         "chaos": chaos.summary(),
-        "journal_events": _journal_counts(journal_path),
+        "journal_events": journal_counts(journal_path),
         "health": resume_scheduler.health.summary(),
         "leaked_workers_reaped": leaked,
         "torn_digest": torn_digest,

@@ -21,7 +21,6 @@ thread doing ANSI home-and-redraw for the CLI.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -32,6 +31,8 @@ from repro.farm.health import (
     MISS_THRESHOLD,
     parse_heartbeat,
 )
+from repro.farm.journal import journal_counts
+from repro.observability.flight import read_jsonl
 
 # How much of each spool tail to parse per frame; spans/counters older
 # than this window have scrolled off the live view (the full file is
@@ -53,29 +54,6 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:  # pragma: no cover - pid reused by other user
         return True
     return True
-
-
-def tail_spool(path: str, tail_bytes: int = TAIL_BYTES) -> List[Dict]:
-    """Parse the last ``tail_bytes`` of a spool; torn lines skipped."""
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            handle.seek(max(0, size - tail_bytes))
-            blob = handle.read()
-    except OSError:
-        return []
-    records: List[Dict] = []
-    for line in blob.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn tail, or the partial first line of the window
-        if isinstance(record, dict) and "ph" in record:
-            records.append(record)
-    return records
 
 
 def spool_live_state(records: List[Dict]) -> Dict:
@@ -169,7 +147,8 @@ class FarmConsole:
         for name in names:
             if not name.endswith(".jsonl"):
                 continue
-            records = tail_spool(os.path.join(self.trace_dir, name))
+            records = list(read_jsonl(os.path.join(self.trace_dir, name),
+                                      "ph", tail_bytes=TAIL_BYTES))
             if not records:
                 continue
             pid = records[-1].get("pid", 0)
@@ -184,22 +163,13 @@ class FarmConsole:
                 states[pid] = state
         return states
 
-    def journal_counts(self) -> Dict[str, int]:
-        from repro.farm.journal import iter_events
-        counts: Dict[str, int] = {}
-        path = os.path.join(self.run_dir, "journal.jsonl")
-        for event in iter_events(path):
-            kind = event.get("event", "?")
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts
-
     # -- rendering --------------------------------------------------------
 
     def render_frame(self, now: Optional[float] = None) -> str:
         now = time.time() if now is None else now
         workers = self.worker_rows(now)
         spools = self.spool_states()
-        counts = self.journal_counts()
+        counts = journal_counts(os.path.join(self.run_dir, "journal.jsonl"))
         lines = ["== farm watch =="]
         progress = " ".join(f"{name}={counts[name]}"
                             for name in ("dispatched", "done", "cached",

@@ -130,9 +130,8 @@ def run_worker(work: Callable, hb_path: str, interval: float,
     if spool_path is None:
         work(None)
         return
-    from repro.observability.flight import FlightSpool
     from repro.observability.spans import SpanTracer
-    tracer = SpanTracer(spool=FlightSpool(spool_path), trace_id=trace_id)
+    tracer = SpanTracer(spool_path, trace_id=trace_id)
     work(tracer)
     tracer.close()
 

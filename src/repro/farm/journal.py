@@ -19,6 +19,10 @@ appends its state transitions to one JSONL file::
     interrupted -> an in-flight batch abandoned by a clean drain
     run_end     -> the scheduler finished normally
 
+Each record carries ``ts``, wall-clock microseconds on the span spools'
+clock, so the journal doubles as the scheduler's timeline
+(:func:`repro.observability.flight.journal_track`).
+
 Each line is flushed **and fsync'd** before the transition it describes
 takes effect, which is what makes the scheduler itself a restartable
 unit: SIGKILL it mid-run and the journal still tells the resume run
@@ -27,9 +31,10 @@ how many workers each job has killed, so a poison job's
 strike count survives scheduler death and the job is quarantined after
 K strikes *total*, not K strikes per scheduler lifetime.
 
-The reader side tolerates exactly the damage a SIGKILL can cause: a
-torn final line (the write that was in flight when the process died)
-is skipped, never fatal.
+The reader side (:func:`repro.observability.flight.read_jsonl`)
+tolerates exactly the damage a SIGKILL can cause: a torn final line
+(the write that was in flight when the process died) is skipped, never
+fatal.
 """
 
 from __future__ import annotations
@@ -37,7 +42,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
+
+from repro.observability.flight import read_jsonl
+from repro.observability.spans import now_us
 
 # Events that end a job's life within one run segment.
 TERMINAL_EVENTS = ("cached", "done", "poison", "lost")
@@ -55,7 +63,8 @@ class RunJournal:
         self._handle = open(path, "a")
 
     def record(self, event: str, **fields) -> None:
-        line = json.dumps({"event": event, **fields}, sort_keys=True)
+        line = json.dumps({"event": event, "ts": now_us(), **fields},
+                          sort_keys=True)
         self._handle.write(line + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
@@ -70,24 +79,12 @@ class RunJournal:
         self.close()
 
 
-def iter_events(path: str) -> Iterator[Dict]:
-    """Yield journal events, skipping any torn (half-written) lines."""
-    try:
-        handle = open(path)
-    except FileNotFoundError:
-        return
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                # The write the dying scheduler never finished.
-                continue
-            if isinstance(event, dict) and "event" in event:
-                yield event
+def journal_counts(path: str) -> Dict[str, int]:
+    """How many records of each event the journal at ``path`` holds."""
+    counts: Dict[str, int] = {}
+    for event in read_jsonl(path, "event"):
+        counts[event["event"]] = counts.get(event["event"], 0) + 1
+    return counts
 
 
 @dataclass
@@ -129,7 +126,7 @@ def replay(path: str) -> JournalState:
     poison-quarantine guarantee.
     """
     state = JournalState()
-    for event in iter_events(path):
+    for event in read_jsonl(path, "event"):
         kind = event["event"]
         if kind == "run_start":
             state.run_starts += 1
@@ -174,7 +171,7 @@ def verify_journal(path: str) -> List[str]:
     terminal_this_run: Dict[str, str] = {}
     dispatched_this_run: Dict[str, bool] = {}
     poison_counts: Dict[str, int] = {}
-    for event in iter_events(path):
+    for event in read_jsonl(path, "event"):
         kind = event["event"]
         if kind == "run_start":
             terminal_this_run = {}

@@ -82,7 +82,6 @@ from repro.resilience.backoff import backoff_delay, jitter_rng
 
 STATUS_LOST = "lost"
 STATUS_POISON = "poison"
-STATUS_INTERRUPTED = "interrupted"
 
 # Statuses worth replaying from cache on --resume.  Crashes/timeouts are
 # deterministic under a fixed spec, so they cache too, and a poison
@@ -105,32 +104,15 @@ class FarmInterrupted(RuntimeError):
         self.in_flight = in_flight
 
 
-def _base_row(spec: JobSpec, status: str, error: str, elapsed: float,
-              attempts: int, tombstone: Optional[Dict]) -> Dict:
-    return {
-        "job": spec.to_dict(),
-        "digest": spec.digest(),
-        "status": status,
-        "attempts": attempts,
-        "degraded_events": 0,
-        "quarantined_hooks": [],
-        "injected_faults": [],
-        "error": error,
-        "tombstone": tombstone,
-        "elapsed_seconds": elapsed,
-        "metrics": {},
-        "leaks": [],
-    }
-
-
 def _lost_result(spec: JobSpec, error, elapsed: float,
                  attempts: int = 1) -> Dict:
     if isinstance(error, BaseException):
         message = f"worker lost: {type(error).__name__}: {error}"
     else:
         message = f"worker lost: {error}"
-    return _base_row(spec, STATUS_LOST, message, elapsed, attempts,
-                     tombstone=None)
+    return worker_module.result_row(spec, spec.digest(), STATUS_LOST,
+                                    elapsed, attempts=attempts,
+                                    error=message)
 
 
 def _poison_result(spec: JobSpec, strikes: int, reasons: List[str],
@@ -143,8 +125,9 @@ def _poison_result(spec: JobSpec, strikes: int, reasons: List[str],
         "strikes": strikes,
         "strike_reasons": list(reasons),
     }
-    return _base_row(spec, STATUS_POISON, message, elapsed, attempts,
-                     tombstone=tombstone)
+    return worker_module.result_row(spec, spec.digest(), STATUS_POISON,
+                                    elapsed, attempts=attempts,
+                                    error=message, tombstone=tombstone)
 
 
 def _status(outcomes: Dict[str, int]) -> str:
@@ -216,10 +199,6 @@ class FarmScheduler:
         self.wall_seconds = 0.0
         self._strikes: Dict[str, int] = {}
         self._strike_reasons: Dict[str, List[str]] = {}
-        # The scheduler's own span tracer (None when trace_dir is unset)
-        # and the open batch spans it correlates, keyed (key, attempt).
-        self._tracer = None
-        self._job_spans: Dict[Tuple[str, int], int] = {}
         # Per-run state: the result store in use, the journal, the
         # dispatch queue, the retry heap of (eligible, start, batch), the
         # batches in flight by worker pid, and the settled segments —
@@ -257,12 +236,6 @@ class FarmScheduler:
         return report
 
     def _dispatch(self, run_dir: str) -> None:
-        if self.trace_dir is not None:
-            from repro.observability.flight import FlightSpool
-            from repro.observability.spans import SpanTracer
-            os.makedirs(self.trace_dir, exist_ok=True)
-            self._tracer = SpanTracer(spool=FlightSpool(os.path.join(
-                self.trace_dir, f"scheduler-{os.getpid()}.jsonl")))
         journal = self._journal = RunJournal(
             os.path.join(run_dir, "journal.jsonl"))
         if self.resume:
@@ -291,8 +264,10 @@ class FarmScheduler:
         finally:
             self._restore_sigterm(previous_sigterm)
             journal.close()
-            if self._tracer is not None:
-                self._tracer.close()
+            if self.trace_dir is not None:
+                # The scheduler's timeline is its journal, every segment.
+                from repro.observability.flight import write_scheduler_track
+                write_scheduler_track(journal.path, self.trace_dir)
 
     def _load(self, batch: _Batch) -> List[JobSpec]:
         """The batch's specs; fills in its member digests and label."""
@@ -305,9 +280,8 @@ class FarmScheduler:
 
     def _plan(self, batch: _Batch) -> None:
         """Queue ``batch``, or replay what an earlier run committed of it."""
-        if self.resume or self._tracer is not None:
-            self._load(batch)
         if self.resume:
+            self._load(batch)
             outcomes = self._store.scan(batch.key)
             if outcomes is not None and all(status in CACHEABLE
                                             for status in outcomes):
@@ -317,7 +291,6 @@ class FarmScheduler:
                 self._journal.record("cached", digest=batch.key,
                                      id=batch.label, jobs=batch.size,
                                      status=_status(outcomes))
-                self._trace_event("cached", batch.key, id=batch.label)
                 return
             if batch.size > 1 and self._strikes.get(batch.key):
                 # Bisected before the restart: its halves are the units.
@@ -325,8 +298,6 @@ class FarmScheduler:
                     self._plan(half)
                 return
         self._queue.append(batch)
-        if self._tracer is not None:
-            self._trace_event("queued", batch.key, id=batch.label)
 
     def iter_results(self) -> Iterator[Dict]:
         """Every job's result row in manifest order, read back from the
@@ -378,29 +349,6 @@ class FarmScheduler:
                 pass
 
     # -- tracing --------------------------------------------------------------
-    #
-    # The scheduler's spans mirror the journal: every lifecycle edge
-    # (queued/cached/spawned/split/retry/quarantined/lost/committed)
-    # becomes an instant event, and each dispatch attempt gets a detached
-    # "job" span correlated with the worker's own spool by trace id =
-    # batch key prefix (the job digest prefix for a one-job batch).
-
-    def _trace_event(self, name: str, digest: str, **args) -> None:
-        if self._tracer is not None:
-            self._tracer.event(name, cat="scheduler", trace=digest[:12],
-                               **args)
-
-    def _trace_begin(self, digest: str, attempt: int, job_id: str) -> None:
-        if self._tracer is not None:
-            self._job_spans[(digest, attempt)] = self._tracer.begin(
-                "job", cat="scheduler", trace=digest[:12], detached=True,
-                id=job_id, attempt=attempt)
-
-    def _trace_end(self, digest: str, attempt: int, **args) -> None:
-        if self._tracer is not None:
-            span = self._job_spans.pop((digest, attempt), None)
-            if span is not None:
-                self._tracer.end(span, **args)
 
     def _worker_spool(self, digest: str, attempt: int) -> Optional[str]:
         """Per-attempt spool path (attempts never interleave in one file)."""
@@ -420,13 +368,10 @@ class FarmScheduler:
         self._journal.record("done", digest=key, id=batch.label,
                              attempt=batch.attempt, jobs=batch.size,
                              status=status)
-        self._trace_event("committed", key, id=batch.label, status=status)
-        self._trace_end(key, batch.attempt, status=status)
 
     # -- inline (serial baseline) ---------------------------------------------
 
     def _run_inline(self) -> None:
-        tracer = self._tracer
         while self._queue:
             batch = self._queue.popleft()
             specs = self._load(batch)
@@ -435,12 +380,13 @@ class FarmScheduler:
             self._journal.record("dispatched", digest=key, id=batch.label,
                                  attempt=1, jobs=batch.size,
                                  pid=os.getpid())
-            self._trace_begin(key, 1, batch.label)
-            if tracer is not None:
-                # Inline mode shares one process (and one tracer) across
-                # scheduler and worker roles; re-point the trace id so
-                # engine spans still correlate per batch.
-                tracer.trace_id = key[:12]
+            # Inline mode is its own worker: it opens the spool a forked
+            # worker of this attempt would.
+            spool = self._worker_spool(key, 1)
+            tracer = None
+            if spool is not None:
+                from repro.observability.spans import SpanTracer
+                tracer = SpanTracer(spool, trace_id=key[:12])
             try:
                 outcomes = worker_module.execute_batch(
                     (spec.to_dict() for spec in specs),
@@ -450,11 +396,10 @@ class FarmScheduler:
                 self._journal.record("interrupted", digest=key,
                                      id=batch.label, attempt=1)
                 self.health.interrupted_jobs += batch.size
-                self._trace_end(key, 1, status=STATUS_INTERRUPTED)
                 raise FarmInterrupted([batch.label]) from None
             finally:
                 if tracer is not None:
-                    tracer.trace_id = ""
+                    tracer.close()
             self._accept(batch, outcomes)
 
     # -- pool (fleet mode) ----------------------------------------------------
@@ -491,8 +436,6 @@ class FarmScheduler:
                                      attempt=handle.attempt)
                 self.health.interrupted_jobs += \
                     self._flight[handle.pid].size
-                self._trace_end(handle.digest, handle.attempt,
-                                status=STATUS_INTERRUPTED)
             raise FarmInterrupted(sorted(h.job_id for h in handles)) \
                 from None
         finally:
@@ -522,9 +465,6 @@ class FarmScheduler:
             self._journal.record("dispatched", digest=key, id=batch.label,
                                  attempt=batch.attempt, jobs=batch.size,
                                  pid=handle.pid)
-            self._trace_begin(key, batch.attempt, batch.label)
-            self._trace_event("spawned", key, id=batch.label,
-                              attempt=batch.attempt, pid=handle.pid)
             if self.chaos is not None:
                 self.chaos.on_spawn(handle)
             progressed = True
@@ -598,8 +538,6 @@ class FarmScheduler:
                            into=[half.key for half in halves])
             self.health.splits += 1
             self._queue.extend(halves)
-            self._trace_event("split", key, id=batch.label, reason=reason)
-            self._trace_end(key, batch.attempt, status="split")
             return
         spec = self.manifest.specs(batch.start, batch.stop)[0]
         elapsed = handle.runtime(time.monotonic())
@@ -613,10 +551,6 @@ class FarmScheduler:
             self._store.put(key, row)
             self._segments[batch.start] = (batch.stop,
                                            self._store.path(key), False)
-            self._trace_event("quarantined", key, id=batch.label,
-                              strikes=strikes,
-                              instructions=last_instructions)
-            self._trace_end(key, batch.attempt, status=STATUS_POISON)
         elif batch.attempt >= 1 + self.max_retries:
             row = _lost_result(spec, reason, elapsed,
                                attempts=batch.attempt)
@@ -625,8 +559,6 @@ class FarmScheduler:
             self.health.lost_jobs += 1
             # Lost is never cached: the row lives only in this run.
             self._segments[batch.start] = (batch.stop, [row], False)
-            self._trace_event("lost", key, id=batch.label, reason=reason)
-            self._trace_end(key, batch.attempt, status=STATUS_LOST)
         else:
             delay = backoff_delay(batch.attempt, base=RETRY_BACKOFF_BASE,
                                   jitter=RETRY_BACKOFF_JITTER,
@@ -636,11 +568,6 @@ class FarmScheduler:
             self.health.retries += 1
             heapq.heappush(self._retries, (time.monotonic() + delay,
                                            batch.start, batch))
-            self._trace_event("retry", key, id=batch.label,
-                              next_attempt=batch.attempt + 1,
-                              reason=reason,
-                              instructions=last_instructions)
-            self._trace_end(key, batch.attempt, status="struck")
 
 
 # The one scheduler serves sharded manifests too.  The name survives

@@ -65,7 +65,7 @@ def _boot_platform(spec: JobSpec, ctx):
     Warm mode reuses the per-config template platform instead: the job
     pays ``reset_for_job()`` (a state wipe), not a full boot, and keeps
     every warm translation cache.  Traced jobs always cold-boot — the
-    ledger/profiler wiring is per-platform and jobs must not share it.
+    ledger/profile wiring is per-platform and jobs must not share it.
     """
     from repro.bench.harness import make_platform
 
@@ -88,12 +88,8 @@ def _boot_platform(spec: JobSpec, ctx):
         with tracer.span("platform_boot", cat="worker",
                          config=spec.config):
             platform = make_platform(spec.config, trace=spec.trace)
-        observability = platform.observability
-        if observability is not None:
-            observability.attach_spans(tracer)
-        else:
-            from repro.observability.spans import attach_spans
-            attach_spans(platform, tracer)
+        from repro.observability.spans import attach_spans
+        attach_spans(platform, tracer)
     LIVE["platform"] = platform
     ctx.attach(platform)
     return platform
@@ -265,6 +261,49 @@ def _emit_cache_counters(tracer) -> None:
         tracer.counter("tbc.misses", tbc.misses, cat="engine")
 
 
+# Analysis payload keys a row carries after its metrics and leaks.
+_PAYLOAD_EXTRAS = ("detected", "coverage", "expected_taint",
+                   "expected_destination", "trace", "trace_dropped",
+                   "metrics_gauges")
+
+
+def result_row(spec: JobSpec, digest: str, status: str, elapsed: float,
+               attempts: int = 1, error: Optional[str] = None,
+               tombstone: Optional[Dict] = None, degraded_events: int = 0,
+               quarantined_hooks: Optional[list] = None,
+               injected_faults: Optional[list] = None,
+               worker_pid: Optional[int] = None,
+               payload: Optional[Dict] = None) -> Dict:
+    """One job's result row, whatever its status.
+
+    A row a worker wrote names its ``worker_pid``; the scheduler's rows
+    for jobs no worker finished (``lost``, ``poison``) have none.
+    ``payload`` is the analysis's output: its metrics and leaks, then
+    any of the analysis extras it holds.
+    """
+    row = {
+        "job": spec.to_dict(),
+        "digest": digest,
+        "status": status,
+        "attempts": attempts,
+        "degraded_events": degraded_events,
+        "quarantined_hooks": quarantined_hooks or [],
+        "injected_faults": injected_faults or [],
+        "error": error,
+        "tombstone": tombstone,
+        "elapsed_seconds": elapsed,
+    }
+    if worker_pid is not None:
+        row["worker_pid"] = worker_pid
+    payload = payload or {}
+    row["metrics"] = payload.get("metrics", {})
+    row["leaks"] = payload.get("leaks", [])
+    for key in _PAYLOAD_EXTRAS:
+        if key in payload:
+            row[key] = payload[key]
+    return row
+
+
 def execute_batch(spec_dicts, out_path: str,
                   budget: Optional[int] = DEFAULT_BUDGET,
                   tracer=None) -> Dict[str, int]:
@@ -311,6 +350,7 @@ def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,
     from repro.resilience.report import CrashReport
 
     spec = JobSpec.from_dict(spec_dict)
+    digest = spec.digest()
     plan = FaultPlan.parse(spec.faults) if spec.faults else None
     analyze = _ANALYSES[spec.kind]
 
@@ -319,7 +359,7 @@ def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,
     job_span = None
     if tracer is not None:
         if not tracer.trace_id:
-            tracer.trace_id = spec.digest()[:12]
+            tracer.trace_id = digest[:12]
         job_span = tracer.begin("job", cat="worker", id=spec.id,
                                 kind=spec.kind, target=spec.target)
 
@@ -341,45 +381,22 @@ def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,
             tracer.end(job_span, status="crashed")
             LIVE["platform"] = None
             LIVE["tracer"] = None
-        return {
-            "job": spec.to_dict(),
-            "digest": spec.digest(),
-            "status": "crashed",
-            "attempts": 1,
-            "degraded_events": 0,
-            "quarantined_hooks": [],
-            "injected_faults": [],
-            "error": f"{type(error).__name__}: {error}",
-            "tombstone": report.to_dict(),
-            "elapsed_seconds": time.perf_counter() - start,
-            "worker_pid": os.getpid(),
-            "metrics": {},
-            "leaks": [],
-        }
+        return result_row(spec, digest, "crashed",
+                          time.perf_counter() - start,
+                          error=f"{type(error).__name__}: {error}",
+                          tombstone=report.to_dict(),
+                          worker_pid=os.getpid())
     elapsed = time.perf_counter() - start
 
-    payload = result.value if isinstance(result.value, dict) else {}
-    row = {
-        "job": spec.to_dict(),
-        "digest": spec.digest(),
-        "status": result.status,
-        "attempts": result.attempts,
-        "degraded_events": result.degraded_events,
-        "quarantined_hooks": result.quarantined_hooks,
-        "injected_faults": result.injected_faults,
-        "error": result.error,
-        "tombstone": (result.crash_report.to_dict()
-                      if result.crash_report is not None else None),
-        "elapsed_seconds": elapsed,
-        "worker_pid": os.getpid(),
-        "metrics": payload.get("metrics", {}),
-        "leaks": payload.get("leaks", []),
-    }
-    for key in ("detected", "coverage", "expected_taint",
-                "expected_destination", "trace", "trace_dropped",
-                "metrics_gauges"):
-        if key in payload:
-            row[key] = payload[key]
+    row = result_row(
+        spec, digest, result.status, elapsed, attempts=result.attempts,
+        error=result.error,
+        tombstone=(result.crash_report.to_dict()
+                   if result.crash_report is not None else None),
+        degraded_events=result.degraded_events,
+        quarantined_hooks=result.quarantined_hooks,
+        injected_faults=result.injected_faults, worker_pid=os.getpid(),
+        payload=result.value if isinstance(result.value, dict) else None)
     if tracer is not None:
         _emit_cache_counters(tracer)
         tracer.end(job_span, status=result.status)

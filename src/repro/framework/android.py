@@ -95,7 +95,7 @@ class AndroidPlatform:
         self.kernel.sync_tasks_to_guest()
 
         # Observability facade (metrics sources are pull-only; the
-        # ledger/profiler stay off until enable_tracing()).
+        # ledger/profile stay off until enable_tracing()).
         self.observability = Observability() if observe else None
         if self.observability is not None:
             self.observability.wire(self)

@@ -1,4 +1,4 @@
-"""Unified observability layer: ledger, metrics, profiler, spans.
+"""Unified observability layer: ledger, metrics, profile, spans.
 
 One facade object per platform gathers the observability facilities
 the paper's evaluation needs:
@@ -9,24 +9,26 @@ the paper's evaluation needs:
   annotated flows (Figs. 6-9, Section VI.B);
 * a :class:`MetricsRegistry` of counters/gauges and *pull* sources over
   the emulator/kernel/DVM/core statistics already kept by the engines
-  (Tables IV/V overhead breakdowns);
-* a TB-boundary :class:`SamplingProfiler` attributing instruction counts
-  to guest functions (like the ledger, job state: a warm platform's
-  ``reset_for_job()`` clears both);
-* an optional :class:`SpanTracer` timing engine work as spans — each JNI
-  crossing is one ``jni_crossing`` span carrying its duration and its
-  path (host-side ``fast`` or guest-protocol ``slow``), the only
-  per-crossing timer.
+  (Tables IV/V overhead breakdowns) -- including, while tracing, the
+  exact guest profile: instructions retired per guest function, as
+  ``profile.<module>;<symbol>`` counters (see ``profiler.py``);
+* an optional :class:`SpanTracer` timing engine work as spans into a
+  JSONL spool — each JNI crossing is one ``jni_crossing`` span carrying
+  its duration and its path (host-side ``fast`` or guest-protocol
+  ``slow``), the only per-crossing timer.
+
+The ledger and the profile counts are job state: a warm platform's
+``reset_for_job()`` clears both.
 
 Everything is zero-cost when disabled: the engines hold a ``ledger``
 attribute that stays ``None`` (one attribute read behind an existing
 taint check), the metrics sources are snapshot-time closures, and the
-profiler is only attached to the emulator while tracing is enabled.
+profile is only attached to the emulator while tracing is enabled.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.observability.ledger import (  # noqa: F401
     Loc,
@@ -42,8 +44,8 @@ from repro.observability.metrics import (  # noqa: F401
     load_snapshot,
 )
 from repro.observability.profiler import (  # noqa: F401
-    SamplingProfiler,
     SymbolResolver,
+    folded_lines,
 )
 from repro.observability.schema import (  # noqa: F401
     TRACE_SCHEMA,
@@ -56,16 +58,14 @@ from repro.observability.spans import (  # noqa: F401
 
 
 class Observability:
-    """Per-platform facade wiring the three facilities to the engines."""
+    """Per-platform facade wiring the facilities to the engines."""
 
-    def __init__(self, ledger_capacity: int = 65536,
-                 profile_interval: int = 128) -> None:
+    def __init__(self, ledger_capacity: int = 65536) -> None:
         self.metrics = MetricsRegistry()
         self.ledger: Optional[ProvenanceLedger] = None
-        self.profiler: Optional[SamplingProfiler] = None
-        self.spans: Optional[SpanTracer] = None
+        # pc -> instructions retired, shared with the emulator.
+        self.profile: Optional[Dict[int, int]] = None
         self._ledger_capacity = ledger_capacity
-        self._profile_interval = profile_interval
         self._platform = None
         self._ndroid = None
 
@@ -76,30 +76,33 @@ class Observability:
     # -- enabling --------------------------------------------------------------
 
     def enable_tracing(self) -> ProvenanceLedger:
-        """Turn on provenance recording and the sampling profiler."""
+        """Turn on provenance recording and the exact profile."""
         if self.ledger is None:
             self.ledger = ProvenanceLedger(maxlen=self._ledger_capacity)
-            self.profiler = SamplingProfiler(interval=self._profile_interval)
+            self.profile = profile = {}
             ledger = self.ledger
             self.metrics.register_source("ledger", lambda: {
                 "edges": len(ledger),
                 "dropped": ledger.dropped,
             }, gauges=("edges",))
+            self.metrics.register_source(
+                "profile", lambda: self.resolver().fold(profile))
             self._propagate()
         return self.ledger
 
     def reset_for_job(self) -> None:
-        """Forget the last job's edges and samples (tracing stays on)."""
+        """Forget the last job's edges and counts (tracing stays on)."""
         if self.ledger is not None:
             self.ledger.clear()
-            self.profiler.reset()
+            self.profile.clear()
 
     def disable_tracing(self) -> None:
         if self.ledger is None:
             return
         self.ledger = None
-        self.profiler = None
+        self.profile = None
         self.metrics.unregister_source("ledger")
+        self.metrics.unregister_source("profile")
         self._propagate()
 
     # -- wiring ----------------------------------------------------------------
@@ -196,25 +199,19 @@ class Observability:
         self._propagate()
 
     def _propagate(self) -> None:
-        """Push the current ledger/profiler into every wired engine."""
+        """Push the current ledger/profile into every wired engine."""
         platform, ndroid = self._platform, self._ndroid
         if platform is not None:
             platform.kernel.ledger = self.ledger
             platform.vm.ledger = self.ledger
             platform.libc.ledger = self.ledger
-            platform.emu.profiler = self.profiler
+            platform.emu.profile = self.profile
         if ndroid is not None:
             ndroid.instruction_tracer.ledger = self.ledger
             ndroid.dvm_hooks.ledger = self.ledger
             ndroid.syslib_hooks.ledger = self.ledger
 
     # -- convenience -----------------------------------------------------------
-
-    def attach_spans(self, tracer: Optional[SpanTracer]) -> None:
-        """Point the wired engines' span hooks at ``tracer`` (None detaches)."""
-        self.spans = tracer
-        if self._platform is not None:
-            attach_spans(self._platform, tracer)
 
     def snapshot(self):
         return self.metrics.snapshot()

@@ -1,10 +1,19 @@
-"""Flight-recorder spools and the fleet timeline aggregator.
+"""Reading JSONL spools, and the fleet timeline aggregator.
 
-The write side (:class:`FlightSpool`) is a per-process append-only JSONL
-file, one span record per line, flushed per record so a SIGKILL loses at
-most the line being written.  The read side is torn-tail tolerant in the
-same way ``farm/journal.iter_events`` is: a truncated or garbled final
-line is skipped, never raised, because a killed worker *will* leave one.
+Every telemetry file the farm appends to is JSONL written a line at a
+time: the per-process span spools
+(:class:`~repro.observability.spans.SpanTracer`) and the scheduler's
+run journal (``farm/journal.py``).  :func:`read_jsonl` is their one
+reader.  It tolerates exactly the damage a SIGKILL causes -- a torn or
+garbled final line is skipped, never raised -- and can read just a
+file's tail (the live farm console).
+
+The scheduler writes no spans of its own: its timeline *is* its
+journal.  :func:`journal_track` turns a journal into scheduler records
+-- each ``dispatched`` -> ``done``/``strike``/``interrupted`` pair of
+one attempt becomes a ``job`` span, every other transition an instant
+named after its journal event -- and a traced scheduler writes them as
+``scheduler.jsonl`` beside the workers' spools when its run ends.
 
 The aggregator stitches every spool under a trace directory into one
 fleet timeline:
@@ -23,7 +32,8 @@ fleet timeline:
   runs against the exported file.
 
 Timestamps are wall-clock µs from :func:`repro.observability.spans.now_us`
-and are rebased so the earliest record across the fleet sits at t=0.
+(the journal stamps the same clock) and are rebased so the earliest
+record across the fleet sits at t=0.
 """
 
 from __future__ import annotations
@@ -33,68 +43,106 @@ import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 SPOOL_SUFFIX = ".jsonl"
+SCHEDULER_TRACK = "scheduler" + SPOOL_SUFFIX
 
 # Chrome trace-event phases this exporter produces / the validator admits.
 CHROME_PHASES = ("X", "i", "C", "M")
 
-
-class FlightSpool:
-    """Append-only JSONL span spool, flushed per record.
-
-    Unlike the run journal there is no fsync: spools are diagnostics,
-    not the source of truth for job state, so losing the OS buffer on a
-    power cut is acceptable — but a plain SIGKILL (the common chaos
-    case) loses nothing beyond a possibly-torn final line.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8")
-        self.records_written = 0
-
-    def write(self, record: Dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        self._fh.flush()
-        self.records_written += 1
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "FlightSpool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+# Journal events that close a dispatched attempt's ``job`` span.
+_SPAN_ENDS = ("done", "strike", "interrupted")
 
 
-def read_spool(path: str) -> Iterator[Dict]:
-    """Yield records from a spool, skipping a torn or garbled tail.
+def read_jsonl(path: str, field: str,
+               tail_bytes: Optional[int] = None) -> Iterator[Dict]:
+    """Yield the JSON objects holding ``field`` from a JSONL file.
 
-    A record must parse as a JSON object with ``ph`` and ``ts`` to be
-    yielded; anything else (half-written line, empty line, stray text)
-    is dropped silently — the whole point is to read spools that a
-    SIGKILL interrupted.
+    Anything else -- the torn line a SIGKILL leaves, an empty line,
+    stray text -- is skipped silently.  A missing file yields nothing.
+    With ``tail_bytes`` only the file's last ``tail_bytes`` are read and
+    the (partial) first line of that window is dropped.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        handle = open(path, "rb")
     except OSError:
         return
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    with handle:
+        if tail_bytes is not None:
+            size = handle.seek(0, os.SEEK_END)
+            if size > tail_bytes:
+                handle.seek(size - tail_bytes - 1)
+                handle.readline()
+            else:
+                handle.seek(0)
+        for line in handle:
             try:
                 record = json.loads(line)
             except ValueError:
                 continue
-            if isinstance(record, dict) and "ph" in record and "ts" in record:
+            if isinstance(record, dict) and field in record:
                 yield record
+
+
+def journal_track(path: str) -> List[Dict]:
+    """A run journal as the scheduler's span records.
+
+    Each run segment (from one ``run_start`` to the next) is drawn on the
+    pid of the scheduler that wrote it.  A dispatched attempt that never
+    resolved in its segment (its scheduler was SIGKILLed) stays an open
+    ``B`` record.  Events written without a timestamp are skipped.
+    """
+    records: List[Dict] = []
+    pid = 0
+    pending: Dict[Tuple[str, int], Dict] = {}
+    span_ids = 0
+
+    def close_segment() -> None:
+        records.extend(pending.values())
+        pending.clear()
+
+    for event in read_jsonl(path, "event"):
+        ts = event.get("ts")
+        if ts is None:
+            continue
+        fields = {key: value for key, value in event.items()
+                  if key not in ("event", "ts", "digest")}
+        kind, digest = event["event"], event.get("digest", "")
+        if kind == "run_start":
+            close_segment()
+            pid = event.get("pid", 0)
+        key = (digest, event.get("attempt", 0))
+        if kind == "dispatched":
+            span_ids += 1
+            pending[key] = {"ph": "B", "ts": ts, "pid": pid,
+                            "span": span_ids, "name": "job",
+                            "cat": "scheduler", "trace": digest[:12],
+                            "args": fields}
+            continue
+        begin = pending.pop(key, None) if kind in _SPAN_ENDS else None
+        if begin is not None:
+            fields.setdefault("status", kind)
+            begin.update(ph="X", dur=max(0.0, ts - begin["ts"]))
+            del begin["span"]
+            begin["args"].update(fields)
+            records.append(begin)
+        else:
+            records.append({"ph": "i", "ts": ts, "pid": pid, "name": kind,
+                            "cat": "scheduler", "trace": digest[:12],
+                            "args": fields})
+    close_segment()
+    records.sort(key=lambda record: record["ts"])
+    return records
+
+
+def write_scheduler_track(journal_path: str, trace_dir: str) -> str:
+    """Write :func:`journal_track` as ``trace_dir/scheduler.jsonl``
+    (replacing an earlier segment's), returning its path."""
+    os.makedirs(trace_dir, exist_ok=True)
+    path = os.path.join(trace_dir, SCHEDULER_TRACK)
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in journal_track(journal_path):
+            handle.write(json.dumps(record, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
+    return path
 
 
 def collect_spools(trace_dir: str) -> List[Dict]:
@@ -108,7 +156,7 @@ def collect_spools(trace_dir: str) -> List[Dict]:
     for name in names:
         if not name.endswith(SPOOL_SUFFIX):
             continue
-        records.extend(read_spool(os.path.join(trace_dir, name)))
+        records.extend(read_jsonl(os.path.join(trace_dir, name), "ph"))
     records.sort(key=lambda r: (r.get("ts", 0.0), r.get("pid", 0)))
     return records
 

@@ -1,33 +1,40 @@
-"""The sampling profiler: TB-boundary PC samples → folded stacks.
+"""The exact guest profile: instructions retired per guest function.
 
-QEMU-style instrumentation discipline (PR 2): sampling happens at
-*translation-block boundaries*, where the dispatch loop already does
-boundary work, never per instruction — one ``is not None`` check per
-block when a profiler is attached, zero code on the path when not.  In
-instrumented runs (tracers attached force the single-step engine) the
-same check runs per step, so sampling keeps working at full
-instrumentation.
+While tracing is on, the emulator keeps ``pc -> instructions retired``
+(:attr:`repro.emulator.emulator.Emulator.profile`): each dispatched
+translation block credits its length to its entry pc, each single step
+credits one, and each host call its pc with none (a host model retires
+no guest instruction, so it shows in the profile at zero without
+breaking the sum).  The counts therefore add up exactly to the
+instructions retired while the profile was attached.
 
-Sampling rule: a sample is taken at the first boundary where the
-retired-instruction count reaches ``next_sample``; the threshold then
-advances by ``interval``.  Samples attribute to guest functions through
-a :class:`SymbolResolver` built from the loaded modules' symbol tables
-and the ViewReconstructor-visible module map, and export as
-flamegraph-ready folded lines (``module;symbol count``).
+This module folds those counts into guest frames through a
+:class:`SymbolResolver` built from the loaded modules' symbol tables and
+the module map.  ``Observability`` publishes the folded counts as the
+``profile`` pull source of its metrics registry, so they travel in every
+snapshot (and every farm row) as ``profile.<module>;<symbol>`` counters;
+:func:`folded_lines` renders a snapshot's profile as flamegraph-ready
+folded lines.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, IO, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
-# A symbol more than this far behind the sampled PC is not credited;
-# the sample falls back to its module (or an unknown bucket).
+# A symbol more than this far behind the pc is not credited; the pc
+# falls back to its module (or an unknown bucket).
 MAX_SYMBOL_DISTANCE = 0x10000
+
+PROFILE_PREFIX = "profile."
 
 
 class SymbolResolver:
-    """pc → ``module;symbol`` via sorted symbol tables + module map."""
+    """pc → ``module;symbol`` via sorted symbol tables + module map.
+
+    A pc no symbol claims resolves module-relative (``libx.so;+0x1a4``),
+    so a frame never depends on where a library was loaded.
+    """
 
     def __init__(self) -> None:
         self._symbols: List[Tuple[int, str, str]] = []
@@ -45,10 +52,10 @@ class SymbolResolver:
         for name, address in symbols.items():
             self.add_symbol(address, module, name)
 
-    def _module_of(self, pc: int) -> Optional[str]:
+    def _module_of(self, pc: int) -> Optional[Tuple[int, str]]:
         for start, end, name in self._modules:
             if start <= pc < end:
-                return name
+                return start, name
         return None
 
     def resolve(self, pc: int) -> str:
@@ -61,11 +68,19 @@ class SymbolResolver:
         if index >= 0:
             address, sym_module, name = self._symbols[index]
             if pc - address <= MAX_SYMBOL_DISTANCE and \
-                    (module is None or module == sym_module):
+                    (module is None or module[1] == sym_module):
                 return f"{sym_module};{name}"
         if module is not None:
-            return f"{module};0x{pc:08x}"
+            return f"{module[1]};+0x{pc - module[0]:x}"
         return f"unknown;0x{pc:08x}"
+
+    def fold(self, counts: Mapping[int, int]) -> Dict[str, int]:
+        """``pc -> count`` summed per resolved frame."""
+        frames: Dict[str, int] = {}
+        for pc, count in counts.items():
+            frame = self.resolve(pc)
+            frames[frame] = frames.get(frame, 0) + count
+        return frames
 
     @classmethod
     def from_platform(cls, platform) -> "SymbolResolver":
@@ -82,52 +97,11 @@ class SymbolResolver:
         return resolver
 
 
-class SamplingProfiler:
-    """Boundary-gated PC sampler; see the module docstring for the rule."""
-
-    def __init__(self, interval: int = 128) -> None:
-        self.interval = max(int(interval), 1)
-        self.next_sample = self.interval
-        self.samples: Dict[int, int] = {}
-        self.sample_count = 0
-
-    def take_sample(self, pc: int, instruction_count: int) -> None:
-        """Record one PC hit; the dispatch loop gates the call on
-        ``instruction_count >= next_sample`` so this never runs hot."""
-        self.samples[pc] = self.samples.get(pc, 0) + 1
-        self.sample_count += 1
-        self.next_sample = instruction_count + self.interval
-
-    def set_interval(self, interval: int) -> None:
-        """Change the sampling interval, rearming the next threshold."""
-        self.interval = max(int(interval), 1)
-        self.next_sample = min(self.next_sample, self.interval) \
-            if self.sample_count else self.interval
-
-    def reset(self) -> None:
-        self.samples.clear()
-        self.sample_count = 0
-        self.next_sample = self.interval
-
-    # -- export ------------------------------------------------------------
-
-    def folded(self, resolver: Optional[SymbolResolver] = None
-               ) -> List[str]:
-        """Flamegraph folded lines, heaviest first."""
-        buckets: Dict[str, int] = {}
-        for pc, count in self.samples.items():
-            frame = (resolver.resolve(pc) if resolver is not None
-                     else f"unknown;0x{pc:08x}")
-            buckets[frame] = buckets.get(frame, 0) + count
-        return [f"{frame} {count}" for frame, count in
-                sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0]))]
-
-    def write_folded(self, target: Union[str, IO[str]],
-                     resolver: Optional[SymbolResolver] = None) -> int:
-        lines = self.folded(resolver)
-        if isinstance(target, str):
-            with open(target, "w") as handle:
-                handle.write("\n".join(lines) + ("\n" if lines else ""))
-        else:
-            target.write("\n".join(lines) + ("\n" if lines else ""))
-        return len(lines)
+def folded_lines(snapshot: Mapping[str, object]) -> List[str]:
+    """A metrics snapshot's ``profile.*`` counters as flamegraph folded
+    lines (``frame count``), heaviest first."""
+    frames = [(key[len(PROFILE_PREFIX):], count)
+              for key, count in snapshot.items()
+              if key.startswith(PROFILE_PREFIX)]
+    frames.sort(key=lambda item: (-item[1], item[0]))
+    return [f"{frame} {count}" for frame, count in frames]

@@ -2,7 +2,7 @@
 
 Consumes the artifact directory ``repro run`` writes (``meta.json``,
 ``metrics.json``, ``metrics_baseline.json``, ``leaks.json``, and — when
-traced — ``trace.jsonl`` and ``profile.folded``) and renders:
+traced — ``trace.jsonl``) and renders:
 
 * the reconstructed source→sink provenance path per leak (the Section V
   case-study walks);
@@ -11,7 +11,8 @@ traced — ``trace.jsonl`` and ``profile.folded``) and renders:
 * a Table V-style analysis-work breakdown (tracer/hook/ledger counters
   that have no vanilla equivalent);
 * the resilience section (degraded events, quarantined hooks);
-* the profiler's heaviest guest functions.
+* the exact profile's heaviest guest functions, from the snapshot's
+  ``profile.*`` counters (which the tables above leave out).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.observability.ledger import ProvenanceLedger
 from repro.observability.metrics import diff_snapshots
+from repro.observability.profiler import folded_lines
 from repro.observability.schema import validate_trace
 
 # Subsystem counters compared against the vanilla baseline (Table IV).
@@ -50,12 +52,6 @@ class RunArtifacts:
                 # Malformed trace: keep an empty ledger so the schema
                 # validator reports the damage instead of a crash.
                 self.ledger = ProvenanceLedger()
-        self.folded: List[str] = []
-        folded_path = os.path.join(directory, "profile.folded")
-        if os.path.exists(folded_path):
-            with open(folded_path) as handle:
-                self.folded = [line.rstrip("\n") for line in handle
-                               if line.strip()]
 
     def _load_json(self, name: str):
         path = os.path.join(self.directory, name)
@@ -139,10 +135,13 @@ def render_provenance(ledger: ProvenanceLedger, leaks: List[Dict]) -> str:
     return "\n".join(lines)
 
 
-def render_profile(folded: List[str]) -> str:
-    lines = [f"== profile (top {TOP_PROFILE_FRAMES} guest frames) =="]
+def render_profile(current: Dict) -> str:
+    """The heaviest guest frames, in instructions retired."""
+    folded = folded_lines(current)
+    lines = [f"== profile (top {TOP_PROFILE_FRAMES} guest frames, "
+             f"instructions retired) =="]
     if not folded:
-        lines.append("  (no samples)")
+        lines.append("  (no instructions retired)")
     for line in folded[:TOP_PROFILE_FRAMES]:
         lines.append(f"  {line}")
     return "\n".join(lines)
@@ -173,5 +172,5 @@ def render_report(artifacts: RunArtifacts) -> Tuple[str, bool]:
         sections.append(render_analysis_table(artifacts.metrics))
         sections.append(render_resilience(artifacts.metrics))
     if artifacts.ledger is not None:
-        sections.append(render_profile(artifacts.folded))
+        sections.append(render_profile(artifacts.metrics))
     return "\n\n".join(sections) + "\n", ok

@@ -20,14 +20,11 @@ cannot answer.  Three record shapes, one stream:
     A named value at a point in time (cache hit totals at job end),
     rendered by Chrome's trace viewer as a counter track.
 
-Two sinks, both bounded in cost:
-
-* the **flight recorder** — an in-memory ``deque(maxlen=capacity)`` of
-  the most recent records with a ``dropped`` tally, cheap enough to
-  keep during any run and read by the live farm console;
-* an optional **spool** (:class:`repro.observability.flight.FlightSpool`)
-  — an append-only, flush-per-record JSONL file whose reader tolerates
-  the torn tail a SIGKILL leaves, exactly like ``farm/journal.py``.
+One sink: the tracer's **spool**, an append-only JSONL file flushed per
+record, so a SIGKILL loses at most the line being written; its reader
+(:func:`repro.observability.flight.read_jsonl`) tolerates that torn
+tail, exactly as the run journal's does.  Spools are diagnostics, not
+the source of truth for job state, so there is no fsync.
 
 Zero-cost discipline (PR 3): engines hold a ``span_tracer`` attribute
 that stays ``None`` when tracing is off; every hot-path emit sits behind
@@ -38,18 +35,12 @@ the only clock comparable across forked processes.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
-
-SPAN_SCHEMA = "ndroid_spans/v1"
-
-# Record categories (the span taxonomy's top level).
-CATEGORIES = ("scheduler", "worker", "engine", "farm")
-
 
 def now_us() -> float:
     """Wall-clock microseconds — comparable across forked processes."""
@@ -57,30 +48,26 @@ def now_us() -> float:
 
 
 class SpanTracer:
-    """Bounded in-memory flight recorder plus an optional JSONL spool.
+    """Writes span records to one JSONL spool at ``path``.
 
-    One tracer per process (the scheduler owns one; each forked worker
-    opens its own after the fork, so no file descriptor is shared).
-    ``trace_id`` is mutable: the inline (serial) scheduler re-points it
-    at each job's id so engine records still correlate.
+    One tracer per process (each forked worker, and the inline
+    scheduler per batch, opens its own after the fork, so no file
+    descriptor is shared).  ``trace_id`` correlates every record with
+    the farm job (batch) it serves.
     """
 
-    def __init__(self, spool=None, capacity: int = 4096,
-                 trace_id: str = "") -> None:
-        self.spool = spool
-        self.capacity = capacity
-        self.records: deque = deque(maxlen=capacity)
-        self.dropped = 0
+    def __init__(self, path: str, trace_id: str = "") -> None:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        self.path = path
+        self._fh = open(path, "a", encoding="utf-8")
         self.trace_id = trace_id
         self.pid = os.getpid()
         self._seq = 0
         self._lock = threading.Lock()
         # Open-span stack per thread, for parent attribution.
         self._stacks: Dict[int, List[int]] = {}
-        self.spans_begun = 0
-        self.spans_ended = 0
-        self.events_emitted = 0
-        self.counters_emitted = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -89,12 +76,9 @@ class SpanTracer:
         return now_us()
 
     def _emit(self, record: Dict) -> None:
-        if len(self.records) == self.capacity:
-            self.dropped += 1
-        self.records.append(record)
-        spool = self.spool
-        if spool is not None:
-            spool.write(record)
+        self._fh.write(json.dumps(record, sort_keys=True,
+                                  separators=(",", ":")) + "\n")
+        self._fh.flush()
 
     def _next_id(self) -> int:
         with self._lock:
@@ -111,15 +95,11 @@ class SpanTracer:
     # -- spans ------------------------------------------------------------
 
     def begin(self, name: str, cat: str = "worker",
-              trace: Optional[str] = None, detached: bool = False,
-              **args) -> int:
+              trace: Optional[str] = None, **args) -> int:
         """Open a span; returns its id for :meth:`end`.
 
         The begin record hits the spool immediately — that is the crash
         evidence an aggregated timeline replays as an open span.
-        ``detached`` spans skip the per-thread nesting stack: use it for
-        spans that overlap arbitrarily (the scheduler's concurrent job
-        spans) rather than nest.
         """
         span_id = self._next_id()
         record = {
@@ -127,14 +107,12 @@ class SpanTracer:
             "name": name, "cat": cat,
             "trace": self.trace_id if trace is None else trace,
         }
-        if not detached:
-            stack = self._stack()
-            if stack:
-                record["parent"] = stack[-1]
-            stack.append(span_id)
+        stack = self._stack()
+        if stack:
+            record["parent"] = stack[-1]
+        stack.append(span_id)
         if args:
             record["args"] = args
-        self.spans_begun += 1
         self._emit(record)
         return span_id
 
@@ -146,7 +124,6 @@ class SpanTracer:
         stack = self._stack()
         if span_id in stack:
             del stack[stack.index(span_id):]
-        self.spans_ended += 1
         self._emit(record)
 
     @contextmanager
@@ -172,8 +149,6 @@ class SpanTracer:
         }
         if args:
             record["args"] = args
-        self.spans_begun += 1
-        self.spans_ended += 1
         self._emit(record)
 
     # -- instants / counters ----------------------------------------------
@@ -187,7 +162,6 @@ class SpanTracer:
         }
         if args:
             record["args"] = args
-        self.events_emitted += 1
         self._emit(record)
 
     def counter(self, name: str, value, cat: str = "worker",
@@ -197,36 +171,18 @@ class SpanTracer:
             "cat": cat, "value": value,
             "trace": self.trace_id if trace is None else trace,
         }
-        self.counters_emitted += 1
         self._emit(record)
 
-    # -- introspection -----------------------------------------------------
-
-    def in_flight(self) -> List[int]:
-        """Span ids currently open across every thread."""
-        return [span_id for stack in self._stacks.values()
-                for span_id in stack]
-
-    def statistics(self) -> Dict[str, int]:
-        return {
-            "spans_begun": self.spans_begun,
-            "spans_ended": self.spans_ended,
-            "events": self.events_emitted,
-            "counters": self.counters_emitted,
-            "recorded": len(self.records),
-            "dropped": self.dropped,
-        }
-
     def close(self) -> None:
-        if self.spool is not None:
-            self.spool.close()
+        if not self._fh.closed:
+            self._fh.close()
 
 
 def attach_spans(platform, tracer: Optional[SpanTracer]) -> None:
     """Point every engine's ``span_tracer`` attribute at ``tracer``.
 
     Passing ``None`` detaches.  The engines only ever do one
-    ``is not None`` check per emit site, so a detached platform pays
+    ``is not None`` check per emit site, so a platform without a tracer pays
     a single attribute read on the cold paths and nothing per
     instruction.
     """
@@ -234,6 +190,3 @@ def attach_spans(platform, tracer: Optional[SpanTracer]) -> None:
     platform.jni.span_tracer = tracer
     if platform.vm.tbc is not None:
         platform.vm.tbc.span_tracer = tracer
-    observability = getattr(platform, "observability", None)
-    if observability is not None:
-        observability.spans = tracer

@@ -9,7 +9,7 @@ from repro.bench.cfbench import (
     WorkloadResult,
     geometric_mean,
 )
-from repro.bench.harness import make_platform
+from repro.bench.harness import make_platform, williams_order
 
 
 class TestWorkloads:
@@ -59,6 +59,34 @@ class TestGeometricMean:
         assert geometric_mean([4.0, 1.0]) == pytest.approx(2.0)
         assert geometric_mean([]) == 0.0
         assert geometric_mean([3.0]) == pytest.approx(3.0)
+
+
+class TestWilliamsOrder:
+    """The harness's run order: a balanced (Williams) design."""
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_each_treatment_directly_follows_every_other_equally(
+            self, count):
+        period = count if count % 2 == 0 else 2 * count
+        rows = [williams_order(count, index) for index in range(period)]
+        follows = {}
+        for row in rows:
+            assert sorted(row) == list(range(count))
+            for before, after in zip(row, row[1:]):
+                follows[before, after] = follows.get((before, after), 0) + 1
+        pairs = [(a, b) for a in range(count) for b in range(count)
+                 if a != b]
+        assert sorted(follows) == pairs
+        assert len(set(follows.values())) <= 1
+        # ... and runs in every position equally often.
+        for position in range(count):
+            column = sorted(row[position] for row in rows)
+            assert column == sorted(list(range(count)) * (period // count))
+
+    def test_order_is_a_pure_function_of_its_index(self):
+        assert williams_order(4, 5) == williams_order(4, 5) == \
+            williams_order(4, 1)
+        assert williams_order(3, 4) == williams_order(3, 10)
 
 
 class TestOverheadHarness:

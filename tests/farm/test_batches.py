@@ -7,7 +7,8 @@ from repro.cli import main
 from repro.farm import (ChaosMonkey, FarmScheduler, JobSpec, Manifest,
                         merge_spans)
 from repro.farm.chaos import parity_fields, run_chaos_harness
-from repro.farm.journal import iter_events, replay, verify_journal
+from repro.farm.journal import replay, verify_journal
+from repro.observability.flight import read_jsonl
 from repro.farm.manifest import ShardedManifest, iter_corpus_jobs
 from repro.farm.store import ResultStore
 from repro.observability.flight import validate_chrome_trace
@@ -61,7 +62,7 @@ class TestBisection:
         assert resumed.cached_jobs == len(manifest)
         assert again.outcomes == report.outcomes
         assert again.merged_metrics == report.merged_metrics
-        events = list(iter_events(_journal(run_dir)))
+        events = list(read_jsonl(_journal(run_dir), "event"))
         last_start = max(i for i, e in enumerate(events)
                          if e["event"] == "run_start")
         assert not [e for e in events[last_start:]
@@ -119,7 +120,8 @@ class TestShardedJournal:
         assert verify_journal(path) == []
 
         # Plant a second terminal for a committed batch: it is flagged.
-        done = next(e for e in iter_events(path) if e["event"] == "done")
+        done = next(e for e in read_jsonl(path, "event")
+                    if e["event"] == "done")
         with open(path, "a") as handle:
             handle.write(json.dumps(done) + "\n")
         violations = verify_journal(path)
@@ -156,7 +158,8 @@ class TestShardedCli:
         assert farm["health"]["deadline_kills"] > 0
         assert farm["outcomes"] != {"ok": len(manifest)}
         assert code == (1 if farm["outcomes"].get("lost") else 0)
-        strikes = [e for e in iter_events(_journal(out / "runstate"))
+        strikes = [e for e in read_jsonl(_journal(out / "runstate"),
+                                         "event")
                    if e["event"] == "strike"]
         assert strikes and all("deadline" in e["reason"] for e in strikes)
 

@@ -13,7 +13,9 @@ from repro.farm import (
     sink_counts,
     write_farm_artifacts,
 )
-from repro.farm.scheduler import CACHEABLE, _lost_result
+from repro.farm.scheduler import CACHEABLE, _lost_result, _poison_result
+from repro.farm.worker import execute_job
+from repro.resilience import Supervisor
 
 SMALL_CORPUS = Manifest(jobs=[
     JobSpec(id="scenario:ephone", kind="scenario", target="ephone"),
@@ -115,6 +117,44 @@ class TestCrashContainment:
         assert lost["status"] not in CACHEABLE
         assert "pool broke" in lost["error"]
         assert lost["digest"] == spec.digest()
+
+
+class TestResultRows:
+    """One function builds every row; each status keeps its keys, in order."""
+
+    HEAD = ["job", "digest", "status", "attempts", "degraded_events",
+            "quarantined_hooks", "injected_faults", "error", "tombstone",
+            "elapsed_seconds"]
+    SPEC = JobSpec(id="scenario:ephone", kind="scenario", target="ephone")
+
+    def test_scheduler_rows_name_no_worker(self):
+        lost = _lost_result(self.SPEC, "hung", 1.0, attempts=3)
+        poison = _poison_result(self.SPEC, 3, ["a", "b", "c"], 1.0, 3)
+        for row in (lost, poison):
+            assert list(row) == self.HEAD + ["metrics", "leaks"]
+            assert (row["metrics"], row["leaks"]) == ({}, [])
+        assert poison["tombstone"]["strikes"] == 3
+
+    def test_escaped_crash_row(self, monkeypatch):
+        def escape(self, label, analysis, plan=None):
+            raise RuntimeError("escaped")
+
+        monkeypatch.setattr(Supervisor, "run", escape)
+        row = execute_job(self.SPEC.to_dict())
+        assert list(row) == self.HEAD + ["worker_pid", "metrics", "leaks"]
+        assert row["status"] == "crashed"
+        assert row["error"] == "RuntimeError: escaped"
+        assert row["digest"] == self.SPEC.digest()
+
+    def test_analysed_rows_carry_their_payload_extras(self):
+        scenario = execute_job(self.SPEC.to_dict())
+        assert list(scenario) == self.HEAD + [
+            "worker_pid", "metrics", "leaks", "detected", "expected_taint",
+            "expected_destination", "metrics_gauges"]
+        corpus = execute_job(JobSpec(id="corpus:0", kind="corpus",
+                                     target="0", chunk=4).to_dict())
+        assert list(corpus) == self.HEAD + [
+            "worker_pid", "metrics", "leaks", "detected"]
 
 
 class TestMergedReport:

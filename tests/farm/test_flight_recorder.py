@@ -5,18 +5,23 @@ import json
 import os
 import signal
 
+import pytest
+
 from repro.farm import FarmScheduler, JobSpec, Manifest, merge_spans
+from repro.farm import worker as worker_module
 from repro.farm.chaos import ChaosMonkey
 from repro.farm.console import (
+    TAIL_BYTES,
     FarmConsole,
     cache_hit_rates,
     spool_live_state,
-    tail_spool,
 )
 from repro.farm.health import stamp_heartbeat
+from repro.farm.journal import RunJournal, journal_counts
 from repro.farm.merge import merge_metrics, write_trace_artifacts
+from repro.farm.scheduler import FarmInterrupted
 from repro.farm.worker import execute_job
-from repro.observability.flight import FlightSpool, validate_chrome_trace
+from repro.observability.flight import read_jsonl, validate_chrome_trace
 from repro.observability.spans import SpanTracer
 
 TWO_JOBS = Manifest(jobs=[
@@ -61,8 +66,7 @@ class TestCrashConsistency:
         pid = os.fork()
         if pid == 0:
             try:
-                tracer = SpanTracer(spool=FlightSpool(spool_path),
-                                    trace_id="deadbeef")
+                tracer = SpanTracer(spool_path, trace_id="deadbeef")
                 tracer.begin("job", cat="worker", id="scenario:doomed")
                 tracer.event("last_gasp", cat="worker")
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -83,7 +87,7 @@ class TestCrashConsistency:
             assert validate_chrome_trace(json.load(fh)) == []
 
     def test_manually_torn_spool_tail_never_raises(self, tmp_path):
-        tracer = SpanTracer(spool=FlightSpool(str(tmp_path / "w.jsonl")))
+        tracer = SpanTracer(str(tmp_path / "w.jsonl"))
         with tracer.span("job"):
             pass
         tracer.close()
@@ -111,10 +115,10 @@ class TestCrashConsistency:
         paths = write_trace_artifacts(trace_dir)
         with open(paths["trace"]) as fh:
             assert validate_chrome_trace(json.load(fh)) == []
-        # The scheduler's own spool records the quarantine decision,
-        # correlated to the poison job's trace id.
+        # The scheduler's track (its journal) records the quarantine
+        # decision, correlated to the poison job's trace id.
         quarantines = [e for e in timeline["events"]
-                       if e["name"] == "quarantined"]
+                       if e["name"] == "poison"]
         assert quarantines
         assert all(e["trace"] == poison[:12] for e in quarantines)
 
@@ -145,6 +149,14 @@ class TestFarmTraceEndToEnd:
         counter_names = {c["name"] for c in timeline["counters"]}
         assert {"tbc.hits", "jni.trampoline.hits", "tb.hits"} <= \
             counter_names
+        # The scheduler's track is its journal: one job span per
+        # dispatch, one instant per other transition.
+        journal = journal_counts(str(tmp_path / "run" / "journal.jsonl"))
+        jobs = [s for s in timeline["spans"]
+                if s["cat"] == "scheduler" and s["name"] == "job"]
+        assert len(jobs) == journal["dispatched"] == 2
+        assert {e["name"] for e in timeline["events"]
+                if e["cat"] == "scheduler"} == {"run_start", "run_end"}
 
     def test_inline_scheduler_traces_without_forking(self, tmp_path):
         trace_dir = str(tmp_path / "flight")
@@ -158,14 +170,52 @@ class TestFarmTraceEndToEnd:
         assert timeline["open_spans"] == 0
 
 
+    def test_drained_run_still_writes_its_track(self, tmp_path,
+                                                monkeypatch):
+        def interrupted_job(spec_dict, budget=None, tracer=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(worker_module, "execute_job", interrupted_job)
+        trace_dir = str(tmp_path / "flight")
+        scheduler = FarmScheduler(TWO_JOBS, workers=1,
+                                  run_dir=str(tmp_path / "run"),
+                                  trace_dir=trace_dir)
+        with pytest.raises(FarmInterrupted):
+            scheduler.run()
+        (job,) = [s for s in merge_spans(trace_dir)["spans"]
+                  if s["cat"] == "scheduler"]
+        assert job["args"]["status"] == "interrupted"
+
+    def test_killed_scheduler_track_appears_when_resume_ends(
+            self, tmp_path):
+        run_dir = tmp_path / "run"
+        ephone = TWO_JOBS.jobs[0]
+        # What a scheduler SIGKILLed mid-dispatch leaves in its journal.
+        with RunJournal(str(run_dir / "journal.jsonl")) as journal:
+            journal.record("run_start", resume=False, workers=2, jobs=2,
+                           pid=1)
+            journal.record("dispatched", digest=ephone.digest(),
+                           id=ephone.id, attempt=1, jobs=1, pid=2)
+        trace_dir = str(tmp_path / "flight")
+        FarmScheduler(TWO_JOBS, workers=1, resume=True,
+                      run_dir=str(run_dir), trace_dir=trace_dir).run()
+        jobs = [s for s in merge_spans(trace_dir)["spans"]
+                if s["cat"] == "scheduler"]
+        killed = [s for s in jobs if s["pid"] == 1]
+        resumed = [s for s in jobs if s["pid"] == os.getpid()]
+        assert [s.get("open") for s in killed] == [True]
+        assert killed[0]["trace"] == ephone.digest()[:12]
+        assert sorted(s["args"]["id"] for s in resumed) == \
+            ["scenario:benign", "scenario:ephone"]
+
+
 class TestDifferential:
     """Tracing must observe the engines, not steer them."""
 
     def test_traced_job_is_engine_identical(self, tmp_path):
         spec = TWO_JOBS.jobs[0].to_dict()
         plain = execute_job(dict(spec))
-        tracer = SpanTracer(
-            spool=FlightSpool(str(tmp_path / "w.jsonl")))
+        tracer = SpanTracer(str(tmp_path / "w.jsonl"))
         traced = execute_job(dict(spec), tracer=tracer)
         tracer.close()
 
@@ -174,7 +224,8 @@ class TestDifferential:
         assert plain["metrics"] == traced["metrics"]
         assert plain["leaks"] == traced["leaks"]
         assert plain["status"] == traced["status"]
-        assert tracer.statistics()["spans_begun"] > 0
+        assert any(record["ph"] == "B"
+                   for record in read_jsonl(tracer.path, "ph"))
 
 
 class TestConsole:
@@ -192,8 +243,7 @@ class TestConsole:
             fh.write(json.dumps({"event": "dispatched", "digest": "x"}))
             fh.write("\n")
             fh.write(json.dumps({"event": "done", "digest": "x"}) + "\n")
-        spool = FlightSpool(os.path.join(trace_dir, "worker-live.jsonl"))
-        tracer = SpanTracer(spool=spool)
+        tracer = SpanTracer(os.path.join(trace_dir, "worker-live.jsonl"))
         tracer.begin("scenario_run", cat="worker")
         tracer.counter("tbc.hits", 9)
         tracer.counter("tbc.misses", 1)
@@ -224,7 +274,7 @@ class TestConsole:
         with open(path, "w") as fh:
             fh.write('{"ph":"B","ts":1.0,"pid":4,"span":1,"name":"job"}\n')
             fh.write('{"ph":"C","ts":2.0,"pid":4,"name":"tb.hits","va')
-        records = tail_spool(path)
+        records = list(read_jsonl(path, "ph", TAIL_BYTES))
         assert [r["ph"] for r in records] == ["B"]
         state = spool_live_state(records)
         assert [s["name"] for s in state["open_spans"]] == ["job"]

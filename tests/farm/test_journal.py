@@ -2,13 +2,15 @@
 
 import json
 import os
+import time
 
 from repro.farm.journal import (
     RunJournal,
-    iter_events,
+    journal_counts,
     replay,
     verify_journal,
 )
+from repro.observability.flight import read_jsonl
 
 D1 = "aa" * 32
 D2 = "bb" * 32
@@ -29,10 +31,19 @@ class TestAppend:
             {"event": "dispatched", "digest": D1, "attempt": 1},
             {"event": "done", "digest": D1, "attempt": 1, "status": "ok"},
         ])
-        events = list(iter_events(path))
+        events = list(read_jsonl(path, "event"))
         assert [e["event"] for e in events] == \
             ["run_start", "dispatched", "done"]
         assert events[1]["digest"] == D1
+
+    def test_records_carry_wall_clock_timestamps(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        before = time.time() * 1e6
+        write_events(path, [{"event": "run_start"},
+                            {"event": "dispatched", "digest": D1}])
+        stamps = [e["ts"] for e in read_jsonl(path, "event")]
+        assert before <= stamps[0] <= stamps[1] <= time.time() * 1e6
+        assert journal_counts(path) == {"run_start": 1, "dispatched": 1}
 
     def test_append_only_across_reopens(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -41,7 +52,7 @@ class TestAppend:
         assert replay(path).run_starts == 2
 
     def test_missing_file_reads_empty(self, tmp_path):
-        assert list(iter_events(str(tmp_path / "nope.jsonl"))) == []
+        assert list(read_jsonl(str(tmp_path / "nope.jsonl"), "event")) == []
         assert replay(str(tmp_path / "nope.jsonl")).jobs == {}
 
 
@@ -54,7 +65,7 @@ class TestTornTail:
         ])
         with open(path, "a") as handle:
             handle.write('{"event": "done", "digest": "' + D1[:7])
-        events = list(iter_events(path))
+        events = list(read_jsonl(path, "event"))
         assert [e["event"] for e in events] == ["run_start", "dispatched"]
         # The torn "done" never happened: the job is still in flight.
         assert replay(path).in_flight_digests() == [D1]
@@ -65,7 +76,8 @@ class TestTornTail:
             handle.write(json.dumps(["not", "a", "dict"]) + "\n")
             handle.write(json.dumps({"no_event_key": 1}) + "\n")
             handle.write(json.dumps({"event": "run_start"}) + "\n")
-        assert [e["event"] for e in iter_events(path)] == ["run_start"]
+        assert [e["event"] for e in read_jsonl(path, "event")] == \
+            ["run_start"]
 
 
 class TestReplay:

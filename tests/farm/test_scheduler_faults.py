@@ -8,7 +8,8 @@ import time
 import pytest
 
 from repro.farm import worker as worker_module
-from repro.farm.journal import iter_events, replay, verify_journal
+from repro.farm.journal import replay, verify_journal
+from repro.observability.flight import read_jsonl
 from repro.farm.manifest import JobSpec, Manifest
 from repro.farm.scheduler import (
     CACHEABLE,
@@ -55,7 +56,7 @@ class Injector:
 
 
 def run_dir_events(run_dir):
-    return list(iter_events(os.path.join(run_dir, "journal.jsonl")))
+    return list(read_jsonl(os.path.join(run_dir, "journal.jsonl"), "event"))
 
 
 def digest_of(job_id):
@@ -144,7 +145,7 @@ class TestExhaustion:
         assert scheduler.health.worker_deaths == 3
         journal = os.path.join(str(tmp_path / "run"), "journal.jsonl")
         assert verify_journal(journal) == []
-        assert sum(1 for e in iter_events(journal)
+        assert sum(1 for e in read_jsonl(journal, "event")
                    if e["event"] == "poison") == 1
         # The verdict is cached: a resume replays it, never re-dispatches.
         assert store.get(target)["status"] == STATUS_POISON

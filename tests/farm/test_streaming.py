@@ -7,7 +7,7 @@ from collections import Counter
 from repro.corpus import analyze_corpus
 from repro.corpus.generator import CorpusGenerator
 from repro.farm import worker
-from repro.farm.journal import iter_events
+from repro.observability.flight import read_jsonl
 from repro.farm.manifest import ShardedManifest, iter_corpus_jobs
 from repro.farm.merge import (MergeFold, merge_results,
                               render_farm_report, write_farm_artifacts)
@@ -102,8 +102,8 @@ def test_resume_replays_committed_shards(tmp_path):
     resumed = run_farm(manifest, workers=1, run_dir=run_dir, resume=True)
     assert resumed.cached_jobs == len(manifest)
     assert _corpus_metrics(resumed) == _corpus_metrics(first)
-    events = [e["event"]
-              for e in iter_events(os.path.join(run_dir, "journal.jsonl"))]
+    events = [e["event"] for e in read_jsonl(
+        os.path.join(run_dir, "journal.jsonl"), "event")]
     assert events.count("run_start") == 2
     # One batch per shard: each replays as one digest-keyed record.
     assert events.count("cached") == manifest.shard_count

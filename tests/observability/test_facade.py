@@ -13,7 +13,7 @@ def test_disabled_platform_has_no_observability():
     platform = AndroidPlatform(observe=False)
     assert platform.observability is None
     assert platform.kernel.ledger is None
-    assert platform.emu.profiler is None
+    assert platform.emu.profile is None
 
 
 def test_wired_but_untraced_platform_keeps_engines_unledgered():
@@ -24,7 +24,7 @@ def test_wired_but_untraced_platform_keeps_engines_unledgered():
     assert platform.vm.ledger is None
     assert platform.libc.ledger is None
     assert platform.ndroid.instruction_tracer.ledger is None
-    assert platform.emu.profiler is None
+    assert platform.emu.profile is None
     # Metrics still pull fine without tracing.
     snapshot = platform.observability.snapshot()
     assert "emulator.instructions" in snapshot
@@ -40,10 +40,12 @@ def test_enable_tracing_propagates_to_all_engines():
     assert platform.ndroid.instruction_tracer.ledger is ledger
     assert platform.ndroid.dvm_hooks.ledger is ledger
     assert platform.ndroid.syslib_hooks.ledger is ledger
-    assert platform.emu.profiler is platform.observability.profiler
+    assert platform.emu.profile is platform.observability.profile
     platform.observability.disable_tracing()
     assert platform.kernel.ledger is None
-    assert platform.emu.profiler is None
+    assert platform.emu.profile is None
+    assert not any(name.startswith("profile.")
+                   for name in platform.observability.snapshot())
 
 
 def test_tracing_enabled_before_attach_also_wires_ndroid():
@@ -68,6 +70,7 @@ def test_metrics_cover_every_required_subsystem():
     assert snapshot["ledger.edges"] > 0
     assert snapshot["kernel.syscall.sendto"] == 1
     assert any(name.startswith("core.hook.") for name in snapshot)
+    assert any(name.startswith("profile.") for name in snapshot)
 
 
 def test_ledger_edges_validate_against_schema():

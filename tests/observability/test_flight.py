@@ -9,21 +9,22 @@ import json
 import os
 
 from repro.observability.flight import (
-    FlightSpool,
     aggregate_trace_dir,
     build_timeline,
     collect_spools,
-    read_spool,
+    journal_track,
+    read_jsonl,
     render_timeline,
     to_chrome_trace,
     validate_chrome_trace,
+    write_scheduler_track,
     write_trace_artifacts,
 )
 from repro.observability.spans import SpanTracer
 
 
 def _traced_spool(path, trace_id="job1"):
-    tracer = SpanTracer(spool=FlightSpool(path), trace_id=trace_id)
+    tracer = SpanTracer(path, trace_id=trace_id)
     with tracer.span("job", cat="worker"):
         with tracer.span("scenario_run", cat="worker"):
             tracer.complete("tb_translate", tracer.now(), cat="engine")
@@ -33,25 +34,30 @@ def _traced_spool(path, trace_id="job1"):
     return tracer
 
 
+def _write_lines(path, records):
+    with open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+
+
 class TestSpoolRoundTrip:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "w.jsonl")
-        tracer = _traced_spool(path)
-        records = list(read_spool(path))
-        assert len(records) == len(tracer.records)
+        _traced_spool(path)
+        records = list(read_jsonl(path, "ph"))
         assert [r["ph"] for r in records] == \
-            [r["ph"] for r in tracer.records]
+            ["B", "B", "X", "E", "i", "C", "E"]
 
     def test_missing_spool_yields_nothing(self, tmp_path):
-        assert list(read_spool(str(tmp_path / "absent.jsonl"))) == []
+        assert list(read_jsonl(str(tmp_path / "absent.jsonl"), "ph")) == []
 
     def test_torn_tail_is_skipped_not_raised(self, tmp_path):
         path = str(tmp_path / "torn.jsonl")
         _traced_spool(path)
-        whole = list(read_spool(path))
+        whole = list(read_jsonl(path, "ph"))
         with open(path, "a") as fh:
             fh.write('{"ph":"E","ts":12345.0,"pi')  # SIGKILL mid-write
-        assert list(read_spool(path)) == whole
+        assert list(read_jsonl(path, "ph")) == whole
 
     def test_garbage_lines_are_skipped(self, tmp_path):
         path = str(tmp_path / "noisy.jsonl")
@@ -61,24 +67,107 @@ class TestSpoolRoundTrip:
             fh.write('["a","list","not","a","record"]\n')
             fh.write('{"no_ph_or_ts": true}\n')
             fh.write('{"ph":"i","ts":5.0,"pid":1,"name":"ok"}\n')
-        records = list(read_spool(path))
+        records = list(read_jsonl(path, "ph"))
         assert [r["name"] for r in records] == ["ok"]
+
+    def test_tail_window_drops_its_partial_first_line(self, tmp_path):
+        path = str(tmp_path / "long.jsonl")
+        _write_lines(path, [{"ph": "i", "ts": float(n), "name": f"e{n}"}
+                            for n in range(100)])
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        window = sum(len(line) for line in lines[-3:])
+        assert [r["name"] for r in read_jsonl(path, "ph", window)] == \
+            ["e97", "e98", "e99"]
+        assert [r["name"] for r in read_jsonl(path, "ph", window + 5)] == \
+            ["e97", "e98", "e99"]
+        assert len(list(read_jsonl(path, "ph", 10 ** 6))) == 100
 
     def test_collect_spools_merges_time_sorted(self, tmp_path):
         for pid, base in ((1, 100.0), (2, 50.0)):
-            with FlightSpool(str(tmp_path / f"p{pid}.jsonl")) as spool:
-                spool.write({"ph": "i", "ts": base, "pid": pid, "name": "x"})
+            _write_lines(str(tmp_path / f"p{pid}.jsonl"),
+                         [{"ph": "i", "ts": base, "pid": pid, "name": "x"}])
         (tmp_path / "README.txt").write_text("not a spool")
         records = collect_spools(str(tmp_path))
         assert [r["pid"] for r in records] == [2, 1]
         assert collect_spools(str(tmp_path / "missing")) == []
 
 
+class TestJournalTrack:
+    """The scheduler's timeline is derived from its journal."""
+
+    JOURNAL = [
+        {"event": "run_start", "ts": 0.0, "pid": 10, "workers": 2},
+        {"event": "dispatched", "ts": 1.0, "digest": "a" * 64,
+         "attempt": 1, "id": "job-a", "pid": 11},
+        {"event": "dispatched", "ts": 2.0, "digest": "b" * 64,
+         "attempt": 1, "id": "job-b", "pid": 12},
+        {"event": "strike", "ts": 3.0, "digest": "b" * 64, "attempt": 1,
+         "reason": "worker died"},
+        {"event": "retry", "ts": 3.5, "digest": "b" * 64,
+         "next_attempt": 2},
+        {"event": "done", "ts": 5.0, "digest": "a" * 64, "attempt": 1,
+         "status": "ok"},
+        {"event": "dispatched", "ts": 6.0, "digest": "b" * 64,
+         "attempt": 2, "id": "job-b", "pid": 13},
+        # The scheduler is SIGKILLed here; a resume run takes over.
+        {"event": "run_start", "ts": 9.0, "pid": 20, "workers": 2},
+        {"event": "dispatched", "ts": 10.0, "digest": "b" * 64,
+         "attempt": 1, "id": "job-b", "pid": 21},
+        {"event": "done", "ts": 14.0, "digest": "b" * 64, "attempt": 1,
+         "status": "ok"},
+        {"event": "run_end", "ts": 15.0},
+    ]
+
+    def _track(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        _write_lines(path, self.JOURNAL)
+        return path, journal_track(path)
+
+    def test_dispatch_pairs_become_job_spans(self, tmp_path):
+        __, records = self._track(tmp_path)
+        spans = [r for r in records if r["ph"] == "X"]
+        assert [(s["trace"], s["ts"], s["dur"], s["args"]["status"])
+                for s in spans] == [("a" * 12, 1.0, 4.0, "ok"),
+                                    ("b" * 12, 2.0, 1.0, "strike"),
+                                    ("b" * 12, 10.0, 4.0, "ok")]
+        assert all(s["name"] == "job" and s["cat"] == "scheduler"
+                   for s in spans)
+        assert spans[1]["args"]["reason"] == "worker died"
+        # Each segment is drawn on the pid of the scheduler that ran it.
+        assert [s["pid"] for s in spans] == [10, 10, 20]
+
+    def test_other_events_are_instants(self, tmp_path):
+        __, records = self._track(tmp_path)
+        assert [r["name"] for r in records if r["ph"] == "i"] == \
+            ["run_start", "retry", "run_start", "run_end"]
+
+    def test_unresolved_dispatch_of_a_killed_segment_stays_open(
+            self, tmp_path):
+        path, __ = self._track(tmp_path)
+        trace_dir = str(tmp_path / "flight")
+        written = write_scheduler_track(path, trace_dir)
+        assert os.path.basename(written) == "scheduler.jsonl"
+        timeline = aggregate_trace_dir(trace_dir)
+        (open_span,) = [s for s in timeline["spans"] if s.get("open")]
+        assert open_span["args"]["attempt"] == 2
+        assert open_span["pid"] == 10
+        assert timeline["open_spans"] == 1
+        assert validate_chrome_trace(to_chrome_trace(timeline)) == []
+
+    def test_rewriting_replaces_the_earlier_track(self, tmp_path):
+        path, records = self._track(tmp_path)
+        trace_dir = str(tmp_path / "flight")
+        write_scheduler_track(path, trace_dir)
+        written = write_scheduler_track(path, trace_dir)
+        assert len(list(read_jsonl(written, "ph"))) == len(records)
+
+
 class TestBuildTimeline:
     def test_pairs_begins_with_ends(self, tmp_path):
         path = str(tmp_path / "w.jsonl")
         _traced_spool(path)
-        timeline = build_timeline(read_spool(path))
+        timeline = build_timeline(read_jsonl(path, "ph"))
         names = {s["name"] for s in timeline["spans"]}
         assert names == {"job", "scenario_run", "tb_translate"}
         assert timeline["open_spans"] == 0
@@ -128,8 +217,7 @@ class TestBuildTimeline:
 
 class TestChromeExport:
     def test_export_validates_and_labels_processes(self, tmp_path):
-        sched = SpanTracer(spool=FlightSpool(str(tmp_path / "s.jsonl")),
-                           trace_id="job1")
+        sched = SpanTracer(str(tmp_path / "s.jsonl"), trace_id="job1")
         sched.pid = 100
         with sched.span("job", cat="scheduler"):
             pass

@@ -2,16 +2,28 @@
 
 import threading
 
-from repro.observability.flight import FlightSpool, read_spool
+import pytest
+
+from repro.observability.flight import read_jsonl
 from repro.observability.spans import SpanTracer, attach_spans, now_us
 
 
+@pytest.fixture
+def spool(tmp_path):
+    return str(tmp_path / "spool.jsonl")
+
+
+def _records(tracer):
+    """What the tracer's spool holds, read back from disk."""
+    return list(read_jsonl(tracer.path, "ph"))
+
+
 class TestRecordShapes:
-    def test_begin_end_records(self):
-        tracer = SpanTracer(trace_id="abc123")
+    def test_begin_end_records(self, spool):
+        tracer = SpanTracer(spool, trace_id="abc123")
         span = tracer.begin("job", cat="scheduler", attempt=1)
         tracer.end(span, status="done")
-        begin, end = tracer.records
+        begin, end = _records(tracer)
         assert begin["ph"] == "B" and end["ph"] == "E"
         assert begin["name"] == "job"
         assert begin["cat"] == "scheduler"
@@ -21,77 +33,73 @@ class TestRecordShapes:
         assert end["args"] == {"status": "done"}
         assert end["ts"] >= begin["ts"]
 
-    def test_complete_is_one_record(self):
-        tracer = SpanTracer()
+    def test_complete_is_one_record(self, spool):
+        tracer = SpanTracer(spool)
         tracer.complete("tb_translate", now_us(), cat="engine", pc=0x1000)
-        (record,) = tracer.records
+        (record,) = _records(tracer)
         assert record["ph"] == "X"
         assert record["dur"] >= 0.0
         assert record["args"]["pc"] == 0x1000
 
-    def test_event_and_counter(self):
-        tracer = SpanTracer(trace_id="t1")
+    def test_event_and_counter(self, spool):
+        tracer = SpanTracer(spool, trace_id="t1")
         tracer.event("retry", cat="scheduler", attempt=2)
         tracer.counter("tb.hits", 7)
-        event, counter = tracer.records
+        event, counter = _records(tracer)
         assert event["ph"] == "i" and event["args"]["attempt"] == 2
         assert counter["ph"] == "C" and counter["value"] == 7
         assert counter["trace"] == "t1"
 
-    def test_explicit_trace_overrides_tracer_default(self):
-        tracer = SpanTracer(trace_id="default")
+    def test_explicit_trace_overrides_tracer_default(self, spool):
+        tracer = SpanTracer(spool, trace_id="default")
         tracer.event("queued", trace="override")
-        assert tracer.records[0]["trace"] == "override"
+        assert _records(tracer)[0]["trace"] == "override"
 
 
 class TestNesting:
-    def test_nested_spans_attribute_parents(self):
-        tracer = SpanTracer()
+    def test_nested_spans_attribute_parents(self, spool):
+        tracer = SpanTracer(spool)
         outer = tracer.begin("job")
         inner = tracer.begin("platform_boot")
         tracer.end(inner)
         tracer.end(outer)
-        records = {r["span"]: r for r in tracer.records if r["ph"] == "B"}
+        records = {r["span"]: r for r in _records(tracer) if r["ph"] == "B"}
         assert "parent" not in records[outer]
         assert records[inner]["parent"] == outer
 
-    def test_detached_spans_skip_the_stack(self):
-        tracer = SpanTracer()
-        first = tracer.begin("job", detached=True)
-        second = tracer.begin("job", detached=True)
-        begins = [r for r in tracer.records if r["ph"] == "B"]
-        assert all("parent" not in r for r in begins)
-        assert tracer.in_flight() == []
-        tracer.end(second)
-        tracer.end(first)
-
-    def test_end_prunes_abandoned_children(self):
+    def test_end_prunes_abandoned_children(self, spool):
         # Ending an outer span whose inner never ended (a crashed
-        # sub-phase) must not leave the inner id haunting the stack.
-        tracer = SpanTracer()
+        # sub-phase) must not leave the inner id haunting the stack:
+        # the next span has no parent.
+        tracer = SpanTracer(spool)
         outer = tracer.begin("job")
         tracer.begin("scenario_run")
         tracer.end(outer)
-        assert tracer.in_flight() == []
+        after = tracer.begin("job")
+        (record,) = [r for r in _records(tracer)
+                     if r["ph"] == "B" and r["span"] == after]
+        assert "parent" not in record
 
-    def test_span_context_manager_closes_on_error(self):
-        tracer = SpanTracer()
+    def test_span_context_manager_closes_on_error(self, spool):
+        tracer = SpanTracer(spool)
         try:
             with tracer.span("scenario_run"):
                 raise RuntimeError("scenario crashed")
         except RuntimeError:
             pass
-        assert tracer.in_flight() == []
-        assert tracer.statistics()["spans_ended"] == 1
+        assert [r["ph"] for r in _records(tracer)] == ["B", "E"]
+        after = tracer.begin("job")
+        assert "parent" not in _records(tracer)[-1]
+        tracer.end(after)
 
-    def test_threads_get_independent_stacks(self):
-        tracer = SpanTracer()
+    def test_threads_get_independent_stacks(self, spool):
+        tracer = SpanTracer(spool)
         main_span = tracer.begin("job")
         seen = {}
 
         def worker():
             span = tracer.begin("platform_boot")
-            record = [r for r in tracer.records
+            record = [r for r in _records(tracer)
                       if r["ph"] == "B" and r["span"] == span][0]
             seen["parent"] = record.get("parent")
             tracer.end(span)
@@ -104,50 +112,31 @@ class TestNesting:
         tracer.end(main_span)
 
 
-class TestBounds:
-    def test_flight_recorder_is_bounded_with_drop_tally(self):
-        tracer = SpanTracer(capacity=4)
-        for index in range(10):
-            tracer.event(f"e{index}")
-        assert len(tracer.records) == 4
-        assert tracer.dropped == 6
-        # The *newest* records survive: it is a flight recorder.
-        assert [r["name"] for r in tracer.records] == \
-            ["e6", "e7", "e8", "e9"]
+class TestSpoolIntegration:
+    def test_begin_hits_the_spool_before_end(self, spool):
+        # The crash-evidence property: a spool abandoned mid-span still
+        # holds the begin record.
+        tracer = SpanTracer(spool)
+        tracer.begin("job", cat="worker")
+        # No end, no close: simulate the state a SIGKILL would freeze.
+        assert [r["ph"] for r in read_jsonl(spool, "ph")] == ["B"]
+        tracer.close()
 
-    def test_statistics(self):
-        tracer = SpanTracer()
+    def test_every_record_reaches_the_spool(self, spool):
+        tracer = SpanTracer(spool)
         with tracer.span("a"):
             pass
         tracer.complete("b", now_us())
         tracer.event("c")
         tracer.counter("d", 1)
-        stats = tracer.statistics()
-        assert stats["spans_begun"] == 2
-        assert stats["spans_ended"] == 2
-        assert stats["events"] == 1
-        assert stats["counters"] == 1
-        assert stats["dropped"] == 0
-
-
-class TestSpoolIntegration:
-    def test_begin_hits_the_spool_before_end(self, tmp_path):
-        # The crash-evidence property: a spool abandoned mid-span still
-        # holds the begin record.
-        path = str(tmp_path / "spool.jsonl")
-        tracer = SpanTracer(spool=FlightSpool(path))
-        tracer.begin("job", cat="worker")
-        # No end, no close: simulate the state a SIGKILL would freeze.
-        records = list(read_spool(path))
-        assert [r["ph"] for r in records] == ["B"]
         tracer.close()
+        assert [r["ph"] for r in read_jsonl(spool, "ph")] == \
+            ["B", "E", "X", "i", "C"]
 
-    def test_close_is_idempotent(self, tmp_path):
-        tracer = SpanTracer(spool=FlightSpool(str(tmp_path / "s.jsonl")))
+    def test_close_is_idempotent(self, spool):
+        tracer = SpanTracer(spool)
         tracer.close()
         tracer.close()
-        no_spool = SpanTracer()
-        no_spool.close()  # no spool: also fine
 
 
 class TestAttach:
@@ -165,10 +154,10 @@ class TestAttach:
             self.vm = TestAttach._VM(tbc)
             self.observability = None
 
-    def test_attach_and_detach_all_engines(self):
+    def test_attach_and_detach_all_engines(self, spool):
         tbc = self._Engine()
         platform = self._Platform(tbc)
-        tracer = SpanTracer()
+        tracer = SpanTracer(spool)
         attach_spans(platform, tracer)
         assert platform.emu.span_tracer is tracer
         assert platform.jni.span_tracer is tracer
@@ -177,7 +166,7 @@ class TestAttach:
         assert platform.emu.span_tracer is None
         assert tbc.span_tracer is None
 
-    def test_attach_tolerates_absent_tbc(self):
+    def test_attach_tolerates_absent_tbc(self, spool):
         platform = self._Platform(None)
-        attach_spans(platform, SpanTracer())
+        attach_spans(platform, SpanTracer(spool))
         assert platform.jni.span_tracer is not None
