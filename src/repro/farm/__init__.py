@@ -29,11 +29,14 @@ shard as one batch with one committed file, and
 
 Layers::
 
-    Manifest (manifest.py)   what to run, digest-keyed JobSpecs
+    Manifest (manifest.py)   what to run: JobSpecs, each hashed once
     ShardedManifest (manifest.py) streamed JSONL shards + index
     FarmScheduler (scheduler.py)  batch -> dispatch -> split/retry/
                              quarantine -> commit -> merge
-    execute_batch (worker.py)  a batch of supervised jobs, one file;
+    execute_batch (worker.py)  one attempt of a batch, inline or in a
+                             forked worker: the scheduler's own JobSpecs,
+                             each supervised, rows committed as one file,
+                             the attempt's span spool opened and closed;
                              result_row builds every status's row
     WorkerPool (health.py)   fork, heartbeat, hung-vs-dead, reclaim
     RunJournal (journal.py)  crash-consistent WAL of batch transitions,

@@ -106,15 +106,13 @@ class _HeartbeatThread(threading.Thread):
                 return
 
 
-def run_worker(work: Callable, hb_path: str, interval: float,
-               spool_path: Optional[str] = None, trace_id: str = "",
+def run_worker(work: Callable[[], object], hb_path: str, interval: float,
                digest: str = "") -> None:
-    """Body of a forked farm worker: heartbeat, then ``work(tracer)``;
-    the caller must ``_exit`` afterwards.
+    """Body of a forked farm worker: heartbeat, then ``work()``; the
+    caller must ``_exit`` afterwards.
 
-    ``work`` commits its own results.  With ``spool_path`` set, the
-    worker opens its own post-fork :class:`SpanTracer` spool (no shared
-    descriptors) and hands it to ``work``; otherwise ``tracer`` is None.
+    ``work`` commits its own results (and, when its attempt is traced,
+    opens and closes its own span spool).
     """
     from repro.farm import worker as worker_module
 
@@ -127,13 +125,7 @@ def run_worker(work: Callable, hb_path: str, interval: float,
     stamp_heartbeat(hb_path, digest)
     beat = _HeartbeatThread(hb_path, interval, vitals=vitals)
     beat.start()
-    if spool_path is None:
-        work(None)
-        return
-    from repro.observability.spans import SpanTracer
-    tracer = SpanTracer(spool_path, trace_id=trace_id)
-    work(tracer)
-    tracer.close()
+    work()
 
 
 @dataclass
@@ -184,11 +176,10 @@ class WorkerPool:
 
     # -- spawn ----------------------------------------------------------------
 
-    def spawn(self, work: Callable, index: int, digest: str, job_id: str,
-              attempt: int, spool_path: Optional[str] = None,
-              trace_id: str = "", jobs: Tuple[str, ...] = ()
+    def spawn(self, work: Callable[[], object], index: int, digest: str,
+              job_id: str, attempt: int, jobs: Tuple[str, ...] = ()
               ) -> WorkerHandle:
-        """Fork a worker that runs ``work(tracer)`` under a heartbeat."""
+        """Fork a worker that runs ``work()`` under a heartbeat."""
         hb_path = os.path.join(self.hb_dir, digest)
         # A stale heartbeat from a previous attempt must not vouch for
         # the new worker.
@@ -197,9 +188,7 @@ class WorkerPool:
         if pid == 0:
             code = 1
             try:
-                run_worker(work, hb_path, self.interval,
-                           spool_path=spool_path, trace_id=trace_id,
-                           digest=digest)
+                run_worker(work, hb_path, self.interval, digest=digest)
                 code = 0
             except BaseException:
                 code = 1

@@ -1,11 +1,13 @@
 """Farm job manifests: what to analyse, keyed by content digest.
 
 A manifest is an ordered list of :class:`JobSpec` rows.  Each spec is a
-pure value — no callables, no platform state — so it pickles across the
-worker-pool boundary and hashes deterministically: :meth:`JobSpec.digest`
-is a sha256 over the canonical JSON form plus the farm schema version,
-and the result store uses that digest as its cache key.  Re-running an
-unchanged manifest therefore costs one digest computation per job.
+pure value — no callables, no platform state — so it hashes
+deterministically: :meth:`JobSpec.digest` is a sha256 over the canonical
+JSON form plus the farm schema version, and the result store uses that
+digest as its cache key.  A spec keeps its digest once computed, and the
+same spec object travels from the manifest through the scheduler and the
+(forked or inline) worker to its result row, so a job's digest is
+computed once per run.
 
 ``Manifest.builtin()`` covers the paper's full built-in corpus: the
 Table I / case-study scenarios plus the eight Section VI market apps.
@@ -68,6 +70,10 @@ class JobSpec:
     trace: bool = False
     scale: float = 1.0              # corpus jobs: generator scale factor
     chunk: int = 1                  # corpus jobs: records in this chunk
+    # The memoized digest: not a spec field, so it is neither hashed,
+    # compared, nor written to the dict form.
+    _digest: Optional[str] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -76,7 +82,7 @@ class JobSpec:
 
     def to_dict(self) -> Dict:
         # Every field is a flat value, so a plain read equals asdict()
-        # without its deep copy (this runs several times per job).
+        # without its deep copy.
         return {name: getattr(self, name) for name in _SPEC_FIELDS}
 
     @classmethod
@@ -85,14 +91,19 @@ class JobSpec:
 
     def digest(self) -> str:
         """Content digest: identical spec => identical key, any change
-        to the spec (or the farm schema) => a different key."""
-        canonical = json.dumps(
-            {"schema": FARM_SCHEMA_VERSION, **self.to_dict()},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        to the spec (or the farm schema) => a different key.  Computed
+        on the first call and kept on the spec."""
+        if self._digest is None:
+            canonical = json.dumps(
+                {"schema": FARM_SCHEMA_VERSION, **self.to_dict()},
+                sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_digest",
+                               hashlib.sha256(canonical.encode()).hexdigest())
+        return self._digest
 
 
-_SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(JobSpec))
+_SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(JobSpec)
+                     if spec_field.init)
 
 
 def iter_corpus_jobs(scale: float, seed: int = 2014,

@@ -55,6 +55,7 @@ Every job ends in exactly one of ``cached`` / a worker-classified result
 
 from __future__ import annotations
 
+import functools
 import gc
 import heapq
 import os
@@ -104,19 +105,19 @@ class FarmInterrupted(RuntimeError):
         self.in_flight = in_flight
 
 
-def _lost_result(spec: JobSpec, error, elapsed: float,
+def _lost_result(spec: JobSpec, digest: str, error, elapsed: float,
                  attempts: int = 1) -> Dict:
     if isinstance(error, BaseException):
         message = f"worker lost: {type(error).__name__}: {error}"
     else:
         message = f"worker lost: {error}"
-    return worker_module.result_row(spec, spec.digest(), STATUS_LOST,
+    return worker_module.result_row(spec, digest, STATUS_LOST,
                                     elapsed, attempts=attempts,
                                     error=message)
 
 
-def _poison_result(spec: JobSpec, strikes: int, reasons: List[str],
-                   elapsed: float, attempts: int) -> Dict:
+def _poison_result(spec: JobSpec, digest: str, strikes: int,
+                   reasons: List[str], elapsed: float, attempts: int) -> Dict:
     message = (f"poison job: killed {strikes} workers "
                f"({', '.join(reasons)})")
     tombstone = {
@@ -125,7 +126,7 @@ def _poison_result(spec: JobSpec, strikes: int, reasons: List[str],
         "strikes": strikes,
         "strike_reasons": list(reasons),
     }
-    return worker_module.result_row(spec, spec.digest(), STATUS_POISON,
+    return worker_module.result_row(spec, digest, STATUS_POISON,
                                     elapsed, attempts=attempts,
                                     error=message, tombstone=tombstone)
 
@@ -270,7 +271,11 @@ class FarmScheduler:
                 write_scheduler_track(journal.path, self.trace_dir)
 
     def _load(self, batch: _Batch) -> List[JobSpec]:
-        """The batch's specs; fills in its member digests and label."""
+        """The batch's specs; fills in its member digests and label.
+
+        The worker runs these very spec objects, so each digest computed
+        here is the one its row carries.
+        """
         specs = self.manifest.specs(batch.start, batch.stop)
         if batch.digests is None:
             batch.digests = [spec.digest() for spec in specs]
@@ -348,14 +353,18 @@ class FarmScheduler:
             except (ValueError, OSError):  # pragma: no cover
                 pass
 
-    # -- tracing --------------------------------------------------------------
+    # -- execute --------------------------------------------------------------
 
-    def _worker_spool(self, digest: str, attempt: int) -> Optional[str]:
-        """Per-attempt spool path (attempts never interleave in one file)."""
-        if self.trace_dir is None:
-            return None
-        return os.path.join(self.trace_dir,
-                            f"worker-{digest[:12]}-a{attempt}.jsonl")
+    def _execute(self, batch: _Batch, specs: List[JobSpec]) -> Dict[str, int]:
+        """Run one attempt of ``batch`` in this process: the body of a
+        forked worker, and the whole of inline mode.  A traced attempt
+        spools its spans to its own file (attempts never interleave)."""
+        key = batch.key
+        spool = None if self.trace_dir is None else os.path.join(
+            self.trace_dir, f"worker-{key[:12]}-a{batch.attempt}.jsonl")
+        return worker_module.execute_batch(
+            specs, self._store.path(key), budget=self.budget,
+            spool_path=spool, trace_id=key[:12])
 
     # -- commit ---------------------------------------------------------------
 
@@ -380,26 +389,13 @@ class FarmScheduler:
             self._journal.record("dispatched", digest=key, id=batch.label,
                                  attempt=1, jobs=batch.size,
                                  pid=os.getpid())
-            # Inline mode is its own worker: it opens the spool a forked
-            # worker of this attempt would.
-            spool = self._worker_spool(key, 1)
-            tracer = None
-            if spool is not None:
-                from repro.observability.spans import SpanTracer
-                tracer = SpanTracer(spool, trace_id=key[:12])
             try:
-                outcomes = worker_module.execute_batch(
-                    (spec.to_dict() for spec in specs),
-                    self._store.path(key), budget=self.budget,
-                    tracer=tracer)
+                outcomes = self._execute(batch, specs)
             except KeyboardInterrupt:
                 self._journal.record("interrupted", digest=key,
                                      id=batch.label, attempt=1)
                 self.health.interrupted_jobs += batch.size
                 raise FarmInterrupted([batch.label]) from None
-            finally:
-                if tracer is not None:
-                    tracer.close()
             self._accept(batch, outcomes)
 
     # -- pool (fleet mode) ----------------------------------------------------
@@ -444,23 +440,14 @@ class FarmScheduler:
 
     def _spawn_ready(self, pool: WorkerPool) -> bool:
         progressed = False
-        budget = self.budget
         while self._queue and len(pool.live) < self.workers:
             batch = self._queue.popleft()
-            spec_dicts = [spec.to_dict() for spec in self._load(batch)]
+            specs = self._load(batch)
             batch.attempt += 1
             key = batch.key
-            path = self._store.path(key)
-
-            def work(tracer, spec_dicts=spec_dicts, path=path) -> None:
-                worker_module.execute_batch(spec_dicts, path, budget=budget,
-                                            tracer=tracer)
-
-            handle = pool.spawn(work, batch.start, key, batch.label,
-                                batch.attempt,
-                                spool_path=self._worker_spool(
-                                    key, batch.attempt),
-                                trace_id=key[:12], jobs=batch.digests)
+            handle = pool.spawn(functools.partial(self._execute, batch, specs),
+                                batch.start, key, batch.label, batch.attempt,
+                                jobs=batch.digests)
             self._flight[handle.pid] = batch
             self._journal.record("dispatched", digest=key, id=batch.label,
                                  attempt=batch.attempt, jobs=batch.size,
@@ -542,7 +529,7 @@ class FarmScheduler:
         spec = self.manifest.specs(batch.start, batch.stop)[0]
         elapsed = handle.runtime(time.monotonic())
         if strikes >= self.poison_threshold:
-            row = _poison_result(spec, strikes, reasons, elapsed,
+            row = _poison_result(spec, key, strikes, reasons, elapsed,
                                  attempts=batch.attempt)
             row["tombstone"]["last_instructions"] = last_instructions
             journal.record("poison", digest=key, id=batch.label,
@@ -552,7 +539,7 @@ class FarmScheduler:
             self._segments[batch.start] = (batch.stop,
                                            self._store.path(key), False)
         elif batch.attempt >= 1 + self.max_retries:
-            row = _lost_result(spec, reason, elapsed,
+            row = _lost_result(spec, key, reason, elapsed,
                                attempts=batch.attempt)
             journal.record("lost", digest=key, id=batch.label,
                            attempt=batch.attempt, reason=reason)

@@ -82,13 +82,6 @@ class RowSpool:
             pass
 
 
-def atomic_write_json(path: str, payload: Dict) -> None:
-    """Commit one row at ``path`` so it is either absent or whole."""
-    spool = RowSpool(path)
-    spool.add(payload)
-    spool.commit()
-
-
 def iter_rows(path: str) -> Iterator[Dict]:
     """Stream a committed file's rows; a damaged line raises ValueError."""
     with open(path) as handle:
@@ -127,20 +120,6 @@ def scan_rows(path: str, key: Optional[str] = None
         elif None in digests or batch_digest(digests) != key:
             return None
     return outcomes
-
-
-def read_verified_json(path: str, digest: Optional[str] = None
-                       ) -> Optional[Dict]:
-    """Load a committed one-row result, or ``None`` if it is damage."""
-    try:
-        rows = list(iter_rows(path))
-    except (OSError, ValueError):
-        return None
-    if len(rows) != 1:
-        return None
-    if digest is not None and rows[0].get("digest") not in (None, digest):
-        return None
-    return rows[0]
 
 
 class ResultStore:
@@ -182,19 +161,11 @@ class ResultStore:
         self.hits += 1
         return outcomes
 
-    def get(self, digest: str) -> Optional[Dict]:
-        """The one-job entry under ``digest`` (verified), or ``None``;
-        damage is dropped, as in :meth:`scan`."""
-        result = read_verified_json(self.path(digest), digest=digest)
-        if result is None:
-            self.misses += 1
-            self.drop(digest)
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, digest: str, result: Dict) -> None:
-        atomic_write_json(self.path(digest), result)
+    def put(self, key: str, row: Dict) -> None:
+        """Commit one row as the entry under ``key``: absent or whole."""
+        spool = RowSpool(self.path(key))
+        spool.add(row)
+        spool.commit()
 
     def digests(self) -> List[str]:
         return sorted(name[:-len(".json")]

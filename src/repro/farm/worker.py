@@ -1,8 +1,11 @@
 """The farm worker: run jobs to classified, JSON-able results.
 
-:func:`execute_job` runs one job; it takes and returns plain dicts
-(JSON-able) and lives at module top level.  :func:`execute_batch` runs a
-scheduler batch through it and commits the rows as one file.  Every job runs inside the resilience
+:func:`execute_batch` runs a scheduler batch — the same spec objects the
+scheduler loaded, in this process or in a forked worker — and commits
+the rows as one file; when the attempt is traced it opens and closes the
+attempt's span spool itself.  :func:`execute_job` runs one job (a
+:class:`JobSpec`, or its dict form) to one JSON-able result row and
+lives at module top level.  Every job runs inside the resilience
 :class:`Supervisor`, so a crashing or runaway app becomes a recorded
 ``crashed``/``timeout`` outcome with a tombstone (the serialized
 :class:`CrashReport`) instead of killing the worker — and anything that
@@ -12,11 +15,12 @@ pool never loses a worker to one hostile job.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import os
 import time
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Union
 
 from repro.farm.manifest import JobSpec
 
@@ -55,41 +59,74 @@ def warm_boot_templates(configs) -> None:
         WARM["templates"][config] = platform
 
 
-def _boot_platform(spec: JobSpec, ctx):
-    """Build + attach the job's platform, publishing it to ``LIVE``.
+def _span(tracer, name: str, sample_caches: bool = False, **args):
+    """``tracer``'s worker span ``name``, or a no-op context untraced.
 
-    With a span tracer active the boot is wrapped in a ``platform_boot``
-    span and the engines' span hooks are pointed at the tracer; each JNI
-    crossing is then one ``jni_crossing`` span carrying its duration.
+    With ``sample_caches`` the span samples the three hot caches into the
+    trace as counter records as it closes.
+    """
+    if tracer is None:
+        return contextlib.nullcontext()
+    if sample_caches:
+        return _sampling_span(tracer, name, args)
+    return tracer.span(name, cat="worker", **args)
+
+
+@contextlib.contextmanager
+def _sampling_span(tracer, name: str, args: Dict):
+    with tracer.span(name, cat="worker", **args):
+        yield
+        platform = LIVE["platform"]
+        if platform is None:
+            return
+        emu, jni, tbc = platform.emu, platform.jni, platform.vm.tbc
+        tracer.counter("tb.hits", emu._tb_cache.hits, cat="engine")
+        tracer.counter("tb.misses", emu._tb_cache.misses, cat="engine")
+        tracer.counter("jni.trampoline.hits", jni.trampoline_hits,
+                       cat="engine")
+        tracer.counter("jni.trampoline.misses", jni.trampoline_misses,
+                       cat="engine")
+        tracer.counter("jni.crossings_fast", jni.crossings_fast,
+                       cat="engine")
+        tracer.counter("jni.crossings_slow", jni.crossings_slow,
+                       cat="engine")
+        if tbc is not None:
+            tracer.counter("tbc.hits", tbc.hits, cat="engine")
+            tracer.counter("tbc.misses", tbc.misses, cat="engine")
+
+
+def _boot_platform(spec: JobSpec, ctx):
+    """Build (or reset) + attach the job's platform, publishing it to ``LIVE``.
+
+    The boot runs in a ``platform_boot`` span and the engines' span hooks
+    are pointed at the job's tracer (``None`` detaches them); each JNI
+    crossing of a traced job is then one ``jni_crossing`` span carrying
+    its duration.
 
     Warm mode reuses the per-config template platform instead: the job
     pays ``reset_for_job()`` (a state wipe), not a full boot, and keeps
-    every warm translation cache.  Traced jobs always cold-boot — the
-    ledger/profile wiring is per-platform and jobs must not share it.
+    every warm translation cache.  Jobs with a provenance ledger
+    (``spec.trace``) always cold-boot — the ledger wiring is per-platform
+    and jobs must not share it.
     """
     from repro.bench.harness import make_platform
+    from repro.observability.spans import attach_spans
 
-    tracer = LIVE.get("tracer")
-    if tracer is None and not spec.trace and WARM["enabled"]:
-        platform = WARM["templates"].get(spec.config)
-        if platform is None:
-            # A long-lived forked worker boots its template lazily (the
-            # pool scheduler pre-boots before forking; this is the
-            # fallback for workers forked before configure_warm ran jobs).
-            warm_boot_templates([spec.config])
-            platform = WARM["templates"][spec.config]
-        platform.reset_for_job()
-        LIVE["platform"] = platform
-        ctx.attach(platform)
-        return platform
-    if tracer is None:
-        platform = make_platform(spec.config, trace=spec.trace)
-    else:
-        with tracer.span("platform_boot", cat="worker",
-                         config=spec.config):
+    tracer = LIVE["tracer"]
+    with _span(tracer, "platform_boot", config=spec.config):
+        if spec.trace or not WARM["enabled"]:
             platform = make_platform(spec.config, trace=spec.trace)
-        from repro.observability.spans import attach_spans
-        attach_spans(platform, tracer)
+        else:
+            platform = WARM["templates"].get(spec.config)
+            if platform is None:
+                # A long-lived forked worker boots its template lazily
+                # (the pool scheduler pre-boots before forking; this is
+                # the fallback for workers forked before configure_warm
+                # ran jobs).
+                warm_boot_templates([spec.config])
+                platform = WARM["templates"][spec.config]
+            platform.reset_for_job()
+    attach_spans(platform, tracer)
     LIVE["platform"] = platform
     ctx.attach(platform)
     return platform
@@ -133,12 +170,8 @@ def _analyze_scenario(spec: JobSpec, ctx) -> Dict:
         raise ValueError(f"unknown scenario {spec.target!r}")
     scenario = ALL_SCENARIOS[spec.target]()
     platform = _boot_platform(spec, ctx)
-    tracer = LIVE.get("tracer")
-    if tracer is None:
+    with _span(LIVE["tracer"], "scenario_run", target=spec.target):
         run_scenario(scenario, platform)
-    else:
-        with tracer.span("scenario_run", cat="worker", target=spec.target):
-            run_scenario(scenario, platform)
     payload = _observe(platform, spec.trace)
     if scenario.expected_taint:
         detected = any(r["taint"] & scenario.expected_taint
@@ -159,16 +192,10 @@ def _analyze_market(spec: JobSpec, ctx) -> Dict:
         raise ValueError(f"unknown market app {spec.target!r}")
     apk = MARKET_APPS[spec.target]()
     platform = _boot_platform(spec, ctx)
-    tracer = LIVE.get("tracer")
-    if tracer is None:
+    with _span(LIVE["tracer"], "scenario_run", target=spec.target):
         platform.install(apk)
         session = MonkeyRunner(platform, seed=spec.seed).run(
             apk, events=spec.events)
-    else:
-        with tracer.span("scenario_run", cat="worker", target=spec.target):
-            platform.install(apk)
-            session = MonkeyRunner(platform, seed=spec.seed).run(
-                apk, events=spec.events)
     payload = _observe(platform, spec.trace)
     payload["coverage"] = session.coverage
     payload["detected"] = bool(payload["leaks"])
@@ -243,24 +270,6 @@ _ANALYSES = {"scenario": _analyze_scenario, "market": _analyze_market,
              "corpus": _analyze_corpus_chunk}
 
 
-def _emit_cache_counters(tracer) -> None:
-    """Sample the three hot caches into the trace as counter records."""
-    platform = LIVE.get("platform")
-    if platform is None:
-        return
-    emu, jni, tbc = platform.emu, platform.jni, platform.vm.tbc
-    tracer.counter("tb.hits", emu._tb_cache.hits, cat="engine")
-    tracer.counter("tb.misses", emu._tb_cache.misses, cat="engine")
-    tracer.counter("jni.trampoline.hits", jni.trampoline_hits, cat="engine")
-    tracer.counter("jni.trampoline.misses", jni.trampoline_misses,
-                   cat="engine")
-    tracer.counter("jni.crossings_fast", jni.crossings_fast, cat="engine")
-    tracer.counter("jni.crossings_slow", jni.crossings_slow, cat="engine")
-    if tbc is not None:
-        tracer.counter("tbc.hits", tbc.hits, cat="engine")
-        tracer.counter("tbc.misses", tbc.misses, cat="engine")
-
-
 # Analysis payload keys a row carries after its metrics and leaks.
 _PAYLOAD_EXTRAS = ("detected", "coverage", "expected_taint",
                    "expected_destination", "trace", "trace_dropped",
@@ -304,9 +313,10 @@ def result_row(spec: JobSpec, digest: str, status: str, elapsed: float,
     return row
 
 
-def execute_batch(spec_dicts, out_path: str,
+def execute_batch(specs: Iterable[JobSpec], out_path: str,
                   budget: Optional[int] = DEFAULT_BUDGET,
-                  tracer=None) -> Dict[str, int]:
+                  spool_path: Optional[str] = None,
+                  trace_id: str = "") -> Dict[str, int]:
     """Run a batch of jobs and commit their rows as one file.
 
     The batch is the scheduler's unit of commitment: rows spool to a
@@ -316,52 +326,65 @@ def execute_batch(spec_dicts, out_path: str,
     counts (never the rows themselves).  Anything that escapes a job
     (the scheduler draining, the worker told to die) discards the
     spool and propagates.
+
+    With ``spool_path`` set the attempt is traced: the batch opens its
+    own :class:`SpanTracer` there (in the process that runs it, so no
+    descriptor crosses a fork), stamps every record with ``trace_id``,
+    and closes it however the batch ends.
     """
     from repro.farm.store import RowSpool
 
-    spool = RowSpool(out_path)
-    outcomes: Dict[str, int] = {}
-    try:
-        for spec_dict in spec_dicts:
-            # tracer kwarg only when tracing: tests monkeypatch
-            # execute_job with narrower signatures.
-            if tracer is None:
-                row = execute_job(spec_dict, budget=budget)
-            else:
-                row = execute_job(spec_dict, budget=budget, tracer=tracer)
-            spool.add(row)
-            status = row.get("status", "lost")
-            outcomes[status] = outcomes.get(status, 0) + 1
-    except BaseException:
-        spool.discard()
-        raise
-    if tracer is None:
-        spool.commit()
+    if spool_path is None:
+        tracing = contextlib.nullcontext()
     else:
-        with tracer.span("store_commit", cat="worker"):
+        from repro.observability.spans import SpanTracer
+        tracing = contextlib.closing(SpanTracer(spool_path,
+                                                trace_id=trace_id))
+    with tracing as tracer:
+        spool = RowSpool(out_path)
+        outcomes: Dict[str, int] = {}
+        try:
+            for spec in specs:
+                row = execute_job(spec, budget=budget, tracer=tracer)
+                spool.add(row)
+                status = row.get("status", "lost")
+                outcomes[status] = outcomes.get(status, 0) + 1
+        except BaseException:
+            spool.discard()
+            raise
+        with _span(tracer, "store_commit"):
             spool.commit()
     return outcomes
 
 
-def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,
+def execute_job(spec: Union[JobSpec, Dict],
+                budget: Optional[int] = DEFAULT_BUDGET,
                 tracer=None) -> Dict:
-    """Run one farm job; always returns a result dict, never raises."""
+    """Run one farm job; always returns a result row, never raises.
+
+    ``spec`` is a :class:`JobSpec`, or its dict form, parsed here.
+    """
+    if isinstance(spec, dict):
+        spec = JobSpec.from_dict(spec)
+    LIVE["platform"] = None
+    LIVE["tracer"] = tracer
+    try:
+        with _span(tracer, "job", sample_caches=True, id=spec.id,
+                   kind=spec.kind, target=spec.target):
+            return _supervised_row(spec, budget)
+    finally:
+        LIVE["platform"] = None
+        LIVE["tracer"] = None
+
+
+def _supervised_row(spec: JobSpec, budget: Optional[int]) -> Dict:
+    """Run the job's analysis under the :class:`Supervisor` to its row."""
     from repro.resilience import FaultPlan, Supervisor
     from repro.resilience.report import CrashReport
 
-    spec = JobSpec.from_dict(spec_dict)
     digest = spec.digest()
     plan = FaultPlan.parse(spec.faults) if spec.faults else None
     analyze = _ANALYSES[spec.kind]
-
-    LIVE["platform"] = None
-    LIVE["tracer"] = tracer
-    job_span = None
-    if tracer is not None:
-        if not tracer.trace_id:
-            tracer.trace_id = digest[:12]
-        job_span = tracer.begin("job", cat="worker", id=spec.id,
-                                kind=spec.kind, target=spec.target)
 
     def analysis(ctx):
         return analyze(spec, ctx)
@@ -377,29 +400,17 @@ def execute_job(spec_dict: Dict, budget: Optional[int] = DEFAULT_BUDGET,
         raise
     except BaseException as error:  # escaped the supervisor: tombstone it
         report = CrashReport.capture(label=spec.id, error=error)
-        if tracer is not None:
-            tracer.end(job_span, status="crashed")
-            LIVE["platform"] = None
-            LIVE["tracer"] = None
         return result_row(spec, digest, "crashed",
                           time.perf_counter() - start,
                           error=f"{type(error).__name__}: {error}",
                           tombstone=report.to_dict(),
                           worker_pid=os.getpid())
-    elapsed = time.perf_counter() - start
-
-    row = result_row(
-        spec, digest, result.status, elapsed, attempts=result.attempts,
-        error=result.error,
+    return result_row(
+        spec, digest, result.status, time.perf_counter() - start,
+        attempts=result.attempts, error=result.error,
         tombstone=(result.crash_report.to_dict()
                    if result.crash_report is not None else None),
         degraded_events=result.degraded_events,
         quarantined_hooks=result.quarantined_hooks,
         injected_faults=result.injected_faults, worker_pid=os.getpid(),
         payload=result.value if isinstance(result.value, dict) else None)
-    if tracer is not None:
-        _emit_cache_counters(tracer)
-        tracer.end(job_span, status=result.status)
-        LIVE["platform"] = None
-        LIVE["tracer"] = None
-    return row

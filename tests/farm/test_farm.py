@@ -112,7 +112,8 @@ class TestCrashContainment:
     def test_lost_worker_result_is_synthesized_and_never_cached(self):
         spec = JobSpec(id="scenario:ephone", kind="scenario",
                        target="ephone")
-        lost = _lost_result(spec, RuntimeError("pool broke"), 1.0)
+        lost = _lost_result(spec, spec.digest(), RuntimeError("pool broke"),
+                            1.0)
         assert lost["status"] == "lost"
         assert lost["status"] not in CACHEABLE
         assert "pool broke" in lost["error"]
@@ -128,8 +129,10 @@ class TestResultRows:
     SPEC = JobSpec(id="scenario:ephone", kind="scenario", target="ephone")
 
     def test_scheduler_rows_name_no_worker(self):
-        lost = _lost_result(self.SPEC, "hung", 1.0, attempts=3)
-        poison = _poison_result(self.SPEC, 3, ["a", "b", "c"], 1.0, 3)
+        lost = _lost_result(self.SPEC, self.SPEC.digest(), "hung", 1.0,
+                            attempts=3)
+        poison = _poison_result(self.SPEC, self.SPEC.digest(), 3,
+                                ["a", "b", "c"], 1.0, 3)
         for row in (lost, poison):
             assert list(row) == self.HEAD + ["metrics", "leaks"]
             assert (row["metrics"], row["leaks"]) == ({}, [])

@@ -172,7 +172,7 @@ class TestFarmTraceEndToEnd:
 
     def test_drained_run_still_writes_its_track(self, tmp_path,
                                                 monkeypatch):
-        def interrupted_job(spec_dict, budget=None, tracer=None):
+        def interrupted_job(spec, budget=None, tracer=None):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(worker_module, "execute_job", interrupted_job)

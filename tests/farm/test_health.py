@@ -21,7 +21,7 @@ def make_pool(tmp_path, **options):
 
 
 def spawn(pool, commit=lambda result: None, attempt=1):
-    def work(tracer):
+    def work():
         commit(worker_module.execute_job(SPEC, budget=None))
     return pool.spawn(work, 0, DIGEST, SPEC["id"], attempt)
 
@@ -42,8 +42,8 @@ class TestSpawnReap:
         # through the module at call time, not frozen at import.
         out = str(tmp_path / "committed.json")
 
-        def fake_execute(spec_dict, budget=None):
-            return {"digest": spec_dict and DIGEST, "status": "ok"}
+        def fake_execute(spec, budget=None, tracer=None):
+            return {"digest": spec and DIGEST, "status": "ok"}
 
         def commit(result):
             with open(out, "w") as handle:
@@ -61,7 +61,7 @@ class TestSpawnReap:
             assert committed.read() == "ok"
 
     def test_crashing_worker_reaps_nonzero(self, tmp_path, monkeypatch):
-        def bad_execute(spec_dict, budget=None):
+        def bad_execute(spec, budget=None, tracer=None):
             raise RuntimeError("worker-side explosion")
 
         monkeypatch.setattr(worker_module, "execute_job", bad_execute)
@@ -73,7 +73,7 @@ class TestSpawnReap:
     def test_signal_death_reports_negative_signum(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.setattr(worker_module, "execute_job",
-                            lambda spec_dict, budget=None: time.sleep(30))
+                            lambda spec, budget=None, tracer=None: time.sleep(30))
         pool = make_pool(tmp_path)
         handle = spawn(pool)
         os.kill(handle.pid, signal.SIGKILL)
@@ -85,7 +85,7 @@ class TestHeartbeats:
     def test_busy_worker_keeps_stamping(self, tmp_path, monkeypatch):
         interval = 0.02
         monkeypatch.setattr(worker_module, "execute_job",
-                            lambda spec_dict, budget=None: time.sleep(30))
+                            lambda spec, budget=None, tracer=None: time.sleep(30))
         pool = make_pool(tmp_path, interval=interval)
         handle = spawn(pool)
         try:
@@ -101,7 +101,7 @@ class TestHeartbeats:
                                                        monkeypatch):
         interval = 0.02
         monkeypatch.setattr(worker_module, "execute_job",
-                            lambda spec_dict, budget=None: time.sleep(30))
+                            lambda spec, budget=None, tracer=None: time.sleep(30))
         pool = make_pool(tmp_path, interval=interval)
         handle = spawn(pool)
         try:
@@ -138,7 +138,7 @@ class TestHeartbeats:
         # SIGKILL is the one signal a SIGSTOP'd process cannot ignore;
         # kill() must reap synchronously with no zombie left behind.
         monkeypatch.setattr(worker_module, "execute_job",
-                            lambda spec_dict, budget=None: time.sleep(30))
+                            lambda spec, budget=None, tracer=None: time.sleep(30))
         pool = make_pool(tmp_path)
         handle = spawn(pool)
         os.kill(handle.pid, signal.SIGSTOP)
@@ -183,7 +183,7 @@ class _gone:
 class TestDeadline:
     def test_overdue_ignores_none_deadline(self, tmp_path, monkeypatch):
         monkeypatch.setattr(worker_module, "execute_job",
-                            lambda spec_dict, budget=None: time.sleep(30))
+                            lambda spec, budget=None, tracer=None: time.sleep(30))
         pool = make_pool(tmp_path)
         handle = spawn(pool)
         try:

@@ -12,8 +12,14 @@ from repro.farm.manifest import (FARM_SCHEMA_VERSION, JobSpec, Manifest,
 def test_digest_is_stable_across_instances():
     a = JobSpec(id="scenario:ephone", kind="scenario", target="ephone")
     b = JobSpec(id="scenario:ephone", kind="scenario", target="ephone")
-    assert a.digest() == b.digest()
-    assert len(a.digest()) == 64
+    digest = a.digest()
+    # Kept on the spec once computed, and not part of it: b, not yet
+    # hashed, still equals a, and the dict form leaves the memo out.
+    assert a.digest() is digest
+    assert a == b and hash(a) == hash(b)
+    assert a.to_dict() == b.to_dict()
+    assert b.digest() == digest
+    assert len(digest) == 64
 
 
 def test_digest_changes_with_any_field():

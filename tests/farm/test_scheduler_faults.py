@@ -124,7 +124,7 @@ class TestExhaustion:
         assert lost["status"] == STATUS_LOST
         assert lost["attempts"] == 2                 # initial + 1 retry
         assert STATUS_LOST not in CACHEABLE
-        assert store.get(target) is None             # lost never caches
+        assert store.scan(target) is None            # lost never caches
         assert scheduler.health.lost_jobs == 1
 
     def test_poison_job_quarantined_exactly_once_and_cached(self, tmp_path):
@@ -148,7 +148,7 @@ class TestExhaustion:
         assert sum(1 for e in read_jsonl(journal, "event")
                    if e["event"] == "poison") == 1
         # The verdict is cached: a resume replays it, never re-dispatches.
-        assert store.get(target)["status"] == STATUS_POISON
+        assert store.scan(target) == {STATUS_POISON: 1}
         resumed = FarmScheduler(TWO_JOBS, workers=2, store=store,
                                 resume=True, chaos=injector,
                                 run_dir=str(tmp_path / "run2"))
@@ -189,7 +189,7 @@ class TestDeadline:
         # The job heartbeats forever (busy, not hung): only the
         # wall-clock deadline can reclaim it.
         monkeypatch.setattr(worker_module, "execute_job",
-                            lambda spec_dict, budget=None: time.sleep(30))
+                            lambda spec, budget=None, tracer=None: time.sleep(30))
         manifest = Manifest(jobs=[TWO_JOBS.jobs[0]])
         scheduler = FarmScheduler(manifest, workers=2, deadline=0.2,
                                   max_retries=0, heartbeat_interval=0.02,
@@ -206,8 +206,8 @@ class TestDrain:
                                                   monkeypatch):
         calls = []
 
-        def interrupted_job(spec_dict, budget=None):
-            calls.append(spec_dict["id"])
+        def interrupted_job(spec, budget=None, tracer=None):
+            calls.append(spec.id)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(worker_module, "execute_job", interrupted_job)
@@ -224,7 +224,7 @@ class TestDrain:
     def test_sigterm_drains_pool_without_leaking_forks(self, tmp_path,
                                                        monkeypatch):
         monkeypatch.setattr(worker_module, "execute_job",
-                            lambda spec_dict, budget=None: time.sleep(30))
+                            lambda spec, budget=None, tracer=None: time.sleep(30))
         run_dir = str(tmp_path / "run")
         scheduler = FarmScheduler(TWO_JOBS, workers=2, run_dir=run_dir)
         previous_handler = signal.getsignal(signal.SIGTERM)

@@ -1,4 +1,8 @@
-"""The digest-keyed result store (crash-consistent writes, verified reads)."""
+"""The digest-keyed result store (crash-consistent writes, verified reads).
+
+Every read goes through ``scan``/``scan_rows`` (outcome counts, or
+``None`` for damage) and ``iter_rows`` (the rows of a verified file).
+"""
 
 import hashlib
 import json
@@ -6,11 +10,7 @@ import os
 import signal
 import time
 
-from repro.farm.store import (
-    ResultStore,
-    atomic_write_json,
-    read_verified_json,
-)
+from repro.farm.store import ResultStore, iter_rows, scan_rows
 
 DIGEST = "ab" * 32
 OTHER = "cd" * 32
@@ -18,11 +18,13 @@ OTHER = "cd" * 32
 
 def test_miss_then_put_then_hit(tmp_path):
     store = ResultStore(str(tmp_path / "cache"))
-    assert store.get(DIGEST) is None
+    assert store.scan(DIGEST) is None
     assert store.misses == 1
-    store.put(DIGEST, {"status": "ok", "leaks": []})
+    row = {"digest": DIGEST, "status": "ok", "leaks": []}
+    store.put(DIGEST, row)
     assert DIGEST in store
-    assert store.get(DIGEST) == {"status": "ok", "leaks": []}
+    assert store.scan(DIGEST) == {"ok": 1}
+    assert list(iter_rows(store.path(DIGEST))) == [row]
     assert store.hits == 1
     assert len(store) == 1
     assert store.digests() == [DIGEST]
@@ -33,7 +35,7 @@ def test_corrupt_entry_is_dropped_and_treated_as_miss(tmp_path):
     path = os.path.join(str(tmp_path), f"{DIGEST}.json")
     with open(path, "w") as handle:
         handle.write('{"status": "ok"')  # truncated write
-    assert store.get(DIGEST) is None
+    assert store.scan(DIGEST) is None
     assert store.misses == 1
     assert not os.path.exists(path)  # poison removed: the job re-runs
 
@@ -57,7 +59,7 @@ def test_put_fsyncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
         os, "replace",
         lambda src, dst: (replaced.append(len(synced)),
                           real_replace(src, dst))[1])
-    atomic_write_json(str(tmp_path / "entry.json"), {"status": "ok"})
+    ResultStore(str(tmp_path)).put(DIGEST, {"status": "ok"})
     # At least one fsync (the temp file) strictly before the rename,
     # and one more (the directory) after it.
     assert replaced == [1]
@@ -66,9 +68,9 @@ def test_put_fsyncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
 
 def test_sigkill_mid_write_leaves_every_committed_file_whole(tmp_path):
     # A real kill, not a mock: a child commits payloads in a tight loop
-    # until SIGKILLed somewhere inside atomic_write_json.
+    # until SIGKILLed somewhere inside a put.
     root = str(tmp_path / "cache")
-    os.makedirs(root)
+    store = ResultStore(root)
     body = list(range(512))
 
     pid = os.fork()
@@ -77,8 +79,7 @@ def test_sigkill_mid_write_leaves_every_committed_file_whole(tmp_path):
             index = 0
             while True:
                 digest = hashlib.sha256(str(index).encode()).hexdigest()
-                atomic_write_json(os.path.join(root, f"{digest}.json"),
-                                  {"digest": digest, "index": index,
+                store.put(digest, {"digest": digest, "index": index,
                                    "body": body})
                 index += 1
         finally:
@@ -94,11 +95,11 @@ def test_sigkill_mid_write_leaves_every_committed_file_whole(tmp_path):
     for name in committed:
         assert name.endswith(".json")
         digest = name[:-len(".json")]
-        payload = read_verified_json(os.path.join(root, name),
-                                     digest=digest)
-        assert payload is not None, f"torn commit: {name}"
-        assert payload["digest"] == digest
-        assert payload["body"] == body
+        path = os.path.join(root, name)
+        assert scan_rows(path, digest) is not None, f"torn commit: {name}"
+        (row,) = iter_rows(path)
+        assert row["digest"] == digest
+        assert row["body"] == body
 
 
 def test_truncated_entry_reads_as_cache_miss_after_commit(tmp_path):
@@ -109,7 +110,7 @@ def test_truncated_entry_reads_as_cache_miss_after_commit(tmp_path):
     size = os.path.getsize(path)
     with open(path, "r+b") as handle:
         handle.truncate(size // 2)          # post-fsync media damage
-    assert store.get(DIGEST) is None        # detected, treated as a miss
+    assert store.scan(DIGEST) is None       # detected, treated as a miss
     assert store.misses == 1
     assert not os.path.exists(path)         # dropped: the job re-runs
 
@@ -119,22 +120,21 @@ def test_digest_field_mismatch_reads_as_damage(tmp_path):
     # a file renamed under the wrong key.  Must read as a miss.
     store = ResultStore(str(tmp_path))
     store.put(DIGEST, {"digest": OTHER, "status": "ok"})
-    assert store.get(DIGEST) is None
+    assert store.scan(DIGEST) is None
     assert store.misses == 1
     # Directly through the reader too.
-    path = str(tmp_path / "direct.json")
-    atomic_write_json(path, {"digest": OTHER, "status": "ok"})
-    assert read_verified_json(path, digest=DIGEST) is None
-    assert read_verified_json(path, digest=OTHER) == \
-        {"digest": OTHER, "status": "ok"}
-    assert read_verified_json(path) is not None  # no expectation, no check
+    store.put(OTHER, {"digest": OTHER, "status": "ok"})
+    path = store.path(OTHER)
+    assert scan_rows(path, DIGEST) is None
+    assert scan_rows(path, OTHER) == {"ok": 1}
+    assert scan_rows(path) == {"ok": 1}      # no expectation, no check
 
 
 def test_non_dict_payload_reads_as_damage(tmp_path):
     path = str(tmp_path / "weird.json")
     with open(path, "w") as handle:
         json.dump(["not", "a", "result"], handle)
-    assert read_verified_json(path) is None
+    assert scan_rows(path) is None
 
 
 def test_verify_audits_without_dropping(tmp_path):
