@@ -80,6 +80,14 @@ OBS_PAIRS = 9
 # native_mips iterations of the gate's call-count companion.
 OBS_CALL_ITERATIONS = 200
 
+# The Memory word accessors that a compiled Dalvik block or an ARM word
+# load indexes past; the bench counts the calls that remain.
+MEMORY_WORD_ACCESSORS = ("read_u32", "write_u32", "write_u32x2")
+# Iterations of each CF-Bench kernel in that count.  All 13 kernels run:
+# native_mips alone makes no word call on any engine, so its count would
+# read zero and gate nothing.
+WORD_CALL_ITERATIONS = 50
+
 CROSSING_CLASS = "Lcom/bench/Crossing;"
 
 # The Table V tracer loop (same shape as benchmarks/bench_table5_tracer.py:
@@ -173,6 +181,32 @@ def _warmed_cfbench(observe: bool, iterations: int):
     return bench
 
 
+def _count_calls(counted, run: Callable, *args, **kwargs) -> int:
+    """Profiler events ``counted(frame, event)`` accepts while
+    ``run(*args, **kwargs)`` runs, seen with :func:`sys.setprofile`.  The
+    collector is off while counting so no finalizer runs inside the
+    pass."""
+    import gc
+
+    calls = 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal calls
+        if counted(frame, event):
+            calls += 1
+
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return calls
+
+
 def count_cfbench_calls(observe: bool, iterations: int) -> int:
     """Function calls (Python and builtin) made by one warmed-up
     ``native_mips`` pass on a vanilla platform, counted with
@@ -180,29 +214,35 @@ def count_cfbench_calls(observe: bool, iterations: int) -> int:
 
     The deterministic companion of the timed zero-cost gate: with
     observability constructed but disabled the count must equal the
-    count without it, on any host.  The collector is off while counting
-    so no finalizer runs inside the pass.
+    count without it, on any host.
     """
-    import gc
-
     bench = _warmed_cfbench(observe, iterations)
-    calls = 0
+    return _count_calls(
+        lambda frame, event: event == "call" or event == "c_call",
+        bench.run_workload, "native_mips", iterations=iterations)
 
-    def profile(frame, event, arg) -> None:
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        bench.run_workload("native_mips", iterations=iterations)
-    finally:
-        sys.setprofile(None)
-        if gc_was_enabled:
-            gc.enable()
-    return calls
+def count_memory_word_calls() -> int:
+    """Calls of :class:`Memory`'s word accessors
+    (:data:`MEMORY_WORD_ACCESSORS`) made by one warmed-up pass of all 13
+    CF-Bench kernels (:data:`WORD_CALL_ITERATIONS` each) on a vanilla
+    platform, counted like :func:`count_cfbench_calls`.
+
+    Compiled Dalvik blocks index their frame's slot view and ARM word
+    loads read their page inline, so what remains is stores, array
+    mirrors, frame pushes and the libc models.  Deterministic on any
+    host: CI fails if it rises above the committed count.
+    """
+    from repro.bench.cfbench import CFBench
+    from repro.memory.memory import Memory
+
+    bench = CFBench(make_platform("vanilla"))
+    bench.run_all(iterations=WORD_CALL_ITERATIONS)
+    codes = {getattr(Memory, name).__code__
+             for name in MEMORY_WORD_ACCESSORS}
+    return _count_calls(
+        lambda frame, event: event == "call" and frame.f_code in codes,
+        bench.run_all, iterations=WORD_CALL_ITERATIONS)
 
 
 class EmulatorBench:
@@ -430,6 +470,7 @@ class EmulatorBench:
             "workloads": workloads,
             "metrics": snapshot,
             "observability": self.measure_observability_overhead(),
+            "calls": {"cfbench_memory_word_calls": count_memory_word_calls()},
             "taint_parity": self.taint_parity(),
         }
 

@@ -286,7 +286,8 @@ def _command_bench(iterations: int, repeats: int) -> int:
 
 def _command_bench_emulator(json_path, baseline_path, tolerance) -> int:
     from repro.bench.emulator_bench import (
-        EmulatorBench, compare_to_baseline, load_results, write_results)
+        WORD_CALL_ITERATIONS, EmulatorBench, compare_to_baseline,
+        load_results, write_results)
     results = EmulatorBench().run()
     for name, row in results["workloads"].items():
         print(f"{name:<22} {row['single_step_instr_per_sec']:>12,.0f} -> "
@@ -295,6 +296,9 @@ def _command_bench_emulator(json_path, baseline_path, tolerance) -> int:
     parity = results["taint_parity"]
     print(f"taint parity: {'identical' if parity['identical'] else 'BROKEN'} "
           f"over {len(parity['scenarios'])} scenarios")
+    print(f"memory word calls: "
+          f"{results['calls']['cfbench_memory_word_calls']:,} per CF-Bench "
+          f"pass ({WORD_CALL_ITERATIONS} iterations/kernel)")
     if json_path:
         write_results(results, json_path)
         print(f"wrote {json_path}")

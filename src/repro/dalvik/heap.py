@@ -194,7 +194,11 @@ class DvmHeap:
         record.elements = [Slot(is_ref=(element_type == "L"))
                            for __ in range(length)]
         record.element_is_ref = element_type == "L"
-        return self._install(record)
+        self._install(record)
+        # Element words start current (zero), so an APUT mirrors only
+        # the word it stores.
+        self.memory.fill(record.data_address(), 4 * length, 0)
+        return record
 
     # -- lookup -----------------------------------------------------------------------
 
@@ -210,8 +214,15 @@ class DvmHeap:
     def contains(self, address: int) -> bool:
         return address in self._objects
 
+    def sync_array_element(self, record: ObjectRecord, index: int) -> None:
+        """Mirror one element's value into its guest memory word (an
+        ``APUT``); the other elements' words are already current."""
+        self.memory.write_u32(record.address + _HEADER_SIZE + 4 * index,
+                              record.elements[index].value & 0xFFFF_FFFF)
+
     def sync_array_to_memory(self, record: ObjectRecord) -> None:
-        """Mirror array element values into guest memory words."""
+        """Mirror every element value into guest memory words (a JNI
+        region set, a collection moving a reference array)."""
         elements = record.elements
         self.memory.write_bytes(record.data_address(), struct.pack(
             f"<{len(elements)}I",

@@ -282,14 +282,14 @@ class Interpreter:
             frame.pc += 1
             return None
         if op == Op.ARRAY_LENGTH:
-            record = self._array(frame, ins.b)
+            record = self._array(frame, frame.get(ins.b), ins.b)
             taint = record.taint
             frame.set(ins.a, len(record.elements), taint)
             frame.pc += 1
             return None
         if op in (Op.AGET, Op.AGET_OBJECT):
-            record = self._array(frame, ins.b)
-            index = self._array_index(frame, ins.c, record)
+            record = self._array(frame, frame.get(ins.b), ins.b)
+            index = self._array_index(frame, frame.get(ins.c), record)
             slot = record.elements[index]
             taint = record.taint | frame.get_taint(ins.c)
             frame.set(ins.a, slot.value, taint,
@@ -297,25 +297,26 @@ class Interpreter:
             frame.pc += 1
             return None
         if op in (Op.APUT, Op.APUT_OBJECT):
-            record = self._array(frame, ins.b)
-            index = self._array_index(frame, ins.c, record)
+            record = self._array(frame, frame.get(ins.b), ins.b)
+            index = self._array_index(frame, frame.get(ins.c), record)
             is_ref = op == Op.APUT_OBJECT
             record.elements[index] = Slot(frame.get(ins.a), TAINT_CLEAR,
                                           is_ref)
             # TaintDroid: one label per array object, grown by union.
             record.taint |= frame.get_taint(ins.a) | frame.get_taint(ins.c)
-            vm.heap.sync_array_to_memory(record)
+            vm.heap.sync_array_element(record, index)
             frame.pc += 1
             return None
         if op in (Op.IGET, Op.IGET_OBJECT):
-            slot = self._field(frame, ins.b, ins.symbol)
+            slot = self._field(frame, frame.get(ins.b), ins.symbol)
             frame.set(ins.a, slot.value,
                       slot.taint,
                       is_ref=(op == Op.IGET_OBJECT))
             frame.pc += 1
             return None
         if op in (Op.IPUT, Op.IPUT_OBJECT):
-            slot = self._field(frame, ins.b, ins.symbol, create=True)
+            slot = self._field(frame, frame.get(ins.b), ins.symbol,
+                               create=True)
             slot.value = frame.get(ins.a)
             slot.taint = frame.get_taint(ins.a)
             slot.is_ref = op == Op.IPUT_OBJECT
@@ -400,9 +401,12 @@ class Interpreter:
         raise DalvikError(f"unimplemented opcode {op}")
 
     # -- helpers --------------------------------------------------------------------------
+    #
+    # They take a register's value word already read, so the trace
+    # compiler's closures share them, reading through the slot view.
 
-    def _array(self, frame: Frame, register: int):
-        address = frame.get(register)
+    def _array(self, frame: Frame, address: int, register: int):
+        """The array ``address`` (vN's word, N = ``register``) names."""
         if address == 0:
             self._throw_new(frame, "Ljava/lang/NullPointerException;",
                             "null array")
@@ -411,17 +415,16 @@ class Interpreter:
             raise DalvikError(f"v{register} does not hold an array")
         return record
 
-    def _array_index(self, frame: Frame, register: int, record) -> int:
-        index = _signed(frame.get(register))
+    def _array_index(self, frame: Frame, word: int, record) -> int:
+        index = _signed(word)
         if not 0 <= index < len(record.elements):
             self._throw_new(frame,
                             "Ljava/lang/ArrayIndexOutOfBoundsException;",
                             str(index))
         return index
 
-    def _field(self, frame: Frame, register: int, name: str,
+    def _field(self, frame: Frame, address: int, name: str,
                create: bool = False) -> Slot:
-        address = frame.get(register)
         if address == 0:
             self._throw_new(frame, "Ljava/lang/NullPointerException;",
                             f"null receiver for field {name}")

@@ -18,6 +18,12 @@ Frame layout (addresses grow downward like the real interpreted stack)::
       v0 value | v0 taint | v1 value | v1 taint | ...
     fp -> (address of v0 value slot)
     lower addresses
+
+A frame's slot area never crosses a page: when it would, the frame is
+pushed lower so its slots end at the page boundary below (the bytes
+skipped stay unused until the frame pops).  So each frame can hold one
+word view of its slots (:attr:`Frame.slots`), which the trace compiler's
+closures index instead of calling into :class:`Memory` per slot.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import DalvikError
 from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.dalvik.classes import Method
-from repro.memory.memory import Memory
+from repro.memory.memory import PAGE_MASK, PAGE_SIZE, Memory
 
 DVM_STACK_BASE = 0x44C0_0000   # top of the interpreted stack
 DVM_STACK_SIZE = 0x0004_0000
@@ -42,14 +48,22 @@ class Frame:
     Values and taints are read/written through guest memory; reference
     flags (needed for exact GC) are kept alongside in Python, as the real
     VM derives them from verifier type maps.
+
+    ``slots`` is a word view of the same guest bytes: ``slots[2 * r]`` is
+    vN's value and ``slots[2 * r + 1]`` its taint tag.  Compiled blocks
+    read and write through it; :meth:`get`/:meth:`set` go through
+    :class:`Memory`, so the single-step interpreter stays an independent
+    oracle.  A store through ``slots`` must be a 32-bit value, and one
+    of a nonzero taint must set ``maybe_tainted`` itself.
     """
 
     def __init__(self, memory: Memory, fp: int, method: Method,
-                 prev_fp: int) -> None:
+                 prev_fp: int, slots: memoryview) -> None:
         self.memory = memory
         self.fp = fp
         self.method = method
         self.prev_fp = prev_fp
+        self.slots = slots
         self.register_count = method.registers_size
         self.ref_flags: List[bool] = [False] * self.register_count
         self.pc = 0
@@ -129,6 +143,8 @@ class DvmStack:
         """An empty stack: no frames, the pointer back at the base."""
         self.frames.clear()
         self._stack_pointer = self.base     # grows downward
+        # The stack pointer before each live frame was pushed.
+        self._tops: List[int] = []
 
     @property
     def depth(self) -> int:
@@ -139,31 +155,40 @@ class DvmStack:
         return self.frames[-1] if self.frames else None
 
     def push_frame(self, method: Method) -> Frame:
-        """Allocate a frame: StackSaveArea then interleaved register slots."""
-        frame_bytes = SAVE_AREA_SIZE + SLOT_SIZE * method.registers_size
-        new_sp = self._stack_pointer - frame_bytes
-        if new_sp < self.base - self.size:
+        """Allocate a frame: StackSaveArea then interleaved register slots,
+        the slots on one page (see the module doc)."""
+        slot_bytes = SLOT_SIZE * method.registers_size
+        if slot_bytes > PAGE_SIZE:
+            raise DalvikError(
+                f"{method.full_name} has {method.registers_size} registers; "
+                f"a frame holds at most {PAGE_SIZE // SLOT_SIZE}")
+        fp = self._stack_pointer - SAVE_AREA_SIZE - slot_bytes
+        last = fp + slot_bytes - 1
+        if slot_bytes and (fp ^ last) & ~PAGE_MASK:
+            fp = (last & ~PAGE_MASK) - slot_bytes
+        if fp < self.base - self.size:
             raise DalvikError(
                 f"StackOverflowError in {method.full_name} "
                 f"(depth {len(self.frames)})")
         prev_fp = self.frames[-1].fp if self.frames else 0
-        fp = new_sp
-        save_area = fp + SLOT_SIZE * method.registers_size
+        save_area = fp + slot_bytes
         self.memory.write_u32(save_area, prev_fp)
         self.memory.write_u32(save_area + 8, 0)  # return-taint slot
-        frame = Frame(self.memory, fp, method, prev_fp)
         # Zero the slots so stale values/taints never leak between calls.
-        self.memory.fill(fp, SLOT_SIZE * method.registers_size, 0)
+        self.memory.fill(fp, slot_bytes, 0)
+        frame = Frame(self.memory, fp, method, prev_fp,
+                      self.memory.word_view(fp, 2 * method.registers_size))
         self.frames.append(frame)
-        self._stack_pointer = new_sp
+        self._tops.append(self._stack_pointer)
+        self._stack_pointer = fp
         return frame
 
     def pop_frame(self) -> Frame:
         if not self.frames:
             raise DalvikError("pop on empty DVM stack")
         frame = self.frames.pop()
-        frame_bytes = SAVE_AREA_SIZE + SLOT_SIZE * frame.register_count
-        self._stack_pointer += frame_bytes
+        frame.slots.release()
+        self._stack_pointer = self._tops.pop()
         return frame
 
     # -- the native-call outs protocol (paper Fig. 1, right side) ----------------

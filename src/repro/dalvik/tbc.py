@@ -4,8 +4,11 @@ The managed-side twin of the emulator's translation-block engine: the
 first time execution reaches a method region, the straight-line bytecode
 run starting there (up to the next branch, invoke, return or throw) is
 compiled into a :class:`DalvikBlock` — a tuple of specialized Python
-closures with every ``Ins`` field pre-resolved, every slot offset baked
-relative to the frame pointer, and the guest-memory accessors pre-bound.
+closures with every ``Ins`` field pre-resolved and every register's
+slot word index baked in.  The closures read and write registers
+through the frame's word view (``frame.slots``, see
+:mod:`repro.dalvik.stack`): an index per slot, not a call into
+:class:`~repro.memory.memory.Memory`.
 Subsequent executions replay the closures instead of re-decoding the
 instruction stream through ``Interpreter._dispatch``.
 
@@ -260,14 +263,13 @@ class DalvikTraceCompiler:
         """One body instruction -> (clean, tainted) closures."""
         vm = self.vm
         interp = vm.interpreter
-        memory = vm.memory
-        rd = memory.read_u32
-        wr = memory.write_u32
-        wr2 = memory.write_u32x2
         op = ins.op
         a, b, c = ins.a, ins.b, ins.c
-        off_a, off_b, off_c = 8 * a, 8 * b, 8 * c
-        toff_a, toff_b, toff_c = off_a + 4, off_b + 4, off_c + 4
+        # Word indices into ``frame.slots``: vN's value, then its taint.
+        ia, ib, ic = 2 * a, 2 * b, 2 * c
+        ta, tb, tc = ia + 1, ib + 1, ic + 1
+        # Byte offsets from fp, for the ledger's slot addresses.
+        off_a, off_b = 8 * a, 8 * b
 
         if op is Op.NOP:
             def nop(frame):
@@ -281,20 +283,22 @@ class DalvikTraceCompiler:
             is_ref = op is Op.MOVE_OBJECT
 
             def clean(frame):
-                fp = frame.fp
-                wr(fp + off_a, rd(fp + off_b))
+                slots = frame.slots
+                slots[ia] = slots[ib]
                 frame.ref_flags[a] = is_ref
 
             def tainted(frame):
-                fp = frame.fp
-                taint = rd(fp + toff_b)
+                slots = frame.slots
+                taint = slots[tb]
                 if taint:
                     ledger = vm.ledger
                     if ledger is not None:
+                        fp = frame.fp
                         ledger.record(taint, "dalvik:move",
                                       Loc.dvreg(fp + off_b),
                                       Loc.dvreg(fp + off_a))
-                wr2(fp + off_a, rd(fp + off_b), taint)
+                slots[ia] = slots[ib]
+                slots[ta] = taint
                 frame.ref_flags[a] = is_ref
             return clean, tainted
 
@@ -314,10 +318,12 @@ class DalvikTraceCompiler:
                         ledger.record(taint, "dalvik:move-result",
                                       Loc.java(taint),
                                       Loc.dvreg(frame.fp + off_a))
-                    wr2(frame.fp + off_a, result.value & _M32, taint)
+                    slots = frame.slots
+                    slots[ia] = result.value & _M32
+                    slots[ta] = taint & _M32
                     frame.ref_flags[a] = is_ref
                     raise _TaintEntered(index)
-                wr(frame.fp + off_a, result.value & _M32)
+                frame.slots[ia] = result.value & _M32
                 frame.ref_flags[a] = is_ref
 
             def tainted(frame):
@@ -329,7 +335,9 @@ class DalvikTraceCompiler:
                         ledger.record(taint, "dalvik:move-result",
                                       Loc.java(taint),
                                       Loc.dvreg(frame.fp + off_a))
-                wr2(frame.fp + off_a, result.value & _M32, taint)
+                slots = frame.slots
+                slots[ia] = result.value & _M32
+                slots[ta] = taint & _M32
                 frame.ref_flags[a] = is_ref
             return clean, tainted
 
@@ -344,24 +352,23 @@ class DalvikTraceCompiler:
                     raise DalvikError(
                         "move-exception with no pending exception")
                 taint = pending.taint
-                if taint:
-                    frame.maybe_tainted = True
-                    wr2(frame.fp + off_a,
-                        pending.exception_address & _M32, taint)
-                    frame.ref_flags[a] = True
-                    vm.caught_exception = None
-                    raise _TaintEntered(index)
-                wr(frame.fp + off_a, pending.exception_address & _M32)
+                slots = frame.slots
+                slots[ia] = pending.exception_address & _M32
                 frame.ref_flags[a] = True
                 vm.caught_exception = None
+                if taint:
+                    frame.maybe_tainted = True
+                    slots[ta] = taint & _M32
+                    raise _TaintEntered(index)
 
             def tainted(frame):
                 pending = vm.caught_exception
                 if pending is None:
                     raise DalvikError(
                         "move-exception with no pending exception")
-                wr2(frame.fp + off_a, pending.exception_address & _M32,
-                    pending.taint)
+                slots = frame.slots
+                slots[ia] = pending.exception_address & _M32
+                slots[ta] = pending.taint & _M32
                 frame.ref_flags[a] = True
                 vm.caught_exception = None
             return clean, tainted
@@ -373,11 +380,13 @@ class DalvikTraceCompiler:
             value = int(ins.literal) & _M32
 
             def clean(frame):
-                wr(frame.fp + off_a, value)
+                frame.slots[ia] = value
                 frame.ref_flags[a] = False
 
             def tainted(frame):
-                wr2(frame.fp + off_a, value, 0)
+                slots = frame.slots
+                slots[ia] = value
+                slots[ta] = 0
                 frame.ref_flags[a] = False
             return clean, tainted
 
@@ -388,11 +397,13 @@ class DalvikTraceCompiler:
             text = str(ins.literal)
 
             def clean(frame):
-                wr(frame.fp + off_a, vm.intern_string(text) & _M32)
+                frame.slots[ia] = vm.intern_string(text) & _M32
                 frame.ref_flags[a] = True
 
             def tainted(frame):
-                wr2(frame.fp + off_a, vm.intern_string(text) & _M32, 0)
+                slots = frame.slots
+                slots[ia] = vm.intern_string(text) & _M32
+                slots[ta] = 0
                 frame.ref_flags[a] = True
             return clean, tainted
 
@@ -404,9 +415,9 @@ class DalvikTraceCompiler:
             if op in (Op.DIV_INT, Op.REM_INT):
                 def clean(frame):
                     frame.pc = pc
-                    fp = frame.fp
-                    x = rd(fp + off_b)
-                    y = rd(fp + off_c)
+                    slots = frame.slots
+                    x = slots[ib]
+                    y = slots[ic]
                     if x & _SIGN:
                         x -= _WRAP
                     if y & _SIGN:
@@ -417,14 +428,14 @@ class DalvikTraceCompiler:
                         interp._throw_new(
                             frame, "Ljava/lang/ArithmeticException;",
                             "divide by zero")
-                    wr(fp + off_a, value & _M32)
+                    slots[ia] = value & _M32
                     frame.ref_flags[a] = False
 
                 def tainted(frame):
                     frame.pc = pc
-                    fp = frame.fp
-                    x = rd(fp + off_b)
-                    y = rd(fp + off_c)
+                    slots = frame.slots
+                    x = slots[ib]
+                    y = slots[ic]
                     if x & _SIGN:
                         x -= _WRAP
                     if y & _SIGN:
@@ -435,32 +446,34 @@ class DalvikTraceCompiler:
                         interp._throw_new(
                             frame, "Ljava/lang/ArithmeticException;",
                             "divide by zero")
-                    wr2(fp + off_a, value & _M32,
-                        rd(fp + toff_b) | rd(fp + toff_c))
+                    taint = slots[tb] | slots[tc]
+                    slots[ia] = value & _M32
+                    slots[ta] = taint
                     frame.ref_flags[a] = False
                 return clean, tainted
 
             def clean(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
-                y = rd(fp + off_c)
+                slots = frame.slots
+                x = slots[ib]
+                y = slots[ic]
                 if x & _SIGN:
                     x -= _WRAP
                 if y & _SIGN:
                     y -= _WRAP
-                wr(fp + off_a, fn(x, y) & _M32)
+                slots[ia] = fn(x, y) & _M32
                 frame.ref_flags[a] = False
 
             def tainted(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
-                y = rd(fp + off_c)
+                slots = frame.slots
+                x = slots[ib]
+                y = slots[ic]
                 if x & _SIGN:
                     x -= _WRAP
                 if y & _SIGN:
                     y -= _WRAP
-                wr2(fp + off_a, fn(x, y) & _M32,
-                    rd(fp + toff_b) | rd(fp + toff_c))
+                taint = slots[tb] | slots[tc]
+                slots[ia] = fn(x, y) & _M32
+                slots[ta] = taint
                 frame.ref_flags[a] = False
             return clean, tainted
 
@@ -472,22 +485,21 @@ class DalvikTraceCompiler:
             add = op is Op.ADD_INT_LIT
 
             def clean(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
+                slots = frame.slots
+                x = slots[ib]
                 if x & _SIGN:
                     x -= _WRAP
-                wr(fp + off_a,
-                   ((x + literal) if add else (x * literal)) & _M32)
+                slots[ia] = ((x + literal) if add else (x * literal)) & _M32
                 frame.ref_flags[a] = False
 
             def tainted(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
+                slots = frame.slots
+                x = slots[ib]
                 if x & _SIGN:
                     x -= _WRAP
-                wr2(fp + off_a,
-                    ((x + literal) if add else (x * literal)) & _M32,
-                    rd(fp + toff_b))
+                taint = slots[tb]
+                slots[ia] = ((x + literal) if add else (x * literal)) & _M32
+                slots[ta] = taint
                 frame.ref_flags[a] = False
             return clean, tainted
 
@@ -498,27 +510,29 @@ class DalvikTraceCompiler:
             neg = op is Op.NEG_INT
 
             def clean(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
+                slots = frame.slots
+                x = slots[ib]
                 if neg:
                     if x & _SIGN:
                         x -= _WRAP
                     value = (-x) & _M32
                 else:
                     value = (~x) & _M32
-                wr(fp + off_a, value)
+                slots[ia] = value
                 frame.ref_flags[a] = False
 
             def tainted(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
+                slots = frame.slots
+                x = slots[ib]
                 if neg:
                     if x & _SIGN:
                         x -= _WRAP
                     value = (-x) & _M32
                 else:
                     value = (~x) & _M32
-                wr2(fp + off_a, value, rd(fp + toff_b))
+                taint = slots[tb]
+                slots[ia] = value
+                slots[ta] = taint
                 frame.ref_flags[a] = False
             return clean, tainted
 
@@ -529,13 +543,14 @@ class DalvikTraceCompiler:
             symbol = ins.symbol
 
             def clean(frame):
-                record = vm.new_instance(symbol)
-                wr(frame.fp + off_a, record.address & _M32)
+                frame.slots[ia] = vm.new_instance(symbol).address & _M32
                 frame.ref_flags[a] = True
 
             def tainted(frame):
-                record = vm.new_instance(symbol)
-                wr2(frame.fp + off_a, record.address & _M32, 0)
+                address = vm.new_instance(symbol).address & _M32
+                slots = frame.slots
+                slots[ia] = address
+                slots[ta] = 0
                 frame.ref_flags[a] = True
             return clean, tainted
 
@@ -547,26 +562,27 @@ class DalvikTraceCompiler:
 
             def clean(frame):
                 frame.pc = pc
-                fp = frame.fp
-                length = rd(fp + off_b)
+                slots = frame.slots
+                length = slots[ib]
                 if length & _SIGN:
                     interp._throw_new(
                         frame, "Ljava/lang/NegativeArraySizeException;",
                         str(length - _WRAP))
                 record = vm.heap.alloc_array(element_type, length)
-                wr(fp + off_a, record.address & _M32)
+                slots[ia] = record.address & _M32
                 frame.ref_flags[a] = True
 
             def tainted(frame):
                 frame.pc = pc
-                fp = frame.fp
-                length = rd(fp + off_b)
+                slots = frame.slots
+                length = slots[ib]
                 if length & _SIGN:
                     interp._throw_new(
                         frame, "Ljava/lang/NegativeArraySizeException;",
                         str(length - _WRAP))
                 record = vm.heap.alloc_array(element_type, length)
-                wr2(fp + off_a, record.address & _M32, 0)
+                slots[ia] = record.address & _M32
+                slots[ta] = 0
                 frame.ref_flags[a] = True
             return clean, tainted
 
@@ -577,22 +593,22 @@ class DalvikTraceCompiler:
 
             def clean(frame):
                 frame.pc = pc
-                record = interp._array(frame, b)
+                slots = frame.slots
+                record = interp._array(frame, slots[ib], b)
+                slots[ia] = len(record.elements) & _M32
+                frame.ref_flags[a] = False
                 taint = record.taint
                 if taint:
                     frame.maybe_tainted = True
-                    wr2(frame.fp + off_a, len(record.elements) & _M32,
-                        taint)
-                    frame.ref_flags[a] = False
+                    slots[ta] = taint & _M32
                     raise _TaintEntered(index)
-                wr(frame.fp + off_a, len(record.elements) & _M32)
-                frame.ref_flags[a] = False
 
             def tainted(frame):
                 frame.pc = pc
-                record = interp._array(frame, b)
-                wr2(frame.fp + off_a, len(record.elements) & _M32,
-                    record.taint)
+                slots = frame.slots
+                record = interp._array(frame, slots[ib], b)
+                slots[ia] = len(record.elements) & _M32
+                slots[ta] = record.taint & _M32
                 frame.ref_flags[a] = False
             return clean, tainted
 
@@ -604,25 +620,25 @@ class DalvikTraceCompiler:
 
             def clean(frame):
                 frame.pc = pc
-                record = interp._array(frame, b)
-                idx = interp._array_index(frame, c, record)
-                value = record.elements[idx].value & _M32
+                slots = frame.slots
+                record = interp._array(frame, slots[ib], b)
+                idx = interp._array_index(frame, slots[ic], record)
+                slots[ia] = record.elements[idx].value & _M32
+                frame.ref_flags[a] = is_ref
                 taint = record.taint   # reg c's taint is zero when clean
                 if taint:
                     frame.maybe_tainted = True
-                    wr2(frame.fp + off_a, value, taint)
-                    frame.ref_flags[a] = is_ref
+                    slots[ta] = taint & _M32
                     raise _TaintEntered(index)
-                wr(frame.fp + off_a, value)
-                frame.ref_flags[a] = is_ref
 
             def tainted(frame):
                 frame.pc = pc
-                fp = frame.fp
-                record = interp._array(frame, b)
-                idx = interp._array_index(frame, c, record)
-                wr2(fp + off_a, record.elements[idx].value & _M32,
-                    record.taint | rd(fp + toff_c))
+                slots = frame.slots
+                record = interp._array(frame, slots[ib], b)
+                idx = interp._array_index(frame, slots[ic], record)
+                taint = (record.taint | slots[tc]) & _M32
+                slots[ia] = record.elements[idx].value & _M32
+                slots[ta] = taint
                 frame.ref_flags[a] = is_ref
             return clean, tainted
 
@@ -631,25 +647,25 @@ class DalvikTraceCompiler:
             if bad is not None:
                 return self._bad_register(method, bad)
             is_ref = op is Op.APUT_OBJECT
+            mirror = vm.heap.sync_array_element
 
             def clean(frame):
                 frame.pc = pc
-                record = interp._array(frame, b)
-                idx = interp._array_index(frame, c, record)
-                record.elements[idx] = Slot(rd(frame.fp + off_a),
-                                            TAINT_CLEAR, is_ref)
-                vm.heap.sync_array_to_memory(record)
+                slots = frame.slots
+                record = interp._array(frame, slots[ib], b)
+                idx = interp._array_index(frame, slots[ic], record)
+                record.elements[idx] = Slot(slots[ia], TAINT_CLEAR, is_ref)
+                mirror(record, idx)
 
             def tainted(frame):
                 frame.pc = pc
-                fp = frame.fp
-                record = interp._array(frame, b)
-                idx = interp._array_index(frame, c, record)
-                record.elements[idx] = Slot(rd(fp + off_a), TAINT_CLEAR,
-                                            is_ref)
+                slots = frame.slots
+                record = interp._array(frame, slots[ib], b)
+                idx = interp._array_index(frame, slots[ic], record)
+                record.elements[idx] = Slot(slots[ia], TAINT_CLEAR, is_ref)
                 # TaintDroid: one label per array object, grown by union.
-                record.taint |= rd(fp + toff_a) | rd(fp + toff_c)
-                vm.heap.sync_array_to_memory(record)
+                record.taint |= slots[ta] | slots[tc]
+                mirror(record, idx)
             return clean, tainted
 
         if op in (Op.IGET, Op.IGET_OBJECT):
@@ -661,20 +677,22 @@ class DalvikTraceCompiler:
 
             def clean(frame):
                 frame.pc = pc
-                slot = interp._field(frame, b, symbol)
+                slots = frame.slots
+                slot = interp._field(frame, slots[ib], symbol)
+                slots[ia] = slot.value & _M32
+                frame.ref_flags[a] = is_ref
                 taint = slot.taint
                 if taint:
                     frame.maybe_tainted = True
-                    wr2(frame.fp + off_a, slot.value & _M32, taint)
-                    frame.ref_flags[a] = is_ref
+                    slots[ta] = taint & _M32
                     raise _TaintEntered(index)
-                wr(frame.fp + off_a, slot.value & _M32)
-                frame.ref_flags[a] = is_ref
 
             def tainted(frame):
                 frame.pc = pc
-                slot = interp._field(frame, b, symbol)
-                wr2(frame.fp + off_a, slot.value & _M32, slot.taint)
+                slots = frame.slots
+                slot = interp._field(frame, slots[ib], symbol)
+                slots[ia] = slot.value & _M32
+                slots[ta] = slot.taint & _M32
                 frame.ref_flags[a] = is_ref
             return clean, tainted
 
@@ -687,17 +705,20 @@ class DalvikTraceCompiler:
 
             def clean(frame):
                 frame.pc = pc
-                slot = interp._field(frame, b, symbol, create=True)
-                slot.value = rd(frame.fp + off_a)
+                slots = frame.slots
+                slot = interp._field(frame, slots[ib], symbol,
+                                     create=True)
+                slot.value = slots[ia]
                 slot.taint = TAINT_CLEAR
                 slot.is_ref = is_ref
 
             def tainted(frame):
                 frame.pc = pc
-                fp = frame.fp
-                slot = interp._field(frame, b, symbol, create=True)
-                slot.value = rd(fp + off_a)
-                slot.taint = rd(fp + toff_a)
+                slots = frame.slots
+                slot = interp._field(frame, slots[ib], symbol,
+                                     create=True)
+                slot.value = slots[ia]
+                slot.taint = slots[ta]
                 slot.is_ref = is_ref
             return clean, tainted
 
@@ -710,17 +731,19 @@ class DalvikTraceCompiler:
 
             def clean(frame):
                 value, taint = vm.get_static(symbol)
+                slots = frame.slots
+                slots[ia] = value & _M32
+                frame.ref_flags[a] = is_ref
                 if taint:
                     frame.maybe_tainted = True
-                    wr2(frame.fp + off_a, value & _M32, taint)
-                    frame.ref_flags[a] = is_ref
+                    slots[ta] = taint & _M32
                     raise _TaintEntered(index)
-                wr(frame.fp + off_a, value & _M32)
-                frame.ref_flags[a] = is_ref
 
             def tainted(frame):
                 value, taint = vm.get_static(symbol)
-                wr2(frame.fp + off_a, value & _M32, taint)
+                slots = frame.slots
+                slots[ia] = value & _M32
+                slots[ta] = taint & _M32
                 frame.ref_flags[a] = is_ref
             return clean, tainted
 
@@ -732,13 +755,12 @@ class DalvikTraceCompiler:
             symbol = ins.symbol
 
             def clean(frame):
-                vm.set_static(symbol, rd(frame.fp + off_a), TAINT_CLEAR,
+                vm.set_static(symbol, frame.slots[ia], TAINT_CLEAR,
                               is_ref=is_ref)
 
             def tainted(frame):
-                fp = frame.fp
-                vm.set_static(symbol, rd(fp + off_a), rd(fp + toff_a),
-                              is_ref=is_ref)
+                slots = frame.slots
+                vm.set_static(symbol, slots[ia], slots[ta], is_ref=is_ref)
             return clean, tainted
 
         if op is Op.STRING_CONCAT:
@@ -747,29 +769,28 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
 
             def clean(frame):
-                fp = frame.fp
-                left = vm.heap.get(rd(fp + off_b))
-                right = vm.heap.get(rd(fp + off_c))
+                slots = frame.slots
+                left = vm.heap.get(slots[ib])
+                right = vm.heap.get(slots[ic])
                 taint = left.taint | right.taint   # reg taints are zero
                 record = vm.heap.alloc_string(
                     vm.string_value(left) + vm.string_value(right), taint)
+                slots[ia] = record.address & _M32
+                frame.ref_flags[a] = True
                 if taint:
                     frame.maybe_tainted = True
-                    wr2(fp + off_a, record.address & _M32, taint)
-                    frame.ref_flags[a] = True
+                    slots[ta] = taint & _M32
                     raise _TaintEntered(index)
-                wr(fp + off_a, record.address & _M32)
-                frame.ref_flags[a] = True
 
             def tainted(frame):
-                fp = frame.fp
-                left = vm.heap.get(rd(fp + off_b))
-                right = vm.heap.get(rd(fp + off_c))
-                taint = (left.taint | right.taint | rd(fp + toff_b)
-                         | rd(fp + toff_c))
+                slots = frame.slots
+                left = vm.heap.get(slots[ib])
+                right = vm.heap.get(slots[ic])
+                taint = left.taint | right.taint | slots[tb] | slots[tc]
                 record = vm.heap.alloc_string(
                     vm.string_value(left) + vm.string_value(right), taint)
-                wr2(fp + off_a, record.address & _M32, taint)
+                slots[ia] = record.address & _M32
+                slots[ta] = taint & _M32
                 frame.ref_flags[a] = True
             return clean, tainted
 
@@ -779,22 +800,23 @@ class DalvikTraceCompiler:
                 return self._bad_register(method, bad)
 
             def clean(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
+                slots = frame.slots
+                x = slots[ib]
                 if x & _SIGN:
                     x -= _WRAP
                 record = vm.heap.alloc_string(str(x), TAINT_CLEAR)
-                wr(fp + off_a, record.address & _M32)
+                slots[ia] = record.address & _M32
                 frame.ref_flags[a] = True
 
             def tainted(frame):
-                fp = frame.fp
-                x = rd(fp + off_b)
+                slots = frame.slots
+                x = slots[ib]
                 if x & _SIGN:
                     x -= _WRAP
-                taint = rd(fp + toff_b)
+                taint = slots[tb]
                 record = vm.heap.alloc_string(str(x), taint)
-                wr2(fp + off_a, record.address & _M32, taint)
+                slots[ia] = record.address & _M32
+                slots[ta] = taint
                 frame.ref_flags[a] = True
             return clean, tainted
 
@@ -807,12 +829,10 @@ class DalvikTraceCompiler:
     def _compile_terminator(self, method: Method, ins: Ins, pc: int
                             ) -> Tuple[Callable, Callable]:
         vm = self.vm
-        memory = vm.memory
-        rd = memory.read_u32
         op = ins.op
         a, b = ins.a, ins.b
-        off_a, off_b = 8 * a, 8 * b
-        toff_a = off_a + 4
+        ia, ib = 2 * a, 2 * b
+        ta = ia + 1
 
         if op is Op.GOTO:
             target = ins.target_index
@@ -830,9 +850,9 @@ class DalvikTraceCompiler:
             fall = pc + 1
 
             def term(frame):
-                fp = frame.fp
-                x = rd(fp + off_a)
-                y = rd(fp + off_b)
+                slots = frame.slots
+                x = slots[ia]
+                y = slots[ib]
                 if x & _SIGN:
                     x -= _WRAP
                 if y & _SIGN:
@@ -849,7 +869,7 @@ class DalvikTraceCompiler:
             fall = pc + 1
 
             def term(frame):
-                x = rd(frame.fp + off_a)
+                x = frame.slots[ia]
                 if x & _SIGN:
                     x -= _WRAP
                 frame.pc = target if cmp(x) else fall
@@ -867,11 +887,11 @@ class DalvikTraceCompiler:
             is_ref = op is Op.RETURN_OBJECT
 
             def term_clean(frame):
-                return Slot(rd(frame.fp + off_a), TAINT_CLEAR, is_ref)
+                return Slot(frame.slots[ia], TAINT_CLEAR, is_ref)
 
             def term_tainted(frame):
-                fp = frame.fp
-                return Slot(rd(fp + off_a), rd(fp + toff_a), is_ref)
+                slots = frame.slots
+                return Slot(slots[ia], slots[ta], is_ref)
             return term_clean, term_tainted
 
         if op is Op.THROW:
@@ -881,17 +901,17 @@ class DalvikTraceCompiler:
 
             def term_clean(frame):
                 frame.pc = pc
-                address = rd(frame.fp + off_a)
+                address = frame.slots[ia]
                 record = vm.heap.get(address)
                 raise PendingException(address, TAINT_CLEAR,
                                        record.class_name)
 
             def term_tainted(frame):
                 frame.pc = pc
-                fp = frame.fp
-                address = rd(fp + off_a)
+                slots = frame.slots
+                address = slots[ia]
                 record = vm.heap.get(address)
-                raise PendingException(address, rd(fp + toff_a),
+                raise PendingException(address, slots[ta],
                                        record.class_name)
             return term_clean, term_tainted
 
@@ -901,6 +921,8 @@ class DalvikTraceCompiler:
         if bad is not None:
             return self._bad_terminator(method, bad)
         registers = tuple(ins.args)
+        # (register, value word index) per argument.
+        words = tuple((r, 2 * r) for r in registers)
         symbol = ins.symbol
         virtual = op is Op.INVOKE_VIRTUAL
         invoke = vm.invoke_symbol
@@ -908,22 +930,23 @@ class DalvikTraceCompiler:
 
         def term_clean(frame):
             frame.pc = pc
-            fp = frame.fp
+            slots = frame.slots
             flags = frame.ref_flags
-            arg_slots = [Slot(rd(fp + 8 * r), TAINT_CLEAR, flags[r])
-                         for r in registers]
+            arg_slots = [Slot(slots[i], TAINT_CLEAR, flags[r])
+                         for r, i in words]
             vm.interp_save_state = invoke(symbol, arg_slots,
                                           virtual=virtual)
             frame.pc = next_pc
 
         def term_tainted(frame):
             frame.pc = pc
-            fp = frame.fp
+            slots = frame.slots
             flags = frame.ref_flags
-            arg_slots = [Slot(rd(fp + 8 * r), rd(fp + 8 * r + 4), flags[r])
-                         for r in registers]
+            arg_slots = [Slot(slots[i], slots[i + 1], flags[r])
+                         for r, i in words]
             ledger = vm.ledger
             if ledger is not None:
+                fp = frame.fp
                 for r, slot in zip(registers, arg_slots):
                     if slot.taint:
                         ledger.record(slot.taint, "dalvik:invoke",

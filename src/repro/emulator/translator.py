@@ -22,10 +22,18 @@ builders must match the executor's semantics *exactly* (including its
 shifter-carry conventions and interworking quirks) — the differential
 tests in ``tests/emulator/test_translation_blocks.py`` and
 ``tests/emulator/test_block_exit_differential.py`` enforce this.
+
+A word ``LDR`` (immediate, literal-pool or register offset) reads its
+page inline with one ``struct`` unpack, holding the memory's live page
+table (pages are never replaced, see :mod:`repro.memory.memory`); a word
+that straddles a page or lies on an unmapped page goes through
+:meth:`Memory.read_u32`, which also raises in strict memory.  Stores
+stay on :class:`Memory` so the write watcher sees every one.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Optional, Tuple
 
 from repro.common.errors import MemoryError_
@@ -33,10 +41,13 @@ from repro.cpu import isa
 from repro.cpu.executor import CONDITION_TABLE, Executor
 from repro.cpu.isa import Cond, Op, ShiftType
 from repro.cpu.state import LR, PC, CpuState
-from repro.memory.memory import Memory
+from repro.memory.memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Memory
 
 M32 = 0xFFFF_FFFF
 SIGN = 0x8000_0000
+# The last page offset at which a word does not straddle the page.
+LAST_WORD = PAGE_SIZE - 4
+_unpack_u32 = struct.Struct("<I").unpack_from
 
 # A translated micro-op: no arguments, no return value, never writes PC.
 MicroOp = Callable[[], None]
@@ -442,6 +453,28 @@ def _specialise_flag_setting(ir: isa.DataProcessing, pc: int, thumb: bool,
 
 # -- loads and stores --------------------------------------------------------
 
+def _address_mode(ir: isa.LoadStore, pc: int, thumb: bool):
+    """A pre-indexed load or store's address, decoded once:
+    ``(literal, rm, shift, sign, displacement)``.  A literal-pool access
+    has the translation-time constant ``literal`` (the word-aligned
+    pipelined PC plus offset); a register offset reads
+    ``regs[rn] + sign * ((regs[rm] << shift) & M32)``; an immediate one
+    ``regs[rn] + displacement``.  None for a mode that falls back."""
+    rn = ir.rn
+    if ir.offset_rm is not None:
+        rm = ir.offset_rm
+        if rm == PC or rn == PC or ir.shift_type != ShiftType.LSL:
+            return None
+        return None, rm, ir.shift_imm, 1 if ir.add else -1, 0
+    displacement = ir.offset_imm or 0
+    if not ir.add:
+        displacement = -displacement
+    if rn == PC:
+        literal = ((_pipelined_pc(pc, thumb) & ~3) + displacement) & M32
+        return literal, None, 0, 1, 0
+    return None, None, 0, 1, displacement
+
+
 def _specialise_load_store(ir: isa.LoadStore, pc: int, thumb: bool,
                            cpu: CpuState,
                            memory: Memory) -> Optional[MicroOp]:
@@ -451,43 +484,24 @@ def _specialise_load_store(ir: isa.LoadStore, pc: int, thumb: bool,
     rd, rn = ir.rd, ir.rn
     if not ir.load and rd == PC:
         return None  # STR pc needs the pipelined value: fall back
+    mode = _address_mode(ir, pc, thumb)
+    if mode is None:
+        return None
+    if ir.load and ir.size == 4:
+        return _specialise_ldr(rd, rn, mode, regs, memory)
+    literal, rm, shift, sign, displacement = mode
 
-    # Address expression.
-    if ir.offset_rm is not None:
-        if ir.offset_rm == PC or rn == PC:
-            return None
-        rm = ir.offset_rm
-        if ir.shift_type != ShiftType.LSL:
-            return None
-        shift = ir.shift_imm
-        if ir.add:
-            def get_address() -> int:
-                return (regs[rn] + ((regs[rm] << shift) & M32)) & M32
-        else:
-            def get_address() -> int:
-                return (regs[rn] - ((regs[rm] << shift) & M32)) & M32
+    if literal is not None:
+        def get_address() -> int:
+            return literal
+    elif rm is not None:
+        def get_address() -> int:
+            return (regs[rn] + sign * ((regs[rm] << shift) & M32)) & M32
     else:
-        offset = ir.offset_imm or 0
-        if not ir.add:
-            offset = -offset
-        if rn == PC:
-            # Literal-pool access: the address is a translation-time
-            # constant (the word-aligned pipelined PC plus offset).
-            literal = ((_pipelined_pc(pc, thumb) & ~3) + offset) & M32
-
-            def get_address() -> int:
-                return literal
-        else:
-            def get_address() -> int:
-                return (regs[rn] + offset) & M32
+        def get_address() -> int:
+            return (regs[rn] + displacement) & M32
 
     if ir.load:
-        if ir.size == 4:
-            read_u32 = memory.read_u32
-
-            def ldr() -> None:
-                regs[rd] = read_u32(get_address())
-            return ldr
         if ir.size == 2:
             read_u16 = memory.read_u16
             if ir.signed:
@@ -528,6 +542,51 @@ def _specialise_load_store(ir: isa.LoadStore, pc: int, thumb: bool,
     def strb() -> None:
         write_u8(get_address(), regs[rd])
     return strb
+
+
+def _specialise_ldr(rd: int, rn: int, mode, regs,
+                    memory: Memory) -> Optional[MicroOp]:
+    """A word load over the decoded address ``mode``
+    (:func:`_address_mode`), its page read inline (see the module doc).
+    The address arithmetic is written out in each closure rather than
+    called, since the call would cost as much as the page read."""
+    literal, rm, shift, sign, displacement = mode
+    pages = memory.pages
+    read_u32 = memory.read_u32
+
+    if literal is not None:
+        index, offset = literal >> PAGE_SHIFT, literal & PAGE_MASK
+        if offset > LAST_WORD:
+            return None  # a literal straddling a page: fall back
+
+        def ldr_literal() -> None:
+            page = pages.get(index)
+            regs[rd] = read_u32(literal) if page is None \
+                else _unpack_u32(page, offset)[0]
+        return ldr_literal
+
+    if rm is not None:
+        def ldr_reg() -> None:
+            address = (regs[rn] + sign * ((regs[rm] << shift) & M32)) & M32
+            offset = address & PAGE_MASK
+            if offset <= LAST_WORD:
+                page = pages.get(address >> PAGE_SHIFT)
+                if page is not None:
+                    regs[rd] = _unpack_u32(page, offset)[0]
+                    return
+            regs[rd] = read_u32(address)
+        return ldr_reg
+
+    def ldr_imm() -> None:
+        address = (regs[rn] + displacement) & M32
+        offset = address & PAGE_MASK
+        if offset <= LAST_WORD:
+            page = pages.get(address >> PAGE_SHIFT)
+            if page is not None:
+                regs[rd] = _unpack_u32(page, offset)[0]
+                return
+        regs[rd] = read_u32(address)
+    return ldr_imm
 
 
 def _multiple_deltas(ir: isa.LoadStoreMultiple) -> Tuple[int, int]:

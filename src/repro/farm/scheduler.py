@@ -139,17 +139,20 @@ def _status(outcomes: Dict[str, int]) -> str:
 class _Batch:
     """Manifest jobs ``[start, stop)``, dispatched and committed as one.
 
-    ``digests`` (the member job digests, which name the batch's store
-    key) and ``label`` are filled in by :meth:`FarmScheduler._load`.
+    ``specs`` (read from the manifest once, then kept), ``digests`` (the
+    member job digests, which name the batch's store key) and ``label``
+    are filled in by :meth:`FarmScheduler._load`.
     """
 
-    __slots__ = ("start", "stop", "attempt", "digests", "label")
+    __slots__ = ("start", "stop", "attempt", "specs", "digests", "label")
 
     def __init__(self, start: int, stop: int,
+                 specs: Optional[List[JobSpec]] = None,
                  digests: Optional[List[str]] = None) -> None:
         self.start = start
         self.stop = stop
         self.attempt = 0
+        self.specs = specs
         self.digests = digests
         self.label = ""
 
@@ -163,8 +166,11 @@ class _Batch:
 
     def halves(self) -> Tuple["_Batch", "_Batch"]:
         cut = self.size // 2
-        return (_Batch(self.start, self.start + cut, self.digests[:cut]),
-                _Batch(self.start + cut, self.stop, self.digests[cut:]))
+        specs = self.specs
+        return (_Batch(self.start, self.start + cut,
+                       specs and specs[:cut], self.digests[:cut]),
+                _Batch(self.start + cut, self.stop,
+                       specs and specs[cut:], self.digests[cut:]))
 
 
 class FarmScheduler:
@@ -273,10 +279,15 @@ class FarmScheduler:
     def _load(self, batch: _Batch) -> List[JobSpec]:
         """The batch's specs; fills in its member digests and label.
 
-        The worker runs these very spec objects, so each digest computed
-        here is the one its row carries.
+        The specs are read from the manifest on the first call and kept
+        on the batch, so planning, a warm pool's template boot and every
+        dispatch share them.  The worker runs these very spec objects,
+        so each digest computed here is the one its row carries.
         """
-        specs = self.manifest.specs(batch.start, batch.stop)
+        specs = batch.specs
+        if specs is None:
+            specs = batch.specs = self.manifest.specs(batch.start,
+                                                      batch.stop)
         if batch.digests is None:
             batch.digests = [spec.digest() for spec in specs]
         batch.label = specs[0].id if len(specs) == 1 \
@@ -526,7 +537,7 @@ class FarmScheduler:
             self.health.splits += 1
             self._queue.extend(halves)
             return
-        spec = self.manifest.specs(batch.start, batch.stop)[0]
+        spec = self._load(batch)[0]
         elapsed = handle.runtime(time.monotonic())
         if strikes >= self.poison_threshold:
             row = _poison_result(spec, key, strikes, reasons, elapsed,

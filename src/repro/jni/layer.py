@@ -789,7 +789,7 @@ class JniLayer:
             raise JNIError(f"array index {index} out of bounds")
         record.elements[index] = Slot(self.vm.irt.decode(ctx.arg(3)),
                                       TAINT_CLEAR, True)
-        self.vm.heap.sync_array_to_memory(record)
+        self.vm.heap.sync_array_element(record, index)
         return 0
 
     def _env_GetByteArrayRegion(self, ctx: HostContext):

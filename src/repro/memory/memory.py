@@ -16,10 +16,17 @@ watched page invokes the registered callback with the page index, which
 is how the emulator invalidates translated code when a write — guest
 self-modifying code, a library load or a warm reset's restore — lands
 on it.
+
+A page, once created, is the same ``bytearray`` until
+:meth:`Memory.reset_for_job` drops it: no write replaces or resizes it.
+So a reader may hold a page (:attr:`Memory.pages`) or a word view over
+part of one (:meth:`Memory.word_view`) and index it directly, without a
+call per word; a Dalvik frame keeps its slot view for its whole life.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import MemoryError_
@@ -30,6 +37,12 @@ PAGE_MASK = PAGE_SIZE - 1
 ADDRESS_MASK = 0xFFFF_FFFF
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+# A word view indexes a page in host byte order; guest memory is
+# little-endian.
+if sys.byteorder != "little" or \
+        memoryview(_ZERO_PAGE).cast("I").itemsize != 4:
+    raise ImportError("word views need a little-endian host with 4-byte "
+                      "unsigned ints")
 # reset_for_job compares a changed page in chunks of this size.
 _RESTORE_CHUNK = 64
 
@@ -40,6 +53,11 @@ class Memory:
     By default reads of never-written bytes return zero (like zero-fill
     pages).  With ``strict=True``, reading an untouched page raises
     :class:`MemoryError_`, which catches wild pointers in tests.
+
+    Pages are never replaced: a page is created once, on its first
+    write, and only :meth:`reset_for_job` drops it, at a job boundary,
+    when no Dalvik frame is live.  Every other write changes the page's
+    bytes in place.  That is what keeps a held page or word view valid.
     """
 
     def __init__(self, strict: bool = False) -> None:
@@ -101,6 +119,35 @@ class Memory:
     def touched_pages(self) -> int:
         """Number of pages ever written (used by memory-pressure tests)."""
         return len(self._pages)
+
+    @property
+    def pages(self) -> Dict[int, bytearray]:
+        """The live page table, page index -> page: read it, never
+        store into it (an inline reader's fast path; a write through a
+        page would bypass the write watcher)."""
+        return self._pages
+
+    def word_view(self, address: int, count: int) -> memoryview:
+        """A writable view of the ``count`` u32 words at ``address``:
+        ``view[i]`` is the word at ``address + 4 * i``.
+
+        The words must sit on one page, which is created if absent, and
+        that page must not be watched: a store through the view does not
+        reach the write watcher.  The view is valid until
+        :meth:`reset_for_job` drops the page (see the class doc).
+        """
+        address &= ADDRESS_MASK
+        offset = address & PAGE_MASK
+        index = address >> PAGE_SHIFT
+        if offset + 4 * count > PAGE_SIZE:
+            raise MemoryError_(address, f"{count}-word view crosses a page")
+        if index in self._watched_pages:
+            raise MemoryError_(address, "word view over a watched page")
+        page = self._pages.get(index)
+        if page is None:
+            page = bytearray(PAGE_SIZE)
+            self._pages[index] = page
+        return memoryview(page)[offset:offset + 4 * count].cast("I")
 
     # -- code-page write watching -------------------------------------------
 

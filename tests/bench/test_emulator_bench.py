@@ -8,6 +8,7 @@ from repro.bench.emulator_bench import (
     EmulatorBench,
     compare_to_baseline,
     count_cfbench_calls,
+    count_memory_word_calls,
     load_results,
     write_results,
 )
@@ -98,3 +99,11 @@ def test_old_baselines_without_observability_key_still_compare():
     # Pre-observability results lack the key on both sides: no gate.
     current = {"workloads": {}, "taint_parity": {"identical": True}}
     assert compare_to_baseline(current, {"workloads": {}}) == []
+
+
+def test_memory_word_calls_repeat_exactly():
+    """The count CI compares with ``BENCH_emulator.json`` is exact: two
+    passes count the same calls."""
+    count = count_memory_word_calls()
+    assert count > 0
+    assert count == count_memory_word_calls()

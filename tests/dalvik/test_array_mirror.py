@@ -2,18 +2,20 @@
 
 The heap mirrors an array's element values into guest memory so native
 code (and NDroid's memory-level taint) sees the same words the Dalvik
-side holds.  The mirror is one bulk ``Memory.write_bytes``; the oracle
+side holds.  The bulk mirror is one ``Memory.write_bytes``; the oracle
 below is the straightforward one ``write_u32`` per element.  Both must
 leave guest memory identical byte for byte, mask slot values to 32 bits,
 and — because the emulator's write watcher only tests overlap with the
 decoded code extent — invalidate translated code exactly when an
-element word overlaps it.
+element word overlaps it.  An ``APUT`` mirrors only the word it stores
+(``DvmHeap.sync_array_element``): a fresh array's words start at zero,
+so after any run of ``APUT``s guest memory still equals the oracle's.
 """
 
 import pytest
 
 from repro.cpu.assembler import assemble
-from repro.dalvik import DalvikVM
+from repro.dalvik import ClassDef, DalvikVM, MethodBuilder
 from repro.dalvik.heap import (_HEADER_SIZE, DvmHeap, HEAP_SPACE_A,
                                HEAP_SPACE_B, ObjectRecord, Slot)
 from repro.emulator import Emulator
@@ -161,3 +163,63 @@ def test_gc_re_mirrors_reference_arrays():
     for space in (HEAP_SPACE_A, HEAP_SPACE_B):
         assert vm.memory.read_bytes(space, 0x1000) == \
             oracle_vm.memory.read_bytes(space, 0x1000)
+
+
+# -- APUT mirrors one word ----------------------------------------------------
+
+APUTS = [(0, 7), (3, -2), (5, 0x7FFF_FFFF), (3, 9), (1, -(1 << 31))]
+
+
+def aput_program():
+    cls = ClassDef("LT;")
+    b = MethodBuilder("LT;", "main", "II", static=True, registers=5)
+    b.const(0, 6).new_array(1, 0)
+    for index, value in APUTS:
+        b.const(2, index).const(3, value).aput(3, 1, 2)
+    b.ret_object(1)
+    cls.add_method(b.build())
+    return cls
+
+
+def run_aputs(compiled: bool, oracle: bool):
+    """Run the APUT program over heap memory dirtied first (the array
+    lands on stale bytes); return the heap window and the number of bulk
+    mirrors made."""
+    vm = DalvikVM(Memory())
+    if compiled:
+        vm.enable_trace_compiler()
+    vm.memory.fill(HEAP_SPACE_A, 0x200, FILL)
+    bulk = []
+    vm.heap.sync_array_to_memory = bulk.append
+    if oracle:
+        vm.heap.sync_array_element = \
+            lambda record, index: per_word_mirror(vm.memory, record)
+    vm.register_class(aput_program())
+    address = vm.call_main("LT;->main", [Slot(0)]).value
+    assert [slot.value for slot in vm.heap.get(address).elements] == \
+        [7 & 0xFFFF_FFFF, -(1 << 31) & 0xFFFF_FFFF, 0, 9, 0, 0x7FFF_FFFF]
+    return vm.memory.read_bytes(HEAP_SPACE_A, 0x200), len(bulk)
+
+
+@pytest.mark.parametrize("compiled", [False, True],
+                         ids=["interpreter", "tbc"])
+def test_aputs_mirror_one_word_and_match_the_per_word_oracle(compiled):
+    memory, bulk = run_aputs(compiled, oracle=False)
+    assert bulk == 0
+    assert (memory, bulk) == run_aputs(compiled, oracle=True)
+
+
+def test_element_mirror_over_code_invalidates_only_that_page():
+    emu, program, page = translated_code_page()
+    heap = DvmHeap(emu.memory)
+    data = array_at(program.symbols["buffer"] + 0x100, [1, 2, 3])
+    data.elements[1].value = -5
+    heap.sync_array_element(data, 1)
+    assert emu.memory.read_words(data.data_address(), 3) == \
+        [0, 0xFFFF_FFFB, 0]
+    assert emu.translation_stats()["invalidations"] == 0
+    main = program.entry("main") & ~1
+    code = array_at(main, emu.memory.read_words(main, 2))
+    heap.sync_array_element(code, 0)
+    assert emu.translation_stats()["invalidations"] == 1
+    assert emu.call(program.entry("main")) == 3

@@ -5,8 +5,10 @@ import pytest
 from repro.common.errors import DalvikError
 from repro.common.taint import TAINT_CONTACTS, TAINT_IMEI, TAINT_SMS
 from repro.dalvik.classes import MethodBuilder
-from repro.dalvik.stack import DVM_STACK_BASE, SLOT_SIZE, DvmStack
+from repro.dalvik.stack import (DVM_STACK_BASE, SAVE_AREA_SIZE, SLOT_SIZE,
+                                DvmStack)
 from repro.memory import Memory
+from repro.memory.memory import PAGE_SHIFT, PAGE_SIZE
 
 
 def make_method(registers=4, name="m"):
@@ -80,6 +82,58 @@ class TestFrames:
         frame.add_taint(1, TAINT_CONTACTS)
         assert frame.get_taint(1) == TAINT_SMS | TAINT_CONTACTS
         assert frame.get(1) == 7  # value untouched
+
+
+class TestSlotPlacement:
+    """A frame's slot area sits on one page, read through its word view."""
+
+    def test_slot_areas_never_cross_a_page(self, stack):
+        pushed = []
+        for registers in [7, 16, 3, 1, 12, 9, 16, 5, 11, 13] * 10:
+            before = stack._stack_pointer
+            frame = stack.push_frame(make_method(registers))
+            last = frame.fp + SLOT_SIZE * registers - 1
+            assert frame.fp >> PAGE_SHIFT == last >> PAGE_SHIFT
+            # The save area sits right above the slots, below the caller.
+            assert frame.fp + SLOT_SIZE * registers + SAVE_AREA_SIZE <= before
+            pushed.append(before)
+        assert any(before - stack.frames[index].fp
+                   > SAVE_AREA_SIZE + SLOT_SIZE * stack.frames[index]
+                   .register_count
+                   for index, before in enumerate(pushed))  # some moved
+        for before in reversed(pushed):
+            stack.pop_frame()
+            assert stack._stack_pointer == before
+        assert stack._stack_pointer == DVM_STACK_BASE
+
+    def test_a_crossing_frame_ends_at_the_page_boundary_below(self, stack):
+        # 12 + 8 * 500 bytes leaves 84 bytes on the first page: a
+        # 16-register frame (12 + 128 bytes) would straddle its bottom.
+        stack.push_frame(make_method(500))
+        frame = stack.push_frame(make_method(16))
+        boundary = DVM_STACK_BASE - PAGE_SIZE
+        assert frame.fp == boundary - SLOT_SIZE * 16
+        assert stack.memory.read_u32(boundary) == frame.prev_fp
+
+    def test_slot_view_and_memory_are_the_same_words(self, stack):
+        frame = stack.push_frame(make_method(4))
+        frame.set(2, 0xFEED, TAINT_SMS)
+        assert (frame.slots[4], frame.slots[5]) == (0xFEED, TAINT_SMS)
+        frame.slots[6] = 0x8000_0000
+        frame.slots[7] = TAINT_IMEI
+        assert frame.get(3) == 0x8000_0000
+        assert frame.get_taint(3) == TAINT_IMEI
+        assert frame.slots.tolist() == stack.memory.read_words(frame.fp, 8)
+
+    def test_popped_frame_releases_its_view(self, stack):
+        frame = stack.push_frame(make_method(2))
+        stack.pop_frame()
+        with pytest.raises(ValueError):
+            frame.slots[0]
+
+    def test_a_frame_larger_than_a_page_is_refused(self, stack):
+        with pytest.raises(DalvikError, match="at most 512"):
+            stack.push_frame(make_method(PAGE_SIZE // SLOT_SIZE + 1))
 
 
 class TestNativeArgsProtocol:

@@ -12,13 +12,21 @@ variant partway through).
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.emulator_bench import PARITY_SCENARIOS, EmulatorBench
 from repro.common.errors import DalvikError
-from repro.common.taint import TAINT_CONTACTS, TAINT_IMEI, TAINT_SMS
+from repro.common.taint import (TAINT_CLEAR, TAINT_CONTACTS, TAINT_IMEI,
+                                TAINT_SMS)
 from repro.dalvik import ClassDef, DalvikVM, MethodBuilder, Op
 from repro.dalvik.heap import Slot
+from repro.dalvik.instructions import (BINARY_OPS, COMPARE_OPS,
+                                       COMPARE_Z_OPS, Ins)
+from repro.dalvik.interpreter import PendingException
+from repro.dalvik.stack import DVM_STACK_BASE, SLOT_SIZE
 from repro.memory import Memory
+from repro.memory.memory import PAGE_SHIFT
 from repro.observability.ledger import ProvenanceLedger
 
 
@@ -49,12 +57,15 @@ def run_both(make_class, symbol, make_args=lambda: [], setup=None):
             outcome = ("ok", result.value, result.taint, result.is_ref)
         except DalvikError as error:
             outcome = ("dalvik-error", str(error))
+        except PendingException as pending:
+            outcome = ("uncaught", pending.class_name,
+                       pending.exception_address, pending.taint)
         outcomes.append((vm, outcome))
     (oracle, oracle_out), (compiled, compiled_out) = outcomes
     assert compiled.tbc is not None and oracle.tbc is None
     assert compiled_out == oracle_out
     assert popped[1] == popped[0]
-    if oracle_out[0] == "ok":
+    if oracle_out[0] != "dalvik-error":
         assert compiled.dalvik_instructions == oracle.dalvik_instructions
     assert [edge.to_dict() for edge in compiled.ledger] == \
         [edge.to_dict() for edge in oracle.ledger]
@@ -377,3 +388,210 @@ class TestScenarioParity:
         compiled = EmulatorBench._leak_report(name, True)
         single_step = EmulatorBench._leak_report(name, False)
         assert compiled == single_step
+
+
+# -- generated method bodies --------------------------------------------------
+#
+# ``main(III)I`` has registers v0-v11: v0-v5 are the work registers the
+# generated ops write, v6 the array index scratch, v7 an int[4] made in
+# the prologue, v8 the exception object, v9-v11 the (tainted) ins.  Every
+# branch is forward, so every body terminates.
+
+CLASS = "LGen;"
+WORK = tuple(range(6))
+READ = WORK + (9, 10, 11)
+LABELS = (TAINT_CLEAR, TAINT_IMEI, TAINT_SMS, TAINT_IMEI | TAINT_CONTACTS)
+# A frame pushed first with this many registers leaves the stack pointer
+# where main's slot area would cross a page (see test_page_crossing_*).
+FILLER_REGISTERS = 500
+
+_work = st.sampled_from(WORK)
+_read = st.sampled_from(READ)
+_ops = st.one_of(
+    st.tuples(st.just("binop"), st.sampled_from(tuple(BINARY_OPS)),
+              _work, _read, _read),
+    st.tuples(st.just("lit"), st.sampled_from((Op.ADD_INT_LIT,
+                                               Op.MUL_INT_LIT)),
+              _work, _read, st.integers(-7, 7)),
+    st.tuples(st.just("unary"), st.sampled_from((Op.NEG_INT, Op.NOT_INT)),
+              _work, _read),
+    st.tuples(st.just("const"), _work,
+              st.sampled_from((0, 1, -1, 3, 0x7FFF_FFFF, -0x8000_0000))),
+    st.tuples(st.just("move"), _work, _read),
+    st.tuples(st.just("aget"), _work, st.integers(-1, 4)),
+    st.tuples(st.just("aput"), _read, st.integers(-1, 4)),
+    st.tuples(st.just("alen"), _work),
+    st.tuples(st.just("invoke"), st.sampled_from(("mix", "quot")),
+              _work, _read, _read),
+    st.tuples(st.just("sget"), _work),
+    st.tuples(st.just("sput"), _read),
+    st.tuples(st.just("if"), st.sampled_from(tuple(COMPARE_OPS)),
+              _read, _read, st.integers(0, 4)),
+    st.tuples(st.just("ifz"), st.sampled_from(tuple(COMPARE_Z_OPS)),
+              _read, st.integers(0, 4)),
+    st.tuples(st.just("throw")),
+)
+_bodies = st.lists(_ops, min_size=1, max_size=24)
+# Half the calls pass clean ins, so taint can first enter mid-block.
+_args = st.lists(st.tuples(st.integers(-9, 9), st.sampled_from(LABELS)),
+                 min_size=3, max_size=3) | st.lists(
+    st.tuples(st.integers(-9, 9), st.just(TAINT_CLEAR)),
+    min_size=3, max_size=3)
+
+
+def generated_class(body, ret, caught):
+    """``main`` from ``body``, plus its two callees: ``mix`` (xor, +1)
+    and ``quot`` (a division that throws on zero)."""
+    cls = ClassDef(CLASS)
+    cls.add_static_field("secret")
+    cls.add_method(MethodBuilder(CLASS, "mix", "III", static=True)
+                   .binop(Op.XOR_INT, 0, 1, 2).add_lit(0, 0, 1).ret(0)
+                   .build())
+    cls.add_method(MethodBuilder(CLASS, "quot", "III", static=True)
+                   .binop(Op.DIV_INT, 0, 1, 2).ret(0).build())
+    b = MethodBuilder(CLASS, "main", "IIII", static=True, registers=12)
+    b.const(6, 4).new_array(7, 6)
+    b.label("try")
+    targets = {}
+    for index, op in enumerate(body):
+        for label in targets.pop(index, ()):
+            b.label(label)
+        kind = op[0]
+        if kind == "binop":
+            b.binop(*op[1:])
+        elif kind == "lit":
+            b.emit(Ins(op[1], a=op[2], b=op[3], literal=op[4]))
+        elif kind == "unary":
+            b.emit(Ins(op[1], a=op[2], b=op[3]))
+        elif kind == "const":
+            b.const(op[1], op[2])
+        elif kind == "move":
+            b.move(op[1], op[2])
+        elif kind == "aget":
+            b.const(6, op[2]).aget(op[1], 7, 6)
+        elif kind == "aput":
+            b.const(6, op[2]).aput(op[1], 7, 6)
+        elif kind == "alen":
+            b.array_length(op[1], 7)
+        elif kind == "invoke":
+            b.invoke_static(f"{CLASS}->{op[1]}", op[3], op[4])
+            b.move_result(op[2])
+        elif kind == "sget":
+            b.sget(op[1], f"{CLASS}->secret")
+        elif kind == "sput":
+            b.sput(op[1], f"{CLASS}->secret")
+        elif kind in ("if", "ifz"):
+            label = f"skip{index}"
+            end = min(index + 1 + op[-1], len(body))
+            targets.setdefault(end, []).append(label)
+            if kind == "if":
+                b.if_cmp(op[1], op[2], op[3], label)
+            else:
+                b.if_z(op[1], op[2], label)
+        else:
+            b.new_instance(8, CLASS).throw(8)
+    for label in targets.pop(len(body), ()):
+        b.label(label)
+    b.label("end")
+    b.ret(ret)
+    b.label("catch")
+    b.move_exception(8)
+    b.ret(ret)
+    if caught:
+        b.catch_range("try", "end", "catch")
+    cls.add_method(b.build())
+    return cls
+
+
+def record_pushes(vm, pushes):
+    """Note each pushed frame's (fp, register count)."""
+    push_frame = vm.stack.push_frame
+
+    def recorded(method):
+        frame = push_frame(method)
+        pushes.append((frame.fp, frame.register_count))
+        return frame
+
+    vm.stack.push_frame = recorded
+
+
+def run_generated(body, args, ret, caught, secret, crossing=False):
+    pushes = []
+
+    def setup(vm):
+        vm.set_static(f"{CLASS}->secret", *secret)
+        if crossing:
+            vm.stack.push_frame(
+                MethodBuilder(CLASS, "filler", "V", static=True,
+                              registers=FILLER_REGISTERS).ret_void().build())
+        record_pushes(vm, pushes)
+
+    run_both(lambda: generated_class(body, ret, caught), f"{CLASS}->main",
+             lambda: [Slot(value & 0xFFFF_FFFF, taint)
+                      for value, taint in args], setup=setup)
+    for fp, registers in pushes:
+        last = fp + SLOT_SIZE * registers - 1
+        assert fp >> PAGE_SHIFT == last >> PAGE_SHIFT
+    return pushes
+
+
+class TestGeneratedBodies:
+    """Hypothesis-generated method bodies through both engines.
+
+    Derandomized, with a fixed example count and no example database, so
+    every run checks the same bodies; the ``@example`` rows pin the cases
+    named in the class doc of this module and a page-crossing frame."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              database=None)
+    @given(body=_bodies, args=_args, ret=st.sampled_from(READ),
+           caught=st.booleans(),
+           secret=st.tuples(st.integers(0, 5), st.sampled_from(LABELS)))
+    # Division by zero, caught and uncaught.
+    @example(body=[("binop", Op.DIV_INT, 0, 9, 1)],
+             args=[(4, 0), (0, 0), (0, 0)], ret=0, caught=True,
+             secret=(0, 0))
+    @example(body=[("binop", Op.REM_INT, 0, 9, 1)],
+             args=[(4, TAINT_SMS), (0, 0), (0, 0)], ret=0, caught=False,
+             secret=(0, 0))
+    # A thrown object, caught and uncaught, after a tainted move.
+    @example(body=[("move", 0, 9), ("throw",)],
+             args=[(4, TAINT_IMEI), (0, 0), (0, 0)], ret=0, caught=True,
+             secret=(0, 0))
+    @example(body=[("move", 0, 9), ("throw",)],
+             args=[(4, TAINT_IMEI), (0, 0), (0, 0)], ret=0, caught=False,
+             secret=(0, 0))
+    # Clean args; the first taint enters mid-block from a static, then
+    # flows through a binop, an array store and an invoke's result.
+    @example(body=[("const", 0, 3), ("binop", Op.ADD_INT, 1, 0, 9),
+                   ("sget", 2), ("binop", Op.MUL_INT, 3, 2, 1),
+                   ("aput", 3, 1), ("aget", 4, 1),
+                   ("invoke", "mix", 5, 4, 10), ("if", Op.IF_LT, 5, 0, 1),
+                   ("move", 0, 5)],
+             args=[(2, 0), (5, 0), (7, 0)], ret=0, caught=True,
+             secret=(9, TAINT_SMS))
+    # A callee's division by zero unwinds into main's handler.
+    @example(body=[("invoke", "quot", 0, 9, 10), ("ifz", Op.IF_EQZ, 0, 0)],
+             args=[(8, TAINT_IMEI), (0, 0), (1, 0)], ret=0, caught=True,
+             secret=(0, 0))
+    def test_generated_body_matches_oracle(self, body, args, ret, caught,
+                                           secret):
+        run_generated(body, args, ret, caught, secret)
+
+    def test_page_crossing_frame_is_pushed_below_the_page(self):
+        body = [("binop", Op.ADD_INT, 0, 9, 10), ("sget", 1),
+                ("binop", Op.XOR_INT, 2, 0, 1), ("aput", 2, 3),
+                ("invoke", "mix", 3, 2, 11), ("aget", 4, 3),
+                ("if", Op.IF_NE, 3, 4, 1), ("move", 5, 3)]
+        pushes = run_generated(body, [(1, TAINT_IMEI), (2, 0), (3, 0)],
+                               4, True, (6, TAINT_SMS), crossing=True)
+        # Twice (one per engine): main, then mix.
+        assert [registers for __, registers in pushes] == [12, 3] * 2
+        # Naively main's slots would straddle a page; pushed lower, they
+        # end exactly at that page boundary, with the save area above.
+        filler_fp = DVM_STACK_BASE - 12 - SLOT_SIZE * FILLER_REGISTERS
+        naive_fp = filler_fp - 12 - SLOT_SIZE * 12
+        naive_last = naive_fp + SLOT_SIZE * 12 - 1
+        assert naive_fp >> PAGE_SHIFT != naive_last >> PAGE_SHIFT
+        boundary = (naive_last >> PAGE_SHIFT) << PAGE_SHIFT
+        assert pushes[0][0] == boundary - SLOT_SIZE * 12

@@ -12,9 +12,14 @@ pin that down:
   makes exactly the same function calls under vanilla as under
   TaintDroid (counted with :func:`sys.setprofile`, so no timer is
   involved).
+
+The same count pins the slot views: on that pass, under vanilla,
+TaintDroid and NDroid, no compiled Dalvik block calls a
+:class:`~repro.memory.memory.Memory` word accessor.
 """
 
 import gc
+import os
 import sys
 from collections import Counter
 
@@ -23,7 +28,8 @@ import pytest
 from repro.apps import ALL_SCENARIOS
 from repro.apps.base import run_scenario
 from repro.bench.cfbench import CFBench
-from repro.bench.emulator_bench import PARITY_SCENARIOS
+from repro.bench.emulator_bench import (
+    MEMORY_WORD_ACCESSORS, PARITY_SCENARIOS)
 from repro.bench.harness import make_platform
 
 from tests.dalvik.test_tbc_differential import watch_popped_frames
@@ -65,17 +71,25 @@ def test_vanilla_cfbench_holds_no_taint():
     _assert_no_taint(platform.vm, popped)
 
 
-def _cfbench_call_profile(config):
+def _cfbench_call_profile(config, word_callers=None):
     """Calls made by one warmed pass of every CF-Bench kernel, counted
     per Python function (code name) and per builtin (qualname).  The
-    collector is off while counting so no finalizer runs in the pass."""
+    collector is off while counting so no finalizer runs in the pass.
+    With ``word_callers``, each call of a ``Memory`` word accessor is
+    also counted there, keyed by its caller's file and function."""
     bench = CFBench(make_platform(config))
     bench.run_all(iterations=CFBENCH_ITERATIONS)
     counts = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
-            counts[frame.f_code.co_name] += 1
+            code = frame.f_code
+            counts[code.co_name] += 1
+            if word_callers is not None and \
+                    code.co_name in MEMORY_WORD_ACCESSORS and \
+                    code.co_filename.endswith("memory.py"):
+                caller = frame.f_back.f_code
+                word_callers[caller.co_filename, caller.co_name] += 1
         elif event == "c_call":
             counts[getattr(arg, "__qualname__", repr(arg))] += 1
 
@@ -99,3 +113,17 @@ def test_vanilla_and_taintdroid_make_the_same_calls_on_clean_data():
     assert {key: (vanilla[key], taintdroid[key])
             for key in vanilla.keys() | taintdroid.keys()
             if vanilla[key] != taintdroid[key]} == {}
+
+
+@pytest.mark.parametrize("config", ["vanilla", "taintdroid", "ndroid"])
+def test_compiled_blocks_read_slots_without_memory_calls(config):
+    """Compiled blocks index their frame's slot view: a warmed CF-Bench
+    pass makes no ``Memory`` word call from ``dalvik/tbc.py``.  The other
+    callers (ARM stores, array mirrors, frame pushes, libc) remain."""
+    callers = Counter()
+    counts = _cfbench_call_profile(config, callers)
+    assert counts["execute"] > 0            # compiled blocks ran
+    from_blocks = {key: count for key, count in callers.items()
+                   if key[0].endswith(os.path.join("dalvik", "tbc.py"))}
+    assert from_blocks == {}
+    assert 0 < sum(callers.values()) < 1000

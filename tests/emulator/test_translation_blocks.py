@@ -432,3 +432,68 @@ def test_mid_block_memory_fault_stops_on_the_faulting_instruction(use_tb):
     assert regs[0] == 0
     assert (message, count, pc, regs) == \
         _fault_state(source, False, MemoryError_, strict=True)
+
+
+# ---------------------------------------------------------------------------
+# word loads read their page inline; the edges go through Memory
+
+WORD_LOADS = """
+main:
+    ldr r4, =0x20000FFC      ; the last word of a page
+    ldr r5, =0x11223344
+    str r5, [r4]
+    ldr r5, =0x55667788
+    str r5, [r4, #4]         ; the first word of the next page
+    mov r6, #1
+    ldr r0, [r4]             ; immediate offset
+    ldr r1, [r4, #2]         ; straddles the two pages
+    ldr r2, [r4, r6, lsl #2] ; register offset, onto the next page
+    ldr r3, [r4, -r6, lsl #2]
+    ldr r5, [r4, #-8]        ; mapped, never written
+    ldr r7, =0x30000000
+    ldr r7, [r7]             ; unmapped
+    bx lr
+"""
+
+
+def test_word_loads_read_pages_inline_and_fall_back_at_the_edges():
+    results = {}
+    for use_tb in (True, False):
+        emu, program = make_emu(WORD_LOADS, use_tb=use_tb)
+        read_u32 = emu.memory.read_u32
+        fallbacks = []
+
+        def counted(address):
+            if address >> 12 != CODE_BASE >> 12:     # not a fetch
+                fallbacks.append(address)
+            return read_u32(address)
+
+        emu.memory.read_u32 = counted
+        emu.call(program.entry("main"))
+        results[use_tb] = (list(emu.cpu.regs[:8]), emu.instruction_count)
+        if use_tb:
+            # Only the straddling and the unmapped word call Memory.
+            assert fallbacks == [0x2000_0FFE, 0x3000_0000]
+    assert results[True] == results[False]
+    assert results[True][0][:4] == [0x1122_3344, 0x7788_1122, 0x5566_7788,
+                                    0]
+    assert results[True][0][5] == results[True][0][7] == 0
+
+
+@pytest.mark.parametrize("use_tb", [True, False])
+@pytest.mark.parametrize("load", ["ldr r3, [r2, r1, lsl #2]",
+                                  "ldr r3, [r2, #4]"])
+def test_strict_unmapped_word_load_faults_like_single_step(use_tb, load):
+    source = f"""
+    main:
+        mov r2, #0x30000000   ; never written: unmapped in strict memory
+        mov r1, #2
+        {load}
+        mov r0, #9
+        bx lr
+    """
+    message, count, pc, regs = _fault_state(source, use_tb, MemoryError_,
+                                            strict=True)
+    assert (count, pc, regs[0]) == (2, CODE_BASE + 8, 0)
+    assert (message, count, pc, regs) == \
+        _fault_state(source, False, MemoryError_, strict=True)

@@ -16,8 +16,10 @@ from repro.farm.manifest import iter_corpus_jobs
 from repro.observability.flight import build_timeline, read_jsonl
 
 
-def test_inline_sharded_run_parses_and_hashes_each_spec_once(
-        tmp_path, monkeypatch):
+def count_spec_work(tmp_path, monkeypatch, **options):
+    """Run a sharded manifest under ``options``; return the job count,
+    the report, the rows, and the spec objects digested, the dicts
+    parsed and the specs built in this process."""
     manifest = ShardedManifest.write(
         str(tmp_path / "manifest"),
         iter_corpus_jobs(scale=0.004, seed=2014, chunk=16), shard_size=8)
@@ -49,18 +51,42 @@ def test_inline_sharded_run_parses_and_hashes_each_spec_once(
     monkeypatch.setattr(JobSpec, "digest", digest)
     monkeypatch.setattr(JobSpec, "from_dict", classmethod(from_dict))
     monkeypatch.setattr(JobSpec, "__post_init__", post_init)
-    scheduler = FarmScheduler(manifest, workers=1,
-                              run_dir=str(tmp_path / "run"))
+    scheduler = FarmScheduler(manifest, run_dir=str(tmp_path / "run"),
+                              **options)
     report = scheduler.run()
     rows = list(scheduler.iter_results())
     monkeypatch.undo()
+    assert [row["digest"] for row in rows] == \
+        [spec.digest() for spec in manifest]
+    return jobs, report, digested, parsed, built
 
+
+def test_inline_sharded_run_parses_and_hashes_each_spec_once(
+        tmp_path, monkeypatch):
+    jobs, report, digested, parsed, built = count_spec_work(
+        tmp_path, monkeypatch, workers=1)
     assert report.outcomes == {"ok": jobs}
     assert len(digested) == jobs
     assert len(parsed) == jobs
     assert len(built) == jobs
-    assert [row["digest"] for row in rows] == \
-        [spec.digest() for spec in manifest]
+
+
+@pytest.mark.parametrize("options", [
+    pytest.param({"workers": 1, "resume": True}, id="resume"),
+    pytest.param({"workers": 2, "warm": True}, id="j2-warm"),
+])
+def test_resumed_and_warm_pool_runs_parse_and_hash_each_spec_once(
+        tmp_path, monkeypatch, options):
+    """``--resume`` plans every batch before dispatch, and a warm pool
+    reads every batch's configs before it forks: both reuse the specs
+    they loaded, so the scheduler parses and hashes each job once."""
+    jobs, report, digested, parsed, built = count_spec_work(
+        tmp_path, monkeypatch, **options)
+    assert report.outcomes == {"ok": jobs}
+    assert report.cached_jobs == 0
+    assert len(digested) == jobs
+    assert len(parsed) == jobs
+    assert len(built) == jobs
 
 
 SPECS = [

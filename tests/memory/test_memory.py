@@ -267,3 +267,68 @@ def test_reset_for_job_writes_only_changed_spans(image, offset, scribbles):
         assert max(notified) == max(changed)
     else:
         assert events == []
+
+
+# -- pages are never replaced; word views ----------------------------------
+
+def test_a_page_is_never_replaced_until_reset_drops_it():
+    """Every writer changes a page in place, so a held page or word view
+    stays live; only reset_for_job drops a page (restoring a kept one in
+    place)."""
+    mem = Memory()
+    mem.write_u8(0x2000, 1)                      # page 2, checkpointed
+    mem.checkpoint()
+    kept = mem.pages[2]
+    view = mem.word_view(0x2100, 4)
+    mem.write_u32(0x3010, 5)                     # page 3, a job's page
+    job_page = mem.pages[3]
+    writes = [
+        lambda: mem.write_u8(0x2100, 0xAB),
+        lambda: mem.write_u16(0x2FFF, 0xBEEF),  # straddles into page 3
+        lambda: mem.write_u32(0x2104, 0x1122_3344),
+        lambda: mem.write_u32x2(0x2108, 7, 9),
+        lambda: mem.write_bytes(0x2FF0, b"\x01" * 40),
+        lambda: mem.fill(0x2200, 0x100, 0x5A),
+        lambda: mem.write_words(0x2300, [1, 2, 3]),
+        lambda: mem.copy(0x2400, 0x2100, 16),
+        lambda: mem.write_cstring(0x2500, "abc"),
+        lambda: mem.reset_for_job(),             # restores page 2 in place
+    ]
+    for write in writes[:-1]:
+        write()
+        assert mem.pages[2] is kept and mem.pages[3] is job_page
+    assert view.tolist() == mem.read_words(0x2100, 4)
+    writes[-1]()
+    assert mem.pages[2] is kept
+    assert 3 not in mem.pages                    # the job's page is gone
+    assert view.tolist() == [0, 0, 0, 0] == mem.read_words(0x2100, 4)
+
+
+def test_word_view_reads_and_writes_guest_words():
+    mem = Memory()
+    mem.write_u32(0x1_0008, 0xCAFE_F00D)
+    view = mem.word_view(0x1_0008, 2)
+    assert view.tolist() == [0xCAFE_F00D, 0]
+    view[1] = 0x8000_0001
+    assert mem.read_u32(0x1_000C) == 0x8000_0001
+    assert mem.read_bytes(0x1_000C, 4) == b"\x01\x00\x00\x80"
+    with pytest.raises((ValueError, OverflowError)):
+        view[0] = 1 << 32                        # a view stores 32 bits
+
+
+def test_word_view_creates_its_page():
+    mem = Memory(strict=True)
+    view = mem.word_view(0x7000, 3)
+    assert view.tolist() == [0, 0, 0]
+    assert mem.read_u32(0x7008) == 0             # mapped now, no raise
+
+
+def test_word_view_refuses_a_page_crossing_and_a_watched_page():
+    mem = Memory()
+    mem.word_view(0x1FF8, 2)                     # ends at the boundary
+    with pytest.raises(MemoryError_, match="crosses a page"):
+        mem.word_view(0x1FFC, 2)
+    mem.set_write_watcher(lambda page, lo, hi: None)
+    mem.watch_page(5)
+    with pytest.raises(MemoryError_, match="watched page"):
+        mem.word_view(0x5000, 1)
