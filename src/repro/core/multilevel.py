@@ -12,7 +12,11 @@ requires T(k-1) plus a branch into the k-th function.  Return branches
 T4-T6.
 
 The manager consumes the emulator's branch-event stream ``(i_from, i_to)``
-and answers two queries:
+and answers two queries below.  It acts only on a branch that enters a
+chain function or leaves a chain head, so it publishes those addresses
+as its :class:`BranchWatch`: the emulator calls it for those branches
+only, decided per translated block, and counts the rest into
+``checks`` without a call.
 
 * :meth:`gate` — should a hook on function ``name`` fire for this entry?
 * :meth:`native_provenance_active` — is any chain currently live?
@@ -21,6 +25,8 @@ and answers two queries:
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set
+
+from repro.emulator.emulator import BranchWatch
 
 
 class HookChain:
@@ -42,7 +48,10 @@ class MultilevelHookManager:
     address (return side), so a branch that neither enters a chain
     function nor leaves a chain head costs two dictionary lookups, and
     the third-party test runs only when a chain head is entered or a
-    live chain head returns.
+    live chain head returns.  The manager is itself the branch listener
+    (``manager(i_from, i_to, emu)``); its ``branch_watch`` holds every
+    chain function's address, so the emulator spares it the other
+    branches, and ``checks`` counts those too.
     """
 
     def __init__(self, symbols: Dict[str, int],
@@ -59,6 +68,7 @@ class MultilevelHookManager:
         self._chains_by_head: Dict[int, List[HookChain]] = {}
         # Which chain names may fire their gated hooks right now.
         self._armed: Set[str] = set()
+        self.branch_watch = BranchWatch()
         # When disabled (the ablation of Section V.B), every gated hook
         # fires on every entry — "the overhead will be high if we hook
         # these two functions whenever they are called".
@@ -73,6 +83,8 @@ class MultilevelHookManager:
                 raise KeyError(f"unknown function {name!r} in hook chain")
         chain = HookChain(names)
         self._chains.append(chain)
+        self.branch_watch.addresses.update(
+            self._symbols[name] & ~1 for name in chain.names)
         for name in dict.fromkeys(chain.names):
             self._chains_by_name.setdefault(name, []).append(chain)
         # A head whose address resolves to an aliasing symbol is never
@@ -89,13 +101,20 @@ class MultilevelHookManager:
         for chain in self._chains:
             if chain.depth:
                 chain.reset()
-        self.checks = 0
+        self._delivered = 0
+        self.branch_watch.unseen = 0
         self.fires = 0
+
+    @property
+    def checks(self) -> int:
+        """Branch events seen: those delivered plus those the emulator
+        counted into the watch instead."""
+        return self._delivered + self.branch_watch.unseen
 
     # -- the branch listener -------------------------------------------------------
 
     def on_branch(self, i_from: int, i_to: int, emu=None) -> None:
-        self.checks += 1
+        self._delivered += 1
         target_name = self._address_to_name.get(i_to & ~1)
         if target_name is None:
             # Unwind on a return branch out of a live chain head back
@@ -127,6 +146,8 @@ class MultilevelHookManager:
                     target_name == names[chain.depth]:
                 chain.depth += 1
                 self._armed.add(target_name)
+
+    __call__ = on_branch
 
     # -- queries ----------------------------------------------------------------------
 

@@ -91,14 +91,16 @@ class NDroid:
         platform.libc.taint_interface = system.taint_engine
         platform.kernel.taint_provider = system.taint_engine.memory_taints
 
-        # Branch events feed the multilevel condition chains.
-        platform.emu.add_branch_listener(system.multilevel.on_branch)
         # The instruction tracer sees every instruction; it self-scopes to
         # third-party regions.
         platform.emu.add_tracer(system.instruction_tracer)
 
         system.dvm_hooks.install()
         system.syslib_hooks.install()
+        # Branch events feed the multilevel condition chains; registered
+        # once the hooks above added every chain, since the emulator
+        # reads the watched addresses when the listener is added.
+        platform.emu.add_branch_listener(system.multilevel)
 
         # Re-introspect after every map change, so freshly loaded
         # third-party code is traced from its first instruction.  (The
@@ -137,8 +139,7 @@ class NDroid:
                     self._run_fallback(fallback, emu, args)
                 return
             try:
-                injector = getattr(emu, "fault_injector", None)
-                on_hook = getattr(injector, "on_hook", None)
+                on_hook = emu.hook_fault_point
                 if on_hook is not None:
                     on_hook(name, emu.instruction_count)
                 hook(emu, *args)

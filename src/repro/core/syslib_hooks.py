@@ -12,6 +12,18 @@ the ``memcpy`` model).  Table VII's starred calls — ``fwrite``, ``write``,
 which the case-2 PoC treats as a sink) — additionally get *sink handlers*:
 "if the data carrying taint reaches calls with *, NDroid regards it as a
 possible information leak."
+
+The models a native kernel calls in a loop (``malloc``/``calloc``,
+``free``, the libm functions, the ``fwrite`` sink) also have a *clean*
+variant, taken while the taint engine's sticky ``maybe_tainted`` flag
+says no label is live anywhere (the same flag that picks a translated
+block's clean variant).  Such a model could only write clear labels, so
+it just advances the counters the full model would: ``modelled_calls``
+and the engine's ``propagation_count`` by the count in
+:data:`CLEAN_PROPAGATIONS`, or the sink's ``sink_checks``.  Argument
+capture stores the shared all-clear taint tuple, and an exit model whose
+engine turned tainted since its entry runs in full.  The clean sink
+reports nothing but keeps the guest read that can fault.
 """
 
 from __future__ import annotations
@@ -27,6 +39,13 @@ from repro.observability.ledger import Loc
 # Table VII's starred sinks (plus fprintf, the Fig. 8 sink).
 SINK_FUNCTIONS = ("write", "send", "sendto", "fwrite", "fputs", "fputc",
                   "fprintf", "vfprintf")
+
+# What argument capture stores for r0-r3 while no taint is live.
+CLEAR_TAINTS = (TAINT_CLEAR,) * 4
+
+# The models with a clean variant, each with the count of labels its full
+# model writes (``propagation_count``); every libm function writes r0-r1.
+CLEAN_PROPAGATIONS = {"free": 0, "malloc": 0, "calloc": 0, "libm": 2}
 
 # The syscall each modelled sink bottoms out in — the provenance ledger
 # labels sink edges ``syscall:<name>`` so a reconstructed path always
@@ -58,7 +77,7 @@ class SysLibHookEngine:
     def reset_for_job(self) -> None:
         self.modelled_calls = 0
         self.sink_checks = 0
-        self._pending_exits: List[Dict] = []
+        self._pending_exits: List[tuple] = []
 
     def _trace_copy(self, name: str, dest: int, src: int,
                     length: int) -> None:
@@ -85,10 +104,10 @@ class SysLibHookEngine:
         exit_models: Dict[str, Callable] = {
             "strlen": self._exit_content_to_r0(0),
             "strcmp": self._exit_content_to_r0(0, 1),
-            "strncmp": self._exit_content_to_r0(0, 1),
+            "strncmp": self._exit_content_to_r0(0, 1, bound_arg=2),
             "strcasecmp": self._exit_content_to_r0(0, 1),
-            "strncasecmp": self._exit_content_to_r0(0, 1),
-            "memcmp": self._exit_content_to_r0(0, 1),
+            "strncasecmp": self._exit_content_to_r0(0, 1, bound_arg=2),
+            "memcmp": self._exit_buffers_to_r0,
             "atoi": self._exit_content_to_r0(0),
             "atol": self._exit_content_to_r0(0),
             "strtoul": self._exit_content_to_r0(0),
@@ -101,21 +120,24 @@ class SysLibHookEngine:
             "calloc": self._exit_fresh_allocation,
         }
         for name, handler in entry_models.items():
-            self._hook_entry(name, handler)
+            self._hook_entry(name, self._clean_variant(name, handler))
         for name, handler in exit_models.items():
             self._hook_entry(name, self._capture_args)
-            self._hook_exit(name, handler)
+            self._hook_exit(name, self._clean_variant(name, handler,
+                                                      captured=True))
         self._hook_entry("realloc", self._capture_realloc)
         self._hook_exit("realloc", self._exit_realloc)
 
         # libm: results derive from the float/double argument registers.
+        exit_libm = self._clean_variant("libm", self._exit_libm,
+                                        captured=True)
         for name in self.platform.libm.symbols:
             self.emu.add_entry_hook(
                 self.platform.libm.symbols[name],
                 self._guard(f"libm.{name}.entry", self._capture_args))
             self.emu.add_exit_hook(
                 self.platform.libm.symbols[name],
-                self._guard(f"libm.{name}.exit", self._exit_libm))
+                self._guard(f"libm.{name}.exit", exit_libm))
 
         # Sinks.  Each sink hook carries a conservative fallback: if the
         # precise check ever faults and is quarantined, every later call
@@ -152,14 +174,41 @@ class SysLibHookEngine:
             self.libc.symbols[name],
             self._guard(f"libc.{name}.exit", handler))
 
+    def _clean_variant(self, name: str, model: Callable,
+                       captured: bool = False) -> Callable:
+        """``model`` behind its clean variant, if it has one (see the
+        module doc).  A ``captured`` (exit) model takes it only if its
+        entry captured clean arguments too."""
+        propagations = CLEAN_PROPAGATIONS.get(name)
+        if propagations is None:
+            return model
+        taint = self.taint
+
+        def handler(emu) -> None:
+            if taint.maybe_tainted:
+                model(emu)
+                return
+            if captured:
+                pending = self._pending_exits
+                if not pending or pending[-1][1] is not CLEAR_TAINTS:
+                    model(emu)
+                    return
+                pending.pop()
+            self.modelled_calls += 1
+            taint.propagation_count += propagations
+        return handler
+
     # -- argument capture for exit-time models --------------------------------------
 
     def _capture_args(self, emu) -> None:
-        self._pending_exits.append({"args": list(emu.cpu.regs[:4]),
-                                    "taints": [self.taint.get_register(i)
-                                               for i in range(4)]})
+        """Entry half of an exit-time model: r0-r3 and their taints."""
+        taint = self.taint
+        taints = tuple(taint.get_register(index) for index in range(4)) \
+            if taint.maybe_tainted else CLEAR_TAINTS
+        self._pending_exits.append((emu.cpu.regs[:4], taints))
 
-    def _pop_pending(self) -> Optional[Dict]:
+    def _pop_pending(self) -> Optional[tuple]:
+        """The matching entry's ``(args, taints)``, or None."""
         if not self._pending_exits:
             return None
         return self._pending_exits.pop()
@@ -188,7 +237,8 @@ class SysLibHookEngine:
 
     def _model_strncpy(self, emu) -> None:
         dest, src, limit = emu.cpu.regs[0], emu.cpu.regs[1], emu.cpu.regs[2]
-        length = min(len(emu.memory.read_cstring(src)) + 1, limit)
+        length = min(len(emu.memory.read_cstring(
+            src, limit, bounded=True)) + 1, limit)
         self.modelled_calls += 1
         self._trace_copy("strncpy", dest, src, length)
         self.taint.copy_memory(dest, src, length)
@@ -213,40 +263,57 @@ class SysLibHookEngine:
     def _capture_realloc(self, emu) -> None:
         pointer, new_size = emu.cpu.regs[0], emu.cpu.regs[1]
         old_size = self.libc.heap.size_of(pointer) or 0
-        self._pending_exits.append({
-            "old_taints": self.taint.memory_bytes(pointer,
-                                                  min(old_size, new_size)),
-            "old_pointer": pointer,
-            "old_size": old_size,
-        })
+        self._pending_exits.append((
+            self.taint.memory_bytes(pointer, min(old_size, new_size)),
+            pointer, old_size))
 
     def _exit_realloc(self, emu) -> None:
-        pending = self._pop_pending()
-        if pending is None:
+        if not self._pending_exits:
             return
+        old_taints, old_pointer, old_size = self._pending_exits.pop()
         self.modelled_calls += 1
         new_pointer = emu.cpu.regs[0]
-        if pending.get("old_size"):
-            self.taint.clear_memory(pending["old_pointer"],
-                                    pending["old_size"])
+        if old_size:
+            self.taint.clear_memory(old_pointer, old_size)
         if new_pointer:
-            self.taint.set_memory_bytes(new_pointer, pending["old_taints"])
+            self.taint.set_memory_bytes(new_pointer, old_taints)
 
-    def _exit_content_to_r0(self, *string_args: int):
-        """Result derives from the content of C-string/buffer arguments."""
+    def _exit_content_to_r0(self, *string_args: int,
+                            bound_arg: Optional[int] = None):
+        """Result derives from the content of C-string arguments: each
+        string with its terminator, or with ``bound_arg``, at most that
+        argument's count of bytes (``strncmp``'s ``n``)."""
         def handler(emu) -> None:
             pending = self._pop_pending()
             if pending is None:
                 return
             self.modelled_calls += 1
+            args, taints = pending
             label = TAINT_CLEAR
             for index in string_args:
-                pointer = pending["args"][index]
-                length = len(emu.memory.read_cstring(pointer)) + 1
+                pointer = args[index]
+                if bound_arg is None:
+                    length = len(emu.memory.read_cstring(pointer)) + 1
+                else:
+                    bound = args[bound_arg]
+                    length = min(len(emu.memory.read_cstring(
+                        pointer, bound, bounded=True)) + 1, bound)
                 label |= self.taint.get_memory(pointer, length)
-                label |= pending["taints"][index]
+                label |= taints[index]
             self.taint.set_register(0, label)
         return handler
+
+    def _exit_buffers_to_r0(self, emu) -> None:
+        """``memcmp``: the result derives from exactly ``n`` bytes of
+        each buffer."""
+        pending = self._pop_pending()
+        if pending is None:
+            return
+        self.modelled_calls += 1
+        (first, second, length, __), taints = pending
+        self.taint.set_register(
+            0, self.taint.get_memory(first, length) |
+            self.taint.get_memory(second, length) | taints[0] | taints[1])
 
     def _exit_pointer_derivation(self, emu) -> None:
         """strchr-style results: a pointer derived from the first arg."""
@@ -254,19 +321,20 @@ class SysLibHookEngine:
         if pending is None:
             return
         self.modelled_calls += 1
-        self.taint.set_register(0, pending["taints"][0])
+        self.taint.set_register(0, pending[1][0])
 
     def _exit_strdup(self, emu) -> None:
         pending = self._pop_pending()
         if pending is None:
             return
         self.modelled_calls += 1
-        source = pending["args"][0]
+        args, taints = pending
+        source = args[0]
         new_pointer = emu.cpu.regs[0]
         length = len(emu.memory.read_cstring(source)) + 1
         self._trace_copy("strdup", new_pointer, source, length)
         self.taint.copy_memory(new_pointer, source, length)
-        self.taint.set_register(0, pending["taints"][0])
+        self.taint.set_register(0, taints[0])
 
     def _exit_fresh_allocation(self, emu) -> None:
         pending = self._pop_pending()
@@ -285,7 +353,7 @@ class SysLibHookEngine:
             return
         self.modelled_calls += 1
         label = TAINT_CLEAR
-        for taint in pending["taints"]:
+        for taint in pending[1]:
             label |= taint
         self.taint.set_register(0, label)
         self.taint.set_register(1, label)
@@ -355,12 +423,16 @@ class SysLibHookEngine:
         return handler
 
     def _sink_fwrite(self, emu) -> None:
-        buffer = emu.cpu.regs[0]
-        length = emu.cpu.regs[1] * emu.cpu.regs[2]
-        fd = self._file_fd(emu.cpu.regs[3])
-        label = self.taint.get_memory(buffer, length)
-        self._report("fwrite", label, self._destination_of_fd(fd),
-                     emu.memory.read_bytes(buffer, min(length, 256)),
+        regs = emu.cpu.regs
+        buffer = regs[0]
+        length = regs[1] * regs[2]
+        payload = emu.memory.read_bytes(buffer, min(length, 256))
+        if not self.taint.maybe_tainted:
+            self.sink_checks += 1
+            return
+        fd = self._file_fd(regs[3])
+        self._report("fwrite", self.taint.get_memory(buffer, length),
+                     self._destination_of_fd(fd), payload,
                      src_locs=[Loc.mem(buffer, length)])
 
     def _sink_fputs(self, emu) -> None:

@@ -366,11 +366,9 @@ class TaintEngine(NativeTaintInterface):
 
     # -- NativeTaintInterface (libc/kernel view) --------------------------------------
 
-    def memory_taints(self, address: int, length: int) -> List[TaintLabel]:
-        return self.memory_bytes(address, length)
-
-    def register_taint(self, index: int) -> TaintLabel:
-        return self.shadow_registers[index] | self.conservative_label
+    # The same queries as the engine's own, without a forwarding call.
+    memory_taints = memory_bytes
+    register_taint = get_register
 
     def write_memory_taints(self, address: int,
                             labels: List[TaintLabel]) -> None:

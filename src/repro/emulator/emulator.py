@@ -128,11 +128,35 @@ HostFunction = Callable[[HostContext], Optional[int]]
 
 
 class _RegisteredHost:
-    __slots__ = ("name", "function")
+    """A host function and the hooks on its address, bound once: the
+    tuples are rebuilt whenever a hook on the address is added or
+    removed, so a call reads them without a lookup."""
+
+    __slots__ = ("name", "function", "entry_hooks", "exit_hooks")
 
     def __init__(self, name: str, function: HostFunction) -> None:
         self.name = name
         self.function = function
+        self.entry_hooks: Tuple[Hook, ...] = ()
+        self.exit_hooks: Tuple[Hook, ...] = ()
+
+
+class BranchWatch:
+    """The addresses a branch listener acts on (Thumb bit clear), and the
+    branch events it was spared.
+
+    A listener carrying one as its ``branch_watch`` attribute (a wrapper
+    made with ``functools.wraps`` keeps it) is called only for a branch
+    that leaves or enters one of ``addresses``; the emulator adds every
+    other branch event to ``unseen``, so the listener can still count
+    all of them.  The addresses are read when the listener is added.
+    """
+
+    __slots__ = ("addresses", "unseen")
+
+    def __init__(self) -> None:
+        self.addresses: Set[int] = set()
+        self.unseen = 0
 
 
 class Emulator:
@@ -166,12 +190,23 @@ class Emulator:
         self._host_context = HostContext(self)
         self._entry_hooks: Dict[int, List[Hook]] = {}
         self._exit_hooks: Dict[int, List[Hook]] = {}
+        # Every branch listener in registration order; those without a
+        # BranchWatch see every branch (``_open_listeners``), the rest
+        # only branches touching ``_watched``, the union of their
+        # watches' addresses.  All three are updated in place, so a run
+        # loop holding them sees a listener added mid-run.
         self._branch_listeners: List[BranchListener] = []
+        self._open_listeners: List[BranchListener] = []
+        self._branch_watches: List[BranchWatch] = []
+        self._watched: Set[int] = set()
         self._tracers: List[Tracer] = []
         self.syscall_handler: Optional[SyscallHandler] = None
         # Pluggable fault injection (resilience/faults.py); stays None in
         # production runs.  Installing one forces per-instruction mode.
         self._fault_injector: Optional[FaultInjector] = None
+        # The injector's ``on_hook(name, instruction_count)`` fault point,
+        # or None: what an analysis hook guard reads once per hook.
+        self.hook_fault_point: Optional[Callable[[str, int], None]] = None
         # The exact profile (observability): ``pc -> instructions
         # retired`` while tracing is on, else None.  Unlike tracers it
         # does NOT force the single-step engine: blocks credit it whole.
@@ -231,7 +266,9 @@ class Emulator:
         for tracer in [t for t in self._tracers if t not in tracers]:
             self.remove_tracer(tracer)
         self.fault_injector = None
-        self._branch_listeners[:] = branch_listeners
+        if self._branch_listeners != branch_listeners:
+            self._branch_listeners[:] = branch_listeners
+            self._refresh_branch_watch()
         self.memory.set_write_watcher(self._on_code_page_write)
         self._tb_cache.reset_counters()
         self.cpu.load(cpu)
@@ -333,6 +370,7 @@ class Emulator:
     @fault_injector.setter
     def fault_injector(self, injector: Optional[FaultInjector]) -> None:
         self._fault_injector = injector
+        self.hook_fault_point = getattr(injector, "on_hook", None)
         self._refresh_instrumentation()
 
     @property
@@ -394,6 +432,7 @@ class Emulator:
             raise EmulationError(
                 f"host function already registered @ 0x{address:08x}")
         self._host_functions[address] = _RegisteredHost(name, function)
+        self._bind_host_hooks(address)
         # Blocks translated before this registration assumed the address
         # held (or preceded) translatable code.
         self.invalidate_page((address & ~1) >> 12)
@@ -412,27 +451,34 @@ class Emulator:
         """
         caller_pc = self.cpu.pc
         self._notify_branch(caller_pc, address)
-        self._dispatch_host(address, simulate_return=False,
-                            return_address=caller_pc + 4)
+        exit_hooks = self._dispatch_host(address, caller_pc + 4)
         self._notify_branch(address, caller_pc + 4)
-        self._fire_exit_hooks(caller_pc + 4)
+        if self._pending_exits:
+            self._fire_exit_hooks(caller_pc + 4)
+        for hook in exit_hooks:
+            hook(self)
 
     # -- hooks -----------------------------------------------------------------
 
-    # Hooks fire on branch targets at block boundaries, looked up when the
-    # branch is taken; no translated block embeds them, so adding one
-    # keeps the caches (a native method's SourcePolicy hook, installed on
-    # its first crossing, must not drop its library's warm blocks).
+    # Hooks fire on branch targets at block boundaries; no translated
+    # block embeds them, so adding one keeps the caches (a native
+    # method's SourcePolicy hook, installed on its first crossing, must
+    # not drop its library's warm blocks).  A guest function's hooks are
+    # looked up when the branch is taken and its exit hooks wait for the
+    # return site; a host function's are bound to its registration, and
+    # its exit hooks fire when its body returns.
 
     def add_entry_hook(self, address: int, hook: Hook) -> Hook:
         """Fire ``hook`` on entry to ``address``; returns the registered
         hook (the identity :meth:`hooked_only_by` compares)."""
         self._entry_hooks.setdefault(address & ~1, []).append(hook)
+        self._bind_host_hooks(address & ~1)
         return hook
 
     def add_exit_hook(self, address: int, hook: Hook) -> Hook:
         """Fire ``hook`` on return from ``address``; returns it too."""
         self._exit_hooks.setdefault(address & ~1, []).append(hook)
+        self._bind_host_hooks(address & ~1)
         return hook
 
     def remove_entry_hook(self, address: int, hook: Hook) -> None:
@@ -441,9 +487,54 @@ class Emulator:
         hooks.remove(hook)
         if not hooks:
             del self._entry_hooks[address & ~1]
+        self._bind_host_hooks(address & ~1)
+
+    def _bind_host_hooks(self, address: int) -> None:
+        registered = self._host_functions.get(address)
+        if registered is not None:
+            registered.entry_hooks = tuple(self._entry_hooks.get(
+                address & ~1, ()))
+            registered.exit_hooks = tuple(self._exit_hooks.get(
+                address & ~1, ()))
 
     def add_branch_listener(self, listener: BranchListener) -> None:
+        """Call ``listener(i_from, i_to, emu)`` on every taken branch, or,
+        when it carries a :class:`BranchWatch`, on every branch touching
+        the watch's addresses (see there)."""
         self._branch_listeners.append(listener)
+        self._refresh_branch_watch()
+
+    def _refresh_branch_watch(self) -> None:
+        """Re-split the listeners and, if the watched addresses changed,
+        re-decide every cached block's ``watch`` flag."""
+        watches = [getattr(listener, "branch_watch", None)
+                   for listener in self._branch_listeners]
+        self._open_listeners[:] = [
+            listener for listener, watch in
+            zip(self._branch_listeners, watches) if watch is None]
+        self._branch_watches[:] = [watch for watch in watches
+                                   if watch is not None]
+        watched = set()
+        for watch in self._branch_watches:
+            watched |= watch.addresses
+        if watched != self._watched:
+            self._watched.clear()
+            self._watched.update(watched)
+            for tb in self._tb_cache.blocks():
+                tb.watch = self._watch_flag(tb)
+
+    def _watch_flag(self, tb: TranslationBlock) -> Optional[bool]:
+        """Whether ``tb``'s taken branch touches a watched address: True
+        or False when its source or static target decides it, None when
+        its dynamic target must be tested at the branch."""
+        watched = self._watched
+        if tb.term_op is None:
+            return False
+        if (tb.term_pc & ~1) in watched:
+            return True
+        if tb.taken_pc is None:
+            return None
+        return (tb.taken_pc & ~1) in watched
 
     def add_tracer(self, tracer: Tracer) -> None:
         self._tracers.append(tracer)
@@ -454,20 +545,28 @@ class Emulator:
         self._refresh_instrumentation()
 
     def _notify_branch(self, i_from: int, i_to: int) -> None:
-        for listener in self._branch_listeners:
+        if not self._branch_listeners:
+            return
+        watched = self._watched
+        if (i_to & ~1) in watched or (i_from & ~1) in watched:
+            for listener in self._branch_listeners:
+                listener(i_from, i_to, self)
+            return
+        for watch in self._branch_watches:
+            watch.unseen += 1
+        for listener in self._open_listeners:
             listener(i_from, i_to, self)
 
-    def _fire_entry_hooks(self, address: int,
-                          return_address: Optional[int] = None) -> None:
+    def _fire_entry_hooks(self, address: int) -> None:
+        """A guest function was entered: fire its entry hooks and queue
+        its exit hooks for its return site (LR) and stack level."""
         hooks = self._entry_hooks.get(address & ~1)
         if hooks:
             for hook in hooks:
                 hook(self)
         exit_hooks = self._exit_hooks.get(address & ~1)
         if exit_hooks:
-            if return_address is None:
-                return_address = self.cpu.lr
-            return_address &= ~1
+            return_address = self.cpu.lr & ~1
             for hook in exit_hooks:
                 self._pending_exits.append((return_address, self.cpu.sp, hook))
 
@@ -662,6 +761,7 @@ class Emulator:
             length=len(ops) + (1 if term_ir is not None else 0),
             pages=pages, specialised=specialised, irs=tuple(irs),
             taint_ops=taint_ops, term_taint_op=term_taint_op, traced=traced)
+        tb.watch = self._watch_flag(tb)
         self._tb_cache.put(tb)
         for page in pages:
             self.memory.watch_page(page)
@@ -704,6 +804,9 @@ class Emulator:
         cache = self._tb_cache
         hosts = self._host_functions
         listeners = self._branch_listeners
+        open_listeners = self._open_listeners
+        watched = self._watched
+        watches = self._branch_watches
         entry_hooks = self._entry_hooks
         exit_hooks = self._exit_hooks
         # Hoisted like the other per-block state: one `is not None` check
@@ -799,9 +902,19 @@ class Emulator:
             # Block-boundary instrumentation (cheap presence checks; the
             # paper's per-crossing hooks live here, not per instruction).
             if listeners:
-                term_pc = tb.term_pc
-                for listener in listeners:
-                    listener(term_pc, target, self)
+                watch = tb.watch
+                if watch is None:
+                    watch = (target & ~1) in watched
+                if watch:
+                    term_pc = tb.term_pc
+                    for listener in listeners:
+                        listener(term_pc, target, self)
+                else:
+                    for spared in watches:
+                        spared.unseen += 1
+                    if open_listeners:
+                        for listener in open_listeners:
+                            listener(tb.term_pc, target, self)
             if self._pending_exits:
                 self._fire_exit_hooks(target)
             address = target & ~1
@@ -841,12 +954,26 @@ class Emulator:
     def _run_host(self, pc: int) -> None:
         """A host call reached by either engine: its profile entry (a
         host model retires no guest instruction, so it is credited
-        none), then the call and its simulated return."""
+        none), then the call and its simulated return: the return
+        branch, the guest functions' exits waiting at the return site,
+        and the host function's own exit hooks."""
         profile = self._profile
         address = pc & ~1
         if profile is not None and address not in profile:
             profile[address] = 0
-        self._dispatch_host(address, simulate_return=True)
+        cpu = self.cpu
+        regs = cpu.regs
+        return_address = regs[LR]
+        exit_hooks = self._dispatch_host(address, return_address)
+        cpu.thumb = bool(return_address & 1)
+        target = return_address & 0xFFFF_FFFE
+        regs[PC] = target
+        if self._branch_listeners:
+            self._notify_branch(address, target)
+        if self._pending_exits:
+            self._fire_exit_hooks(target)
+        for hook in exit_hooks:
+            hook(self)
 
     @staticmethod
     def _fault_position(tb: TranslationBlock, body: Tuple,
@@ -931,8 +1058,14 @@ class Emulator:
 
     # -- host dispatch -----------------------------------------------------------------
 
-    def _dispatch_host(self, address: int, simulate_return: bool,
-                       return_address: Optional[int] = None) -> None:
+    def _dispatch_host(self, address: int,
+                       return_address: int) -> Tuple[Hook, ...]:
+        """Run the host function at ``address`` behind its entry hooks;
+        returns its exit hooks, for the caller to fire once it has
+        returned to ``return_address``.  The caller captures that before
+        the call: the host body may run nested emulation (e.g. the JNI
+        bridge calling into native code), which clobbers LR exactly as a
+        real call would."""
         registered = self._host_functions.get(address)
         if registered is None:
             raise EmulationError(f"no host function @ 0x{address:08x}",
@@ -941,22 +1074,13 @@ class Emulator:
         if self._fault_injector is not None:
             self._fault_injector("host", self, address=address,
                                  name=registered.name)
-        cpu = self.cpu
-        regs = cpu.regs
-        # Capture the return address NOW: the host body may run nested
-        # emulation (e.g. the JNI bridge calling into native code), which
-        # clobbers LR exactly as a real call would.
-        if return_address is None:
-            return_address = regs[LR]
-        self._fire_entry_hooks(address, return_address=return_address)
+        for hook in registered.entry_hooks:
+            hook(self)
+        exit_hooks = registered.exit_hooks
         result = registered.function(self._host_context)
         if result is not None:
-            regs[0] = result & 0xFFFF_FFFF
-        if simulate_return:
-            cpu.thumb = bool(return_address & 1)
-            regs[PC] = return_address & 0xFFFF_FFFE
-            self._notify_branch(address, regs[PC])
-            self._fire_exit_hooks(regs[PC])
+            self.cpu.regs[0] = result & 0xFFFF_FFFF
+        return exit_hooks
 
     def call(self, address: int, args: Tuple[int, ...] = (),
              max_steps: int = 5_000_000) -> int:

@@ -18,7 +18,7 @@ changes are rare, dispatch is not).
 
 from __future__ import annotations
 
-from typing import Dict, KeysView, List, Optional, Tuple
+from typing import Dict, KeysView, List, Optional, Tuple, ValuesView
 
 PAGE_SHIFT = 12
 
@@ -52,7 +52,7 @@ class TranslationBlock:
     __slots__ = ("pc", "thumb", "ops", "irs", "taint_ops", "term_taint_op",
                  "traced", "term_op", "term_ir", "term_pc", "fall_pc",
                  "taken_pc", "length", "pages", "valid", "specialised",
-                 "succ_taken", "succ_fall")
+                 "succ_taken", "succ_fall", "watch")
 
     def __init__(self, pc: int, thumb: bool, ops: Tuple, term_op, term_ir,
                  term_pc: int, fall_pc: int, taken_pc: Optional[int],
@@ -84,6 +84,11 @@ class TranslationBlock:
         # set lazily by the dispatch loop, severed on invalidation).
         self.succ_taken: Optional["TranslationBlock"] = None
         self.succ_fall: Optional["TranslationBlock"] = None
+        # Whether the taken branch can reach a watching branch listener:
+        # decided from ``term_pc`` and ``taken_pc`` by the emulator when
+        # the block is translated or the watched addresses change; None
+        # when only the dynamic target can tell.
+        self.watch: Optional[bool] = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "thumb" if self.thumb else "arm"
@@ -115,6 +120,10 @@ class TranslationCache:
         for page in tb.pages:
             self._by_page.setdefault(page, []).append(tb)
         self.translations += 1
+
+    def blocks(self) -> ValuesView[TranslationBlock]:
+        """Every cached block (a live view)."""
+        return self._blocks.values()
 
     def pages(self) -> KeysView[int]:
         """Every page currently holding translated code (a live view)."""

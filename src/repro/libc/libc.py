@@ -222,9 +222,13 @@ class CLibrary:
     def _impl_strcmp(self, ctx: HostContext) -> int:
         return _compare(self._cstr(ctx.arg(0)), self._cstr(ctx.arg(1)))
 
+    def _cstrn(self, address: int, n: int) -> bytes:
+        """At most ``n`` bytes of a C string, without looking past them."""
+        return self._memory().read_cstring(address, n, bounded=True)
+
     def _impl_strncmp(self, ctx: HostContext) -> int:
         n = ctx.arg(2)
-        return _compare(self._cstr(ctx.arg(0))[:n], self._cstr(ctx.arg(1))[:n])
+        return _compare(self._cstrn(ctx.arg(0), n), self._cstrn(ctx.arg(1), n))
 
     def _impl_strcasecmp(self, ctx: HostContext) -> int:
         return _compare(self._cstr(ctx.arg(0)).lower(),
@@ -232,8 +236,8 @@ class CLibrary:
 
     def _impl_strncasecmp(self, ctx: HostContext) -> int:
         n = ctx.arg(2)
-        return _compare(self._cstr(ctx.arg(0))[:n].lower(),
-                        self._cstr(ctx.arg(1))[:n].lower())
+        return _compare(self._cstrn(ctx.arg(0), n).lower(),
+                        self._cstrn(ctx.arg(1), n).lower())
 
     def _impl_strcpy(self, ctx: HostContext) -> int:
         dest, src = ctx.arg(0), ctx.arg(1)
@@ -243,7 +247,7 @@ class CLibrary:
 
     def _impl_strncpy(self, ctx: HostContext) -> int:
         dest, src, n = ctx.arg(0), ctx.arg(1), ctx.arg(2)
-        data = self._cstr(src)[:n]
+        data = self._cstrn(src, n)
         padded = data + b"\x00" * (n - len(data))
         self._memory().write_bytes(dest, padded)
         return dest

@@ -5,11 +5,12 @@ costs nothing until touched.  All multi-byte accessors are little-endian,
 matching ARM's default data endianness on Android.
 
 Accessors that stay within one page operate directly on the page's
-``bytearray`` slice (``int.from_bytes`` / slice assignment) instead of
-looping byte-at-a-time; only accesses that straddle a page boundary fall
-back to the split path.  This is the data side of the translation-block
-engine's fast path: LDM/STM, ``memcpy``-style bulk moves and C-string
-scans all collapse to a handful of slice operations.
+``bytearray`` (``struct`` ``unpack_from``/``pack_into`` for words, slice
+assignment for byte runs) instead of looping byte-at-a-time; only
+accesses that straddle a page boundary fall back to the split path.
+This is the data side of the translation-block engine's fast path:
+LDM/STM, ``memcpy``-style bulk moves and C-string scans all collapse to
+a handful of slice operations.
 
 Code pages can be *watched* (:meth:`watch_page`): a write that touches a
 watched page invokes the registered callback with the page index, which
@@ -26,6 +27,7 @@ call per word; a Dalvik frame keeps its slot view for its whole life.
 
 from __future__ import annotations
 
+import struct
 import sys
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -45,6 +47,10 @@ if sys.byteorder != "little" or \
                       "unsigned ints")
 # reset_for_job compares a changed page in chunks of this size.
 _RESTORE_CHUNK = 64
+# Little-endian words read and written in place on a page.
+_unpack_u32 = struct.Struct("<I").unpack_from
+_pack_u32 = struct.Struct("<I").pack_into
+_pack_u32x2 = struct.Struct("<II").pack_into
 
 
 class Memory:
@@ -238,7 +244,7 @@ class Memory:
                 if self.strict:
                     raise MemoryError_(address, "read of unmapped page")
                 return 0
-            return int.from_bytes(page[offset:offset + 4], "little")
+            return _unpack_u32(page, offset)[0]
         return self.read_u16(address) | (self.read_u16(address + 2) << 16)
 
     def write_u32(self, address: int, value: int) -> None:
@@ -250,8 +256,7 @@ class Memory:
             if page is None:
                 page = bytearray(PAGE_SIZE)
                 self._pages[index] = page
-            page[offset:offset + 4] = (value & 0xFFFF_FFFF).to_bytes(
-                4, "little")
+            _pack_u32(page, offset, value & 0xFFFF_FFFF)
             if index in self._watched_pages:
                 self._notify_write(index, offset, offset + 4)
             return
@@ -274,9 +279,8 @@ class Memory:
             if page is None:
                 page = bytearray(PAGE_SIZE)
                 self._pages[index] = page
-            page[offset:offset + 8] = \
-                (first & 0xFFFF_FFFF).to_bytes(4, "little") + \
-                (second & 0xFFFF_FFFF).to_bytes(4, "little")
+            _pack_u32x2(page, offset, first & 0xFFFF_FFFF,
+                        second & 0xFFFF_FFFF)
             if index in self._watched_pages:
                 self._notify_write(index, offset, offset + 8)
             return
@@ -339,7 +343,8 @@ class Memory:
             position += chunk
             remaining -= chunk
 
-    def read_cstring(self, address: int, limit: int = 1 << 16) -> bytes:
+    def read_cstring(self, address: int, limit: int = 1 << 16,
+                     bounded: bool = False) -> bytes:
         """Read a NUL-terminated C string (without the terminator).
 
         Scans whole page slices with ``bytearray.index(0)`` rather than
@@ -359,7 +364,9 @@ class Memory:
           :class:`MemoryError_` identifying the *start* of the string.
           A terminator exactly at index ``limit - 1`` still succeeds
           (returning ``limit - 1`` bytes); one at index ``limit`` is
-          past the window and raises.
+          past the window and raises.  With ``bounded`` (what
+          ``strncmp`` reads) such a string is instead its first ``limit``
+          bytes, and the scan never looks past them.
         """
         start = address & ADDRESS_MASK
         address = start
@@ -381,6 +388,8 @@ class Memory:
                 remaining -= chunk
                 continue
             out += page[offset:nul]
+            return bytes(out)
+        if bounded:
             return bytes(out)
         raise MemoryError_(start, f"unterminated C string (>{limit} bytes)")
 
@@ -424,9 +433,7 @@ class Memory:
                 if self.strict:
                     raise MemoryError_(address, "read of unmapped page")
                 return [0] * count
-            raw = page[offset:offset + 4 * count]
-            return [int.from_bytes(raw[i:i + 4], "little")
-                    for i in range(0, 4 * count, 4)]
+            return list(struct.unpack_from(f"<{count}I", page, offset))
         return [self.read_u32(address + 4 * i) for i in range(count)]
 
     def write_words(self, address: int, words: Iterable[int]) -> None:
@@ -434,16 +441,15 @@ class Memory:
         address &= ADDRESS_MASK
         offset = address & PAGE_MASK
         if values and offset <= PAGE_SIZE - 4 * len(values):
-            blob = b"".join((v & 0xFFFF_FFFF).to_bytes(4, "little")
-                            for v in values)
             index = address >> PAGE_SHIFT
             page = self._pages.get(index)
             if page is None:
                 page = bytearray(PAGE_SIZE)
                 self._pages[index] = page
-            page[offset:offset + len(blob)] = blob
+            struct.pack_into(f"<{len(values)}I", page, offset,
+                             *[value & 0xFFFF_FFFF for value in values])
             if index in self._watched_pages:
-                self._notify_write(index, offset, offset + len(blob))
+                self._notify_write(index, offset, offset + 4 * len(values))
             return
         for i, word in enumerate(values):
             self.write_u32(address + 4 * i, word)

@@ -110,6 +110,72 @@ class TestStringModels:
         assert result == 1234
         assert ndroid.taint_engine.get_register(0) == TAINT_IMEI
 
+    def test_memcmp_result_derives_from_exactly_n_bytes(self, env):
+        # The buffers start with a NUL: a C-string read stops before the
+        # tainted byte that decides the comparison.
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_bytes(DATA, b"\0S\0")
+        platform.memory.write_bytes(DATA + 64, b"\0T\0")
+        engine.set_memory(DATA + 1, 1, TAINT_SMS)
+        assert call_libc(platform, "memcmp", DATA, DATA + 64, 2) == \
+            0xFFFF_FFFF
+        assert engine.get_register(0) == TAINT_SMS
+        # A tainted byte past n does not reach the result.
+        engine.clear_memory(DATA + 1, 1)
+        engine.clear_register(0)
+        engine.set_memory(DATA + 66, 1, TAINT_IMEI)
+        call_libc(platform, "memcmp", DATA, DATA + 64, 2)
+        assert engine.get_register(0) == 0
+
+    @pytest.mark.parametrize("name", ["strncmp", "strncasecmp"])
+    def test_bounded_compare_reads_at_most_n_bytes(self, env, name):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_cstring(DATA, "abcdefg")
+        platform.memory.write_cstring(DATA + 64, "abxyz")
+        engine.set_memory(DATA + 5, 1, TAINT_IMEI)
+        # Only "ab" of each string is compared: byte 5 is out of reach.
+        assert call_libc(platform, name, DATA, DATA + 64, 2) == 0
+        assert engine.get_register(0) == 0
+        assert call_libc(platform, name, DATA, DATA + 64, 6) != 0
+        assert engine.get_register(0) == TAINT_IMEI
+        # With n past the shorter string, its terminator bounds it.
+        engine.clear_register(0)
+        engine.set_memory(DATA + 64 + 6, 1, TAINT_SMS)
+        call_libc(platform, name, DATA + 64, DATA + 64, 100)
+        assert engine.get_register(0) == 0
+
+    @pytest.mark.parametrize("name", ["strncmp", "strncasecmp"])
+    def test_bounded_compare_stops_at_n_before_an_unmapped_page(self, env,
+                                                               name):
+        # Two n-byte buffers with no NUL, each ending where strict memory
+        # has no page: neither the call nor its model reads past n.
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        first, second = 0x0007_0FFC, 0x0009_0FFC
+        platform.memory.write_bytes(first, b"abcd")
+        platform.memory.write_bytes(second, b"abcd")
+        engine.set_memory(first + 3, 1, TAINT_SMS)
+        platform.memory.strict = True
+        assert call_libc(platform, name, first, second, 4) == 0
+        assert engine.get_register(0) == TAINT_SMS
+        assert not ndroid.quarantined_hooks
+        assert ndroid.degraded_events == 0
+
+    def test_strncpy_stops_at_n_before_an_unmapped_page(self, env):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        source = 0x0007_0FFC
+        platform.memory.write_bytes(source, b"abcd")
+        platform.memory.write_bytes(DATA, bytes(8))
+        engine.set_memory(source + 3, 1, TAINT_SMS)
+        platform.memory.strict = True
+        call_libc(platform, "strncpy", DATA, source, 4)
+        assert platform.memory.read_bytes(DATA, 4) == b"abcd"
+        assert engine.memory_bytes(DATA, 4) == [0, 0, 0, TAINT_SMS]
+        assert not ndroid.quarantined_hooks
+
     def test_strchr_result_pointer_taint(self, env):
         platform, ndroid = env
         platform.memory.write_cstring(DATA, "abc")
@@ -147,6 +213,57 @@ class TestLibmModels:
         platform.emu.call(platform.libm.address_of("sqrt"),
                           args=(low, high))
         assert ndroid.taint_engine.get_register(0) == 0
+
+
+def _model_calls(full):
+    """Every Table VI model and Table VII sink on clean data, in order,
+    taking each model's clean variant, or with ``full`` (the engine
+    flagged as maybe tainted while no label is live) the full model,
+    which can only write clear labels.  Returns what each run leaves."""
+    platform = AndroidPlatform()
+    ndroid = NDroid.attach(platform)
+    engine = ndroid.taint_engine
+    memory = platform.memory
+    memory.write_cstring(DATA, "123secret")
+    memory.write_cstring(DATA + 64, "123sec")
+    memory.write_cstring(DATA + 96, "/sdcard/models")
+    memory.write_cstring(DATA + 128, "w")
+    memory.write_cstring(DATA + 136, "sec")
+    engine.maybe_tainted = full
+    calls = [("malloc", 32), ("calloc", 4, 8), ("realloc", 0, 16),
+             ("memcpy", DATA + 256, DATA, 9), ("memmove", DATA + 256, DATA, 4),
+             ("memset", DATA + 256, 0x41, 8), ("strcpy", DATA + 256, DATA),
+             ("strncpy", DATA + 256, DATA, 12), ("strcat", DATA + 256, DATA),
+             ("strlen", DATA), ("strcmp", DATA, DATA + 64),
+             ("strncmp", DATA, DATA + 64, 4), ("strcasecmp", DATA, DATA + 64),
+             ("strncasecmp", DATA, DATA + 64, 4), ("memcmp", DATA, DATA + 64, 6),
+             ("atoi", DATA), ("atol", DATA), ("strtoul", DATA, 0, 10),
+             ("strchr", DATA, ord("s")), ("strrchr", DATA, ord("e")),
+             ("strstr", DATA, DATA + 136), ("memchr", DATA, ord("c"), 9),
+             ("strdup", DATA), ("sqrt", 0, 0x4000_0000)]
+    results = []
+    for name, *args in calls:
+        library = platform.libm if name == "sqrt" else platform.libc
+        results.append(platform.emu.call(library.address_of(name), args=args))
+    results.append(call_libc(platform, "free", results[0]))
+    stream = call_libc(platform, "fopen", DATA + 96, DATA + 128)
+    fd = call_libc(platform, "open", DATA + 96, 1)
+    results += [call_libc(platform, "fwrite", DATA, 1, 9, stream),
+                call_libc(platform, "fputs", DATA, stream),
+                call_libc(platform, "fputc", ord("x"), stream),
+                call_libc(platform, "write", fd, DATA, 9)]
+    return {"results": results, "statistics": ndroid.statistics(),
+            "hook_invocations": dict(ndroid.hook_invocations),
+            "shadow": list(engine.shadow_registers),
+            "memory": engine.memory_snapshot(),
+            "leaks": platform.leaks.records}
+
+
+def test_clean_variants_count_exactly_as_the_full_models():
+    clean = _model_calls(full=False)
+    assert clean == _model_calls(full=True)
+    assert clean["statistics"]["modelled_calls"] == 25
+    assert clean["statistics"]["sink_checks"] == 4
 
 
 class TestModelledCallCounter:

@@ -15,7 +15,9 @@ pin that down:
 
 The same count pins the slot views: on that pass, under vanilla,
 TaintDroid and NDroid, no compiled Dalvik block calls a
-:class:`~repro.memory.memory.Memory` word accessor.
+:class:`~repro.memory.memory.Memory` word accessor.  And it pins
+NDroid's clean data path: no branch reaches the multilevel manager and
+no hook builds a taint list.
 """
 
 import gc
@@ -71,12 +73,14 @@ def test_vanilla_cfbench_holds_no_taint():
     _assert_no_taint(platform.vm, popped)
 
 
-def _cfbench_call_profile(config, word_callers=None):
+def _cfbench_call_profile(config, word_callers=None, by_file=False):
     """Calls made by one warmed pass of every CF-Bench kernel, counted
-    per Python function (code name) and per builtin (qualname).  The
-    collector is off while counting so no finalizer runs in the pass.
-    With ``word_callers``, each call of a ``Memory`` word accessor is
-    also counted there, keyed by its caller's file and function."""
+    per Python function (code name, or with ``by_file`` its file's name
+    and code name, ``"multilevel.py:on_branch"``) and per builtin
+    (qualname).  The collector is off while counting so no finalizer
+    runs in the pass.  With ``word_callers``, each call of a ``Memory``
+    word accessor is also counted there, keyed by its caller's file and
+    function."""
     bench = CFBench(make_platform(config))
     bench.run_all(iterations=CFBENCH_ITERATIONS)
     counts = Counter()
@@ -84,7 +88,8 @@ def _cfbench_call_profile(config, word_callers=None):
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            counts[code.co_name] += 1
+            counts[f"{os.path.basename(code.co_filename)}:{code.co_name}"
+                   if by_file else code.co_name] += 1
             if word_callers is not None and \
                     code.co_name in MEMORY_WORD_ACCESSORS and \
                     code.co_filename.endswith("memory.py"):
@@ -127,3 +132,15 @@ def test_compiled_blocks_read_slots_without_memory_calls(config):
                    if key[0].endswith(os.path.join("dalvik", "tbc.py"))}
     assert from_blocks == {}
     assert 0 < sum(callers.values()) < 1000
+
+
+def test_ndroid_does_no_taint_work_at_hooks_on_clean_data():
+    """The branches CF-Bench takes touch no multilevel chain, so the
+    manager is never called; the Table VI hooks still run (and count),
+    but argument capture stores the shared all-clear tuple instead of
+    building one from the shadow registers."""
+    counts = _cfbench_call_profile("ndroid", by_file=True)
+    assert counts["multilevel.py:on_branch"] == 0
+    assert counts["ndroid.py:guarded"] > 0
+    assert counts["syslib_hooks.py:_capture_args"] > 0
+    assert counts["syslib_hooks.py:<genexpr>"] == 0

@@ -1,50 +1,51 @@
 """Differential tests: taint-compiled translation blocks vs single-step.
 
-The single-step engine is the oracle: for every scenario and for the
-clean→tainted variant-switch edge cases, running under taint-compiled
-translation blocks must produce *identical* propagation counts, shadow
-state, taint-map contents, ledger edge sequences and leak reports.
+The single-step engine is the oracle: for every scenario and market app
+and for the clean→tainted variant-switch edge cases, running under
+taint-compiled translation blocks must produce *identical* propagation
+counts, shadow state, taint-map contents, ledger edge sequences, leak
+reports and NDroid's counters (statistics, hook invocations, the DVM
+and system-library hook counts).
 """
 
 import pytest
 
-from repro.apps import ALL_SCENARIOS
-from repro.bench.emulator_bench import PARITY_SCENARIOS
-from repro.apps.base import run_scenario
 from repro.bench.harness import make_platform
 from repro.common.taint import TAINT_CLEAR, TAINT_IMEI, TAINT_SMS
 from repro.core.instruction_tracer import InstructionTracer
+from repro.core.multilevel import MultilevelHookManager
 from repro.core.taint_engine import TaintEngine
 from repro.cpu.assembler import assemble
 from repro.emulator import Emulator
+from repro.emulator.emulator import BranchWatch
+from tests.core.ndroid_counters import TARGETS, counters, run_target
 
 CODE_BASE = 0x6000_0000
 LATE_BASE = 0x6100_0000
 STACK_TOP = 0x0800_0000
 
 
-def _run_scenario_state(name, use_tb):
-    """Full observable end state of one scenario run."""
-    platform = make_platform("ndroid", use_tb=use_tb, trace=True)
-    scenario = ALL_SCENARIOS[name]()
-    run_scenario(scenario, platform)
+def _run_app_state(target, use_tb):
+    """Full observable end state of one scenario or market-app run."""
+    platform = run_target(target, use_tb=use_tb)
     engine = platform.ndroid.taint_engine
-    return {
-        "propagation_count": engine.propagation_count,
-        "traced": platform.ndroid.instruction_tracer.traced_instructions,
-        "shadow": list(engine.shadow_registers),
-        "memory": engine.memory_snapshot(),
-        "edges": [edge.to_dict() for edge in platform.observability.ledger],
-        "leaks": sorted(
-            (record.detector, record.sink, record.taint, record.payload)
-            for record in platform.leaks.records),
-    }
+    state = counters(platform)
+    # Single-step crosses JNI through the guest bridge protocol (blocks
+    # run NDroid's host-side crossing plan): its call into and return
+    # from dvmCallJNIMethod are two more branch events per crossing.
+    state["statistics"]["multilevel_checks"] -= \
+        2 * platform.jni.crossings_slow
+    state.update(shadow=list(engine.shadow_registers),
+                 memory=engine.memory_snapshot())
+    return state
 
 
-@pytest.mark.parametrize("name", PARITY_SCENARIOS)
-def test_scenario_differential(name):
-    single_step = _run_scenario_state(name, use_tb=False)
-    compiled = _run_scenario_state(name, use_tb=True)
+@pytest.mark.parametrize(
+    "target", [target for target in TARGETS if not target.startswith(
+        "cfbench")], ids=lambda target: target.split(":", 1)[1])
+def test_scenario_differential(target):
+    single_step = _run_app_state(target, use_tb=False)
+    compiled = _run_app_state(target, use_tb=True)
     assert compiled == single_step
 
 
@@ -249,3 +250,156 @@ class TestLedgerParity:
         sources = {(e["src"]["base"], e["dst"]["base"]) for e in umlal}
         assert (4, 4) in sources and (5, 4) in sources
         assert (4, 5) in sources and (5, 5) in sources
+
+
+STRING = 0x0005_0000
+
+
+class TestModelledCallVariants:
+    """A Table VI exit model runs its clean variant only if the entry
+    captured clean arguments and no label is live at the exit."""
+
+    def _platform(self, use_tb, name, between):
+        """An NDroid platform with ``between(platform)`` run after the
+        argument capture on ``name``'s entry, before its body."""
+        platform = make_platform("ndroid", use_tb=use_tb, trace=True)
+        platform.memory.write_cstring(STRING, "secret")
+        platform.emu.add_entry_hook(platform.libc.address_of(name),
+                                    lambda emu: between(platform))
+        return platform
+
+    def _state(self, platform):
+        state = counters(platform)
+        state["shadow"] = list(platform.ndroid.taint_engine.shadow_registers)
+        return state
+
+    def test_clean_entry_tainted_exit_runs_the_full_model(self):
+        def taint_the_string(platform):
+            platform.ndroid.taint_engine.set_memory(STRING, 7, TAINT_SMS)
+
+        states = []
+        for use_tb in (False, True):
+            platform = self._platform(use_tb, "strlen", taint_the_string)
+            assert not platform.ndroid.taint_engine.maybe_tainted
+            assert platform.emu.call(platform.libc.address_of("strlen"),
+                                     args=(STRING,)) == 6
+            assert platform.ndroid.taint_engine.get_register(0) == \
+                TAINT_SMS
+            states.append(self._state(platform))
+        assert states[0] == states[1]
+
+    def test_tainted_entry_rearmed_exit_runs_the_full_model(self):
+        def clear_and_rearm(platform):
+            engine = platform.ndroid.taint_engine
+            engine.clear_all_registers()
+            assert engine.rearm_fast_path()
+
+        states = []
+        for use_tb in (False, True):
+            platform = self._platform(use_tb, "strchr", clear_and_rearm)
+            engine = platform.ndroid.taint_engine
+            engine.set_register(0, TAINT_IMEI)
+            platform.emu.call(platform.libc.address_of("strchr"),
+                              args=(STRING, ord("c")))
+            # The pointer taint captured at entry reaches the result,
+            # though the engine was clean again at the exit.
+            assert engine.get_register(0) == TAINT_IMEI
+            states.append(self._state(platform))
+        assert states[0] == states[1]
+
+
+LOOP = """
+    mov r0, #0
+loop:
+    add r0, r0, #1
+    cmp r0, #3
+    blt loop
+    mov r1, r0
+    b done
+done:
+"""
+
+
+class TestLateBranchListener:
+    """A listener added after its blocks were translated still sees
+    their branches: an open one all of them, a watching one those that
+    touch its addresses, with the rest counted into its watch."""
+
+    def _run(self, use_tb):
+        rig = _Rig(LOOP, use_tb)
+        rig.call()                      # translate (and run) every block
+        done = rig.program.entry("done")
+        seen_all, seen_watched = [], []
+        watching = lambda i_from, i_to, emu: seen_watched.append(
+            (i_from, i_to))
+        watching.branch_watch = BranchWatch()
+        watching.branch_watch.addresses.add(done)
+        rig.emu.add_branch_listener(watching)
+        rig.emu.add_branch_listener(
+            lambda i_from, i_to, emu: seen_all.append((i_from, i_to)))
+        rig.call()
+        return seen_all, seen_watched, watching.branch_watch.unseen, done
+
+    def test_late_listeners_see_their_branches(self):
+        seen_all, seen_watched, unseen, done = self._run(use_tb=True)
+        assert (seen_all, seen_watched, unseen, done) == \
+            self._run(use_tb=False)
+        # The call into main, two loop back-edges, the branch to done
+        # and the return from it (``done`` is the final ``bx lr``).
+        assert len(seen_all) == 5
+        assert seen_watched == [(i_from, i_to) for i_from, i_to in seen_all
+                                if done in (i_from & ~1, i_to & ~1)]
+        assert len(seen_watched) == 2
+        assert unseen == len(seen_all) - len(seen_watched)
+
+
+HOST = 0x4000_0000
+CALLS_HOST = """
+    push {lr}
+    mov r0, #0
+spin:
+    add r0, r0, #1
+    cmp r0, #3
+    blt spin
+    ldr r2, =0x40000000
+    blx r2
+    pop {pc}
+"""
+
+
+class TestSparedBranchCounts:
+    """The branch events a watching listener is spared are counted as
+    they happen: code running mid-run (a host function) reads an exact
+    ``checks``, and a listener added mid-run counts only what follows."""
+
+    def _run(self, use_tb):
+        rig = _Rig(CALLS_HOST, use_tb)
+        manager = MultilevelHookManager({"elsewhere": 0x7000_0000},
+                                        lambda address: False)
+        manager.add_chain(["elsewhere"])
+        seen = []
+        late = BranchWatch()
+        readings = []
+
+        def host(ctx):
+            readings.append((manager.checks, len(seen)))
+            late_listener = lambda i_from, i_to, emu: None
+            late_listener.branch_watch = late
+            ctx.emu.add_branch_listener(late_listener)
+            return 0
+
+        rig.emu.register_host_function(HOST, "host", host)
+        rig.emu.add_branch_listener(manager)
+        rig.emu.add_branch_listener(
+            lambda i_from, i_to, emu: seen.append((i_from, i_to)))
+        rig.call()
+        return readings, len(seen), manager.checks, late.unseen
+
+    def test_checks_are_exact_inside_a_host_function(self):
+        readings, seen, checks, late = self._run(use_tb=True)
+        assert (readings, seen, checks, late) == self._run(use_tb=False)
+        # The call into main, two back-edges and the call into the host
+        # function, all spared; then the host's return and main's.
+        assert readings == [(4, 4)]
+        assert checks == seen == 6
+        assert late == 2

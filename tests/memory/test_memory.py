@@ -332,3 +332,83 @@ def test_word_view_refuses_a_page_crossing_and_a_watched_page():
     mem.watch_page(5)
     with pytest.raises(MemoryError_, match="watched page"):
         mem.word_view(0x5000, 1)
+
+
+# -- word accessors against byte-wise access at the end of a page ------------
+
+PAGE = 0x0004_1000
+END_OFFSETS = range(0x1000 - 8, 0x1000)
+
+
+def _edge_memory(strict, watched, next_mapped):
+    """A page of distinct bytes, the next page mapped or not, and a log
+    of the byte ranges the write watcher saw."""
+    memory = Memory(strict=strict)
+    memory.write_bytes(PAGE, bytes(i * 7 & 0xFF for i in range(0x1000)))
+    if next_mapped:
+        memory.write_bytes(PAGE + 0x1000, bytes(range(16)))
+    seen = set()
+    memory.set_write_watcher(lambda page, start, end: seen.update(
+        (page << 12) + offset for offset in range(start, end)))
+    if watched:
+        memory.watch_page(PAGE >> 12)
+        memory.watch_page((PAGE >> 12) + 1)
+    return memory, seen
+
+
+def _bytewise(memory, address, length):
+    return [memory.read_u8(address + index) for index in range(length)]
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except MemoryError_:
+        return MemoryError_
+
+
+def _bytewise_words(memory, address, count):
+    """``count`` little-endian words assembled from byte reads."""
+    return [sum(memory.read_u8(address + 4 * word + index) << (8 * index)
+                for index in range(4)) for word in range(count)]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("watched", [False, True])
+@pytest.mark.parametrize("next_mapped", [False, True])
+def test_word_reads_match_bytewise_reads_at_page_end(strict, watched,
+                                                     next_mapped):
+    memory, __ = _edge_memory(strict, watched, next_mapped)
+    for address in (PAGE + offset for offset in END_OFFSETS):
+        one = _outcome(_bytewise_words, memory, address, 1)
+        assert _outcome(memory.read_u32, address) == \
+            (one if one is MemoryError_ else one[0])
+        assert _outcome(memory.read_words, address, 1) == one
+        assert _outcome(memory.read_words, address, 2) == \
+            _outcome(_bytewise_words, memory, address, 2)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("watched", [False, True])
+@pytest.mark.parametrize("next_mapped", [False, True])
+def test_word_writes_match_bytewise_reads_at_page_end(strict, watched,
+                                                      next_mapped):
+    first, second = 0x8877_6655, 0x4433_2211
+    writes = (
+        ("write_u32", lambda memory, address:
+         memory.write_u32(address, first), [first], 4),
+        ("write_u32x2", lambda memory, address:
+         memory.write_u32x2(address, first, second), [first, second], 8),
+        ("write_words", lambda memory, address:
+         memory.write_words(address, [first, second]), [first, second], 8),
+    )
+    for name, write, values, length in writes:
+        for address in (PAGE + offset for offset in END_OFFSETS):
+            memory, seen = _edge_memory(strict, watched, next_mapped)
+            write(memory, address)
+            data = b"".join(value.to_bytes(4, "little") for value in values)
+            assert bytes(_bytewise(memory, address, length)) == data, \
+                (name, hex(address))
+            # A watched page's watcher saw exactly the bytes written.
+            assert seen == (set(range(address, address + length))
+                            if watched else set()), (name, hex(address))
