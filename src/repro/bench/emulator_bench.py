@@ -13,6 +13,9 @@ host CPU count and Python version they were taken with.  Regression
 gating compares **speedup ratios** (TB vs single-step on the same
 machine, same run) rather than absolute instructions/second, so the
 committed baseline is meaningful across machines of different speeds.
+Each speedup row has an exact companion that no host's noise moves: the
+Python calls per guest instruction on each engine
+(:meth:`EmulatorBench.calls_per_instruction`).
 """
 
 from __future__ import annotations
@@ -207,6 +210,10 @@ def _count_calls(counted, run: Callable, *args, **kwargs) -> int:
     return calls
 
 
+def _any_call(frame, event) -> bool:
+    return event == "call" or event == "c_call"
+
+
 def count_cfbench_calls(observe: bool, iterations: int) -> int:
     """Function calls (Python and builtin) made by one warmed-up
     ``native_mips`` pass on a vanilla platform, counted with
@@ -217,9 +224,8 @@ def count_cfbench_calls(observe: bool, iterations: int) -> int:
     count without it, on any host.
     """
     bench = _warmed_cfbench(observe, iterations)
-    return _count_calls(
-        lambda frame, event: event == "call" or event == "c_call",
-        bench.run_workload, "native_mips", iterations=iterations)
+    return _count_calls(_any_call, bench.run_workload, "native_mips",
+                        iterations=iterations)
 
 
 def count_memory_word_calls() -> int:
@@ -320,14 +326,17 @@ class EmulatorBench:
     def _tainted_tracer_setup(self, use_tb: bool):
         return self._tracer_setup(use_tb, tainted=True)
 
-    def measure_workload(self, name: str) -> Dict[str, float]:
-        setup = {
+    def _setup(self, name: str):
+        return {
             "cfbench_native_loop": self._cfbench_setup,
             HOST_CALL_WORKLOAD: self._host_calls_setup,
             "jni_crossing": self._jni_crossing_setup,
             "table5_tracer": self._tracer_setup,
             "table5_tracer_tainted": self._tainted_tracer_setup,
         }[name]
+
+    def measure_workload(self, name: str) -> Dict[str, float]:
+        setup = self._setup(name)
         step_instr, step_hosts, step_time = _measure(setup, False,
                                                      self.repeats)
         tb_instr, tb_hosts, tb_time = _measure(setup, True, self.repeats)
@@ -358,6 +367,26 @@ class EmulatorBench:
                 step_time / step_hosts * 1e6, 3)
             row["tb_us_per_host_call"] = round(tb_time / tb_hosts * 1e6, 3)
         return row
+
+    def calls_per_instruction(self, name: str) -> Dict[str, float]:
+        """Python and builtin calls per guest instruction on each engine,
+        over one run of workload ``name`` as a timed repeat runs it (a
+        fresh setup, translation included), counted like
+        :func:`count_cfbench_calls`.
+
+        The exact companion of the row's timed speedup, which swings by
+        tens of percent on a shared host: CI fails if either engine's
+        count rises above the committed one.
+        """
+        setup = self._setup(name)
+        counts = {}
+        for engine, use_tb in (("single_step", False), ("tb", True)):
+            emu, run = setup(use_tb)
+            before = emu.instruction_count
+            calls = _count_calls(_any_call, run)
+            counts[engine] = round(calls / (emu.instruction_count - before),
+                                   3)
+        return counts
 
     # -- observability zero-cost gate ---------------------------------------
 
@@ -470,7 +499,11 @@ class EmulatorBench:
             "workloads": workloads,
             "metrics": snapshot,
             "observability": self.measure_observability_overhead(),
-            "calls": {"cfbench_memory_word_calls": count_memory_word_calls()},
+            "calls": {
+                "cfbench_memory_word_calls": count_memory_word_calls(),
+                "calls_per_instruction": {
+                    name: self.calls_per_instruction(name) for name in names},
+            },
             "taint_parity": self.taint_parity(),
         }
 

@@ -289,10 +289,13 @@ def _command_bench_emulator(json_path, baseline_path, tolerance) -> int:
         WORD_CALL_ITERATIONS, EmulatorBench, compare_to_baseline,
         load_results, write_results)
     results = EmulatorBench().run()
+    per_instruction = results["calls"]["calls_per_instruction"]
     for name, row in results["workloads"].items():
+        calls = per_instruction[name]
         print(f"{name:<22} {row['single_step_instr_per_sec']:>12,.0f} -> "
               f"{row['tb_instr_per_sec']:>12,.0f} instr/s "
-              f"({row['speedup']:.2f}x)")
+              f"({row['speedup']:.2f}x); calls/instr "
+              f"{calls['single_step']:.3f} -> {calls['tb']:.3f}")
     parity = results["taint_parity"]
     print(f"taint parity: {'identical' if parity['identical'] else 'BROKEN'} "
           f"over {len(parity['scenarios'])} scenarios")

@@ -28,11 +28,12 @@ reports nothing but keeps the guest read that can fault.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.taint import TAINT_CLEAR, TaintLabel
 from repro.core.taint_engine import TaintEngine
 from repro.framework.leaks import LeakRecord
+from repro.libc.libc import parse_c_integer
 from repro.libc.stdio_format import FormatError, format_with_taints
 from repro.observability.ledger import Loc
 
@@ -53,6 +54,44 @@ CLEAN_PROPAGATIONS = {"free": 0, "malloc": 0, "calloc": 0, "libm": 2}
 SINK_SYSCALLS = {"write": "write", "send": "send", "sendto": "sendto",
                  "fwrite": "write", "fputs": "write", "fputc": "write",
                  "fprintf": "write", "vfprintf": "write"}
+
+
+def _whole_string(memory, args) -> Tuple[int]:
+    """``strlen`` reads its string and the terminator."""
+    return (len(memory.read_cstring(args[0])) + 1,)
+
+
+def _compared(fold: bool) -> Callable:
+    """``strcmp``/``strcasecmp`` read each string up to and including
+    the first byte that differs (after ASCII case folding, with
+    ``fold``) or their shared terminator."""
+    def read(memory, args) -> Tuple[int, int]:
+        first = memory.read_cstring(args[0]) + b"\0"
+        second = memory.read_cstring(args[1]) + b"\0"
+        if fold:
+            first, second = first.lower(), second.lower()
+        decided = next((index for index, (a, b) in
+                        enumerate(zip(first, second)) if a != b),
+                       len(first) - 1)
+        return decided + 1, decided + 1
+    return read
+
+
+def _bounded_compared(memory, args) -> Tuple[int, int]:
+    """``strncmp``/``strncasecmp`` read each string with its terminator,
+    at most ``n`` bytes."""
+    bound = args[2]
+    return tuple(min(len(memory.read_cstring(pointer, bound, bounded=True))
+                     + 1, bound) for pointer in args[:2])
+
+
+def _parsed(base_arg: Optional[int]) -> Callable:
+    """``atoi``/``atol``/``strtoul`` read their string up to and
+    including the byte that stops the libc model's parse."""
+    def read(memory, args) -> Tuple[int]:
+        base = 10 if base_arg is None else args[base_arg] or 10
+        return (parse_c_integer(memory.read_cstring(args[0]), base)[1] + 1,)
+    return read
 
 
 class SysLibHookEngine:
@@ -102,15 +141,15 @@ class SysLibHookEngine:
             "free": self._model_free,
         }
         exit_models: Dict[str, Callable] = {
-            "strlen": self._exit_content_to_r0(0),
-            "strcmp": self._exit_content_to_r0(0, 1),
-            "strncmp": self._exit_content_to_r0(0, 1, bound_arg=2),
-            "strcasecmp": self._exit_content_to_r0(0, 1),
-            "strncasecmp": self._exit_content_to_r0(0, 1, bound_arg=2),
+            "strlen": self._exit_content_to_r0(_whole_string),
+            "strcmp": self._exit_content_to_r0(_compared(fold=False)),
+            "strncmp": self._exit_content_to_r0(_bounded_compared),
+            "strcasecmp": self._exit_content_to_r0(_compared(fold=True)),
+            "strncasecmp": self._exit_content_to_r0(_bounded_compared),
             "memcmp": self._exit_buffers_to_r0,
-            "atoi": self._exit_content_to_r0(0),
-            "atol": self._exit_content_to_r0(0),
-            "strtoul": self._exit_content_to_r0(0),
+            "atoi": self._exit_content_to_r0(_parsed(base_arg=None)),
+            "atol": self._exit_content_to_r0(_parsed(base_arg=None)),
+            "strtoul": self._exit_content_to_r0(_parsed(base_arg=2)),
             "strchr": self._exit_pointer_derivation,
             "strrchr": self._exit_pointer_derivation,
             "strstr": self._exit_pointer_derivation,
@@ -278,11 +317,10 @@ class SysLibHookEngine:
         if new_pointer:
             self.taint.set_memory_bytes(new_pointer, old_taints)
 
-    def _exit_content_to_r0(self, *string_args: int,
-                            bound_arg: Optional[int] = None):
-        """Result derives from the content of C-string arguments: each
-        string with its terminator, or with ``bound_arg``, at most that
-        argument's count of bytes (``strncmp``'s ``n``)."""
+    def _exit_content_to_r0(self, read: Callable):
+        """Result derives from the bytes the function reads of its
+        leading C-string arguments: ``read(memory, args)`` gives how
+        many bytes of each, in argument order."""
         def handler(emu) -> None:
             pending = self._pop_pending()
             if pending is None:
@@ -290,15 +328,8 @@ class SysLibHookEngine:
             self.modelled_calls += 1
             args, taints = pending
             label = TAINT_CLEAR
-            for index in string_args:
-                pointer = args[index]
-                if bound_arg is None:
-                    length = len(emu.memory.read_cstring(pointer)) + 1
-                else:
-                    bound = args[bound_arg]
-                    length = min(len(emu.memory.read_cstring(
-                        pointer, bound, bounded=True)) + 1, bound)
-                label |= self.taint.get_memory(pointer, length)
+            for index, length in enumerate(read(emu.memory, args)):
+                label |= self.taint.get_memory(args[index], length)
                 label |= taints[index]
             self.taint.set_register(0, label)
         return handler

@@ -15,9 +15,11 @@ proportions at any scale instead of drifting the way independent
 
 The corpus is **addressable and streamable**: every record is a pure
 function of ``(seed, stratum, index)``, hashed into a 64-bit key, never
-drawn from a shared generator.  Type I/II records seed a per-record RNG
-with the key; plain records, which draw only a category, index the
-category table by the key itself, so they pay for no RNG.  Strata are
+drawn from a shared random stream.  Type I/II records reseed the
+generator's one RNG with the key, so no record's draws depend on
+another's; plain records hold only their index and index the
+category table by the key itself when (and only when) their category is
+read, so a chunk job that classifies them hashes none.  Strata are
 interleaved by a seed-derived affine permutation of positions rather
 than an in-memory shuffle.  :meth:`CorpusGenerator.stream` therefore
 yields any slice of the corpus in constant memory, ``record_at`` is
@@ -207,6 +209,8 @@ class CorpusGenerator:
         self._key_prefixes = {
             stratum: hashlib.sha256(f"{seed}:{stratum}:".encode())
             for stratum in ("type1", "type2", "type3", "plain")}
+        # The one RNG type I/II records draw from, reseeded per record.
+        self._rng = random.Random()
 
     # -- deterministic machinery ---------------------------------------------------
 
@@ -249,8 +253,8 @@ class CorpusGenerator:
     def _key(self, stratum: str, index: int) -> int:
         """Per-record 64-bit key: a pure function of (seed, stratum, index).
 
-        Type I/II records seed their RNG with it; plain records, which
-        draw only a category, index by it directly.
+        Type I/II records seed the RNG with it; a plain record's category
+        indexes by it directly.
         """
         try:
             prefix = self._key_prefixes[stratum]
@@ -335,7 +339,8 @@ class CorpusGenerator:
         return tuple(sorted(chosen))
 
     def _type1_record(self, index: int) -> AppRecord:
-        rng = random.Random(self._key("type1", index))
+        rng = self._rng
+        rng.seed(self._key("type1", index))
         plan = self.plan
         category = self._pick_type1_category(rng)
         strings = _PLAIN_STRINGS + (
@@ -355,7 +360,8 @@ class CorpusGenerator:
             declared_native_classes=declared)
 
     def _type2_record(self, index: int) -> AppRecord:
-        rng = random.Random(self._key("type2", index))
+        rng = self._rng
+        rng.seed(self._key("type2", index))
         if index < self.plan.type2_loadable:
             embedded = (EmbeddedDexInfo(
                 "assets/payload.dex",
@@ -386,8 +392,40 @@ class CorpusGenerator:
             manifest_flags=(NATIVE_ACTIVITY_STRING,))
 
     def _plain_record(self, index: int) -> AppRecord:
-        key = self._key("plain", index)
-        return AppRecord(package=f"com.plain.app{index}",
-                         category=_GENERIC_CATEGORIES[
-                             key % len(_GENERIC_CATEGORIES)],
-                         dex_strings=_PLAIN_STRINGS)
+        return _PlainRecord(self, index)
+
+    def _plain_category(self, index: int) -> str:
+        return _GENERIC_CATEGORIES[
+            self._key("plain", index) % len(_GENERIC_CATEGORIES)]
+
+
+class _PlainRecord(AppRecord):
+    """A plain-stratum record: its generator and index, nothing else.
+
+    Every plain record has the same contents, so those fields are shared
+    class attributes (the base class's defaults, and the plain dex
+    strings); ``package`` and ``category`` are derived when read.  The
+    classifier's probes read only the shared fields, so classifying a
+    plain record costs no hash and builds no string.
+    """
+
+    __slots__ = ("_generator", "_index")
+
+    dex_strings = _PLAIN_STRINGS
+    native_libraries = ()
+    library_archs = ("armeabi",)
+    embedded_dex = ()
+    manifest_flags = ()
+    declared_native_classes = ()
+
+    def __init__(self, generator: CorpusGenerator, index: int) -> None:
+        self._generator = generator
+        self._index = index
+
+    @property
+    def package(self) -> str:
+        return f"com.plain.app{self._index}"
+
+    @property
+    def category(self) -> str:
+        return self._generator._plain_category(self._index)

@@ -18,7 +18,7 @@ files and packets stay labelled.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import KernelError
 from repro.common.taint import TAINT_CLEAR, TaintLabel
@@ -285,14 +285,14 @@ class CLibrary:
         return address
 
     def _impl_atoi(self, ctx: HostContext) -> int:
-        return _parse_c_integer(self._cstr(ctx.arg(0)), 10)
+        return parse_c_integer(self._cstr(ctx.arg(0)), 10)[0]
 
     def _impl_atol(self, ctx: HostContext) -> int:
-        return _parse_c_integer(self._cstr(ctx.arg(0)), 10)
+        return parse_c_integer(self._cstr(ctx.arg(0)), 10)[0]
 
     def _impl_strtoul(self, ctx: HostContext) -> int:
         base = ctx.arg(2) or 10
-        return _parse_c_integer(self._cstr(ctx.arg(0)), base)
+        return parse_c_integer(self._cstr(ctx.arg(0)), base)[0]
 
     # printf family --------------------------------------------------------------
 
@@ -627,18 +627,23 @@ def _compare(a: bytes, b: bytes) -> int:
     return 1 if a > b else 0xFFFF_FFFF  # -1 as unsigned
 
 
-def _parse_c_integer(data: bytes, base: int) -> int:
-    text = data.decode("ascii", errors="replace").strip()
+def parse_c_integer(data: bytes, base: int) -> Tuple[int, int]:
+    """``atoi``/``strtoul``'s parse of ``data``: the value, and the offset
+    of the byte that stops it (past leading space, sign, the ``0x`` of
+    base 16 and the digits).  The bytes before that offset and the byte
+    at it are all the parse reads."""
+    text = data.decode("ascii", errors="replace")
+    start = len(text) - len(text.lstrip())
     sign = 1
-    if text.startswith(("-", "+")):
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:]
-    if base == 16 and text.lower().startswith("0x"):
-        text = text[2:]
+    if text.startswith(("-", "+"), start):
+        sign = -1 if text[start] == "-" else 1
+        start += 1
+    if base == 16 and text[start:start + 2].lower() == "0x":
+        start += 2
     digits = "0123456789abcdefghijklmnopqrstuvwxyz"[:base]
-    end = 0
+    end = start
     while end < len(text) and text[end].lower() in digits:
         end += 1
-    if end == 0:
-        return 0
-    return (sign * int(text[:end], base)) & 0xFFFF_FFFF
+    if end == start:
+        return 0, end
+    return (sign * int(text[start:end], base)) & 0xFFFF_FFFF, end

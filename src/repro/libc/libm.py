@@ -141,7 +141,7 @@ class MathLibrary:
         return None
 
     def _strtol(self, ctx: HostContext):
-        from repro.libc.libc import _parse_c_integer
+        from repro.libc.libc import parse_c_integer
         data = ctx.emu.memory.read_cstring(ctx.arg(0))
         base = ctx.arg(2) or 10
-        return _parse_c_integer(data, base)
+        return parse_c_integer(data, base)[0]

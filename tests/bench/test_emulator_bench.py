@@ -1,6 +1,7 @@
 """The emulator throughput harness and its regression gate."""
 
 import json
+from pathlib import Path
 
 from repro.bench.emulator_bench import (
     DEFAULT_TOLERANCE,
@@ -107,3 +108,24 @@ def test_memory_word_calls_repeat_exactly():
     count = count_memory_word_calls()
     assert count > 0
     assert count == count_memory_word_calls()
+
+
+def test_calls_per_instruction_repeat_exactly_on_both_engines():
+    """Each speedup row's exact companion: two runs count the same calls
+    per guest instruction, and the translated engine makes fewer."""
+    bench = small_bench()
+    for name in ("cfbench_native_loop", "table5_tracer_tainted"):
+        counts = bench.calls_per_instruction(name)
+        assert set(counts) == {"single_step", "tb"}
+        assert 0 < counts["tb"] < counts["single_step"]
+        assert counts == bench.calls_per_instruction(name)
+
+
+def test_committed_calls_per_instruction_cover_every_row():
+    # CI compares each fresh count with this block, engine by engine.
+    committed = load_results(
+        str(Path(__file__).parents[2] / "BENCH_emulator.json"))
+    counts = committed["calls"]["calls_per_instruction"]
+    assert set(counts) == set(committed["workloads"])
+    for engines in counts.values():
+        assert set(engines) == {"single_step", "tb"}

@@ -110,6 +110,71 @@ class TestStringModels:
         assert result == 1234
         assert ndroid.taint_engine.get_register(0) == TAINT_IMEI
 
+    @pytest.mark.parametrize("name", ["atoi", "atol"])
+    def test_atoi_reads_only_the_parsed_prefix(self, env, name):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_cstring(DATA, " 12abc")
+        # A tainted byte past the one that stops the parse ("a") does
+        # not reach the result; the stopping byte itself does.
+        engine.set_memory(DATA + 5, 1, TAINT_IMEI)
+        assert call_libc(platform, name, DATA) == 12
+        assert engine.get_register(0) == 0
+        engine.set_memory(DATA + 3, 1, TAINT_SMS)
+        call_libc(platform, name, DATA)
+        assert engine.get_register(0) == TAINT_SMS
+
+    def test_strtoul_reads_only_the_parsed_prefix(self, env):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_cstring(DATA, "-0x1fz!")
+        engine.set_memory(DATA + 6, 2, TAINT_IMEI)
+        assert call_libc(platform, "strtoul", DATA, 0, 16) == \
+            -0x1F & 0xFFFF_FFFF
+        assert engine.get_register(0) == 0
+        # Base 10 stops at the "x": the digits after it are not read.
+        engine.clear_memory(DATA + 6, 2)
+        engine.set_memory(DATA + 3, 1, TAINT_SMS)
+        assert call_libc(platform, "strtoul", DATA, 0, 10) == 0
+        assert engine.get_register(0) == 0
+        engine.set_memory(DATA + 2, 1, TAINT_CONTACTS)
+        call_libc(platform, "strtoul", DATA, 0, 10)
+        assert engine.get_register(0) == TAINT_CONTACTS
+
+    @pytest.mark.parametrize("name, first, second", [
+        ("strcmp", "abcQRS", "abdXYZ"),
+        ("strcasecmp", "ABcQRS", "abDXYZ"),
+    ])
+    def test_compare_reads_up_to_the_first_difference(self, env, name,
+                                                      first, second):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_cstring(DATA, first)
+        platform.memory.write_cstring(DATA + 64, second)
+        # Bytes past the first difference (index 2) decide nothing.
+        engine.set_memory(DATA + 3, 4, TAINT_IMEI)
+        engine.set_memory(DATA + 64 + 3, 4, TAINT_SMS)
+        assert call_libc(platform, name, DATA, DATA + 64) == 0xFFFF_FFFF
+        assert engine.get_register(0) == 0
+        engine.set_memory(DATA + 64 + 2, 1, TAINT_CONTACTS)
+        call_libc(platform, name, DATA, DATA + 64)
+        assert engine.get_register(0) == TAINT_CONTACTS
+
+    @pytest.mark.parametrize("name", ["strcmp", "strcasecmp"])
+    def test_compare_of_a_prefix_reads_through_its_terminator(self, env,
+                                                              name):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_cstring(DATA, "ab")
+        platform.memory.write_cstring(DATA + 64, "abcd")
+        engine.set_memory(DATA + 64 + 3, 1, TAINT_IMEI)
+        assert call_libc(platform, name, DATA, DATA + 64) == 0xFFFF_FFFF
+        assert engine.get_register(0) == 0
+        # Equal strings: every byte and the shared terminator decide.
+        engine.set_memory(DATA + 2, 1, TAINT_SMS)
+        assert call_libc(platform, name, DATA, DATA) == 0
+        assert engine.get_register(0) == TAINT_SMS
+
     def test_memcmp_result_derives_from_exactly_n_bytes(self, env):
         # The buffers start with a NUL: a C-string read stops before the
         # tainted byte that decides the comparison.

@@ -18,6 +18,7 @@ from repro.corpus.generator import (
     plan_corpus,
 )
 from repro.corpus.study import classify
+from repro.farm import iter_corpus_jobs, worker
 
 
 class TestClassifier:
@@ -219,18 +220,63 @@ class TestRecordRandomness:
     # those records draw their randomness moves it.
     JNI_RECORDS_DIGEST = \
         "49184f86b15dac9900a13d497d075068ca38662d362bbcad9bd56b49e7768a0a"
+    # The same over every plain record, taken when plain records were
+    # still built field by field: reading a derived field must give
+    # what the eager record held.
+    PLAIN_RECORDS_DIGEST = \
+        "e168e2859da40a083f7a136ea7aadd5fb151396e7b519d349dd5aae753af7547"
 
-    def test_jni_records_match_the_golden_digest(self):
+    @staticmethod
+    def _stratum_digest(plain):
         digest = hashlib.sha256()
         count = 0
         for record in CorpusGenerator(seed=2014, scale=0.01).stream():
-            if record.package.startswith("com.plain."):
+            if record.package.startswith("com.plain.") != plain:
                 continue
             count += 1
             digest.update(repr(record_fields(record)).encode() + b"\n")
+        return count, digest.hexdigest()
+
+    def test_jni_records_match_the_golden_digest(self):
+        count, digest = self._stratum_digest(plain=False)
         plan = plan_corpus(PAPER_PARAMETERS, 0.01)
         assert count == plan.type1 + plan.type2 + plan.type3 == 392
-        assert digest.hexdigest() == self.JNI_RECORDS_DIGEST
+        assert digest == self.JNI_RECORDS_DIGEST
+
+    def test_plain_records_match_the_golden_digest(self):
+        count, digest = self._stratum_digest(plain=True)
+        assert count == plan_corpus(PAPER_PARAMETERS, 0.01).plain == 1887
+        assert digest == self.PLAIN_RECORDS_DIGEST
+
+    def test_chunk_jobs_hash_and_seed_only_type1_and_type2_records(
+            self, monkeypatch):
+        # A chunk job classifies every record, but only a type I/II
+        # record draws randomness: one key and one RNG seeding each.
+        # Plain records (and type III) hash nothing.
+        worker._corpus_generator.cache_clear()
+        generator = worker._corpus_generator(2014, 0.01)
+        calls = {"key": 0, "seed": 0}
+        key, seed = generator._key, generator._rng.seed
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(generator, "_key", counting("key", key))
+        monkeypatch.setattr(generator._rng, "seed", counting("seed", seed))
+        all_plain = 0
+        for spec in iter_corpus_jobs(0.01, seed=2014, chunk=4):
+            calls.update(key=0, seed=0)
+            metrics = worker._analyze_corpus_chunk(spec, None)["metrics"]
+            assert metrics["corpus.records"] == spec.chunk
+            drawn = metrics["corpus.type1"] + metrics["corpus.type2"]
+            assert calls == {"key": drawn, "seed": drawn}, spec.id
+            if metrics["corpus.plain"] == spec.chunk:
+                all_plain += 1
+                assert calls["key"] == 0
+        assert all_plain > 0
 
     @pytest.mark.parametrize("stratum",
                              ("type1", "type2", "type3", "plain", "probe"))

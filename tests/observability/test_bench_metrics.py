@@ -11,6 +11,8 @@ def test_bench_results_and_metrics_snapshot_agree():
     for name, row in results["workloads"].items():
         for key, value in row.items():
             assert results["metrics"][f"bench.{name}.{key}"] == value
+    assert set(results["calls"]["calls_per_instruction"]) == \
+        set(results["workloads"])
     observability = results["observability"]
     assert "cfbench_disabled_overhead" in observability
     assert observability["limit"] == 0.03
