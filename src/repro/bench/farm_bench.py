@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
@@ -184,9 +185,10 @@ class WarmBench:
     child boots a platform, a warm child resets the booted template it
     inherited.  The parent times every job from fork to reap — fork,
     boot or reset, and scenario run — and the child reports its boot
-    and in-run translation seconds.  The parent boots one platform,
-    untimed, before either mode, so process-wide one-time set-up is paid
-    by neither mode's jobs.
+    and in-run translation seconds, its minor page faults (from the
+    fork on) and how many resets its platform ran.  The parent boots
+    one platform, untimed, before either mode, so process-wide one-time
+    set-up is paid by neither mode's jobs.
     """
 
     def __init__(self, repeats: int = WARM_REPEATS,
@@ -223,13 +225,18 @@ class WarmBench:
             code = 1
             try:
                 os.close(read_fd)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 boot_started = time.perf_counter()
                 platform = boot()
                 booted = time.perf_counter() - boot_started
                 scenario = ALL_SCENARIOS[name]()
                 run_scenario(scenario, platform)
+                faults = resource.getrusage(
+                    resource.RUSAGE_SELF).ru_minflt - faults
                 report = {"boot": booted,
                           "translate": platform.emu.translate_seconds,
+                          "minor_faults": faults,
+                          "resets": platform.resets,
                           "observed": self._observe(platform, scenario)}
                 with os.fdopen(write_fd, "w") as pipe:
                     json.dump(report, pipe)
@@ -249,6 +256,7 @@ class WarmBench:
 
         names = sorted(ALL_SCENARIOS)
         boot_seconds = translate_seconds = total_seconds = 0.0
+        minor_faults = resets = 0
         observations: Dict[str, Dict] = {}
         consistent = True
         for __ in range(self.repeats):
@@ -257,6 +265,8 @@ class WarmBench:
                 total_seconds += total
                 boot_seconds += report["boot"]
                 translate_seconds += report["translate"]
+                minor_faults += report["minor_faults"]
+                resets += report["resets"]
                 previous = observations.setdefault(name, report["observed"])
                 consistent = consistent and previous == report["observed"]
         jobs = len(names) * self.repeats
@@ -267,6 +277,10 @@ class WarmBench:
             "translate_seconds": round(translate_seconds, 4),
             # The gate statistic: what one job costs the farm, all in.
             "per_job_seconds": round(total_seconds / jobs, 6),
+            # Untimed evidence of where a child's time goes: the pages
+            # it copied or faulted in, and how many resets it ran.
+            "minor_faults_per_job": round(minor_faults / jobs, 1),
+            "resets_per_job": round(resets / jobs, 3),
             "observations": observations,
             "consistent_across_repeats": consistent,
         }
@@ -384,8 +398,6 @@ class ScalingBench:
         self.scale = self.records / PAPER_PARAMETERS.total_apps
 
     def run(self) -> Dict:
-        import resource
-
         from repro.corpus.generator import CorpusGenerator
         from repro.farm.manifest import ShardedManifest, iter_corpus_jobs
 

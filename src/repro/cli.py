@@ -342,7 +342,9 @@ def _command_bench_farm(workers: int, json_path, scaling: bool = False,
         row = warm[mode]
         print(f"  {mode:<5} boot={row['boot_seconds']:.2f}s "
               f"translate={row['translate_seconds']:.2f}s "
-              f"per-job total={row['per_job_seconds'] * 1000:.2f}ms")
+              f"per-job total={row['per_job_seconds'] * 1000:.2f}ms "
+              f"minor faults/job={row['minor_faults_per_job']:.0f} "
+              f"resets/job={row['resets_per_job']:.2f}")
     print(f"  boot vs reset only: {warm['boot_speedup']:.2f}x")
     print(f"  warm vs cold: {warm['speedup_warm_vs_cold']:.2f}x "
           f"(gate >= {warm['gate']['threshold']:.1f}x: "

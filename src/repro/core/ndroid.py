@@ -63,7 +63,7 @@ class NDroid:
     def checkpoint(self) -> None:
         """Keep the reconstructed view of the booted task list."""
         self.view_reconstructor.checkpoint(
-            self.platform.kernel.task_signature())
+            self.platform.kernel.task_changes)
 
     def reset_for_job(self) -> None:
         """Reset every engine; the view comes back from the checkpoint
@@ -74,7 +74,7 @@ class NDroid:
         self.dvm_hooks.reset_for_job()
         self.syslib_hooks.reset_for_job()
         self.view_reconstructor.reset_for_job(
-            self.platform.kernel.task_signature())
+            self.platform.kernel.task_changes)
         self._init_job_state()
 
     # -- attachment ------------------------------------------------------------

@@ -89,7 +89,7 @@ def _parsed(base_arg: Optional[int]) -> Callable:
     """``atoi``/``atol``/``strtoul`` read their string up to and
     including the byte that stops the libc model's parse."""
     def read(memory, args) -> Tuple[int]:
-        base = 10 if base_arg is None else args[base_arg] or 10
+        base = 10 if base_arg is None else args[base_arg]
         return (parse_c_integer(memory.read_cstring(args[0]), base)[1] + 1,)
     return read
 

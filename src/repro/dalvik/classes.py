@@ -96,6 +96,29 @@ class ClassDef:
         self.static_values: Dict[str, List[int]] = {}
         self.static_ref_flags: Dict[str, bool] = {}
         self.methods: Dict[str, Method] = {}
+        # What :meth:`restore` returns to; None until the first record.
+        self._checkpoint: Optional[Tuple] = None
+
+    def checkpoint(self) -> None:
+        """Record what a run can change: statics and native bindings."""
+        self._checkpoint = (
+            {name: tuple(value) for name, value in self.static_values.items()},
+            dict(self.static_ref_flags),
+            tuple((method, method.native_address)
+                  for method in self.methods.values() if method.is_native))
+
+    def restore(self) -> None:
+        """Back to the last :meth:`checkpoint`; the first call, with none
+        taken, records one instead (the class as it was built)."""
+        if self._checkpoint is None:
+            self.checkpoint()
+            return
+        values, flags, natives = self._checkpoint
+        self.static_values = {name: list(value)
+                              for name, value in values.items()}
+        self.static_ref_flags = dict(flags)
+        for method, address in natives:
+            method.native_address = address
 
     def add_instance_field(self, name: str, type_char: str = "I") -> Field:
         field_def = Field(name, type_char)

@@ -40,15 +40,22 @@ listener attached (the DroidScope comparator) runs the original loop,
 and ``tests/dalvik/test_tbc_differential.py`` asserts slot/taint/ledger
 parity between the two engines.
 
-Cache invalidation: blocks key on the :class:`Method` *object*, so
-re-registering a class (the only redefinition path the VM exposes)
-flushes the compiler via :meth:`DalvikTraceCompiler.flush`.  Code must
-not be mutated in place after first execution; redefine the method
-instead.
+Cache invalidation: blocks key on the :class:`Method` *object*, per
+compiler (one per VM, so never shared across platforms).  They outlive
+a warm worker's job: a worker that installs the same app image again
+replays its blocks instead of recompiling them.  Only a true
+redefinition -- another :class:`ClassDef` registered under a live class
+name -- flushes every block via :meth:`DalvikTraceCompiler.flush`.  A
+block lives no longer than its method: the compiler holds each method
+weakly and drops its blocks when it dies, so a class built afresh for
+one job leaves nothing behind once the job's reset lets it go (no
+compiled closure refers to its method).  Code must not be mutated in
+place after first execution; redefine the method instead.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import DalvikError
@@ -154,7 +161,12 @@ class DalvikTraceCompiler:
 
     def __init__(self, vm) -> None:
         self.vm = vm
-        self._method_blocks: Dict[Method, Dict[int, DalvikBlock]] = {}
+        # id(method) -> its block map, and a weak reference whose
+        # callback drops the map when the method dies.
+        self._method_blocks: Dict[int, Dict[int, DalvikBlock]] = {}
+        self._method_refs: Dict[int, weakref.ref] = {}
+        # Blocks held across every method, kept as blocks come and go.
+        self.cached_blocks = 0
         # Optional span tracer; emits only on the compile (miss) path.
         self.span_tracer = None
         self._init_job_state()
@@ -170,44 +182,46 @@ class DalvikTraceCompiler:
         self.invalidations = 0
         self.escalations = 0
 
-    def reset_for_job(self, keep) -> None:
-        """A warm worker's job boundary: drop every block, forget the
-        methods outside ``keep`` (the booted ones), zero the counters."""
-        self.flush(keep=keep)
+    def reset_for_job(self) -> None:
+        """A warm worker's job boundary: zero the counters.  The blocks
+        stay; those of methods the job alone held die with them."""
         self._init_job_state()
 
     # -- cache ------------------------------------------------------------
 
     def blocks_for(self, method: Method) -> Dict[int, DalvikBlock]:
         """The long-lived per-method block map (cleared by flush)."""
-        blocks = self._method_blocks.get(method)
+        blocks = self._method_blocks.get(id(method))
         if blocks is None:
-            blocks = {}
-            self._method_blocks[method] = blocks
+            blocks = self._track(method)
         return blocks
 
-    def flush(self, keep=None) -> None:
+    def _track(self, method: Method) -> Dict[int, DalvikBlock]:
+        key = id(method)
+        blocks: Dict[int, DalvikBlock] = {}
+        self._method_blocks[key] = blocks
+        # The callback runs as the method is freed, before its id can be
+        # reissued to another object.
+        self._method_refs[key] = weakref.ref(
+            method, lambda __, key=key: self._forget(key))
+        return blocks
+
+    def _forget(self, key: int) -> None:
+        del self._method_refs[key]
+        self.cached_blocks -= len(self._method_blocks.pop(key))
+
+    def flush(self) -> None:
         """Drop every compiled block (class/method redefinition).
 
         The per-method dicts are cleared in place, not replaced: the
         interpreter's hot loop holds a direct reference to the dict, so
-        an in-place clear invalidates blocks even mid-run.  With ``keep``
-        (a warm worker's job boundary) the entries of methods outside it
-        are dropped too: their classes died with the job, and their keys
-        would otherwise accumulate job after job.
+        an in-place clear invalidates blocks even mid-run.
         """
-        for blocks in self._method_blocks.values():
+        for blocks in list(self._method_blocks.values()):
             self.invalidations += len(blocks)
             blocks.clear()
-        if keep is not None:
-            for method in [method for method in self._method_blocks
-                           if method not in keep]:
-                del self._method_blocks[method]
+        self.cached_blocks = 0
         self.flushes += 1
-
-    @property
-    def cached_blocks(self) -> int:
-        return sum(len(blocks) for blocks in self._method_blocks.values())
 
     # -- compilation ------------------------------------------------------
 
@@ -235,7 +249,10 @@ class DalvikTraceCompiler:
             term_clean = term_tainted = self._compile_fell_off(method)
         block = DalvikBlock(start, tuple(clean), tuple(tainted),
                             term_clean, term_tainted)
-        self.blocks_for(method)[start] = block
+        blocks = self.blocks_for(method)
+        if start not in blocks:
+            self.cached_blocks += 1
+        blocks[start] = block
         self.blocks_compiled += 1
         if tracer is not None:
             tracer.complete("tbc_compile", span_start, cat="engine",
@@ -246,9 +263,10 @@ class DalvikTraceCompiler:
     # -- op compilation ---------------------------------------------------
 
     def _bad_register(self, method: Method, register: int):
+        name = method.full_name   # a block must not keep its method alive
+
         def op(frame):
-            raise DalvikError(
-                f"register v{register} out of range in {method.full_name}")
+            raise DalvikError(f"register v{register} out of range in {name}")
         return op, op
 
     def _check_registers(self, method: Method, *registers: int
@@ -959,12 +977,11 @@ class DalvikTraceCompiler:
 
     def _bad_terminator(self, method: Method, register: int
                         ) -> Tuple[Callable, Callable]:
-        def term(frame):
-            raise DalvikError(
-                f"register v{register} out of range in {method.full_name}")
-        return term, term
+        return self._bad_register(method, register)
 
     def _compile_fell_off(self, method: Method) -> Callable:
+        name = method.full_name
+
         def term(frame):
-            raise DalvikError(f"fell off the end of {method.full_name}")
+            raise DalvikError(f"fell off the end of {name}")
         return term

@@ -64,32 +64,24 @@ class DalvikVM:
         self._root_frame_slots: List[Tuple[object, int, Slot]] = []
 
     def checkpoint(self) -> None:
-        """Record the booted classes, their static fields and methods."""
-        self._checkpoint = {
-            name: (class_def,
-                   {field: list(value)
-                    for field, value in class_def.static_values.items()},
-                   dict(class_def.static_ref_flags))
-            for name, class_def in self.classes.items()}
-        self._checkpoint_methods = frozenset(
-            method for class_def in self.classes.values()
-            for method in class_def.methods.values())
+        """Record the booted classes, their statics and native bindings."""
+        self._checkpoint = dict(self.classes)
+        for class_def in self.classes.values():
+            class_def.checkpoint()
 
     def reset_for_job(self) -> None:
-        """Back to the checkpointed classes and statics, with an empty
-        heap, stack and reference table, and no compiled blocks."""
+        """Back to the checkpointed classes, statics and bindings, with an
+        empty heap, stack and reference table.  Compiled blocks stay."""
         self.classes.clear()
-        for name, (class_def, values, flags) in self._checkpoint.items():
-            self.classes[name] = class_def
-            class_def.static_values = {field: list(value)
-                                       for field, value in values.items()}
-            class_def.static_ref_flags = dict(flags)
+        self.classes.update(self._checkpoint)
+        for class_def in self.classes.values():
+            class_def.restore()
         self.heap.reset_for_job()
         self.stack.reset_for_job()
         self.irt.reset_for_job()
         self.interpreter.reset_for_job()
         if self.tbc is not None:
-            self.tbc.reset_for_job(keep=self._checkpoint_methods)
+            self.tbc.reset_for_job()
         self._init_job_state()
 
     # -- observability ------------------------------------------------------------
@@ -114,12 +106,14 @@ class DalvikVM:
     # -- classes ------------------------------------------------------------------
 
     def register_class(self, class_def: ClassDef) -> ClassDef:
+        live = self.classes.get(class_def.name)
         self.classes[class_def.name] = class_def
-        if self.tbc is not None:
+        if live is not None and live is not class_def \
+                and self.tbc is not None:
             # Redefinition may replace Method objects mid-run; drop every
             # compiled block rather than tracking which methods changed.
             self.tbc.flush()
-        return self.classes[class_def.name]
+        return class_def
 
     def class_by_name(self, name: str) -> ClassDef:
         found = self.classes.get(name)

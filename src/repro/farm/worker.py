@@ -162,13 +162,29 @@ def _observe(platform, trace: bool) -> Dict:
     return payload
 
 
+@functools.lru_cache(maxsize=None)
+def _app_image(kind: str, target: str):
+    """The worker's one build of app ``target``: a :class:`Scenario`
+    (``kind`` "scenario") or an :class:`Apk` ("market").
+
+    An image never changes across jobs -- ``install`` restores what a
+    run wrote to its classes -- so a warm platform replays the Dalvik
+    blocks it compiled for it.  The set is bounded by the two registries.
+    """
+    if kind == "scenario":
+        from repro.apps import ALL_SCENARIOS
+        return ALL_SCENARIOS[target]()
+    from repro.apps.market import MARKET_APPS
+    return MARKET_APPS[target]()
+
+
 def _analyze_scenario(spec: JobSpec, ctx) -> Dict:
     from repro.apps import ALL_SCENARIOS
     from repro.apps.base import run_scenario
 
     if spec.target not in ALL_SCENARIOS:
         raise ValueError(f"unknown scenario {spec.target!r}")
-    scenario = ALL_SCENARIOS[spec.target]()
+    scenario = _app_image("scenario", spec.target)
     platform = _boot_platform(spec, ctx)
     with _span(LIVE["tracer"], "scenario_run", target=spec.target):
         run_scenario(scenario, platform)
@@ -190,7 +206,7 @@ def _analyze_market(spec: JobSpec, ctx) -> Dict:
 
     if spec.target not in MARKET_APPS:
         raise ValueError(f"unknown market app {spec.target!r}")
-    apk = MARKET_APPS[spec.target]()
+    apk = _app_image("market", spec.target)
     platform = _boot_platform(spec, ctx)
     with _span(LIVE["tracer"], "scenario_run", target=spec.target):
         platform.install(apk)

@@ -109,14 +109,23 @@ class AndroidPlatform:
         # jobs, and whether prepare_template() has run.
         self._resident_libraries: Dict[str, Tuple[Program, int, str]] = {}
         self._template_prepared = False
+        # Jobs this platform was reset for (a forked child counts on
+        # from its template's count).
+        self.resets = 0
 
     # -- app management -------------------------------------------------------------
 
     def install(self, apk: Apk) -> None:
-        """Register the app's classes (its dex) with the VM."""
+        """Register the app's classes (its dex) with the VM.
+
+        An app installed before (a warm worker's image) comes back as it
+        was built: its statics and native bindings are restored, whatever
+        its last job wrote to them.
+        """
         if apk.package in self._installed:
             raise DalvikError(f"{apk.package} already installed")
         for class_def in apk.classes:
+            class_def.restore()
             self.vm.register_class(class_def)
         self._installed[apk.package] = apk
 
@@ -252,6 +261,7 @@ class AndroidPlatform:
         """
         if not self._template_prepared:
             raise DalvikError("prepare_template() was never called")
+        self.resets += 1
         self.memory.reset_for_job()
         self.emu.reset_for_job()
         self.vm.reset_for_job()

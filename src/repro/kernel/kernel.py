@@ -68,6 +68,9 @@ class Kernel:
         # Provenance ledger for the final taint hop into a sink; installed
         # by the observability layer when tracing is enabled, else None.
         self.ledger = None
+        # Bumped by every map/unmap in a checkpointed process's memory
+        # map: the task list a reset restores changed only if it moved.
+        self.task_changes = 0
         self._init_job_state()
 
     # -- warm workers: checkpoint and reset ------------------------------------
@@ -87,20 +90,26 @@ class Kernel:
         self.network.checkpoint()
         for process in self.processes.values():
             process.checkpoint()
+            process.memory_map.subscribe(self._note_task_change)
         self._checkpoint = (dict(self.processes), self.current,
                             self._next_pid)
         tasks_base = self._kernel_allocator.cursor
         self.sync_tasks_to_guest()
-        # Where the serialisation starts, what it holds, where it ends.
-        self._tasks_checkpoint = (tasks_base, self.task_signature(),
+        # Where the serialisation starts, the change count it holds, and
+        # where it ends.
+        self._tasks_checkpoint = (tasks_base, self.task_changes,
                                   self._kernel_allocator.cursor)
+
+    def _note_task_change(self, region) -> None:
+        self.task_changes += 1
 
     def reset_for_job(self) -> None:
         """Back to the checkpointed processes, files and network.
 
-        Memory's reset restored the checkpointed task list; only a
-        changed table (a library left resident) is serialised again,
-        and becomes the checkpoint, in memory's too.
+        Memory's reset restored the checkpointed task list.  Processes a
+        job spawned go with the reset; only a memory map that changed (a
+        library left resident) moves the change count, and then the list
+        is serialised again and becomes the checkpoint, in memory's too.
         """
         processes, self.current, self._next_pid = self._checkpoint
         self.filesystem.reset_for_job()
@@ -110,15 +119,14 @@ class Kernel:
         for process in processes.values():
             process.reset_for_job(self.filesystem.all_files())
         self._init_job_state()
-        tasks_base, signature, cursor = self._tasks_checkpoint
-        if self.task_signature() != signature:
+        tasks_base, changes, cursor = self._tasks_checkpoint
+        if self.task_changes != changes:
             self._kernel_allocator.cursor = tasks_base
             self.sync_tasks_to_guest()
             cursor = self._kernel_allocator.cursor
             self.memory.checkpoint(range(TASK_LIST_HEAD >> 12,
                                          ((cursor - 1) >> 12) + 1))
-            self._tasks_checkpoint = (tasks_base, self.task_signature(),
-                                      cursor)
+            self._tasks_checkpoint = (tasks_base, self.task_changes, cursor)
         self._kernel_allocator.cursor = cursor
 
     def _count(self, name: str) -> None:
@@ -181,16 +189,6 @@ class Kernel:
         if process.pid not in self.processes:
             raise KernelError(f"unknown process pid={process.pid}")
         self.current = process
-
-    def task_signature(self) -> Tuple:
-        """Everything :meth:`sync_tasks_to_guest` serialises, by pid: the
-        name and the memory map of every process."""
-        return tuple(
-            (process.pid, process.name,
-             tuple((region.start, region.end, region.name,
-                    region.third_party) for region in process.memory_map))
-            for process in sorted(self.processes.values(),
-                                  key=lambda p: p.pid))
 
     def sync_tasks_to_guest(self) -> None:
         """Re-serialise the task list into guest memory (see process.py)."""

@@ -291,8 +291,7 @@ class CLibrary:
         return parse_c_integer(self._cstr(ctx.arg(0)), 10)[0]
 
     def _impl_strtoul(self, ctx: HostContext) -> int:
-        base = ctx.arg(2) or 10
-        return parse_c_integer(self._cstr(ctx.arg(0)), base)[0]
+        return parse_c_integer(self._cstr(ctx.arg(0)), ctx.arg(2))[0]
 
     # printf family --------------------------------------------------------------
 
@@ -629,16 +628,26 @@ def _compare(a: bytes, b: bytes) -> int:
 
 def parse_c_integer(data: bytes, base: int) -> Tuple[int, int]:
     """``atoi``/``strtoul``'s parse of ``data``: the value, and the offset
-    of the byte that stops it (past leading space, sign, the ``0x`` of
-    base 16 and the digits).  The bytes before that offset and the byte
-    at it are all the parse reads."""
+    of the byte that stops it (past leading space, sign, a ``0x`` prefix
+    and the digits).  The bytes before that offset and the byte at it
+    are all the parse reads.
+
+    Base 0 picks the base as C does: a ``0x``/``0X`` prefix means 16, a
+    leading ``0`` means 8, anything else 10.  A base outside 0 and
+    2..36 parses nothing: ``(0, 0)``.
+    """
+    if base != 0 and not 2 <= base <= 36:
+        return 0, 0
     text = data.decode("ascii", errors="replace")
     start = len(text) - len(text.lstrip())
     sign = 1
     if text.startswith(("-", "+"), start):
         sign = -1 if text[start] == "-" else 1
         start += 1
-    if base == 16 and text[start:start + 2].lower() == "0x":
+    prefixed = text[start:start + 2].lower() == "0x"
+    if base == 0:
+        base = 16 if prefixed else 8 if text.startswith("0", start) else 10
+    if base == 16 and prefixed:
         start += 2
     digits = "0123456789abcdefghijklmnopqrstuvwxyz"[:base]
     end = start

@@ -143,5 +143,4 @@ class MathLibrary:
     def _strtol(self, ctx: HostContext):
         from repro.libc.libc import parse_c_integer
         data = ctx.emu.memory.read_cstring(ctx.arg(0))
-        base = ctx.arg(2) or 10
-        return parse_c_integer(data, base)[0]
+        return parse_c_integer(data, ctx.arg(2))[0]

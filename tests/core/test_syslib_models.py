@@ -141,6 +141,37 @@ class TestStringModels:
         call_libc(platform, "strtoul", DATA, 0, 10)
         assert engine.get_register(0) == TAINT_CONTACTS
 
+    def test_strtoul_base_zero_reads_what_the_detected_base_parses(
+            self, env):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_cstring(DATA, " 0x1fz!")
+        # Base 0 reads "0x" as hexadecimal; "z" stops the parse and is
+        # read, "!" is not.
+        engine.set_memory(DATA + 6, 1, TAINT_IMEI)
+        assert call_libc(platform, "strtoul", DATA, 0, 0) == 0x1F
+        assert engine.get_register(0) == 0
+        engine.set_memory(DATA + 5, 1, TAINT_SMS)
+        call_libc(platform, "strtoul", DATA, 0, 0)
+        assert engine.get_register(0) == TAINT_SMS
+        # A leading "0" means octal: the "8" stops the parse.
+        engine.clear_memory(DATA, 8)
+        engine.set_register(0, 0)   # r0, the pointer, held the result
+        platform.memory.write_cstring(DATA, "0789")
+        engine.set_memory(DATA + 3, 1, TAINT_IMEI)
+        assert call_libc(platform, "strtoul", DATA, 0, 0) == 0o7
+        assert engine.get_register(0) == 0
+        engine.set_memory(DATA + 2, 1, TAINT_CONTACTS)
+        call_libc(platform, "strtoul", DATA, 0, 0)
+        assert engine.get_register(0) == TAINT_CONTACTS
+
+    @pytest.mark.parametrize("base", [1, 37, 0xFFFF_FFFF])
+    def test_strtoul_bad_base_returns_zero(self, env, base):
+        platform, ndroid = env
+        platform.memory.write_cstring(DATA, "101")
+        assert call_libc(platform, "strtoul", DATA, 0, base) == 0
+        assert ndroid.degraded_events == 0
+
     @pytest.mark.parametrize("name, first, second", [
         ("strcmp", "abcQRS", "abdXYZ"),
         ("strcasecmp", "ABcQRS", "abDXYZ"),

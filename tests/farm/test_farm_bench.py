@@ -81,6 +81,11 @@ def test_warm_drill_gates_and_parity():
     for mode in ("cold", "warm"):
         assert drill[mode]["jobs"] == len(drill["parity"]["scenarios"])
         assert drill[mode]["per_job_seconds"] > 0
+        assert drill[mode]["minor_faults_per_job"] > 0
+    # One forked child per job: a warm child resets its template once,
+    # a cold child boots and resets nothing.
+    assert drill["warm"]["resets_per_job"] == 1
+    assert drill["cold"]["resets_per_job"] == 0
     assert drill["parity"]["identical"]
     assert drill["gate"]["threshold"] == WARM_SPEEDUP_GATE
     # The gate is the mean total per job (fork, boot or reset, scenario

@@ -8,9 +8,11 @@ Pins the warm-fork contract end to end:
   that re-runs any job with engine-identical results while keeping the
   translation caches warm;
 * a resident library gets back only what a job changed, and the guest
-  task list is re-serialised only when the process table changed (the
-  kernel's checkpoint);
-* the worker module reuses one booted template per config across jobs;
+  task list is re-serialised only when a memory map changed (the
+  kernel's change count), with no walk of it otherwise;
+* compiled Dalvik blocks outlive the job and die with their methods;
+* the worker module reuses one booted template per config and one
+  build per app across jobs, and ``install`` hands an app back as built;
 * after a fork, self-modifying code invalidates the *child's* warm
   translation state without touching the template in the parent (the
   emulator re-registers its write watcher in its own reset).
@@ -28,6 +30,7 @@ from repro.apps.base import run_scenario
 from repro.bench.harness import make_platform
 from repro.farm import worker as worker_module
 from repro.farm.manifest import JobSpec
+from repro.jni.slots import jni_offset
 from repro.kernel.process import TASK_LIST_HEAD
 
 
@@ -42,6 +45,14 @@ def cold_worker_defaults():
 def leak_rows(platform):
     return [(r.detector, r.sink, r.taint, r.destination, r.payload.hex(),
              r.context) for r in platform.leaks.records]
+
+
+def counted(log, name, function):
+    """``function``, appending ``name`` to ``log`` on every call."""
+    def call(*args):
+        log.append(name)
+        return function(*args)
+    return call
 
 
 def wait_exit(pid: int) -> int:
@@ -201,8 +212,8 @@ class TestResidentRestore:
 
 
 class TestTaskListSkip:
-    """reset_for_job() re-serialises the guest task list only when the
-    process table or a memory map changed; otherwise the boot-page
+    """reset_for_job() re-serialises the guest task list only when a
+    checkpointed process's memory map changed; otherwise the boot-page
     rewrite restores it.  Either way the guest bytes and NDroid's view
     must be what a fresh serialisation + reconstruction gives."""
 
@@ -265,19 +276,171 @@ class TestTaskListSkip:
                    for process in view.processes for vma in process.vmas)
 
     def test_dalvik_block_map_stays_bounded_across_jobs(self):
+        # Blocks outlive the job and die with their methods: a fresh
+        # build's are gone once its reset lets its classes go, and an
+        # image's are compiled once, so the map stops growing.
         platform = make_platform("ndroid")
         platform.prepare_template()
-        template_methods = platform.vm._checkpoint_methods
-        sizes = []
-        for name in ("case2", "qqphonebook", "ephone") * 3:
+        tbc = platform.vm.tbc
+
+        def held():
+            blocks = sum(len(blocks)
+                         for blocks in tbc._method_blocks.values())
+            assert tbc.cached_blocks == blocks
+            return blocks, set(tbc._method_blocks)
+
+        names = ("case2", "qqphonebook", "ephone")
+        booted = held()
+        for name in names * 2:
             platform.reset_for_job()
             run_scenario(ALL_SCENARIOS[name](), platform)
-            sizes.append(len(platform.vm.tbc._method_blocks))
+            assert held()[0] > booted[0]
             platform.reset_for_job()
-            assert set(platform.vm.tbc._method_blocks) <= template_methods
-        # Job-local methods are dropped at every reset, so repeating the
-        # same three jobs never grows the map.
-        assert sizes[3:6] == sizes[:3] == sizes[6:]
+            assert held() == booted
+        images = [ALL_SCENARIOS[name]() for name in names]
+        cycles = []
+        for __ in range(3):
+            misses = 0
+            for image in images:
+                platform.reset_for_job()
+                run_scenario(image, platform)
+                misses += tbc.misses
+                assert platform.leaks.records
+            cycles.append((held(), misses))
+        assert cycles[0][1] > 0
+        assert cycles[1] == cycles[2] == (cycles[0][0], 0)
+
+    def test_reset_on_an_unchanged_task_list_walks_nothing(
+            self, monkeypatch):
+        from repro.core.view_reconstructor import ViewReconstructor
+        from repro.memory.regions import MemoryMap
+
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        for __ in range(2):
+            # The first job maps case2's library; the second finds it
+            # resident and maps nothing.
+            platform.reset_for_job()
+            run_scenario(ALL_SCENARIOS["case2"](), platform)
+        walks = []
+        monkeypatch.setattr(MemoryMap, "__iter__",
+                            counted(walks, "regions", MemoryMap.__iter__))
+        monkeypatch.setattr(ViewReconstructor, "reconstruct",
+                            counted(walks, "reconstruct",
+                                    ViewReconstructor.reconstruct))
+        monkeypatch.setattr(platform.kernel, "sync_tasks_to_guest",
+                            counted(walks, "sync",
+                                    platform.kernel.sync_tasks_to_guest))
+        platform.reset_for_job()
+        assert walks == []
+        assert self.task_list_state(platform) == \
+            self.fresh_task_list(platform)
+
+
+class TestAppImages:
+    """The worker builds each app once; ``install`` gives it back as
+    built, whatever its last job wrote to its classes."""
+
+    CLASS = "Lcom/image/App;"
+    ONLOAD = f"""
+JNI_OnLoad:                       ; (env, reserved)
+    push {{r4, lr}}
+    mov r4, r0
+    ldr ip, [r4]
+    ldr ip, [ip, #{jni_offset('FindClass')}]
+    ldr r1, =cls_name
+    blx ip
+    mov r1, r0
+    ldr ip, [r4]
+    ldr ip, [ip, #{jni_offset('RegisterNatives')}]
+    mov r0, r4
+    ldr r2, =method_table
+    mov r3, #1
+    blx ip
+    mov r0, #0
+    pop {{r4, pc}}
+
+hidden_poke:                      ; (env, jclass) -> void
+    bx lr
+
+cls_name:
+    .asciz "com/image/App"
+m_name:
+    .asciz "poke"
+m_sig:
+    .asciz "()V"
+.align 2
+method_table:
+    .word m_name
+    .word m_sig
+    .word hidden_poke
+"""
+
+    def image(self):
+        """``main`` bumps a static counter, binds ``poke`` through
+        ``RegisterNatives`` and calls it; returns the counter."""
+        from repro.dalvik import ClassDef, MethodBuilder
+        from repro.framework import Apk
+
+        cls = ClassDef(self.CLASS)
+        cls.add_static_field("counter")
+        cls.add_method(MethodBuilder(self.CLASS, "poke", "V", static=True,
+                                     native=True).build())
+        main = MethodBuilder(self.CLASS, "main", "I", static=True,
+                             registers=2)
+        main.sget(0, f"{self.CLASS}->counter")
+        main.add_lit(0, 0, 1)
+        main.sput(0, f"{self.CLASS}->counter")
+        main.const_string(1, "libimage.so")
+        main.invoke_static("Ljava/lang/System;->loadLibrary", 1)
+        main.invoke_static(f"{self.CLASS}->poke")
+        main.ret(0)
+        cls.add_method(main.build())
+        return Apk(package="com.image.app", classes=[cls],
+                   native_libraries={"libimage.so": self.ONLOAD})
+
+    def test_image_installs_pristine_after_a_job_wrote_it(self):
+        apk = self.image()
+        cls = apk.classes[0]
+        poke = cls.methods["poke"]
+        platform = make_platform("ndroid")
+        platform.prepare_template()
+        for __ in range(2):
+            platform.reset_for_job()
+            platform.install(apk)
+            # As built: the last job's counter and binding are gone.
+            assert cls.static_values == {"counter": [0, 0]}
+            assert poke.native_address == 0
+            assert platform.run_app(apk).value == 1
+            program = platform._loaded_libraries["libimage.so"]
+            assert poke.native_address == program.entry("hidden_poke")
+            assert cls.static_values["counter"][0] == 1
+
+    def test_second_warm_run_builds_and_compiles_nothing(
+            self, monkeypatch):
+        from repro.apps.market import MARKET_APPS
+        from repro.dalvik.tbc import DalvikTraceCompiler
+
+        specs = ([JobSpec(id=f"scenario:{name}", kind="scenario",
+                          target=name) for name in sorted(ALL_SCENARIOS)]
+                 + [JobSpec(id=f"market:{name}", kind="market",
+                            target=name) for name in sorted(MARKET_APPS)])
+        worker_module.configure_warm(True)
+        first = [worker_module.execute_job(spec) for spec in specs]
+        calls = []
+        for registry in (ALL_SCENARIOS, MARKET_APPS):
+            for name, build in list(registry.items()):
+                monkeypatch.setitem(registry, name,
+                                    counted(calls, name, build))
+        monkeypatch.setattr(DalvikTraceCompiler, "compile",
+                            counted(calls, "compile",
+                                    DalvikTraceCompiler.compile))
+        second = [worker_module.execute_job(spec) for spec in specs]
+        assert calls == []
+        for before, after in zip(first, second):
+            assert after["status"] == before["status"] == "ok"
+            assert after["leaks"] == before["leaks"]
+            assert after["metrics"]["dalvik.tbc.misses"] == 0
 
 
 class TestWarmWorker:

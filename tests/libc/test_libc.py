@@ -133,6 +133,19 @@ class TestStringFunctions:
         self._put(platform, DATA_BASE, "0xff")
         assert call_libc(platform, "strtoul", DATA_BASE, 0, 16) == 255
 
+    @pytest.mark.parametrize("text, value", [
+        ("0x1f", 0x1F), ("0X1F", 0x1F), ("017", 0o17), ("  42", 42),
+        ("-0x10", -0x10 & 0xFFFFFFFF), ("08", 0), ("0", 0), ("x1", 0)])
+    def test_strtoul_base_zero_detects_the_base(self, platform, text,
+                                                value):
+        self._put(platform, DATA_BASE, text)
+        assert call_libc(platform, "strtoul", DATA_BASE, 0, 0) == value
+
+    @pytest.mark.parametrize("base", [1, 37, 0xFFFFFFFF])
+    def test_strtoul_bad_base_returns_zero(self, platform, base):
+        self._put(platform, DATA_BASE, "101")
+        assert call_libc(platform, "strtoul", DATA_BASE, 0, base) == 0
+
     def test_sprintf(self, platform):
         emu, _, _ = platform
         self._put(platform, DATA_BASE, "%s=%d")

@@ -107,3 +107,12 @@ def test_strtol(libm_env):
     emu.memory.write_cstring(0x2000, "1234")
     assert emu.call(libm.address_of("strtol"),
                     args=(0x2000, 0, 10)) == 1234
+
+
+@pytest.mark.parametrize("base, value", [(0, 0x1F), (16, 0x1F), (10, 0),
+                                         (37, 0), (1, 0)])
+def test_strtol_base(libm_env, base, value):
+    emu, libm = libm_env
+    emu.memory.write_cstring(0x2000, "0x1f")
+    assert emu.call(libm.address_of("strtol"),
+                    args=(0x2000, 0, base)) == value
