@@ -7,6 +7,7 @@ from typing import Callable, Optional
 
 from repro.common.taint import TaintLabel
 from repro.framework.apk import Apk
+from repro.framework.leaks import LeakRegistry
 
 
 @dataclass
@@ -24,6 +25,15 @@ class Scenario:
     # Whether TaintDroid *alone* should catch the flow (only case 1).
     taintdroid_alone_detects: bool = False
     description: str = ""
+
+    def detected(self, leaks: LeakRegistry) -> bool:
+        """Table I's verdict over a finished run's leak registry: any
+        leak carrying the expected taint, or, for a benign app, any
+        leak at all."""
+        if self.expected_taint:
+            return any(record.taint & self.expected_taint
+                       for record in leaks.records)
+        return bool(leaks.records)
 
 
 def run_scenario(scenario: Scenario, platform) -> None:

@@ -38,7 +38,6 @@ from repro.dalvik.heap import Slot
 from repro.dalvik.instructions import Op
 from repro.emulator import Emulator
 from repro.framework import Apk
-from repro.observability.metrics import MetricsRegistry
 
 SCHEMA = "bench_emulator/v2"
 
@@ -445,17 +444,7 @@ class EmulatorBench:
         scenario = ALL_SCENARIOS[name]()
         platform = make_platform("ndroid", use_tb=use_tb)
         run_scenario(scenario, platform)
-        report = [
-            {
-                "detector": record.detector,
-                "sink": record.sink,
-                "taint": record.taint,
-                "destination": record.destination,
-                "payload": record.payload.hex(),
-                "context": record.context,
-            }
-            for record in platform.leaks.records
-        ]
+        report = platform.leaks.rows()
         report.sort(key=lambda entry: repr(sorted(entry.items())))
         return report
 
@@ -473,31 +462,15 @@ class EmulatorBench:
     # -- entry point --------------------------------------------------------
 
     def run(self) -> Dict:
-        # Workload rows are routed through a metrics registry and read
-        # back from its snapshot, so ``BENCH_emulator.json`` and
-        # ``repro report`` can never disagree on instruction counts.
-        registry = MetricsRegistry()
         names = ("cfbench_native_loop", HOST_CALL_WORKLOAD, "jni_crossing",
                  "table5_tracer", "table5_tracer_tainted")
-        row_keys: Dict[str, List[str]] = {}
-        for name in names:
-            row = self.measure_workload(name)
-            row_keys[name] = list(row)
-            for key, value in row.items():
-                registry.gauge(f"bench.{name}.{key}").set(value)
-        snapshot = registry.snapshot()
-        workloads = {
-            name: {key: snapshot[f"bench.{name}.{key}"]
-                   for key in row_keys[name]}
-            for name in names
-        }
+        workloads = {name: self.measure_workload(name) for name in names}
         return {
             "schema": SCHEMA,
             "host": {"cpus": os.cpu_count(),
                      "python": "%d.%d.%d" % sys.version_info[:3],
                      "repeats": self.repeats},
             "workloads": workloads,
-            "metrics": snapshot,
             "observability": self.measure_observability_overhead(),
             "calls": {
                 "cfbench_memory_word_calls": count_memory_word_calls(),

@@ -52,7 +52,7 @@ import os
 import resource
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.farm.manifest import Manifest
 from repro.farm.merge import sink_counts
@@ -198,18 +198,10 @@ class WarmBench:
 
     @staticmethod
     def _observe(platform, scenario) -> Dict:
-        records = platform.leaks.records
-        if scenario.expected_taint:
-            detected = any(record.taint & scenario.expected_taint
-                           for record in records)
-        else:
-            detected = bool(records)
         return {
-            "leaks": [[record.detector, record.sink, record.taint,
-                       record.destination, record.payload.hex(),
-                       record.context] for record in records],
+            "leaks": platform.leaks.rows(),
             "counters": platform.work_counters(),
-            "detected": detected,
+            "detected": scenario.detected(platform.leaks),
         }
 
     def _forked_job(self, boot, name: str):

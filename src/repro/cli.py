@@ -236,10 +236,7 @@ def _command_scenario(name: str, config: str, show_log: bool) -> int:
             print(ledger.format_path(path))
     print("\ndetected leaks:")
     print(platform.leaks.summary())
-    detected = (any(r.taint & scenario.expected_taint
-                    for r in platform.leaks.records)
-                if scenario.expected_taint else bool(platform.leaks.records))
-    print(f"\ndetected: {detected}")
+    print(f"\ndetected: {scenario.detected(platform.leaks)}")
     return 0
 
 
@@ -254,11 +251,7 @@ def _command_matrix() -> int:
             scenario = build()
             platform = make_platform(config)
             run_scenario(scenario, platform)
-            if scenario.expected_taint:
-                row[config] = any(r.taint & scenario.expected_taint
-                                  for r in platform.leaks.records)
-            else:
-                row[config] = bool(platform.leaks.records)
+            row[config] = scenario.detected(platform.leaks)
         print(f"{name:<14} {scenario.case:<6} "
               f"{'detected' if row['taintdroid'] else 'missed':<12} "
               f"{'detected' if row['ndroid'] else 'missed':<8}")
@@ -459,8 +452,8 @@ def _command_farm(args) -> int:
     import os
     from repro.farm import (ChaosMonkey, FarmConsole, FarmInterrupted,
                             FarmScheduler, Manifest, ResultStore,
-                            render_farm_report, write_farm_artifacts,
-                            write_trace_artifacts)
+                            render_farm_report, write_farm_artifacts)
+    from repro.observability.flight import write_trace_artifacts
     try:
         manifest = Manifest.load(args.manifest, trace=args.trace) \
             if args.manifest == "builtin" else Manifest.load(args.manifest)
@@ -561,17 +554,7 @@ def _command_run(args) -> int:
     platform, scenario = execute(args.config, args.trace, True)
     metrics = platform.observability.metrics.write_json(
         artifact("metrics.json"))
-    leaks = [
-        {
-            "detector": record.detector,
-            "sink": record.sink,
-            "taint": record.taint,
-            "destination": record.destination,
-            "payload": record.payload.hex(),
-            "context": record.context,
-        }
-        for record in platform.leaks.records
-    ]
+    leaks = platform.leaks.rows()
     with open(artifact("leaks.json"), "w") as handle:
         json.dump(leaks, handle, indent=2)
         handle.write("\n")

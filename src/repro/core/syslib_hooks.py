@@ -86,11 +86,11 @@ def _bounded_compared(memory, args) -> Tuple[int, int]:
 
 
 def _parsed(base_arg: Optional[int]) -> Callable:
-    """``atoi``/``atol``/``strtoul`` read their string up to and
-    including the byte that stops the libc model's parse."""
+    """``atoi``/``atol``/``strtoul`` read what the libc model's parse
+    reads of their string."""
     def read(memory, args) -> Tuple[int]:
         base = 10 if base_arg is None else args[base_arg]
-        return (parse_c_integer(memory.read_cstring(args[0]), base)[1] + 1,)
+        return (parse_c_integer(memory.read_cstring(args[0]), base)[1],)
     return read
 
 

@@ -63,11 +63,9 @@ from repro.farm.merge import (
     FarmReport,
     MergeFold,
     merge_results,
-    merge_spans,
     render_farm_report,
     sink_counts,
     write_farm_artifacts,
-    write_trace_artifacts,
 )
 from repro.farm.scheduler import (
     FarmInterrupted,
@@ -76,6 +74,7 @@ from repro.farm.scheduler import (
 )
 from repro.farm.store import ResultStore
 from repro.farm.worker import execute_job
+from repro.observability.flight import merge_spans
 
 __all__ = [
     "FARM_SCHEMA_VERSION",
@@ -105,5 +104,4 @@ __all__ = [
     "sink_counts",
     "verify_journal",
     "write_farm_artifacts",
-    "write_trace_artifacts",
 ]

@@ -21,7 +21,7 @@ now owns its workers directly:
 
 :class:`HealthStats` aggregates the whole fault-tolerance story
 (reclaims by cause, retries, quarantines, mean time to reclaim) for the
-merged farm report and the observability metrics registry.
+merged farm report.
 """
 
 from __future__ import annotations
@@ -319,7 +319,3 @@ class HealthStats:
             "interrupted_jobs": self.interrupted_jobs,
             "mean_time_to_reclaim_seconds": self.mean_time_to_reclaim(),
         }
-
-    def register_metrics(self, registry) -> None:
-        """Expose the summary as a pull source on a MetricsRegistry."""
-        registry.register_source("farm.health", self.summary)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.observability.report import render_analysis_table
 
@@ -248,26 +248,6 @@ def merge_metrics(results: List[Dict]) -> Dict:
     for result in results:
         fold.add(result)
     return fold.merged
-
-
-def merge_spans(trace_dir: str) -> Dict:
-    """Aggregate every per-process span spool under ``trace_dir``.
-
-    Returns the fleet timeline (``flight.build_timeline`` shape):
-    scheduler + worker + engine spans from every process, time-sorted
-    and correlated by trace id, with SIGKILL-torn spools replayed to
-    explicit open spans.
-    """
-    from repro.observability.flight import aggregate_trace_dir
-    return aggregate_trace_dir(trace_dir)
-
-
-def write_trace_artifacts(trace_dir: str,
-                          out_dir: Optional[str] = None) -> Dict[str, str]:
-    """Merge spools and write ``trace.json`` (Chrome trace-event JSON,
-    Perfetto-loadable) + ``timeline.txt`` (rendered text timeline)."""
-    from repro.observability import flight
-    return flight.write_trace_artifacts(trace_dir, out_dir)
 
 
 def merge_results(results: List[Dict], workers: int = 1,

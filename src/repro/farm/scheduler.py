@@ -184,7 +184,7 @@ class FarmScheduler:
                  poison_threshold: int = DEFAULT_POISON_THRESHOLD,
                  heartbeat_interval: float = HEARTBEAT_INTERVAL,
                  run_dir: Optional[str] = None, chaos=None,
-                 metrics=None, trace_dir: Optional[str] = None,
+                 trace_dir: Optional[str] = None,
                  warm: bool = False) -> None:
         self.manifest = manifest
         self.workers = max(1, workers)
@@ -200,8 +200,6 @@ class FarmScheduler:
         self.chaos = chaos
         self.trace_dir = trace_dir
         self.health = HealthStats()
-        if metrics is not None:
-            self.health.register_metrics(metrics)
         self.cached_jobs = 0
         self.wall_seconds = 0.0
         self._strikes: Dict[str, int] = {}

@@ -132,23 +132,9 @@ def _boot_platform(spec: JobSpec, ctx):
     return platform
 
 
-def _leak_rows(platform) -> list:
-    return [
-        {
-            "detector": record.detector,
-            "sink": record.sink,
-            "taint": record.taint,
-            "destination": record.destination,
-            "payload": record.payload.hex(),
-            "context": record.context,
-        }
-        for record in platform.leaks.records
-    ]
-
-
 def _observe(platform, trace: bool) -> Dict:
     """Collect the per-job observability payload off a finished platform."""
-    payload: Dict = {"leaks": _leak_rows(platform), "metrics": {}}
+    payload: Dict = {"leaks": platform.leaks.rows(), "metrics": {}}
     observability = platform.observability
     if observability is not None:
         payload["metrics"] = observability.snapshot()
@@ -189,12 +175,7 @@ def _analyze_scenario(spec: JobSpec, ctx) -> Dict:
     with _span(LIVE["tracer"], "scenario_run", target=spec.target):
         run_scenario(scenario, platform)
     payload = _observe(platform, spec.trace)
-    if scenario.expected_taint:
-        detected = any(r["taint"] & scenario.expected_taint
-                       for r in payload["leaks"])
-    else:
-        detected = bool(payload["leaks"])
-    payload["detected"] = detected
+    payload["detected"] = scenario.detected(platform.leaks)
     payload["expected_taint"] = scenario.expected_taint
     payload["expected_destination"] = scenario.expected_destination
     return payload

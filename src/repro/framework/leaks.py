@@ -7,8 +7,8 @@ a direct query over the records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.common.taint import TaintLabel, describe_taint
 
@@ -49,6 +49,20 @@ class LeakRegistry:
             if taint is None or (record.taint & taint):
                 return True
         return False
+
+    def rows(self) -> List[Dict]:
+        """Every record as the JSON row the artifacts carry (payload hex)."""
+        return [
+            {
+                "detector": record.detector,
+                "sink": record.sink,
+                "taint": record.taint,
+                "destination": record.destination,
+                "payload": record.payload.hex(),
+                "context": record.context,
+            }
+            for record in self.records
+        ]
 
     def clear(self) -> None:
         self.records.clear()

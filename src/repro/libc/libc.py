@@ -627,14 +627,14 @@ def _compare(a: bytes, b: bytes) -> int:
 
 
 def parse_c_integer(data: bytes, base: int) -> Tuple[int, int]:
-    """``atoi``/``strtoul``'s parse of ``data``: the value, and the offset
-    of the byte that stops it (past leading space, sign, a ``0x`` prefix
-    and the digits).  The bytes before that offset and the byte at it
-    are all the parse reads.
+    """``atoi``/``strtoul``'s parse of ``data``: the value, and how many
+    bytes the parse reads -- leading space, sign, a ``0x`` prefix, the
+    digits and the byte that stops it (the terminator, past the end of
+    ``data``).
 
     Base 0 picks the base as C does: a ``0x``/``0X`` prefix means 16, a
     leading ``0`` means 8, anything else 10.  A base outside 0 and
-    2..36 parses nothing: ``(0, 0)``.
+    2..36 reads nothing: ``(0, 0)``.
     """
     if base != 0 and not 2 <= base <= 36:
         return 0, 0
@@ -654,5 +654,5 @@ def parse_c_integer(data: bytes, base: int) -> Tuple[int, int]:
     while end < len(text) and text[end].lower() in digits:
         end += 1
     if end == start:
-        return 0, end
-    return (sign * int(text[start:end], base)) & 0xFFFF_FFFF, end
+        return 0, end + 1
+    return (sign * int(text[start:end], base)) & 0xFFFF_FFFF, end + 1

@@ -7,8 +7,8 @@ the paper's evaluation needs:
   taint-propagation step is an edge, so a leak's complete source->sink
   path can be reconstructed and printed in the shape of the paper's
   annotated flows (Figs. 6-9, Section VI.B);
-* a :class:`MetricsRegistry` of counters/gauges and *pull* sources over
-  the emulator/kernel/DVM/core statistics already kept by the engines
+* a :class:`MetricsRegistry` of *pull* sources over the
+  emulator/kernel/DVM/core statistics already kept by the engines
   (Tables IV/V overhead breakdowns) -- including, while tracing, the
   exact guest profile: instructions retired per guest function, as
   ``profile.<module>;<symbol>`` counters (see ``profiler.py``);
@@ -37,8 +37,6 @@ from repro.observability.ledger import (  # noqa: F401
     ProvenancePath,
 )
 from repro.observability.metrics import (  # noqa: F401
-    Counter,
-    Gauge,
     MetricsRegistry,
     diff_snapshots,
     load_snapshot,
@@ -60,12 +58,11 @@ from repro.observability.spans import (  # noqa: F401
 class Observability:
     """Per-platform facade wiring the facilities to the engines."""
 
-    def __init__(self, ledger_capacity: int = 65536) -> None:
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.ledger: Optional[ProvenanceLedger] = None
         # pc -> instructions retired, shared with the emulator.
         self.profile: Optional[Dict[int, int]] = None
-        self._ledger_capacity = ledger_capacity
         self._platform = None
         self._ndroid = None
 
@@ -78,7 +75,7 @@ class Observability:
     def enable_tracing(self) -> ProvenanceLedger:
         """Turn on provenance recording and the exact profile."""
         if self.ledger is None:
-            self.ledger = ProvenanceLedger(maxlen=self._ledger_capacity)
+            self.ledger = ProvenanceLedger()
             self.profile = profile = {}
             ledger = self.ledger
             self.metrics.register_source("ledger", lambda: {
@@ -114,14 +111,14 @@ class Observability:
         jni = platform.jni
 
         def emulator_source():
+            stats = emu.translation_stats()
             return {
                 "instructions": emu.instruction_count,
                 "host_calls": emu.host_call_count,
                 "decodes": emu.decode_count,
-                "tb.blocks": emu.translation_stats()["blocks"],
-                "tb.translations": emu.translation_stats()["translations"],
-                "tb.invalidations":
-                    emu.translation_stats()["invalidations"],
+                "tb.blocks": stats["blocks"],
+                "tb.translations": stats["translations"],
+                "tb.invalidations": stats["invalidations"],
                 "tb.hits": emu._tb_cache.hits,
                 "tb.misses": emu._tb_cache.misses,
             }

@@ -383,8 +383,11 @@ def validate_chrome_trace(trace: Dict) -> List[str]:
     return errors
 
 
-def aggregate_trace_dir(trace_dir: str) -> Dict:
-    """collect_spools + build_timeline in one call (the common path)."""
+def merge_spans(trace_dir: str) -> Dict:
+    """Merge every per-process span spool under ``trace_dir`` into the
+    fleet timeline (:func:`build_timeline`): scheduler, worker and
+    engine spans from every process, time-sorted and correlated by
+    trace id, with SIGKILL-torn spools replayed to explicit open spans."""
     return build_timeline(collect_spools(trace_dir))
 
 
@@ -394,7 +397,7 @@ def write_trace_artifacts(trace_dir: str,
     ``timeline.txt`` (text), returning the artifact paths."""
     out_dir = out_dir or trace_dir
     os.makedirs(out_dir, exist_ok=True)
-    timeline = aggregate_trace_dir(trace_dir)
+    timeline = merge_spans(trace_dir)
     chrome = to_chrome_trace(timeline)
     trace_path = os.path.join(out_dir, "trace.json")
     with open(trace_path, "w", encoding="utf-8") as fh:

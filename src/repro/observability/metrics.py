@@ -1,15 +1,9 @@
-"""The metrics registry: counters/gauges + pull sources.
+"""The metrics registry: pull sources only.
 
-Two registration styles, chosen for cost:
-
-* **pull sources** — a module registers a closure returning a dict of
-  name→value; the closure runs only at ``snapshot()`` time, so modules
-  that already keep counters (the emulator's ``instruction_count``, the
-  kernel's syscall tally, NDroid's ``statistics()``) are observable at
-  literally zero runtime cost;
-* **push instruments** — :class:`Counter`/:class:`Gauge` for
-  event-driven values with no existing home (supervisor retries,
-  watchdog firings, bench results).
+A module registers a closure returning a dict of name→value; the
+closure runs only at ``snapshot()`` time, so modules that already keep
+counters (the emulator's ``instruction_count``, the kernel's syscall
+tally, NDroid's ``statistics()``) are observable at zero runtime cost.
 
 ``snapshot()`` flattens everything into ``prefix.name -> number``, the
 form the ``repro report`` overhead tables consume; ``diff_snapshots``
@@ -25,56 +19,12 @@ Number = Union[int, float]
 Source = Callable[[], Dict[str, Number]]
 
 
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (set, not accumulated)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Number = 0
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-
 class MetricsRegistry:
-    """Named instruments plus pull sources, flattened by ``snapshot()``."""
+    """Named pull sources, flattened by ``snapshot()``."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._sources: List[Tuple[str, Source]] = []
         self._source_gauges: Dict[str, Tuple[str, ...]] = {}
-
-    # -- instruments -------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    # -- pull sources ------------------------------------------------------
 
     def register_source(self, prefix: str, source: Source,
                         gauges: Tuple[str, ...] = ()) -> None:
@@ -93,19 +43,13 @@ class MetricsRegistry:
         self._source_gauges.pop(prefix, None)
 
     def gauge_keys(self) -> List[str]:
-        """Fully-qualified names of every gauge-typed metric.
-
-        Covers push :class:`Gauge` instruments and the source keys
-        declared via ``register_source(..., gauges=...)``; shipped with
-        each worker's snapshot so the merge layer knows what not to sum.
-        """
-        names = set(self._gauges)
-        for prefix, keys in self._source_gauges.items():
-            for key in keys:
-                names.add(f"{prefix}.{key}")
-        return sorted(names)
-
-    # -- flattening --------------------------------------------------------
+        """Fully-qualified names of every gauge-typed metric: the source
+        keys declared via ``register_source(..., gauges=...)``, shipped
+        with each worker's snapshot so the merge layer knows what not to
+        sum."""
+        return sorted(f"{prefix}.{key}"
+                      for prefix, keys in self._source_gauges.items()
+                      for key in keys)
 
     def snapshot(self) -> Dict[str, Number]:
         """Every metric as a flat ``name -> number`` dict."""
@@ -113,10 +57,6 @@ class MetricsRegistry:
         for prefix, source in self._sources:
             for key, value in source().items():
                 data[f"{prefix}.{key}"] = value
-        for name, counter in self._counters.items():
-            data[name] = counter.value
-        for name, gauge in self._gauges.items():
-            data[name] = gauge.value
         return data
 
     def write_json(self, target: Union[str, IO[str]]) -> Dict[str, Number]:

@@ -120,8 +120,7 @@ class Supervisor:
                  max_retries: int = 3, backoff_base: float = 0.01,
                  backoff_factor: float = 2.0, backoff_jitter: float = 0.0,
                  ring_capacity: int = 32,
-                 sleep: Callable[[float], None] = time.sleep,
-                 metrics=None) -> None:
+                 sleep: Callable[[float], None] = time.sleep) -> None:
         self.budget = budget
         self.max_retries = max_retries
         self.backoff_base = backoff_base
@@ -134,13 +133,6 @@ class Supervisor:
         self.backoff_jitter = backoff_jitter
         self.ring_capacity = ring_capacity
         self._sleep = sleep
-        # Optional MetricsRegistry: supervised-run outcomes become
-        # resilience.* counters (observability layer).
-        self.metrics = metrics
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(f"resilience.{name}").inc(amount)
 
     def run(self, label: str, analysis: Analysis,
             plan: Optional[FaultPlan] = None) -> SupervisedResult:
@@ -156,7 +148,6 @@ class Supervisor:
         delays: List[float] = []
         attempt = 0
         rng = None  # built on the first retry: most runs never retry
-        self._count("runs")
         while True:
             attempt += 1
             ctx = RunContext(self.budget, active, self.ring_capacity)
@@ -171,7 +162,6 @@ class Supervisor:
                                           jitter=self.backoff_jitter,
                                           rng=rng)
                     delays.append(delay)
-                    self._count("retries")
                     self._rearm(ctx)
                     self._sleep(delay)
                     continue
@@ -179,7 +169,6 @@ class Supervisor:
                                     attempt, delays,
                                     note="transient-retries-exhausted")
             except AnalysisTimeout as error:
-                self._count("watchdog_fired")
                 return self._failed(OUTCOME_TIMEOUT, label, error, ctx,
                                     attempt, delays)
             except ReproError as error:
@@ -218,7 +207,6 @@ class Supervisor:
         quarantined = (sorted(ndroid.quarantined_hooks)
                        if ndroid is not None else [])
         status = OUTCOME_DEGRADED if degraded_events else OUTCOME_OK
-        self._count(f"outcome.{status}")
         return SupervisedResult(
             label=label, status=status, value=value, attempts=attempt,
             backoff_delays=list(delays), degraded_events=degraded_events,
@@ -236,7 +224,6 @@ class Supervisor:
         message = f"{type(error).__name__}: {error}"
         if note:
             message = f"{note}: {message}"
-        self._count(f"outcome.{status}")
         return SupervisedResult(
             label=label, status=status, attempts=attempt,
             backoff_delays=list(delays), crash_report=report,

@@ -172,6 +172,17 @@ class TestStringModels:
         assert call_libc(platform, "strtoul", DATA, 0, base) == 0
         assert ndroid.degraded_events == 0
 
+    def test_strtoul_bad_base_reads_no_byte(self, env):
+        platform, ndroid = env
+        engine = ndroid.taint_engine
+        platform.memory.write_cstring(DATA, "7")
+        engine.set_memory(DATA, 1, TAINT_IMEI)
+        assert call_libc(platform, "strtoul", DATA, 0, 37) == 0
+        assert engine.get_register(0) == 0
+        for base in (0, 10, 36):
+            assert call_libc(platform, "strtoul", DATA, 0, base) == 7
+            assert engine.get_register(0) == TAINT_IMEI
+
     @pytest.mark.parametrize("name, first, second", [
         ("strcmp", "abcQRS", "abdXYZ"),
         ("strcasecmp", "ABcQRS", "abDXYZ"),

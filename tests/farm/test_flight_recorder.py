@@ -18,10 +18,11 @@ from repro.farm.console import (
 )
 from repro.farm.health import stamp_heartbeat
 from repro.farm.journal import RunJournal, journal_counts
-from repro.farm.merge import merge_metrics, write_trace_artifacts
+from repro.farm.merge import merge_metrics
 from repro.farm.scheduler import FarmInterrupted
 from repro.farm.worker import execute_job
-from repro.observability.flight import read_jsonl, validate_chrome_trace
+from repro.observability.flight import (read_jsonl, validate_chrome_trace,
+                                        write_trace_artifacts)
 from repro.observability.spans import SpanTracer
 
 TWO_JOBS = Manifest(jobs=[

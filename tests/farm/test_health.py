@@ -214,12 +214,3 @@ class TestHealthStats:
         stats = HealthStats()
         stats.record_reclaim(-0.5)
         assert stats.mean_time_to_reclaim() == 0.0
-
-    def test_register_metrics_exposes_pull_source(self):
-        from repro.observability.metrics import MetricsRegistry
-        registry = MetricsRegistry()
-        stats = HealthStats()
-        stats.register_metrics(registry)
-        stats.retries = 3
-        snapshot = registry.snapshot()
-        assert snapshot["farm.health.retries"] == 3

@@ -37,13 +37,25 @@ def test_unknown_scenario(capsys):
 
 
 def test_matrix(capsys):
+    from repro.apps import ALL_SCENARIOS
+
     assert main(["matrix"]) == 0
-    out = capsys.readouterr().out
-    lines = [line for line in out.splitlines() if line.startswith("case1 ")]
-    assert lines and "detected" in lines[0]
-    miss_lines = [line for line in out.splitlines()
-                  if line.startswith("case2 ")]
-    assert miss_lines and "missed" in miss_lines[0]
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["scenario", "case", "TaintDroid", "+NDroid"]
+    rows = {}
+    for line in lines:
+        name, __, taintdroid, ndroid = line.split()
+        rows[name] = (taintdroid, ndroid)
+    assert set(rows) == set(ALL_SCENARIOS)
+
+    def verdict(detected):
+        return "detected" if detected else "missed"
+
+    for name, build in ALL_SCENARIOS.items():
+        scenario = build()
+        assert rows[name] == (
+            verdict(scenario.taintdroid_alone_detects),
+            verdict(scenario.expected_taint)), name
 
 
 def test_corpus(capsys):

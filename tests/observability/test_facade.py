@@ -4,9 +4,7 @@ from repro.apps import ALL_SCENARIOS
 from repro.apps.base import run_scenario
 from repro.bench.harness import make_platform
 from repro.framework.android import AndroidPlatform
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.schema import validate_record
-from repro.resilience import Supervisor
 
 
 def test_disabled_platform_has_no_observability():
@@ -78,13 +76,3 @@ def test_ledger_edges_validate_against_schema():
     run_scenario(ALL_SCENARIOS["poc_case2"](), platform)
     for edge in platform.observability.ledger:
         assert validate_record(edge.to_dict()) == []
-
-
-def test_supervisor_routes_outcomes_through_metrics():
-    registry = MetricsRegistry()
-    supervisor = Supervisor(budget=None, metrics=registry)
-    result = supervisor.run("label", lambda ctx: 42)
-    assert result.status == "ok"
-    snapshot = registry.snapshot()
-    assert snapshot["resilience.runs"] == 1
-    assert snapshot["resilience.outcome.ok"] == 1

@@ -9,10 +9,10 @@ import json
 import os
 
 from repro.observability.flight import (
-    aggregate_trace_dir,
     build_timeline,
     collect_spools,
     journal_track,
+    merge_spans,
     read_jsonl,
     render_timeline,
     to_chrome_trace,
@@ -148,7 +148,7 @@ class TestJournalTrack:
         trace_dir = str(tmp_path / "flight")
         written = write_scheduler_track(path, trace_dir)
         assert os.path.basename(written) == "scheduler.jsonl"
-        timeline = aggregate_trace_dir(trace_dir)
+        timeline = merge_spans(trace_dir)
         (open_span,) = [s for s in timeline["spans"] if s.get("open")]
         assert open_span["args"]["attempt"] == 2
         assert open_span["pid"] == 10
@@ -224,7 +224,7 @@ class TestChromeExport:
         sched.close()
         worker_path = str(tmp_path / "w.jsonl")
         worker = _traced_spool(worker_path)
-        timeline = aggregate_trace_dir(str(tmp_path))
+        timeline = merge_spans(str(tmp_path))
         chrome = to_chrome_trace(timeline)
         assert validate_chrome_trace(chrome) == []
         metadata = {e["pid"]: e["args"]["name"]

@@ -9,21 +9,6 @@ from repro.observability.metrics import (
 )
 
 
-def test_counter_gauge_snapshot():
-    registry = MetricsRegistry()
-    registry.counter("kernel.traps").inc()
-    registry.counter("kernel.traps").inc(2)
-    registry.gauge("emulator.instructions").set(45)
-    assert registry.snapshot() == {"kernel.traps": 3,
-                                   "emulator.instructions": 45}
-
-
-def test_create_or_get_returns_same_instrument():
-    registry = MetricsRegistry()
-    assert registry.counter("a") is registry.counter("a")
-    assert registry.gauge("b") is registry.gauge("b")
-
-
 def test_pull_sources_flatten_under_prefix():
     registry = MetricsRegistry()
     state = {"instructions": 0}
@@ -38,11 +23,11 @@ def test_pull_sources_flatten_under_prefix():
 
 def test_write_and_load_snapshot(tmp_path):
     registry = MetricsRegistry()
-    registry.counter("resilience.runs").inc()
+    registry.register_source("kernel", lambda: {"traps": 3})
     path = tmp_path / "metrics.json"
     written = registry.write_json(str(path))
     assert load_snapshot(str(path)) == written
-    assert json.loads(path.read_text())["resilience.runs"] == 1
+    assert json.loads(path.read_text())["kernel.traps"] == 3
 
 
 def test_diff_snapshots_ratio():
@@ -54,10 +39,11 @@ def test_diff_snapshots_ratio():
     assert by_name["only_current"][0] is None
 
 
-def test_gauge_keys_cover_push_gauges_and_declared_source_gauges():
+def test_gauge_keys_cover_declared_source_gauges():
     registry = MetricsRegistry()
-    registry.gauge("pool.live_workers").set(3)
-    registry.counter("pool.spawns").inc()
+    registry.register_source("pool", lambda: {"live_workers": 3,
+                                              "spawns": 1},
+                             gauges=("live_workers",))
     registry.register_source("cache", lambda: {"blocks": 7, "hits": 9},
                              gauges=("blocks",))
     assert registry.gauge_keys() == ["cache.blocks", "pool.live_workers"]

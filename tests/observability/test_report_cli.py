@@ -22,6 +22,18 @@ def test_run_writes_all_artifacts(traced_run):
         assert os.path.exists(os.path.join(traced_run, name)), name
 
 
+def test_leaks_json_is_the_farm_rows_leaks(traced_run):
+    import os
+    from repro.farm import JobSpec, execute_job
+
+    with open(os.path.join(traced_run, "leaks.json")) as handle:
+        leaks = json.load(handle)
+    row = execute_job(JobSpec(id="scenario:ephone", kind="scenario",
+                              target="ephone", config="ndroid"))
+    assert row["status"] == "ok"
+    assert leaks and leaks == row["leaks"]
+
+
 def test_trace_validates_against_schema(traced_run):
     import os
     count, errors = validate_trace(os.path.join(traced_run, "trace.jsonl"))
